@@ -101,15 +101,15 @@ grep -q '"schema":"arl-backends/v1"' "$smoke_dir/BENCH_backends.json"
 ! grep -q '"conserved":false' "$smoke_dir/BENCH_backends.json"
 
 echo "==> replay-speed regression gate (subset vs committed BENCH_speed.json)"
-# Re-time a fixed three-workload subset across the full lever matrix
-# ({event, legacy} core x {compiled, plain} trace) and fail if any
-# headline speedup falls below ARL_SPEED_MIN_RATIO of the committed
-# baseline's. Absolute throughput on a shared machine swings ±30% with
-# background load, so the gate compares the same-run speedup ratio
-# (both cores see the same load and it cancels); a retry absorbs a load
-# spike landing inside one core's timing window but not the other's.
-# The ratio floor is 0.85: the compiled-replay PR tightened it from the
-# 0.8 default now that the lever matrix pins per-lever attribution.
+# Re-time a fixed three-workload subset on both cores and fail if any
+# event-over-legacy speedup falls below ARL_SPEED_MIN_RATIO of the
+# committed baseline's. Absolute throughput on a shared machine swings
+# ±30% with background load, so the gate compares the same-run speedup
+# ratio (both cores see the same load and it cancels); a retry absorbs a
+# load spike landing inside one core's timing window but not the
+# other's. The run asserts both cores' SimStats equal before recording a
+# row, so the JSON must say so: schema v3, every row identical:true,
+# none identical:false.
 speed_ok=0
 for attempt in 1 2 3; do
     if ARL_SPEED_WORKLOADS=compress,go,tomcatv ARL_SPEED_MIN_RATIO=0.85 \
@@ -121,13 +121,8 @@ for attempt in 1 2 3; do
     echo "speed gate attempt $attempt failed; retrying" >&2
 done
 test "$speed_ok" = 1
-
-echo "==> compiled-replay differential smoke gate"
-# The smoke run above exercised all four lever cells per workload and
-# asserted their SimStats equal before timing anything; the JSON must
-# say so — schema v2, every row identical:true, none identical:false.
 test -s "$smoke_dir/BENCH_speed.json"
-grep -q '"schema":"arl-speed/v2"' "$smoke_dir/BENCH_speed.json"
+grep -q '"schema":"arl-speed/v3"' "$smoke_dir/BENCH_speed.json"
 grep -q '"identical":true' "$smoke_dir/BENCH_speed.json"
 ! grep -q '"identical":false' "$smoke_dir/BENCH_speed.json"
 

@@ -1,10 +1,10 @@
-//! Replay-throughput benchmark across the lever matrix: {event, legacy}
-//! core × {compiled, uncompiled} trace, instructions/second per workload.
+//! Replay-throughput benchmark: event-driven vs legacy core,
+//! instructions/second per workload.
 //!
-//! Prints a table, writes `BENCH_speed.json` (schema `arl-speed/v2`),
+//! Prints a table, writes `BENCH_speed.json` (schema `arl-speed/v3`),
 //! and — when `ARL_SPEED_BASELINE` points at a committed baseline —
-//! exits non-zero if any measured workload's headline speedup regresses
-//! below `ARL_SPEED_MIN_RATIO` (default 0.8) of the baseline's.
+//! exits non-zero if any measured workload's speedup regresses below
+//! `ARL_SPEED_MIN_RATIO` (default 0.8) of the baseline's.
 
 use arl_bench::{regressions_vs_baseline, run_speed_suite};
 
@@ -13,8 +13,8 @@ fn main() {
     let report = run_speed_suite(scale);
 
     println!(
-        "{:<10} {:>12} {:>14} {:>14} {:>14} {:>9} {:>7} {:>7}",
-        "workload", "inst", "event i/s", "event-unc i/s", "legacy i/s", "speedup", "core", "cmpld"
+        "{:<10} {:>12} {:>14} {:>14} {:>9}",
+        "workload", "inst", "event i/s", "legacy i/s", "speedup"
     );
     for row in &report.rows {
         let legacy = row
@@ -23,19 +23,9 @@ fn main() {
         let speedup = row
             .speedup()
             .map_or_else(|| "-".to_string(), |v| format!("{v:.1}x"));
-        let core = row
-            .core_speedup()
-            .map_or_else(|| "-".to_string(), |v| format!("{v:.1}x"));
         println!(
-            "{:<10} {:>12} {:>14.0} {:>14.0} {:>14} {:>9} {:>7} {:>6.1}x",
-            row.workload,
-            row.instructions,
-            row.event_ips,
-            row.event_uncompiled_ips,
-            legacy,
-            speedup,
-            core,
-            row.compiled_speedup(),
+            "{:<10} {:>12} {:>14.0} {:>14} {:>9}",
+            row.workload, row.instructions, row.event_ips, legacy, speedup,
         );
     }
     let suite_speedup = report

@@ -76,19 +76,6 @@ pub fn knob_bool(name: &str, value: Option<&str>, default: bool) -> bool {
     )
 }
 
-/// Resolves a raw `ARL_TRACE_COMPILED` value: whether bench trace
-/// captures embed the precomputed per-instruction model section
-/// (version-3 traces). Defaults to on — replays consume the hints and
-/// skip model recomputation; stats are bit-identical either way.
-pub fn compiled_capture_from_value(value: Option<&str>) -> bool {
-    knob_bool("ARL_TRACE_COMPILED", value, true)
-}
-
-/// Reads `ARL_TRACE_COMPILED`.
-pub fn compiled_capture_from_env() -> bool {
-    compiled_capture_from_value(std::env::var("ARL_TRACE_COMPILED").ok().as_deref())
-}
-
 /// Resolves a raw `ARL_BACKEND` value to a memory backend: one of the
 /// [`BackendConfig::label`]s (case-insensitive); unset means the baseline
 /// chain and anything else warns and falls back to it.
@@ -166,14 +153,6 @@ mod tests {
             assert_eq!(knob_bool("K", v, true), want, "{v:?}");
         }
         assert!(!knob_bool("K", Some("junk"), false), "fallback is default");
-    }
-
-    #[test]
-    fn compiled_capture_defaults_on() {
-        assert!(compiled_capture_from_value(None));
-        assert!(!compiled_capture_from_value(Some("0")));
-        assert!(compiled_capture_from_value(Some("1")));
-        assert!(compiled_capture_from_value(Some("typo")), "warn, stay on");
     }
 
     #[test]

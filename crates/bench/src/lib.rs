@@ -51,10 +51,7 @@ pub use backends::{backends_bench, run_backends_main, BackendsBenchRun, BACKENDS
 
 pub use chaos::{chaos_campaign, run_chaos_main, ChaosOptions, ChaosRun, CHAOS_SCHEMA};
 
-pub use knob::{
-    backend_from_env, backend_from_value, compiled_capture_from_env, compiled_capture_from_value,
-    knob_bool, knob_f64, knob_parsed, knob_u64,
-};
+pub use knob::{backend_from_env, backend_from_value, knob_bool, knob_f64, knob_parsed, knob_u64};
 
 pub use shard::{
     replay_sharded, replay_sharded_supervised, run_shard_main, shard_bench_with, shard_from_env,
@@ -210,10 +207,6 @@ pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> Ev
 /// optionally feeding every retired instruction to `visitor` so profilers
 /// ride along on the same pass.
 ///
-/// Unless `ARL_TRACE_COMPILED=0`, the capture also *compiles* the trace:
-/// per-instruction model facts are precomputed into a version-3 section
-/// so replays skip the recomputation (bit-identical results either way).
-///
 /// # Panics
 ///
 /// Panics if the workload fails to execute or exceeds [`INST_CAP`].
@@ -222,12 +215,8 @@ pub fn capture_trace_with<F: FnMut(&TraceEntry)>(
     name: &str,
     visitor: F,
 ) -> Trace {
-    let trace = if compiled_capture_from_env() {
-        arl_trace::capture_compiled_with(program, INST_CAP, 0, visitor)
-    } else {
-        arl_trace::capture_with(program, INST_CAP, visitor)
-    }
-    .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+    let trace = arl_trace::capture_with(program, INST_CAP, visitor)
+        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
     assert!(
         trace.metrics().exited,
         "workload {name} exceeded the instruction cap"
@@ -246,19 +235,14 @@ pub fn capture_trace(program: &Program, name: &str) -> Trace {
 
 /// [`capture_trace`] with a snapshot record every `interval` retired
 /// instructions (0 disables snapshots), so the capture can be replayed in
-/// shard segments (`ARL_SHARD`; see [`replay_sharded`]). Honours
-/// `ARL_TRACE_COMPILED` like [`capture_trace_with`].
+/// shard segments (`ARL_SHARD`; see [`replay_sharded`]).
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to execute or exceeds [`INST_CAP`].
 pub fn capture_trace_snapshotted(program: &Program, name: &str, interval: u64) -> Trace {
-    let trace = if compiled_capture_from_env() {
-        arl_trace::capture_compiled(program, INST_CAP, interval)
-    } else {
-        arl_trace::capture_snapshotted(program, INST_CAP, interval)
-    }
-    .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+    let trace = arl_trace::capture_snapshotted(program, INST_CAP, interval)
+        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
     assert!(
         trace.metrics().exited,
         "workload {name} exceeded the instruction cap"

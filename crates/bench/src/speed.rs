@@ -1,15 +1,12 @@
 //! Replay-throughput benchmark for the timing core (`bench_speed`).
 //!
-//! Measures replayed instructions per second on the 12-workload suite
-//! across the full lever matrix — {event, legacy} core × {compiled,
-//! uncompiled} trace — emitting `BENCH_speed.json` (schema
-//! [`SPEED_SCHEMA`], `arl-speed/v2`). The headline `speedup` per row is
-//! the shipping configuration over the original one: event core on a
-//! compiled trace vs the legacy core on an uncompiled trace; the other
-//! two cells attribute the win to each lever ([`SpeedRow::core_speedup`]
-//! and [`SpeedRow::compiled_speedup`]). All four cells' `SimStats` are
-//! asserted equal (`identical:true` in the JSON) — every benchmark run
-//! doubles as a compiled-vs-uncompiled differential test.
+//! Measures replayed instructions per second on the 12-workload suite for
+//! the event-driven core and the legacy cycle-ticking core, emitting
+//! `BENCH_speed.json` (schema [`SPEED_SCHEMA`], `arl-speed/v3`). The
+//! `speedup` per row is event over legacy. Both cores' `SimStats` are
+//! asserted equal before a row is recorded (`identical:true` in the
+//! JSON) — every benchmark run doubles as an event-vs-legacy
+//! differential test.
 //!
 //! The committed copy at the repo root is the speed trajectory the ci
 //! gate holds the event core to: a run may not fall below
@@ -17,10 +14,9 @@
 //! `speedup` (machine-load-immune; see [`regressions_vs_baseline`]), or
 //! of the baseline `event_ips` when legacy timing was skipped.
 //!
-//! Each workload's trace is captured once (with a compiled section) and
-//! pre-decoded into two [`TraceEntry`] slices — hints attached and hints
-//! stripped — so the measurement times the *simulator*, not trace decode
-//! or model precomputation. Knobs (all warn-and-fallback via
+//! Each workload's trace is captured once and pre-decoded into one
+//! [`TraceEntry`] slice, so the measurement times the *simulator*, not
+//! trace decode. Knobs (all warn-and-fallback via
 //! [`crate::knob`]): `ARL_SPEED_WORKLOADS` (comma list filter),
 //! `ARL_SPEED_REPS` (best-of, default 2), `ARL_SPEED_LEGACY=0` (skip the
 //! slow legacy timing), `ARL_SPEED_CONFIG` (Figure 8 config name),
@@ -29,7 +25,7 @@
 
 use std::time::Instant;
 
-use arl_sim::{ModelHints, TraceEntry, TraceSource};
+use arl_sim::{TraceEntry, TraceSource};
 use arl_stats::Json;
 use arl_timing::{CoreMode, MachineConfig, SimStats, TimingSim};
 use arl_workloads::{suite, Scale};
@@ -40,50 +36,33 @@ use crate::INST_CAP;
 
 /// `BENCH_speed.json` schema identifier.
 ///
-/// v2 (this version) times the full lever matrix — core × compiled —
-/// and records `identical` per row; v1 timed only event vs legacy on
-/// uncompiled entries.
-pub const SPEED_SCHEMA: &str = "arl-speed/v2";
+/// v3 (this version) times one event-vs-legacy pair per workload and
+/// records `identical` per row; v2 additionally timed traces carrying
+/// precomputed per-instruction model hints.
+pub const SPEED_SCHEMA: &str = "arl-speed/v3";
 
-/// One workload's measurement across the lever matrix.
+/// One workload's measurement.
 pub struct SpeedRow {
     /// Workload name.
     pub workload: String,
     /// Instructions replayed per timed run.
     pub instructions: u64,
-    /// Simulated cycles (identical across all cells, asserted).
+    /// Simulated cycles (identical on both cores, asserted).
     pub cycles: u64,
-    /// Best-of-reps event-core throughput on the *compiled* trace — the
-    /// shipping configuration, and the cell the gate tracks.
+    /// Best-of-reps event-core throughput — the cell the gate tracks.
     pub event_ips: f64,
-    /// Event core on the hint-stripped entries (compiled lever off).
-    pub event_uncompiled_ips: f64,
-    /// Legacy core on the hint-stripped entries — the original
-    /// configuration the headline speedup is measured against. `None`
-    /// when legacy was skipped (`ARL_SPEED_LEGACY=0`).
+    /// Best-of-reps legacy-core throughput, the speedup's denominator.
+    /// `None` when legacy was skipped (`ARL_SPEED_LEGACY=0`).
     pub legacy_ips: Option<f64>,
-    /// Legacy core on the compiled trace (compiled lever alone).
-    pub legacy_compiled_ips: Option<f64>,
-    /// All timed cells produced bit-identical `SimStats` (asserted at
+    /// Both cores produced bit-identical `SimStats` (asserted at
     /// measurement time; recorded so the artifact carries the proof).
     pub identical: bool,
 }
 
 impl SpeedRow {
-    /// Headline speedup: event+compiled over legacy+uncompiled.
+    /// Event over legacy throughput.
     pub fn speedup(&self) -> Option<f64> {
         self.legacy_ips.map(|l| self.event_ips / l)
-    }
-
-    /// Core lever alone: event over legacy, both uncompiled.
-    pub fn core_speedup(&self) -> Option<f64> {
-        self.legacy_ips.map(|l| self.event_uncompiled_ips / l)
-    }
-
-    /// Compiled lever alone (on the event core): compiled over
-    /// uncompiled entries.
-    pub fn compiled_speedup(&self) -> f64 {
-        self.event_ips / self.event_uncompiled_ips.max(f64::MIN_POSITIVE)
     }
 
     fn to_json(&self) -> Json {
@@ -92,27 +71,13 @@ impl SpeedRow {
             ("instructions".to_string(), Json::from(self.instructions)),
             ("cycles".to_string(), Json::from(self.cycles)),
             ("event_ips".to_string(), Json::from(self.event_ips)),
-            (
-                "event_uncompiled_ips".to_string(),
-                Json::from(self.event_uncompiled_ips),
-            ),
-            (
-                "compiled_speedup".to_string(),
-                Json::from(self.compiled_speedup()),
-            ),
             ("identical".to_string(), Json::from(self.identical)),
         ];
         if let Some(legacy) = self.legacy_ips {
             pairs.push(("legacy_ips".to_string(), Json::from(legacy)));
         }
-        if let Some(lc) = self.legacy_compiled_ips {
-            pairs.push(("legacy_compiled_ips".to_string(), Json::from(lc)));
-        }
         if let Some(speedup) = self.speedup() {
             pairs.push(("speedup".to_string(), Json::from(speedup)));
-        }
-        if let Some(core) = self.core_speedup() {
-            pairs.push(("core_speedup".to_string(), Json::from(core)));
         }
         Json::Obj(pairs)
     }
@@ -139,8 +104,7 @@ fn geomean(values: impl Iterator<Item = f64>) -> Option<f64> {
 }
 
 impl SpeedReport {
-    /// Suite-aggregate event throughput (total instructions / total time)
-    /// in the shipping configuration (compiled trace).
+    /// Suite-aggregate event throughput (total instructions / total time).
     pub fn suite_event_ips(&self) -> f64 {
         let inst: u64 = self.rows.iter().map(|r| r.instructions).sum();
         let secs: f64 = self
@@ -151,8 +115,7 @@ impl SpeedReport {
         inst as f64 / secs.max(f64::MIN_POSITIVE)
     }
 
-    /// Suite-aggregate legacy (uncompiled) throughput, when every row
-    /// timed legacy.
+    /// Suite-aggregate legacy throughput, when every row timed legacy.
     pub fn suite_legacy_ips(&self) -> Option<f64> {
         let inst: u64 = self.rows.iter().map(|r| r.instructions).sum();
         let mut secs = 0.0;
@@ -162,28 +125,16 @@ impl SpeedReport {
         Some(inst as f64 / secs.max(f64::MIN_POSITIVE))
     }
 
-    /// Suite-aggregate headline speedup (aggregate-throughput ratio).
+    /// Suite-aggregate speedup (aggregate-throughput ratio).
     pub fn suite_speedup(&self) -> Option<f64> {
         self.suite_legacy_ips().map(|l| self.suite_event_ips() / l)
     }
 
-    /// Suite geometric-mean headline speedup (every workload weighted
-    /// equally — the acceptance number).
+    /// Suite geometric-mean speedup (every workload weighted equally —
+    /// the acceptance number).
     pub fn suite_speedup_geomean(&self) -> Option<f64> {
         let speedups: Option<Vec<f64>> = self.rows.iter().map(SpeedRow::speedup).collect();
         geomean(speedups?.into_iter())
-    }
-
-    /// Suite geometric-mean core-lever speedup (event vs legacy, both
-    /// uncompiled).
-    pub fn suite_core_speedup_geomean(&self) -> Option<f64> {
-        let speedups: Option<Vec<f64>> = self.rows.iter().map(SpeedRow::core_speedup).collect();
-        geomean(speedups?.into_iter())
-    }
-
-    /// Suite geometric-mean compiled-lever speedup (event core).
-    pub fn suite_compiled_speedup_geomean(&self) -> Option<f64> {
-        geomean(self.rows.iter().map(SpeedRow::compiled_speedup))
     }
 
     /// The `BENCH_speed.json` document.
@@ -197,12 +148,6 @@ impl SpeedReport {
         }
         if let Some(geo) = self.suite_speedup_geomean() {
             suite_pairs.push(("speedup_geomean".to_string(), Json::from(geo)));
-        }
-        if let Some(core) = self.suite_core_speedup_geomean() {
-            suite_pairs.push(("core_speedup_geomean".to_string(), Json::from(core)));
-        }
-        if let Some(compiled) = self.suite_compiled_speedup_geomean() {
-            suite_pairs.push(("compiled_speedup_geomean".to_string(), Json::from(compiled)));
         }
         Json::obj([
             ("schema", Json::from(SPEED_SCHEMA)),
@@ -293,10 +238,10 @@ fn time_core(
 /// # Panics
 ///
 /// Panics if a workload fails to execute or capture, if
-/// `ARL_SPEED_WORKLOADS` names an unknown workload, or if any two cells'
-/// stats diverge (which would mean the event core or the compiled-trace
-/// path is broken — the differential suite covers this, but a free check
-/// here keeps the committed baseline honest).
+/// `ARL_SPEED_WORKLOADS` names an unknown workload, or if the two cores'
+/// stats diverge (which would mean the event core is broken — the
+/// differential suite covers this, but a free check here keeps the
+/// committed baseline honest).
 pub fn run_speed_suite(scale: Scale) -> SpeedReport {
     let filter = workload_filter();
     let reps = reps_from_env();
@@ -312,64 +257,34 @@ pub fn run_speed_suite(scale: Scale) -> SpeedReport {
         }
         matched += 1;
         let program = spec.build(scale);
-        // One compiled capture yields both entry streams: hints attached
-        // (compiled cells) and hints stripped (uncompiled cells). The
-        // streams are identical apart from the model hints, so every
-        // cell replays the same instructions.
-        let trace = arl_trace::capture_compiled(&program, INST_CAP, 0)
+        let trace = arl_trace::capture(&program, INST_CAP)
             .unwrap_or_else(|e| panic!("{}: capture failed: {e}", spec.name));
         let mut replayer = arl_trace::Replayer::new(&trace, &program)
             .unwrap_or_else(|e| panic!("{}: trace rejected: {e}", spec.name));
-        let mut compiled_entries = Vec::new();
+        let mut entries = Vec::new();
         while let Some(entry) = replayer
             .next_entry()
             .unwrap_or_else(|e| panic!("{}: trace replay failed: {e}", spec.name))
         {
-            debug_assert!(entry.model.present, "compiled trace must carry hints");
-            compiled_entries.push(entry);
+            entries.push(entry);
         }
-        let plain_entries: Vec<TraceEntry> = compiled_entries
-            .iter()
-            .map(|e| {
-                let mut plain = *e;
-                plain.model = ModelHints::NONE;
-                plain
-            })
-            .collect();
 
-        let (event_ips, stats_ec) = time_core(&compiled_entries, &config, CoreMode::Event, reps);
-        let (event_uncompiled_ips, stats_eu) =
-            time_core(&plain_entries, &config, CoreMode::Event, reps);
-        assert_eq!(
-            stats_ec, stats_eu,
-            "{}: event core diverged between compiled and uncompiled entries",
-            spec.name
-        );
-        let (legacy_ips, legacy_compiled_ips) = if with_legacy {
-            let (lu_ips, stats_lu) = time_core(&plain_entries, &config, CoreMode::Legacy, reps);
-            let (lc_ips, stats_lc) = time_core(&compiled_entries, &config, CoreMode::Legacy, reps);
+        let (event_ips, stats) = time_core(&entries, &config, CoreMode::Event, reps);
+        let legacy_ips = with_legacy.then(|| {
+            let (legacy_ips, legacy_stats) = time_core(&entries, &config, CoreMode::Legacy, reps);
             assert_eq!(
-                stats_ec, stats_lu,
+                stats, legacy_stats,
                 "{}: event and legacy cores diverged",
                 spec.name
             );
-            assert_eq!(
-                stats_lu, stats_lc,
-                "{}: legacy core diverged between compiled and uncompiled entries",
-                spec.name
-            );
-            (Some(lu_ips), Some(lc_ips))
-        } else {
-            (None, None)
-        };
+            legacy_ips
+        });
         rows.push(SpeedRow {
             workload: spec.name.to_string(),
-            instructions: stats_ec.instructions,
-            cycles: stats_ec.cycles,
+            instructions: stats.instructions,
+            cycles: stats.cycles,
             event_ips,
-            event_uncompiled_ips,
             legacy_ips,
-            legacy_compiled_ips,
             identical: true,
         });
     }
@@ -405,8 +320,8 @@ fn min_ratio() -> f64 {
 /// offending rows.
 ///
 /// When a row timed both cores and the baseline row recorded a
-/// `speedup`, the gate compares headline speedups: the row must reach
-/// `min_ratio × baseline speedup`. All cells share whatever load the
+/// `speedup`, the gate compares speedups: the row must reach
+/// `min_ratio × baseline speedup`. Both cores share whatever load the
 /// machine is under, so the ratio cancels it — absolute throughput on a
 /// shared box swings ±30% with background load and would gate on the
 /// weather. The absolute `event_ips` floor is kept only as a fallback
@@ -490,9 +405,7 @@ mod tests {
             instructions: 1_000_000,
             cycles: 200_000,
             event_ips,
-            event_uncompiled_ips: event_ips * 0.75,
             legacy_ips,
-            legacy_compiled_ips: legacy_ips.map(|l| l * 1.1),
             identical: true,
         }
     }
@@ -551,11 +464,9 @@ mod tests {
     }
 
     #[test]
-    fn lever_attribution_and_geomeans() {
+    fn speedup_and_geomean() {
         let r = row("go", 8_000_000.0, Some(2_000_000.0));
-        assert_eq!(r.speedup(), Some(4.0), "headline: event+compiled/legacy");
-        assert_eq!(r.core_speedup(), Some(3.0), "core lever alone");
-        assert!((r.compiled_speedup() - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!(r.speedup(), Some(4.0), "event over legacy");
         let rep = report(vec![
             row("go", 8_000_000.0, Some(2_000_000.0)),
             row("gcc", 9_000_000.0, Some(1_000_000.0)),
@@ -563,11 +474,9 @@ mod tests {
         let geo = rep.suite_speedup_geomean().expect("both rows timed legacy");
         assert!((geo - 6.0).abs() < 1e-9, "geomean(4,9) = 6, got {geo}");
         let rendered = rep.to_json().render();
-        assert!(rendered.contains("\"schema\":\"arl-speed/v2\""));
+        assert!(rendered.contains("\"schema\":\"arl-speed/v3\""));
         assert!(rendered.contains("\"identical\":true"));
         assert!(rendered.contains("\"speedup_geomean\""));
-        assert!(rendered.contains("\"core_speedup_geomean\""));
-        assert!(rendered.contains("\"compiled_speedup_geomean\""));
     }
 
     #[test]
@@ -575,6 +484,5 @@ mod tests {
         assert_eq!(geomean(std::iter::empty()), None);
         let no_legacy = report(vec![row("go", 1.0, None)]);
         assert_eq!(no_legacy.suite_speedup_geomean(), None);
-        assert_eq!(no_legacy.suite_core_speedup_geomean(), None);
     }
 }

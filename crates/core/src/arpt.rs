@@ -94,9 +94,9 @@ impl Arpt {
 
     /// The table key for the instruction at `pc` under run-time context
     /// `(ghr, ra)`: the word-pc XOR the configured [`Context`] value. This is
-    /// the pure, capacity-independent part of the index computation, so it
-    /// can be precomputed once at trace-capture time and fed back through
-    /// [`Arpt::predict_counted_key`]/[`Arpt::update_key`] on every replay.
+    /// the pure, capacity-independent part of the index computation, so a
+    /// caller can compute it once at prediction time and feed it back
+    /// through [`Arpt::predict_counted_key`]/[`Arpt::update_key`].
     pub fn key(&self, pc: u64, ghr: u64, ra: u64) -> u64 {
         (pc / INST_BYTES) ^ self.context.value(ghr, ra)
     }
@@ -151,7 +151,7 @@ impl Arpt {
     }
 
     /// Like [`Arpt::predict_counted`], but takes a key precomputed with
-    /// [`Arpt::key`] (e.g. out of a compiled trace) instead of rederiving it
+    /// [`Arpt::key`] instead of rederiving it
     /// from `(pc, ghr, ra)`. Counts the lookup identically.
     pub fn predict_counted_key(&mut self, key: u64) -> bool {
         self.lookups += 1;
@@ -450,9 +450,9 @@ mod tests {
 
     #[test]
     fn keyed_api_matches_positional_api() {
-        // The compiled-trace fast path feeds precomputed keys back in; it
-        // must be indistinguishable from the positional API, counters
-        // included.
+        // The event core computes the key once at dispatch and trains
+        // through it at verification; that must be indistinguishable from
+        // the positional API, counters included.
         let mut a = Arpt::new(
             CounterScheme::OneBit,
             Context::HYBRID_8_7,

@@ -269,7 +269,6 @@ mod tests {
             gpr_write: None,
             ghr,
             ra,
-            model: arl_sim::ModelHints::NONE,
         }
     }
 
@@ -346,7 +345,6 @@ mod tests {
             gpr_write: None,
             ghr: 0,
             ra: 0,
-            model: arl_sim::ModelHints::NONE,
         });
         assert_eq!(e.stats().total, 0);
         assert_eq!(e.stats().accuracy(), 1.0);

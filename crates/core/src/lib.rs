@@ -39,7 +39,6 @@ mod context;
 mod eval;
 mod heuristic;
 pub mod hints;
-mod model;
 mod steer;
 
 pub use arpt::{Arpt, Capacity, CounterScheme};
@@ -47,5 +46,4 @@ pub use context::Context;
 pub use eval::{EvalConfig, Evaluator, PredictionStats, PredictorKind, Source};
 pub use heuristic::{static_hint, StaticHint};
 pub use hints::{classify_mem, HintTable, MemHint};
-pub use model::{classify_fu, fpr_dest_index, model_srcs, FuClass, NO_SRC};
 pub use steer::QueueChoice;

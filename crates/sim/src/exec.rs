@@ -425,7 +425,6 @@ impl<'p> Machine<'p> {
             gpr_write,
             ghr: ghr_before,
             ra: ra_before,
-            model: crate::trace::ModelHints::NONE,
         }))
     }
 

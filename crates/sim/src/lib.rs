@@ -43,7 +43,7 @@ mod window;
 pub use exec::{ExecError, Machine, RunOutcome};
 pub use metrics::Metrics;
 pub use profile::{characterize, RegionBreakdown, RegionProfiler, WorkloadCharacter};
-pub use trace::{EntrySliceSource, MemAccess, ModelHints, SourceError, TraceEntry, TraceSource};
+pub use trace::{EntrySliceSource, MemAccess, SourceError, TraceEntry, TraceSource};
 pub use window::{SlidingWindowProfiler, WindowStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};

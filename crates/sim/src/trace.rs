@@ -29,73 +29,6 @@ impl MemAccess {
     }
 }
 
-/// Precomputed timing-model facts riding along with a [`TraceEntry`] when
-/// it was decoded from a *compiled* (v3) trace.
-///
-/// Everything here is a pure function of the entry — steering class, FU
-/// class and latency, renamer source operands, ARPT key — evaluated once at
-/// capture time so the timing cores' dispatch stages can skip the
-/// per-replay recomputation. `present == false` (the [`ModelHints::NONE`]
-/// value carried by live execution and v1/v2 traces) means "compute live";
-/// a consumer seeing `present == true` may trust the fields but must behave
-/// bit-identically to the live computation.
-///
-/// The encodings are deliberately plain (`u8` tags, unified register-file
-/// indices) so this crate needs no dependency on the model crates; the
-/// producers and consumers share the actual enums via `arl-core`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ModelHints {
-    /// Whether the hint fields are populated.
-    pub present: bool,
-    /// Dispatch-stage steering class: 0 = not a memory instruction,
-    /// 1 = statically revealed stack, 2 = statically revealed non-stack,
-    /// 3 = dynamic (consult the ARPT with `arpt_key`).
-    pub steer: u8,
-    /// Functional-unit class tag (`arl_core::FuClass` discriminant).
-    pub fu: u8,
-    /// Execution latency in cycles.
-    pub latency: u8,
-    /// Issue source operands as unified register-file indices (0–31 GPR,
-    /// 32–63 FPR), `0xFF` = unused slot.
-    pub srcs: [u8; 3],
-    /// Store-data operand (unified index), `0xFF` = none.
-    pub data_src: u8,
-    /// Floating-point destination (unified index `32 + fd`), `0xFF` = none.
-    pub fpr_dest: u8,
-    /// Precomputed `Arpt::key(pc, ghr, ra)` under the capture context;
-    /// only meaningful when `steer == 3`, zero otherwise.
-    pub arpt_key: u64,
-}
-
-impl ModelHints {
-    /// Steering tag: not a memory instruction.
-    pub const STEER_NONE: u8 = 0;
-    /// Steering tag: statically revealed stack access.
-    pub const STEER_STACK: u8 = 1;
-    /// Steering tag: statically revealed non-stack access.
-    pub const STEER_NONSTACK: u8 = 2;
-    /// Steering tag: dynamic — consult the ARPT with `arpt_key`.
-    pub const STEER_DYNAMIC: u8 = 3;
-
-    /// The absent-hints value carried by live execution and v1/v2 traces.
-    pub const NONE: ModelHints = ModelHints {
-        present: false,
-        steer: 0,
-        fu: 0,
-        latency: 0,
-        srcs: [u8::MAX; 3],
-        data_src: u8::MAX,
-        fpr_dest: u8::MAX,
-        arpt_key: 0,
-    };
-}
-
-impl Default for ModelHints {
-    fn default() -> ModelHints {
-        ModelHints::NONE
-    }
-}
-
 /// One retired instruction, as produced by [`Machine`](crate::Machine).
 ///
 /// Carries everything downstream consumers need:
@@ -106,11 +39,7 @@ impl Default for ModelHints {
 ///   the fetch-stage ARPT lookup would see;
 /// * the timing simulator uses the register identities from `inst`, the
 ///   produced `value` (for value-prediction verification), and `taken`.
-///
-/// Equality deliberately ignores [`TraceEntry::model`]: hints are an
-/// acceleration channel, not an observable fact about the retired
-/// instruction, so a compiled replay compares equal to live execution.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TraceEntry {
     /// The instruction's address.
     pub pc: u64,
@@ -131,22 +60,6 @@ pub struct TraceEntry {
     /// Link-register (`$ra`) value sampled before this instruction — the
     /// paper's caller identification (CID) context.
     pub ra: u64,
-    /// Precomputed model facts from a compiled trace
-    /// ([`ModelHints::NONE`] otherwise); excluded from equality.
-    pub model: ModelHints,
-}
-
-impl PartialEq for TraceEntry {
-    fn eq(&self, other: &TraceEntry) -> bool {
-        self.pc == other.pc
-            && self.inst == other.inst
-            && self.mem == other.mem
-            && self.taken == other.taken
-            && self.next_pc == other.next_pc
-            && self.gpr_write == other.gpr_write
-            && self.ghr == other.ghr
-            && self.ra == other.ra
-    }
 }
 
 impl TraceEntry {

@@ -220,7 +220,6 @@ mod tests {
             gpr_write: None,
             ghr: 0,
             ra: 0,
-            model: crate::trace::ModelHints::NONE,
         }
     }
 

@@ -33,7 +33,6 @@ fn entry(pc: u64, region: Option<Region>, is_load: bool) -> TraceEntry {
         gpr_write: None,
         ghr: 0,
         ra: 0,
-        model: arl_sim::ModelHints::NONE,
     }
 }
 

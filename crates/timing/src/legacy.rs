@@ -11,57 +11,20 @@
 //!
 use std::collections::VecDeque;
 
-use arl_core::{classify_fu, static_hint, Arpt, FuClass, StaticHint};
-use arl_isa::Inst;
-use arl_sim::{ModelHints, SourceError, TraceEntry, TraceSource};
+use arl_core::{static_hint, Arpt, StaticHint};
+use arl_sim::{SourceError, TraceEntry, TraceSource};
 
 use crate::cache::{MemSystem, Route};
 use crate::config::{MachineConfig, RecoveryMode};
 use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
-use crate::pipeline::SegmentRun;
+use crate::pipeline::{classify, fu_from, Fu, SegmentRun};
 use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
 use crate::state::{
     corrupt, read_arpt, read_stats, route_from, route_tag, write_arpt, write_stats, MidCycle,
     StateReader, StateWriter, CORE_LEGACY, STATE_MAGIC, STATE_VERSION,
 };
 use crate::valuepred::StridePredictor;
-
-/// Functional-unit classes (Table 4: 16 int ALUs, 16 FP ALUs, 4 int
-/// mul/div, 4 FP mul/div).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Fu {
-    IntAlu,
-    FpAlu,
-    IntMulDiv,
-    FpMulDiv,
-}
-
-/// Execution latency and FU class per instruction (MIPS R10000-flavoured);
-/// delegates to the shared [`arl_core::classify_fu`] table so the legacy
-/// reference, the event core, and the trace-time compiler cannot drift.
-fn classify(inst: &Inst) -> (Fu, u64) {
-    let (class, latency) = classify_fu(inst);
-    let fu = match class {
-        FuClass::IntAlu => Fu::IntAlu,
-        FuClass::FpAlu => Fu::FpAlu,
-        FuClass::IntMulDiv => Fu::IntMulDiv,
-        FuClass::FpMulDiv => Fu::FpMulDiv,
-    };
-    (fu, latency)
-}
-
-/// Serialization tag for a [`Fu`] (sharded-replay state blobs; the legacy
-/// core has its own private `Fu` type, so it keeps its own codec).
-fn fu_from(tag: u8) -> Result<Fu, SourceError> {
-    match tag {
-        0 => Ok(Fu::IntAlu),
-        1 => Ok(Fu::FpAlu),
-        2 => Ok(Fu::IntMulDiv),
-        3 => Ok(Fu::FpMulDiv),
-        _ => Err(corrupt("functional-unit class out of range")),
-    }
-}
 
 /// Serialization tag for a [`MemPhase`] (sharded-replay state blobs).
 fn phase_tag(phase: MemPhase) -> u8 {
@@ -614,30 +577,17 @@ impl<P: Probe> LegacySim<P> {
             return false;
         }
         // Memory instructions need a queue entry; pick the queue now (the
-        // paper's dispatch-stage steering). Compiled traces (v3) carry the
-        // steering class and folded ARPT key precomputed; either path
-        // consults and counts the same table lookup, so the prediction
-        // stream is bit-identical.
-        let hints = &entry.model;
+        // paper's dispatch-stage steering).
         let mut route = Route::DataCache;
         let mut predicted_stack = false;
         let mut arpt_predicted = false;
         let is_mem = entry.mem.is_some();
         if is_mem {
             if self.config.is_decoupled() {
-                let hint = if hints.present {
-                    match hints.steer {
-                        ModelHints::STEER_STACK => StaticHint::Stack,
-                        ModelHints::STEER_NONSTACK => StaticHint::NonStack,
-                        _ => StaticHint::Dynamic,
-                    }
-                } else {
-                    let Some(info) = entry.inst.mem_op() else {
-                        unreachable!("memory entry carries no mem_op");
-                    };
-                    static_hint(&info)
+                let Some(info) = entry.inst.mem_op() else {
+                    unreachable!("memory entry carries no mem_op");
                 };
-                predicted_stack = match hint {
+                predicted_stack = match static_hint(&info) {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
@@ -645,11 +595,7 @@ impl<P: Probe> LegacySim<P> {
                         if !self.arpt_faults.is_empty() {
                             self.apply_arpt_faults();
                         }
-                        if hints.present {
-                            self.arpt.predict_counted_key(hints.arpt_key)
-                        } else {
-                            self.arpt.predict_counted(entry.pc, entry.ghr, entry.ra)
-                        }
+                        self.arpt.predict_counted(entry.pc, entry.ghr, entry.ra)
                     }
                 };
                 route = if predicted_stack {

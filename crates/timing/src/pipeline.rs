@@ -39,9 +39,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use arl_asm::Program;
-use arl_core::{classify_fu, static_hint, Arpt, FuClass, StaticHint, NO_SRC};
-use arl_isa::Inst;
-use arl_sim::{EntrySliceSource, Machine, ModelHints, SourceError, TraceEntry, TraceSource};
+use arl_core::{static_hint, Arpt, StaticHint};
+use arl_isa::{AluOp, FAluOp, Inst};
+use arl_sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 
 use crate::cache::{MemSystem, Route};
 use crate::config::{CoreMode, MachineConfig, RecoveryMode};
@@ -56,37 +56,38 @@ use crate::valuepred::StridePredictor;
 use crate::wheel::EventWheel;
 
 /// Functional-unit classes (Table 4: 16 int ALUs, 16 FP ALUs, 4 int
-/// mul/div, 4 FP mul/div).
+/// mul/div, 4 FP mul/div). The discriminants are the state-blob tags.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Fu {
+pub(crate) enum Fu {
     IntAlu,
     FpAlu,
     IntMulDiv,
     FpMulDiv,
 }
 
-/// Execution latency and FU class per instruction (MIPS R10000-flavoured).
-/// The table itself lives in [`arl_core::classify_fu`] so the trace-time
-/// compiler (`arl-trace` v3) and both cores share one definition and
-/// cannot drift.
-fn classify(inst: &Inst) -> (Fu, u64) {
-    let (class, latency) = classify_fu(inst);
-    (fu_of_class(class), latency)
-}
-
-/// The pipeline-local [`Fu`] for a shared [`FuClass`] (discriminants
-/// match; compiled traces and state blobs both carry the `FuClass` tags).
-fn fu_of_class(class: FuClass) -> Fu {
-    match class {
-        FuClass::IntAlu => Fu::IntAlu,
-        FuClass::FpAlu => Fu::FpAlu,
-        FuClass::IntMulDiv => Fu::IntMulDiv,
-        FuClass::FpMulDiv => Fu::FpMulDiv,
+/// Execution latency and FU class per instruction (MIPS R10000-flavoured),
+/// shared by both cores. Loads and stores use an integer ALU for address
+/// generation (1 cycle); the memory stage charges the memory latency.
+pub(crate) fn classify(inst: &Inst) -> (Fu, u64) {
+    match inst {
+        Inst::Alu { op, .. } | Inst::AluI { op, .. } => match op {
+            AluOp::Mul => (Fu::IntMulDiv, 5),
+            AluOp::Div | AluOp::Rem => (Fu::IntMulDiv, 20),
+            _ => (Fu::IntAlu, 1),
+        },
+        Inst::FAlu { op, .. } => match op {
+            FAluOp::Mul => (Fu::FpMulDiv, 3),
+            FAluOp::Div => (Fu::FpMulDiv, 12),
+            FAluOp::Sqrt => (Fu::FpMulDiv, 18),
+            _ => (Fu::FpAlu, 2),
+        },
+        Inst::FCmp { .. } | Inst::CvtIf { .. } | Inst::CvtFi { .. } => (Fu::FpAlu, 2),
+        _ => (Fu::IntAlu, 1),
     }
 }
 
-/// Serialization tag for a [`Fu`] (sharded-replay state blobs).
-fn fu_from(tag: u8) -> Result<Fu, SourceError> {
+/// Decodes a [`Fu`] state-blob tag (sharded-replay state blobs).
+pub(crate) fn fu_from(tag: u8) -> Result<Fu, SourceError> {
     match tag {
         0 => Ok(Fu::IntAlu),
         1 => Ok(Fu::FpAlu),
@@ -190,8 +191,8 @@ struct Slot {
     mem_q: u64,
     /// The folded-before-capacity ARPT training key (`Arpt::key`) for
     /// [`F_ARPT_PRED`] slots, 0 otherwise. Replaces carrying `pc`/`ghr`/`ra`
-    /// per slot: dispatch computes it once (or takes it precompiled from a
-    /// v3 trace) and region verification trains through `Arpt::update_key`.
+    /// per slot: dispatch computes it once and region verification trains
+    /// through `Arpt::update_key`.
     arpt_key: u64,
     /// Intrusive next-pointer (an older store's seq, or `NO_SEQ`) chaining
     /// in-flight stores that share a `(block, route)` key — the store
@@ -1337,12 +1338,7 @@ impl<P: Probe> TimingSim<P> {
             return false;
         }
         // Memory instructions need a queue entry; pick the queue now (the
-        // paper's dispatch-stage steering). A compiled trace (v3) carries
-        // the steering class and ARPT key precomputed; the live path
-        // derives both from the instruction. Either way the same key is
-        // folded, the same table consulted and trained, and the same
-        // lookup counted, so the prediction stream is bit-identical.
-        let hints = &entry.model;
+        // paper's dispatch-stage steering).
         let mut route = Route::DataCache;
         let mut predicted_stack = false;
         let mut arpt_predicted = false;
@@ -1350,28 +1346,15 @@ impl<P: Probe> TimingSim<P> {
         let is_mem = entry.mem.is_some();
         if is_mem {
             if self.config.is_decoupled() {
-                let hint = if hints.present {
-                    match hints.steer {
-                        ModelHints::STEER_STACK => StaticHint::Stack,
-                        ModelHints::STEER_NONSTACK => StaticHint::NonStack,
-                        _ => StaticHint::Dynamic,
-                    }
-                } else {
-                    let Some(info) = entry.inst.mem_op() else {
-                        unreachable!("memory entry carries no mem_op");
-                    };
-                    static_hint(&info)
+                let Some(info) = entry.inst.mem_op() else {
+                    unreachable!("memory entry carries no mem_op");
                 };
-                predicted_stack = match hint {
+                predicted_stack = match static_hint(&info) {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
                         arpt_predicted = true;
-                        arpt_key = if hints.present {
-                            hints.arpt_key
-                        } else {
-                            self.arpt.key(entry.pc, entry.ghr, entry.ra)
-                        };
+                        arpt_key = self.arpt.key(entry.pc, entry.ghr, entry.ra);
                         if !self.arpt_faults.is_empty() {
                             self.apply_arpt_faults();
                         }
@@ -1401,52 +1384,38 @@ impl<P: Probe> TimingSim<P> {
         self.next_seq += 1;
 
         // Resolve sources against the renamer state. Store-data operands
-        // are tracked separately from address operands. Compiled hints
-        // carry the unified operand indices precomputed
-        // (`arl_core::model_srcs` is the shared definition both paths
-        // follow); the live path extracts them from the instruction.
+        // are tracked separately from address operands.
         let mut deps: [u64; 3] = [NO_SEQ; 3];
         let mut data_dep: u64 = NO_SEQ;
-        if hints.present {
-            for (k, &src) in hints.srcs.iter().enumerate() {
-                if src != NO_SRC {
-                    deps[k] = self.reg_producer[src as usize];
+        let mut n = 0;
+        match entry.inst {
+            arl_isa::Inst::Store { rs, base, .. } => {
+                if base != arl_isa::Gpr::ZERO {
+                    deps[0] = self.reg_producer[base.index()];
+                }
+                if rs != arl_isa::Gpr::ZERO {
+                    data_dep = self.reg_producer[rs.index()];
                 }
             }
-            if hints.data_src != NO_SRC {
-                data_dep = self.reg_producer[hints.data_src as usize];
+            arl_isa::Inst::FStore { fs, base, .. } => {
+                if base != arl_isa::Gpr::ZERO {
+                    deps[0] = self.reg_producer[base.index()];
+                }
+                data_dep = self.reg_producer[32 + fs.index()];
             }
-        } else {
-            let mut n = 0;
-            match entry.inst {
-                arl_isa::Inst::Store { rs, base, .. } => {
-                    if base != arl_isa::Gpr::ZERO {
-                        deps[0] = self.reg_producer[base.index()];
-                    }
-                    if rs != arl_isa::Gpr::ZERO {
-                        data_dep = self.reg_producer[rs.index()];
-                    }
+            _ => {
+                let mut gprs = [arl_isa::Gpr::ZERO; 2];
+                let ng = entry.inst.gpr_sources_into(&mut gprs);
+                for &r in &gprs[..ng] {
+                    deps[n] = self.reg_producer[r.index()];
+                    n += 1;
                 }
-                arl_isa::Inst::FStore { fs, base, .. } => {
-                    if base != arl_isa::Gpr::ZERO {
-                        deps[0] = self.reg_producer[base.index()];
-                    }
-                    data_dep = self.reg_producer[32 + fs.index()];
-                }
-                _ => {
-                    let mut gprs = [arl_isa::Gpr::ZERO; 2];
-                    let ng = entry.inst.gpr_sources_into(&mut gprs);
-                    for &r in &gprs[..ng] {
-                        deps[n] = self.reg_producer[r.index()];
+                let mut fprs = [arl_isa::Fpr::new(0); 2];
+                let nf = entry.inst.fpr_sources_into(&mut fprs);
+                for &r in &fprs[..nf] {
+                    if n < 3 {
+                        deps[n] = self.reg_producer[32 + r.index()];
                         n += 1;
-                    }
-                    let mut fprs = [arl_isa::Fpr::new(0); 2];
-                    let nf = entry.inst.fpr_sources_into(&mut fprs);
-                    for &r in &fprs[..nf] {
-                        if n < 3 {
-                            deps[n] = self.reg_producer[32 + r.index()];
-                            n += 1;
-                        }
                     }
                 }
             }
@@ -1465,23 +1434,13 @@ impl<P: Probe> TimingSim<P> {
             self.reg_producer[rd.index()] = seq;
             claimed[0] = rd.index() as u8;
         }
-        let fpr_dest = if hints.present {
-            hints.fpr_dest
-        } else {
-            arl_core::fpr_dest_index(&entry.inst)
-        };
-        if fpr_dest != NO_SRC {
-            self.reg_producer[fpr_dest as usize] = seq;
-            claimed[1] = fpr_dest;
+        if let Some(fd) = entry.inst.fpr_dest() {
+            let r = 32 + fd.index();
+            self.reg_producer[r] = seq;
+            claimed[1] = r as u8;
         }
 
-        let (fu, latency) = if hints.present {
-            let class = FuClass::from_tag(hints.fu).unwrap_or(FuClass::IntAlu);
-            (fu_of_class(class), u64::from(hints.latency))
-        } else {
-            classify(&entry.inst)
-        };
-        debug_assert_eq!((fu, latency), classify(&entry.inst));
+        let (fu, latency) = classify(&entry.inst);
         let (is_load, addr, is_stack) = match entry.mem {
             Some(m) => (m.is_load, m.addr, m.is_stack()),
             None => (false, 0, false),
@@ -2253,5 +2212,54 @@ impl<P: Probe> TimingSim<P> {
         }
         // The access starts this cycle; what remains is pure latency.
         StallCause::MemLatency
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arl_isa::{FCmpOp, Fpr, Gpr};
+
+    #[test]
+    fn classify_matches_latency_table() {
+        let alu = |op| Inst::Alu {
+            op,
+            rd: Gpr::T0,
+            rs: Gpr::T1,
+            rt: Gpr::T2,
+        };
+        assert_eq!(classify(&alu(AluOp::Add)), (Fu::IntAlu, 1));
+        assert_eq!(classify(&alu(AluOp::Mul)), (Fu::IntMulDiv, 5));
+        assert_eq!(classify(&alu(AluOp::Div)), (Fu::IntMulDiv, 20));
+        assert_eq!(classify(&alu(AluOp::Rem)), (Fu::IntMulDiv, 20));
+        let falu = |op| Inst::FAlu {
+            op,
+            fd: Fpr::new(0),
+            fs: Fpr::new(1),
+            ft: Fpr::new(2),
+        };
+        assert_eq!(classify(&falu(FAluOp::Add)), (Fu::FpAlu, 2));
+        assert_eq!(classify(&falu(FAluOp::Mul)), (Fu::FpMulDiv, 3));
+        assert_eq!(classify(&falu(FAluOp::Div)), (Fu::FpMulDiv, 12));
+        assert_eq!(classify(&falu(FAluOp::Sqrt)), (Fu::FpMulDiv, 18));
+        assert_eq!(
+            classify(&Inst::FCmp {
+                op: FCmpOp::Lt,
+                rd: Gpr::T0,
+                fs: Fpr::new(1),
+                ft: Fpr::new(2),
+            }),
+            (Fu::FpAlu, 2)
+        );
+        assert_eq!(classify(&Inst::Nop), (Fu::IntAlu, 1));
+        assert_eq!(classify(&Inst::Jal { target: 0x40_0000 }), (Fu::IntAlu, 1));
+    }
+
+    #[test]
+    fn fu_tags_round_trip() {
+        for fu in [Fu::IntAlu, Fu::FpAlu, Fu::IntMulDiv, Fu::FpMulDiv] {
+            assert_eq!(fu_from(fu as u8).ok(), Some(fu));
+        }
+        assert!(fu_from(4).is_err());
     }
 }

@@ -28,7 +28,7 @@ pub(crate) const STATE_MAGIC: [u8; 4] = *b"ARLS";
 /// Blob format version. v2 added the memory-backend identity tag and
 /// per-backend device state to the `MemSystem` section; v3 replaced the
 /// event core's per-slot `pc`/`ghr`/`ra` columns with the single folded
-/// ARPT key dispatch now computes (or takes precompiled from a v3 trace).
+/// ARPT key dispatch now computes.
 pub(crate) const STATE_VERSION: u8 = 3;
 /// Core tag for state captured by the event-driven SoA core.
 pub(crate) const CORE_EVENT: u8 = 0;

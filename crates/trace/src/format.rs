@@ -1,45 +1,22 @@
-//! The `.arltrace` container: header, delta+varint event stream, optional
-//! compiled-model section (v3), snapshot section (v2+), footer, trailing
-//! FNV-1a checksum.
+//! The `.arltrace` container: header, delta+varint event stream, snapshot
+//! section, footer, trailing FNV-1a checksum.
 //!
-//! # Layout (versions 2 and 3)
+//! # Layout (version 2)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic "ARLT"
-//! 4       1     format version (2 or 3; version-1 traces still decode)
+//! 4       1     format version (2)
 //! 5       8     program entry pc, u64 LE
 //! 13      …     event stream (one record per retired instruction)
-//! …       10×N  compiled-model records (N = event count; v3 only)
-//! …       8     FNV-1a 64 of the compiled-model records (v3 only)
-//! …       64×S  snapshot records (S = snapshot count; absent in v1)
-//! …       16    snapshot trailer: interval u64, count u64 (absent in v1)
+//! …       64×S  snapshot records (S = snapshot count)
+//! …       16    snapshot trailer: interval u64, count u64
 //! len-33  8     event count, u64 LE
 //! len-25  8     resident pages at end of run, u64 LE
 //! len-17  8     values printed by the program, u64 LE
 //! len-9   1     exited flag (0 or 1)
 //! len-8   8     FNV-1a 64 checksum of bytes[0..len-8], u64 LE
 //! ```
-//!
-//! # Compiled-model records (v3)
-//!
-//! A version-3 trace additionally embeds, per event, the pure-function-of-
-//! the-entry model work both timing cores would otherwise recompute on
-//! every replay: the static steering hint, the region classification, the
-//! functional-unit class and latency, the unified operand indices, and the
-//! ARPT context value. Each record is 10 bytes ([`CompiledRecord`]); the
-//! section is sealed with its own FNV-1a checksum (mirroring snapshot
-//! records) so it can be validated without trusting the rest of the
-//! container, and every record is structurally validated again at decode.
-//! The section's total size is a pure function of the footer's event
-//! count, so no extra trailer is needed.
-//!
-//! The embedded context value bakes in [`arl_core::Context::HYBRID_8_7`] —
-//! the Table 4 machine's context function, which is what both timing cores
-//! hardwire. The *table fold* is not baked in: the record stores the raw
-//! context value, and the consumer folds the derived key to its own
-//! configured capacity, so one compiled capture still serves every ARPT
-//! size.
 //!
 //! # Snapshot records
 //!
@@ -97,26 +74,16 @@ use crate::codec::{fnv1a64, read_varint, unzigzag, write_varint, zigzag};
 
 /// `"ARLT"`.
 pub const MAGIC: [u8; 4] = *b"ARLT";
-/// Default format version (snapshot section present, possibly empty).
+/// The format version written and accepted; any other version is refused.
 pub const VERSION: u8 = 2;
-/// The pre-snapshot format version; still decodable.
-pub const VERSION_V1: u8 = 1;
-/// The compiled-model format version (per-event model records embedded).
-pub const VERSION_V3: u8 = 3;
 
 pub(crate) const HEADER_LEN: usize = 13;
 pub(crate) const FOOTER_LEN: usize = 25;
 pub(crate) const CHECKSUM_LEN: usize = 8;
 /// Snapshot trailer: interval u64 + snapshot count u64.
 pub(crate) const SNAP_TRAILER_LEN: usize = 16;
-/// FNV-1a seal over the compiled-model section (v3 only).
-pub(crate) const COMPILED_CHECKSUM_LEN: usize = 8;
-/// Smallest possible v1 container.
-pub(crate) const MIN_LEN: usize = HEADER_LEN + FOOTER_LEN + CHECKSUM_LEN;
-/// Smallest possible v2 container (empty body, zero snapshots).
-pub(crate) const V2_MIN_LEN: usize = MIN_LEN + SNAP_TRAILER_LEN;
-/// Smallest possible v3 container (empty compiled section, sealed).
-pub(crate) const V3_MIN_LEN: usize = V2_MIN_LEN + COMPILED_CHECKSUM_LEN;
+/// Smallest possible container (empty body, zero snapshots).
+pub(crate) const MIN_LEN: usize = HEADER_LEN + SNAP_TRAILER_LEN + FOOTER_LEN + CHECKSUM_LEN;
 
 pub(crate) const FLAG_MEM: u8 = 1 << 0;
 pub(crate) const FLAG_VALUE: u8 = 1 << 1;
@@ -237,155 +204,6 @@ impl SnapshotRecord {
     }
 }
 
-/// One decoded compiled-model record (v3): the precomputed per-event
-/// model facts both timing cores would otherwise re-derive every replay.
-///
-/// Wire layout (10 bytes):
-///
-/// ```text
-/// offset  field
-/// 0       bits 0-1 steering tag (ModelHints::STEER_*), bits 2-4 region
-///         tag (0 none, 1 data, 2 heap, 3 stack), bits 5-6 FU class tag,
-///         bit 7 reserved (0)
-/// 1       issue latency in cycles (1..=20)
-/// 2..4    ARPT context value, u16 LE (HYBRID_8_7; 0 unless dynamic)
-/// 4..7    unified source operand indices (GPR 0-63, FPR 32+f; 255 none)
-/// 7       store data operand index (255 none)
-/// 8       unified FPR destination index (255 none)
-/// 9       reserved (0)
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CompiledRecord {
-    /// Steering tag ([`ModelHints`](arl_sim::ModelHints) `STEER_*`).
-    pub steer: u8,
-    /// Region tag: 0 none, 1 data, 2 heap, 3 stack (text unrepresentable).
-    pub region: u8,
-    /// Functional-unit class tag ([`arl_core::FuClass`]).
-    pub fu: u8,
-    /// Issue latency in cycles.
-    pub latency: u8,
-    /// ARPT context value (`Context::HYBRID_8_7`, a 15-bit value); 0
-    /// unless the steering tag is dynamic.
-    pub ctx: u16,
-    /// Unified source operand indices (255 = none).
-    pub srcs: [u8; 3],
-    /// Store data operand index (255 = none).
-    pub data_src: u8,
-    /// Unified FPR destination index (255 = none).
-    pub fpr_dest: u8,
-}
-
-impl CompiledRecord {
-    /// Wire size of one record.
-    pub const LEN: usize = 10;
-
-    /// Serializes the record.
-    pub fn to_bytes(&self) -> [u8; CompiledRecord::LEN] {
-        let mut b = [0u8; CompiledRecord::LEN];
-        b[0] = (self.steer & 0x3) | ((self.region & 0x7) << 2) | ((self.fu & 0x3) << 5);
-        b[1] = self.latency;
-        b[2..4].copy_from_slice(&self.ctx.to_le_bytes());
-        b[4] = self.srcs[0];
-        b[5] = self.srcs[1];
-        b[6] = self.srcs[2];
-        b[7] = self.data_src;
-        b[8] = self.fpr_dest;
-        b
-    }
-
-    /// Deserializes and structurally validates one record in O(1):
-    /// reserved bits zero, region tag in range, region present iff the
-    /// instruction is steered, context value zero unless dynamic (and a
-    /// 15-bit value when it is), latency positive.
-    ///
-    /// Returns `None` on any violation — callers wrap that into
-    /// [`SourceError::Corrupt`](arl_sim::SourceError).
-    pub fn from_bytes(b: &[u8; CompiledRecord::LEN]) -> Option<CompiledRecord> {
-        if b[0] & 0x80 != 0 || b[9] != 0 {
-            return None;
-        }
-        let steer = b[0] & 0x3;
-        let region = (b[0] >> 2) & 0x7;
-        let fu = (b[0] >> 5) & 0x3;
-        if region > 3 || (steer == 0) != (region == 0) {
-            return None;
-        }
-        let ctx = u16::from_le_bytes([b[2], b[3]]);
-        if steer != arl_sim::ModelHints::STEER_DYNAMIC && ctx != 0 {
-            return None;
-        }
-        if ctx >= 1 << 15 || b[1] == 0 {
-            return None;
-        }
-        // Operand indices address the 64-entry unified register file
-        // (FPR destinations only its upper half); anything else would send
-        // the consuming dispatch stage out of bounds.
-        if [b[4], b[5], b[6], b[7]]
-            .iter()
-            .any(|&s| s != 255 && s >= 64)
-        {
-            return None;
-        }
-        if b[8] != 255 && !(32..64).contains(&b[8]) {
-            return None;
-        }
-        Some(CompiledRecord {
-            steer,
-            region,
-            fu,
-            latency: b[1],
-            ctx,
-            srcs: [b[4], b[5], b[6]],
-            data_src: b[7],
-            fpr_dest: b[8],
-        })
-    }
-
-    /// Precomputes the record for one retired instruction — the exact
-    /// model work the timing cores perform live when no compiled section
-    /// is present, evaluated once at capture.
-    pub fn compile(e: &TraceEntry) -> CompiledRecord {
-        let (fu, latency) = arl_core::classify_fu(&e.inst);
-        let (srcs, data_src) = arl_core::model_srcs(&e.inst);
-        let fpr_dest = arl_core::fpr_dest_index(&e.inst);
-        let (steer, region, ctx) = match (e.inst.mem_op(), e.mem) {
-            (Some(info), Some(m)) => {
-                let steer = match arl_core::static_hint(&info) {
-                    arl_core::StaticHint::Stack => arl_sim::ModelHints::STEER_STACK,
-                    arl_core::StaticHint::NonStack => arl_sim::ModelHints::STEER_NONSTACK,
-                    arl_core::StaticHint::Dynamic => arl_sim::ModelHints::STEER_DYNAMIC,
-                };
-                let region = match m.region {
-                    arl_mem::Region::Data => 1,
-                    arl_mem::Region::Heap => 2,
-                    arl_mem::Region::Stack => 3,
-                    // A data access to text never retires from the
-                    // functional executor; encode the impossible tag so a
-                    // forged entry is refused at decode.
-                    arl_mem::Region::Text => 0,
-                };
-                let ctx = if steer == arl_sim::ModelHints::STEER_DYNAMIC {
-                    arl_core::Context::HYBRID_8_7.value(e.ghr, e.ra) as u16
-                } else {
-                    0
-                };
-                (steer, region, ctx)
-            }
-            _ => (0, 0, 0),
-        };
-        CompiledRecord {
-            steer,
-            region,
-            fu: fu.tag(),
-            latency: latency as u8,
-            ctx,
-            srcs,
-            data_src,
-            fpr_dest,
-        }
-    }
-}
-
 /// Decodes one event record, advancing `pos` and the delta state.
 ///
 /// Returns `None` on malformed bytes (truncated/overlong varint, reserved
@@ -450,8 +268,6 @@ pub struct TraceWriter {
     interval: u64,
     /// Accumulated serialized snapshot records.
     snapshots: Vec<u8>,
-    /// Accumulated compiled-model records (`Some` = emit a v3 container).
-    compiled: Option<Vec<u8>>,
 }
 
 impl TraceWriter {
@@ -465,19 +281,9 @@ impl TraceWriter {
     /// by [`record`](TraceWriter::record), which sees the replayed
     /// contexts; the raw [`push`](TraceWriter::push) path never snapshots.
     pub fn with_snapshots(entry_pc: u64, interval: u64) -> TraceWriter {
-        TraceWriter::with_options(entry_pc, interval, false)
-    }
-
-    /// Like [`TraceWriter::with_snapshots`], optionally compiling the
-    /// per-event model section into the container (a version-3 trace).
-    /// Compiled records are produced by [`record`](TraceWriter::record),
-    /// which sees the full entry; the raw [`push`](TraceWriter::push)
-    /// path cannot compile (and [`finish`](TraceWriter::finish) enforces
-    /// the one-record-per-event invariant).
-    pub fn with_options(entry_pc: u64, interval: u64, compiled: bool) -> TraceWriter {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&MAGIC);
-        buf.push(if compiled { VERSION_V3 } else { VERSION });
+        buf.push(VERSION);
         buf.extend_from_slice(&entry_pc.to_le_bytes());
         TraceWriter {
             buf,
@@ -485,7 +291,6 @@ impl TraceWriter {
             count: 0,
             interval,
             snapshots: Vec::new(),
-            compiled: compiled.then(Vec::new),
         }
     }
 
@@ -540,9 +345,6 @@ impl TraceWriter {
     /// `ra`) *are* the replayer state about to deliver this event, so the
     /// snapshot is exactly what a segment replayer must resume with.
     pub fn record(&mut self, e: &TraceEntry) {
-        if let Some(compiled) = &mut self.compiled {
-            compiled.extend_from_slice(&CompiledRecord::compile(e).to_bytes());
-        }
         if self.interval > 0 && self.count > 0 && self.count.is_multiple_of(self.interval) {
             let record = SnapshotRecord {
                 inst_index: self.count,
@@ -563,25 +365,8 @@ impl TraceWriter {
         self.count
     }
 
-    /// Seals the trace: compiled section (v3), snapshot section, footer,
-    /// checksum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the writer was opened in compiled mode but events were
-    /// fed through the raw [`push`](TraceWriter::push) path, leaving the
-    /// compiled section short of one record per event.
+    /// Seals the trace: snapshot section, footer, checksum.
     pub fn finish(mut self, metrics: &Metrics) -> Trace {
-        if let Some(compiled) = self.compiled.take() {
-            assert_eq!(
-                compiled.len() as u64,
-                self.count * CompiledRecord::LEN as u64,
-                "compiled writer requires record(), not raw push()"
-            );
-            let section_checksum = fnv1a64(&compiled);
-            self.buf.extend_from_slice(&compiled);
-            self.buf.extend_from_slice(&section_checksum.to_le_bytes());
-        }
         let snapshot_count = (self.snapshots.len() / SnapshotRecord::LEN) as u64;
         self.buf.extend_from_slice(&self.snapshots);
         self.buf.extend_from_slice(&self.interval.to_le_bytes());
@@ -628,10 +413,10 @@ impl Trace {
     /// Validates and adopts serialized trace bytes.
     ///
     /// Validation runs cheapest-first: length, magic/version, then the
-    /// O(1) structural invariants of the footer and (v2) the snapshot
-    /// trailer — the exited flag is a real boolean; the event count fits
-    /// the body, since every event costs at least one byte; the snapshot
-    /// section fits the container; a non-empty snapshot section implies a
+    /// O(1) structural invariants of the footer and the snapshot trailer —
+    /// the exited flag is a real boolean; the event count fits the body,
+    /// since every event costs at least one byte; the snapshot section
+    /// fits the container; a non-empty snapshot section implies a
     /// positive interval whose last boundary lies strictly inside the
     /// event stream — and only then the O(n) checksum. The order matters
     /// for robustness *and* speed: a truncated container lands its footer
@@ -644,8 +429,9 @@ impl Trace {
     /// # Errors
     ///
     /// [`SourceError::Corrupt`] when the container is too short, the
-    /// magic/version are wrong, a footer or snapshot-trailer field is
-    /// structurally invalid, or the checksum does not match.
+    /// magic is wrong, the version is not [`VERSION`] (the error names
+    /// it), a footer or snapshot-trailer field is structurally invalid,
+    /// or the checksum does not match.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Trace, SourceError> {
         if bytes.len() < MIN_LEN {
             return Err(SourceError::Corrupt(format!(
@@ -657,9 +443,9 @@ impl Trace {
             return Err(SourceError::Corrupt("bad magic (not an ARLT trace)".into()));
         }
         let version = bytes[4];
-        if version != VERSION && version != VERSION_V1 && version != VERSION_V3 {
+        if version != VERSION {
             return Err(SourceError::Corrupt(format!(
-                "unsupported trace version {version} (expected {VERSION_V1}, {VERSION}, or {VERSION_V3})"
+                "unsupported trace version {version} (expected {VERSION})"
             )));
         }
         let footer = bytes.len() - CHECKSUM_LEN - FOOTER_LEN;
@@ -670,63 +456,32 @@ impl Trace {
             )));
         }
         let count = read_u64_le(&bytes, footer);
-        let mut body_end = footer;
-        if version != VERSION_V1 {
-            let min = if version == VERSION_V3 {
-                V3_MIN_LEN
-            } else {
-                V2_MIN_LEN
-            };
-            if bytes.len() < min {
+        let trailer = footer - SNAP_TRAILER_LEN;
+        let interval = read_u64_le(&bytes, trailer);
+        let snap_count = read_u64_le(&bytes, trailer + 8);
+        let snap_bytes = snap_count
+            .checked_mul(SnapshotRecord::LEN as u64)
+            .filter(|&b| b <= (trailer - HEADER_LEN) as u64)
+            .ok_or_else(|| {
+                SourceError::Corrupt(format!("snapshot count {snap_count} exceeds the container"))
+            })?;
+        if snap_count > 0 {
+            // Snapshot i sits at inst_index (i+1)×interval, and a snapshot
+            // is only emitted when a later event follows it, so the last
+            // boundary is strictly below the event count.
+            let last = snap_count.checked_mul(interval).ok_or_else(|| {
+                SourceError::Corrupt(format!(
+                    "snapshot interval {interval} × count {snap_count} overflows"
+                ))
+            })?;
+            if interval == 0 || last >= count {
                 return Err(SourceError::Corrupt(format!(
-                    "v{version} trace too short: {} bytes, need at least {min}",
-                    bytes.len()
+                    "snapshot trailer inconsistent: interval {interval}, \
+                     count {snap_count}, events {count}"
                 )));
             }
-            let trailer = footer - SNAP_TRAILER_LEN;
-            let interval = read_u64_le(&bytes, trailer);
-            let snap_count = read_u64_le(&bytes, trailer + 8);
-            let snap_bytes = snap_count
-                .checked_mul(SnapshotRecord::LEN as u64)
-                .filter(|&b| b <= (trailer - HEADER_LEN) as u64)
-                .ok_or_else(|| {
-                    SourceError::Corrupt(format!(
-                        "snapshot count {snap_count} exceeds the container"
-                    ))
-                })?;
-            if snap_count > 0 {
-                // Snapshot i sits at inst_index (i+1)×interval, and a
-                // snapshot is only emitted when a later event follows it,
-                // so the last boundary is strictly below the event count.
-                let last = snap_count.checked_mul(interval).ok_or_else(|| {
-                    SourceError::Corrupt(format!(
-                        "snapshot interval {interval} × count {snap_count} overflows"
-                    ))
-                })?;
-                if interval == 0 || last >= count {
-                    return Err(SourceError::Corrupt(format!(
-                        "snapshot trailer inconsistent: interval {interval}, \
-                         count {snap_count}, events {count}"
-                    )));
-                }
-            }
-            body_end = trailer - snap_bytes as usize;
-            if version == VERSION_V3 {
-                // One 10-byte record per event plus the section seal must
-                // fit between the header and the snapshot section.
-                let compiled_bytes = count
-                    .checked_mul(CompiledRecord::LEN as u64)
-                    .and_then(|b| b.checked_add(COMPILED_CHECKSUM_LEN as u64))
-                    .filter(|&b| b <= (body_end - HEADER_LEN) as u64)
-                    .ok_or_else(|| {
-                        SourceError::Corrupt(format!(
-                            "compiled section for {count} events exceeds the container"
-                        ))
-                    })?;
-                body_end -= compiled_bytes as usize;
-            }
         }
-        let body_bytes = (body_end - HEADER_LEN) as u64;
+        let body_bytes = (trailer - snap_bytes as usize - HEADER_LEN) as u64;
         if count > body_bytes {
             return Err(SourceError::Corrupt(format!(
                 "event count {count} exceeds the {body_bytes}-byte body"
@@ -739,17 +494,6 @@ impl Trace {
             return Err(SourceError::Corrupt(format!(
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             )));
-        }
-        if version == VERSION_V3 {
-            let section_len = count as usize * CompiledRecord::LEN;
-            let stored = read_u64_le(&bytes, body_end + section_len);
-            let computed = fnv1a64(&bytes[body_end..body_end + section_len]);
-            if stored != computed {
-                return Err(SourceError::Corrupt(format!(
-                    "compiled section checksum mismatch: stored {stored:#018x}, \
-                     computed {computed:#018x}"
-                )));
-            }
         }
         Ok(Trace { bytes })
     }
@@ -816,67 +560,29 @@ impl Trace {
         }
     }
 
-    /// The container format version (1, 2, or 3).
+    /// The container format version (always [`VERSION`] once adopted).
     pub fn version(&self) -> u8 {
         self.bytes[4]
     }
 
-    /// Bytes occupied by the compiled-model section, seal included (0 for
-    /// v1/v2 containers).
-    fn compiled_len(&self) -> usize {
-        if self.version() == VERSION_V3 {
-            self.event_count() as usize * CompiledRecord::LEN + COMPILED_CHECKSUM_LEN
-        } else {
-            0
-        }
+    /// Byte offset of the snapshot trailer.
+    fn trailer(&self) -> usize {
+        self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN
     }
 
-    /// Whether the container embeds a compiled-model section.
-    pub fn has_model(&self) -> bool {
-        self.version() == VERSION_V3
-    }
-
-    /// The raw compiled-model records (one 10-byte [`CompiledRecord`] per
-    /// event), or `None` for v1/v2 containers. The section checksum was
-    /// verified at adoption; records are structurally validated again as
-    /// they are decoded.
-    pub fn compiled_section(&self) -> Option<&[u8]> {
-        if self.version() != VERSION_V3 {
-            return None;
-        }
-        let start = self.body_end();
-        let len = self.event_count() as usize * CompiledRecord::LEN;
-        Some(&self.bytes[start..start + len])
-    }
-
-    /// Where the event stream ends (compiled/snapshot sections begin).
+    /// Where the event stream ends (the snapshot section begins).
     fn body_end(&self) -> usize {
-        let footer = self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN;
-        if self.version() == VERSION_V1 {
-            return footer;
-        }
-        let trailer = footer - SNAP_TRAILER_LEN;
-        let snap_count = read_u64_le(&self.bytes, trailer + 8) as usize;
-        trailer - snap_count * SnapshotRecord::LEN - self.compiled_len()
+        self.trailer() - self.snapshot_count() as usize * SnapshotRecord::LEN
     }
 
-    /// The snapshot interval the trace was captured with (0 = none; v1
-    /// traces always report 0).
+    /// The snapshot interval the trace was captured with (0 = none).
     pub fn snapshot_interval(&self) -> u64 {
-        if self.version() == VERSION_V1 {
-            return 0;
-        }
-        let trailer = self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN;
-        read_u64_le(&self.bytes, trailer)
+        read_u64_le(&self.bytes, self.trailer())
     }
 
-    /// Number of snapshot records in the container (0 for v1 traces).
+    /// Number of snapshot records in the container.
     pub fn snapshot_count(&self) -> u64 {
-        if self.version() == VERSION_V1 {
-            return 0;
-        }
-        let trailer = self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN;
-        read_u64_le(&self.bytes, trailer + 8)
+        read_u64_le(&self.bytes, self.trailer() + 8)
     }
 
     /// Decodes and validates snapshot record `i` in O(1): the record's
@@ -895,7 +601,7 @@ impl Trace {
             )));
         }
         let body_end = self.body_end();
-        let at = body_end + self.compiled_len() + (i as usize) * SnapshotRecord::LEN;
+        let at = body_end + (i as usize) * SnapshotRecord::LEN;
         let mut raw = [0u8; SnapshotRecord::LEN];
         raw.copy_from_slice(&self.bytes[at..at + SnapshotRecord::LEN]);
         let record = SnapshotRecord::from_bytes(&raw)?;
@@ -916,7 +622,7 @@ impl Trace {
         Ok(record)
     }
 
-    /// The encoded event stream (between header and snapshots/footer).
+    /// The encoded event stream (between header and snapshots).
     pub(crate) fn body(&self) -> &[u8] {
         &self.bytes[HEADER_LEN..self.body_end()]
     }
@@ -978,7 +684,7 @@ mod tests {
     fn straight_line_events_cost_one_byte_each() {
         let events: Vec<TraceEvent> = (0..100).map(|i| ev(8 * i, 8 * (i + 1))).collect();
         let t = Trace::from_events(0, &events, &Metrics::default());
-        assert_eq!(t.as_bytes().len(), V2_MIN_LEN + events.len());
+        assert_eq!(t.as_bytes().len(), MIN_LEN + events.len());
         assert_eq!(t.events().unwrap(), events);
         assert_eq!(t.version(), VERSION);
         assert_eq!(t.snapshot_count(), 0);
@@ -1108,122 +814,5 @@ mod tests {
     fn short_buffers_are_rejected() {
         assert!(Trace::from_bytes(Vec::new()).is_err());
         assert!(Trace::from_bytes(vec![0u8; MIN_LEN - 1]).is_err());
-    }
-
-    fn model_entry(pc: u64, base: arl_isa::Gpr, addr: u64) -> TraceEntry {
-        use arl_isa::{Gpr, Inst, Width};
-        TraceEntry {
-            pc,
-            inst: Inst::Load {
-                width: Width::Double,
-                signed: true,
-                rd: Gpr::T0,
-                base,
-                offset: 0,
-            },
-            mem: Some(arl_sim::MemAccess {
-                addr,
-                width: Width::Double,
-                is_load: true,
-                region: arl_mem::Region::Heap,
-            }),
-            taken: false,
-            next_pc: pc + 8,
-            gpr_write: Some((Gpr::T0, 1)),
-            ghr: 0b1011,
-            ra: 0x40_0100,
-            model: arl_sim::ModelHints::NONE,
-        }
-    }
-
-    #[test]
-    fn compiled_record_round_trips_and_rejects_structural_damage() {
-        let e = model_entry(0x40_0000, arl_isa::Gpr::T1, 0x2000_0000);
-        let rec = CompiledRecord::compile(&e);
-        assert_eq!(rec.steer, arl_sim::ModelHints::STEER_DYNAMIC);
-        assert_eq!(rec.region, 2, "heap tag");
-        assert_ne!(rec.ctx, 0, "dynamic access carries its context value");
-        let bytes = rec.to_bytes();
-        assert_eq!(CompiledRecord::from_bytes(&bytes).unwrap(), rec);
-
-        // Reserved bits, bad region tags, and steer/region or steer/ctx
-        // disagreements are all refused.
-        let mut bad = bytes;
-        bad[0] |= 0x80;
-        assert!(CompiledRecord::from_bytes(&bad).is_none());
-        let mut bad = bytes;
-        bad[9] = 1;
-        assert!(CompiledRecord::from_bytes(&bad).is_none());
-        let mut bad = bytes;
-        bad[0] = (bad[0] & !0x1c) | (7 << 2); // region tag 7
-        assert!(CompiledRecord::from_bytes(&bad).is_none());
-        let mut bad = bytes;
-        bad[0] &= !0x3; // steered access with no steer tag
-        assert!(CompiledRecord::from_bytes(&bad).is_none());
-        let mut bad = bytes;
-        bad[1] = 0; // zero latency
-        assert!(CompiledRecord::from_bytes(&bad).is_none());
-        let mut bad = bytes;
-        bad[0] = (bad[0] & !0x3) | arl_sim::ModelHints::STEER_STACK;
-        assert!(
-            CompiledRecord::from_bytes(&bad).is_none(),
-            "non-dynamic steer with a non-zero context value"
-        );
-    }
-
-    #[test]
-    fn compiled_writer_emits_a_valid_v3_container() {
-        let mut w = TraceWriter::with_options(0x40_0000, 0, true);
-        for i in 0..16u64 {
-            w.record(&model_entry(
-                0x40_0000 + 8 * i,
-                arl_isa::Gpr::T1,
-                0x2000_0000 + 8 * i,
-            ));
-        }
-        let t = w.finish(&Metrics::default());
-        assert_eq!(t.version(), VERSION_V3);
-        assert!(t.has_model());
-        let section = t.compiled_section().unwrap();
-        assert_eq!(section.len(), 16 * CompiledRecord::LEN);
-        // Adoption re-validates: structural bounds plus both checksums.
-        let reparsed = Trace::from_bytes(t.as_bytes().to_vec()).unwrap();
-        assert_eq!(reparsed, t);
-        assert_eq!(reparsed.events().unwrap().len(), 16);
-    }
-
-    #[test]
-    fn every_single_byte_corruption_in_a_v3_container_is_rejected() {
-        let mut w = TraceWriter::with_options(0, 4, true);
-        for i in 0..12u64 {
-            w.record(&model_entry(8 * i, arl_isa::Gpr::SP, 0x7fff_0000 + 8 * i));
-        }
-        let good = w.finish(&Metrics::default()).into_bytes();
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x41;
-            assert!(
-                Trace::from_bytes(bad).is_err(),
-                "corruption at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn resealed_compiled_section_forgery_is_refused() {
-        let mut w = TraceWriter::with_options(0, 0, true);
-        for i in 0..8u64 {
-            w.record(&model_entry(8 * i, arl_isa::Gpr::T1, 0x2000_0000));
-        }
-        let t = w.finish(&Metrics::default());
-        let mut bytes = t.as_bytes().to_vec();
-        // Flip a compiled-section byte and re-seal the *container*
-        // checksum; the independent section seal must still refuse it.
-        let start = t.body_end();
-        bytes[start + 4] ^= 0x1;
-        let body_len = bytes.len() - CHECKSUM_LEN;
-        let checksum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        assert!(Trace::from_bytes(bytes).is_err());
     }
 }

@@ -43,11 +43,5 @@ mod format;
 mod replay;
 
 pub use codec::fnv1a64;
-pub use format::{
-    CompiledRecord, SnapshotRecord, Trace, TraceEvent, TraceWriter, MAGIC, VERSION, VERSION_V1,
-    VERSION_V3,
-};
-pub use replay::{
-    capture, capture_compiled, capture_compiled_with, capture_snapshotted,
-    capture_snapshotted_with, capture_with, Replayer,
-};
+pub use format::{SnapshotRecord, Trace, TraceEvent, TraceWriter, MAGIC, VERSION};
+pub use replay::{capture, capture_snapshotted, capture_snapshotted_with, capture_with, Replayer};

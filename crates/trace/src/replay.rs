@@ -1,13 +1,11 @@
 //! Trace capture and the replaying [`TraceSource`].
 
 use arl_asm::Program;
-use arl_isa::{Gpr, Inst, INST_BYTES};
+use arl_isa::{Gpr, Inst};
 use arl_mem::{Layout, Region};
-use arl_sim::{
-    ExecError, Machine, MemAccess, Metrics, ModelHints, SourceError, TraceEntry, TraceSource,
-};
+use arl_sim::{ExecError, Machine, MemAccess, Metrics, SourceError, TraceEntry, TraceSource};
 
-use crate::format::{decode_event, CompiledRecord, DeltaState, Trace, TraceWriter};
+use crate::format::{decode_event, DeltaState, Trace, TraceWriter};
 
 /// Captures a workload's full dynamic trace by executing it functionally
 /// once (bounded by `max_insts`).
@@ -60,51 +58,10 @@ pub fn capture_snapshotted_with<F: FnMut(&TraceEntry)>(
     program: &Program,
     max_insts: u64,
     interval: u64,
-    visitor: F,
-) -> Result<Trace, ExecError> {
-    capture_full(program, max_insts, interval, false, visitor)
-}
-
-/// Like [`capture_snapshotted`], additionally *compiling* the trace: the
-/// per-instruction model facts (steering hint, region class, FU latency,
-/// operand indices, ARPT context) are precomputed once here and embedded
-/// as a version-3 compiled section, so every subsequent replay of the
-/// trace skips that recomputation entirely.
-///
-/// # Errors
-///
-/// Propagates the first [`ExecError`] from execution.
-pub fn capture_compiled(
-    program: &Program,
-    max_insts: u64,
-    interval: u64,
-) -> Result<Trace, ExecError> {
-    capture_compiled_with(program, max_insts, interval, |_| {})
-}
-
-/// [`capture_compiled`] with a ride-along visitor (see [`capture_with`]).
-///
-/// # Errors
-///
-/// Propagates the first [`ExecError`] from execution.
-pub fn capture_compiled_with<F: FnMut(&TraceEntry)>(
-    program: &Program,
-    max_insts: u64,
-    interval: u64,
-    visitor: F,
-) -> Result<Trace, ExecError> {
-    capture_full(program, max_insts, interval, true, visitor)
-}
-
-fn capture_full<F: FnMut(&TraceEntry)>(
-    program: &Program,
-    max_insts: u64,
-    interval: u64,
-    compiled: bool,
     mut visitor: F,
 ) -> Result<Trace, ExecError> {
     let mut machine = Machine::new(program);
-    let mut writer = TraceWriter::with_options(program.entry_pc(), interval, compiled);
+    let mut writer = TraceWriter::with_snapshots(program.entry_pc(), interval);
     machine.run_with(max_insts, |e| {
         writer.record(e);
         visitor(e);
@@ -133,11 +90,6 @@ pub struct Replayer<'a> {
     metrics: Metrics,
     ghr: u64,
     ra: u64,
-    /// Compiled-model records (v3 traces), one per event.
-    compiled: Option<&'a [u8]>,
-    /// Byte cursor into the compiled section, advancing in lockstep with
-    /// the event cursor.
-    cpos: usize,
 }
 
 impl<'a> Replayer<'a> {
@@ -232,15 +184,7 @@ impl<'a> Replayer<'a> {
             metrics: trace.metrics(),
             ghr,
             ra,
-            compiled: trace.compiled_section(),
-            cpos: start_idx as usize * CompiledRecord::LEN,
         })
-    }
-
-    /// Whether this replayer attaches precomputed model hints (the trace
-    /// embeds a compiled section).
-    pub fn has_model(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// Entries left to deliver.
@@ -259,79 +203,22 @@ impl TraceSource for Replayer<'_> {
         let inst = *self.program.inst_at(event.pc).ok_or_else(|| {
             SourceError::Corrupt(format!("pc {:#x} is outside the text segment", event.pc))
         })?;
-        // Decode the compiled-model record in lockstep (v3 traces). Each
-        // record is structurally validated here and cross-checked against
-        // the event it annotates, mirroring the flag/instruction checks
-        // below.
-        let compiled = match self.compiled {
-            Some(section) => {
-                let raw: &[u8; CompiledRecord::LEN] = section
-                    .get(self.cpos..self.cpos + CompiledRecord::LEN)
-                    .and_then(|s| s.try_into().ok())
-                    .ok_or_else(|| {
-                        SourceError::Corrupt("compiled section exhausted mid-replay".into())
-                    })?;
-                self.cpos += CompiledRecord::LEN;
-                let rec = CompiledRecord::from_bytes(raw).ok_or_else(|| {
-                    SourceError::Corrupt(format!("malformed compiled record at pc {:#x}", event.pc))
-                })?;
-                if (rec.steer == ModelHints::STEER_NONE) != event.mem_addr.is_none() {
-                    return Err(SourceError::Corrupt(format!(
-                        "compiled steering disagrees with the event at pc {:#x}",
-                        event.pc
-                    )));
-                }
-                Some(rec)
-            }
-            None => None,
-        };
         // The flags must agree with the instruction the pc resolves to —
         // a mismatch means the trace was captured from a different build
         // of the program.
         let mem = match (inst.mem_op(), event.mem_addr) {
             (Some(info), Some(addr)) => {
-                let region = match &compiled {
-                    // The compiled tag *is* the classification — that is
-                    // the point of compiling — and text is structurally
-                    // unrepresentable in it, so the v1/v2 text-rejection
-                    // below is subsumed. The tag itself sits under two
-                    // checksums plus the record validation above.
-                    Some(rec) => {
-                        let region = match rec.region {
-                            1 => Region::Data,
-                            2 => Region::Heap,
-                            3 => Region::Stack,
-                            _ => {
-                                return Err(SourceError::Corrupt(format!(
-                                    "compiled region tag missing for access at pc {:#x}",
-                                    event.pc
-                                )))
-                            }
-                        };
-                        debug_assert_eq!(
-                            region,
-                            self.layout.classify(addr),
-                            "compiled region tag disagrees with the layout at pc {:#x}",
-                            event.pc
-                        );
-                        region
-                    }
-                    None => {
-                        let region = self.layout.classify(addr);
-                        // Data accesses never target the text segment; a
-                        // decoded address landing there means the trace
-                        // body is corrupt. Reject here so downstream
-                        // profilers see only well-formed entries instead
-                        // of aborting a sweep mid-run.
-                        if region == Region::Text {
-                            return Err(SourceError::Corrupt(format!(
-                                "data access at pc {:#x} decodes to text address {addr:#x}",
-                                event.pc
-                            )));
-                        }
-                        region
-                    }
-                };
+                let region = self.layout.classify(addr);
+                // Data accesses never target the text segment; a decoded
+                // address landing there means the trace body is corrupt.
+                // Reject here so downstream profilers see only well-formed
+                // entries instead of aborting a sweep mid-run.
+                if region == Region::Text {
+                    return Err(SourceError::Corrupt(format!(
+                        "data access at pc {:#x} decodes to text address {addr:#x}",
+                        event.pc
+                    )));
+                }
                 Some(MemAccess {
                     addr,
                     width: info.width,
@@ -363,35 +250,6 @@ impl TraceSource for Replayer<'_> {
                 event.pc
             )));
         }
-        let model = match &compiled {
-            Some(rec) => {
-                debug_assert!(
-                    rec.steer != ModelHints::STEER_DYNAMIC
-                        || u64::from(rec.ctx)
-                            == arl_core::Context::HYBRID_8_7.value(self.ghr, self.ra),
-                    "compiled context value disagrees with the replayed contexts at pc {:#x}",
-                    event.pc
-                );
-                ModelHints {
-                    present: true,
-                    steer: rec.steer,
-                    fu: rec.fu,
-                    latency: rec.latency,
-                    srcs: rec.srcs,
-                    data_src: rec.data_src,
-                    fpr_dest: rec.fpr_dest,
-                    // The full ARPT key: word-pc XOR context. The fold to
-                    // a concrete table size stays with the consumer, so
-                    // one compiled capture serves every ARPT capacity.
-                    arpt_key: if rec.steer == ModelHints::STEER_DYNAMIC {
-                        (event.pc / INST_BYTES) ^ u64::from(rec.ctx)
-                    } else {
-                        0
-                    },
-                }
-            }
-            None => ModelHints::NONE,
-        };
         let entry = TraceEntry {
             pc: event.pc,
             inst,
@@ -401,7 +259,6 @@ impl TraceSource for Replayer<'_> {
             gpr_write,
             ghr: self.ghr,
             ra: self.ra,
-            model,
         };
         // Advance the replayed contexts exactly as the executor does.
         if matches!(inst, Inst::Branch { .. }) {
@@ -526,96 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_replay_matches_uncompiled_and_attaches_hints() {
-        let spec = workload("compress").expect("compress workload");
-        let program = spec.build(arl_workloads::Scale::tiny());
-        let plain = capture(&program, 50_000).expect("capture");
-        let compiled = capture_compiled(&program, 50_000, 0).expect("compiled capture");
-        assert!(compiled.has_model());
-        assert!(!plain.has_model());
-
-        let mut a = Replayer::new(&plain, &program).expect("plain replayer");
-        let mut b = Replayer::new(&compiled, &program).expect("compiled replayer");
-        assert!(!a.has_model());
-        assert!(b.has_model());
-        let mut hinted_mem = 0u64;
-        loop {
-            let (x, y) = (
-                a.next_entry().expect("plain"),
-                b.next_entry().expect("compiled"),
-            );
-            match (x, y) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    // Equality ignores the model hints by design…
-                    assert_eq!(x, y);
-                    assert!(!x.model.present);
-                    assert!(y.model.present);
-                    // …and the hints must agree with live recomputation.
-                    let (fu, latency) = arl_core::classify_fu(&y.inst);
-                    assert_eq!(y.model.fu, fu.tag());
-                    assert_eq!(u64::from(y.model.latency), latency);
-                    let (srcs, data_src) = arl_core::model_srcs(&y.inst);
-                    assert_eq!(y.model.srcs, srcs);
-                    assert_eq!(y.model.data_src, data_src);
-                    assert_eq!(y.model.fpr_dest, arl_core::fpr_dest_index(&y.inst));
-                    match y.inst.mem_op() {
-                        Some(info) => {
-                            hinted_mem += 1;
-                            let hint = arl_core::static_hint(&info);
-                            let expect = match hint {
-                                arl_core::StaticHint::Stack => ModelHints::STEER_STACK,
-                                arl_core::StaticHint::NonStack => ModelHints::STEER_NONSTACK,
-                                arl_core::StaticHint::Dynamic => ModelHints::STEER_DYNAMIC,
-                            };
-                            assert_eq!(y.model.steer, expect);
-                            if hint == arl_core::StaticHint::Dynamic {
-                                let ctx = arl_core::Context::HYBRID_8_7.value(y.ghr, y.ra);
-                                assert_eq!(y.model.arpt_key, (y.pc / 8) ^ ctx);
-                            } else {
-                                assert_eq!(y.model.arpt_key, 0);
-                            }
-                        }
-                        None => assert_eq!(y.model.steer, ModelHints::STEER_NONE),
-                    }
-                }
-                _ => panic!("stream lengths diverge"),
-            }
-        }
-        assert!(hinted_mem > 0, "workload exercised memory instructions");
-    }
-
-    #[test]
-    fn compiled_segment_replay_stitches_with_aligned_hint_cursor() {
-        let spec = workload("compress").expect("compress workload");
-        let program = spec.build(arl_workloads::Scale::tiny());
-        let trace = capture_compiled(&program, 50_000, 1_000).expect("capture");
-        assert!(trace.snapshot_count() >= 2, "workload too short to shard");
-
-        let mut full = Vec::new();
-        let mut full_hints = Vec::new();
-        let mut replayer = Replayer::new(&trace, &program).expect("replayer");
-        while let Some(e) = replayer.next_entry().expect("replay") {
-            full_hints.push(e.model);
-            full.push(e);
-        }
-
-        let boundaries = trace.snapshot_count() + 1;
-        let mut stitched = Vec::new();
-        let mut stitched_hints = Vec::new();
-        for b in 0..boundaries {
-            let mut seg = Replayer::open_span(&trace, &program, b, b + 1).expect("segment");
-            while let Some(e) = seg.next_entry().expect("segment replay") {
-                stitched_hints.push(e.model);
-                stitched.push(e);
-            }
-        }
-        assert_eq!(stitched, full);
-        assert_eq!(stitched_hints, full_hints, "hint cursor seeks per segment");
-        assert!(full_hints.iter().all(|h| h.present));
-    }
-
-    #[test]
     fn tampered_flag_byte_is_caught_even_with_a_fixed_checksum() {
         // Forge a structurally valid trace whose flags disagree with the
         // program text: the replayer's cross-checks must catch it.
@@ -634,5 +401,46 @@ mod tests {
         // access, and a GPR writer, so a cross-check must fire whatever
         // `_start` begins with.
         assert!(r.next_entry().is_err());
+    }
+
+    #[test]
+    fn load_decoding_to_a_text_address_is_rejected() {
+        // The genuine stream up to the program's first load, with that
+        // load's address moved into the text segment: every flag still
+        // agrees with the instruction, so only the region check can fire.
+        let (_trace, program) = flag_bytes();
+        let text = program.layout().text_base();
+        let mut writer = TraceWriter::new(program.entry_pc());
+        let mut load_pc = None;
+        Machine::new(&program)
+            .run_with(10_000, |e| {
+                if load_pc.is_some() {
+                    return;
+                }
+                let mut event = TraceEvent::from_entry(e);
+                if e.is_load() {
+                    event.mem_addr = Some(text);
+                    load_pc = Some(e.pc);
+                }
+                writer.push(&event);
+            })
+            .expect("run");
+        let load_pc = load_pc.expect("go loads within 10,000 instructions");
+        let forged = writer.finish(&Metrics::default());
+        let mut r = Replayer::new(&forged, &program).expect("entry pc matches");
+        let err = loop {
+            match r.next_entry() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("a load from the text segment replayed cleanly"),
+                Err(e) => break e,
+            }
+        };
+        match err {
+            SourceError::Corrupt(msg) => assert_eq!(
+                msg,
+                format!("data access at pc {load_pc:#x} decodes to text address {text:#x}")
+            ),
+            other => panic!("wrong error variant: {other}"),
+        }
     }
 }

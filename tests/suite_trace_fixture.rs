@@ -1,20 +1,15 @@
-//! Golden `.arltrace` fixtures: the capture pipeline must reproduce a
+//! Golden `.arltrace` fixture: the capture pipeline must reproduce a
 //! checked-in trace byte-for-byte.
 //!
-//! Two fixtures are pinned, both the smallest suite workload (perl at
-//! `Scale::tiny()`, 71,251 dynamic instructions):
+//! `perl_tiny.arltrace` is the smallest suite workload (perl at
+//! `Scale::tiny()`, 71,251 dynamic instructions), captured with a
+//! snapshot every [`SNAPSHOT_INTERVAL`] instructions. Any drift in the
+//! functional simulator, the delta/varint codec, the snapshot records, or
+//! the container layout shows up here as a byte diff — and the pinned
+//! FNV-1a checksum additionally locks the on-disk artifact itself against
+//! silent edits.
 //!
-//! * `perl_tiny.arltrace` — the current (v2) container, captured with a
-//!   snapshot every [`SNAPSHOT_INTERVAL`] instructions. Any drift in the
-//!   functional simulator, the delta/varint codec, the snapshot records,
-//!   or the container layout shows up here as a byte diff — and the
-//!   pinned FNV-1a checksum additionally locks the on-disk artifact
-//!   itself against silent edits.
-//! * `perl_tiny_v1.arltrace` — the pre-snapshot (v1) container, frozen
-//!   forever: decoders must keep accepting traces written before the
-//!   snapshot trailer existed. This file is never regenerated.
-//!
-//! Regenerate the v2 fixture after an *intentional* format or simulator
+//! Regenerate the fixture after an *intentional* format or simulator
 //! change with:
 //!
 //! ```text
@@ -22,7 +17,7 @@
 //! ```
 
 use arl::sim::TraceSource;
-use arl::trace::{capture_snapshotted, Replayer, Trace, VERSION, VERSION_V1};
+use arl::trace::{capture_snapshotted, Replayer, Trace, VERSION};
 use arl::workloads::{workload, Scale};
 
 const FIXTURE: &str = concat!(
@@ -30,13 +25,7 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/perl_tiny.arltrace"
 );
 
-/// The frozen pre-snapshot container (format v1); never regenerated.
-const FIXTURE_V1: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/perl_tiny_v1.arltrace"
-);
-
-/// Snapshot cadence baked into the v2 fixture: 71,251 events at 10,000
+/// Snapshot cadence baked into the fixture: 71,251 events at 10,000
 /// yields 7 interior snapshot records.
 const SNAPSHOT_INTERVAL: u64 = 10_000;
 
@@ -44,9 +33,6 @@ const SNAPSHOT_INTERVAL: u64 = 10_000;
 /// value `Trace::checksum` reports. Pinned so simulator or codec drift
 /// cannot hide behind a regenerated file.
 const PINNED_CHECKSUM: u64 = 0xa723_f6e5_3962_f00e;
-
-/// The v1 fixture's checksum (the value pinned before snapshots existed).
-const PINNED_CHECKSUM_V1: u64 = 0xd910_1e41_7c47_8118;
 
 const PINNED_EVENTS: u64 = 71_251;
 
@@ -100,42 +86,10 @@ fn golden_trace_fixture_validates_and_replays() {
     assert_eq!(replayer.metrics(), trace.metrics());
 }
 
-/// Backward compatibility: a v1 container (no snapshot trailer) written
-/// before the sharding work must keep decoding and replaying unchanged.
-/// The event payload is identical to the v2 fixture's, so the replayed
-/// streams must match entry for entry.
-#[test]
-fn v1_fixture_still_decodes_and_replays() {
-    let old = std::fs::read(FIXTURE_V1).expect("read frozen v1 fixture");
-    let trace = Trace::from_bytes(old).expect("v1 fixture must keep validating");
-    assert_eq!(trace.version(), VERSION_V1);
-    assert_eq!(trace.checksum(), PINNED_CHECKSUM_V1);
-    assert_eq!(trace.event_count(), PINNED_EVENTS);
-    assert_eq!(trace.snapshot_count(), 0, "v1 traces carry no snapshots");
-    assert!(trace.metrics().exited);
-
-    let spec = workload("perl").expect("perl workload");
-    let program = spec.build(Scale::tiny());
-
-    let v2 = std::fs::read(FIXTURE).expect("read fixture");
-    let v2 = Trace::from_bytes(v2).expect("fixture must validate");
-    let mut old_replay = Replayer::new(&trace, &program).expect("v1 replayer");
-    let mut new_replay = Replayer::new(&v2, &program).expect("v2 replayer");
-    loop {
-        let a = old_replay.next_entry().expect("v1 replay");
-        let b = new_replay.next_entry().expect("v2 replay");
-        assert_eq!(a, b, "v1 and v2 fixtures must replay identically");
-        if a.is_none() {
-            break;
-        }
-    }
-    assert_eq!(old_replay.metrics(), trace.metrics());
-}
-
 /// Not a test: rewrites the golden fixture from the current simulator.
 /// Run explicitly after an intentional format change, then update the
 /// pinned checksum above from the panic message of the byte-for-byte
-/// test. The v1 fixture is frozen and must never be rewritten.
+/// test.
 #[test]
 #[ignore = "fixture regeneration helper"]
 fn regenerate_golden_trace_fixture() {

@@ -12,8 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arl::sim::{Metrics, SourceError};
 use arl::trace::{
-    capture_compiled, capture_snapshotted, fnv1a64, Replayer, SnapshotRecord, Trace, TraceEvent,
-    VERSION, VERSION_V1, VERSION_V3,
+    capture_snapshotted, fnv1a64, Replayer, SnapshotRecord, Trace, TraceEvent, VERSION,
 };
 use arl::workloads::{workload, Scale};
 use proptest::prelude::*;
@@ -301,109 +300,25 @@ fn resealed_record_forgeries_are_rejected_in_o1() {
     assert_eq!(adopted.snapshot(4).expect("slot 4 intact"), neighbor);
 }
 
-/// A small *compiled* (v3) capture for the exhaustive compiled-section
-/// sweeps: enough events that the model section spans several cache
-/// lines, small enough that every-offset loops stay cheap.
-const COMPILED_EVENTS: u64 = 600;
-
-fn small_compiled() -> (arl::asm::Program, Trace) {
-    let program = workload("go").expect("go workload").build(Scale::tiny());
-    let trace = capture_compiled(&program, COMPILED_EVENTS, 0).expect("compiled capture");
-    assert_eq!(trace.version(), VERSION_V3);
-    assert_eq!(trace.event_count(), COMPILED_EVENTS);
-    (program, trace)
-}
-
-/// Byte range `[start, end)` of the compiled section (records plus the
-/// section checksum) within the serialized v3 container.
-fn compiled_window(trace: &Trace) -> (usize, usize) {
-    let bytes = trace.as_bytes();
-    let section = trace
-        .compiled_section()
-        .expect("a v3 trace carries a compiled section");
-    let start = section.as_ptr() as usize - bytes.as_ptr() as usize;
-    // The 8-byte section checksum sits immediately after the records.
-    (start, start + section.len() + CHECKSUM_LEN)
-}
-
-/// The compiled capture, truncated at every byte offset, must always be
-/// rejected — the model section adds no resurrectable prefix.
+/// Only version 2 decodes. The v2 fixture with its version byte
+/// rewritten to 1 (the pre-snapshot format) or 3 (the retired
+/// compiled-model format), and its checksum re-sealed so only the version
+/// check can fire, is refused with an error naming that version.
 #[test]
-fn compiled_trace_truncation_at_every_offset_is_rejected() {
-    let (_, trace) = small_compiled();
-    let bytes = trace.into_bytes();
-    assert!(Trace::from_bytes(bytes.clone()).is_ok());
-    for len in 0..bytes.len() {
-        expect_corrupt(
-            bytes[..len].to_vec(),
-            &format!("compiled trace truncated to {len} bytes"),
-        );
-    }
-}
-
-/// Single-byte flips anywhere in the compiled capture are rejected, and —
-/// the stronger property — flips *inside the compiled section with the
-/// container checksum re-sealed* are still refused, which proves the
-/// section's own checksum (not just the trailing container hash) guards
-/// the precomputed model bytes the replay hot loop trusts blindly.
-#[test]
-fn compiled_section_byte_flips_are_rejected_even_resealed() {
-    let (_, trace) = small_compiled();
-    let (start, end) = compiled_window(&trace);
-    let bytes = trace.into_bytes();
-    for at in 0..bytes.len() {
-        for mask in [0x01u8, 0x80, 0xFF] {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= mask;
-            expect_corrupt(corrupt, &format!("compiled byte {at} xor {mask:#04x}"));
+fn v1_and_v3_containers_are_refused_naming_their_version() {
+    assert!(Trace::from_bytes(FIXTURE.to_vec()).is_ok());
+    for version in [1u8, 3] {
+        let mut forged = FIXTURE.to_vec();
+        forged[4] = version;
+        match Trace::from_bytes(reseal(forged)) {
+            Err(SourceError::Corrupt(msg)) => assert_eq!(
+                msg,
+                format!("unsupported trace version {version} (expected {VERSION})")
+            ),
+            Err(other) => panic!("version {version}: wrong error variant: {other}"),
+            Ok(_) => panic!("version {version} container was adopted"),
         }
     }
-    for at in start..end {
-        for mask in [0x01u8, 0x80, 0xFF] {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= mask;
-            expect_corrupt(
-                reseal(corrupt),
-                &format!("resealed compiled byte {at} xor {mask:#04x}"),
-            );
-        }
-    }
-}
-
-/// A compiled container replays the same entry stream (modulo the model
-/// annotation) as an uncompiled capture of the same program — corruption
-/// coverage means nothing if adoption of the *genuine* v3 bytes broke.
-#[test]
-fn compiled_trace_round_trips_through_bytes() {
-    let (program, trace) = small_compiled();
-    let adopted = Trace::from_bytes(trace.into_bytes()).expect("genuine v3 re-adopts");
-    assert_eq!(adopted.version(), VERSION_V3);
-    let mut replay = Replayer::new(&adopted, &program).expect("v3 replayer");
-    let mut n = 0u64;
-    while let Some(entry) = arl::sim::TraceSource::next_entry(&mut replay).expect("v3 replay") {
-        assert!(entry.model.present, "v3 replay must surface model hints");
-        n += 1;
-    }
-    assert_eq!(n, COMPILED_EVENTS);
-}
-
-/// Forward compatibility floor: the frozen v1 fixture and the committed
-/// v2 fixture keep decoding under the v3-aware parser, and neither grows
-/// a compiled section retroactively.
-#[test]
-fn v1_and_v2_fixtures_still_decode_without_compiled_sections() {
-    let v1 = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/perl_tiny_v1.arltrace"
-    ))
-    .expect("read v1 fixture");
-    let v1 = Trace::from_bytes(v1).expect("v1 fixture must keep validating");
-    assert_eq!(v1.version(), VERSION_V1);
-    assert!(v1.compiled_section().is_none(), "v1 has no model section");
-
-    let v2 = Trace::from_bytes(FIXTURE.to_vec()).expect("v2 fixture must keep validating");
-    assert_eq!(v2.version(), VERSION);
-    assert!(v2.compiled_section().is_none(), "v2 has no model section");
 }
 
 proptest! {
