@@ -1874,7 +1874,7 @@ impl<P: Probe> TimingSim<P> {
         }
         // Train the ARPT on dynamic (unrevealed) instructions only; the
         // statically revealed ones are never recorded in it. The key was
-        // folded once at dispatch (or at trace capture).
+        // computed once at dispatch.
         if decoupled && arpt_predicted {
             self.arpt.update_key(self.rob.slot[i].arpt_key, is_stack);
         }
