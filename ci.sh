@@ -16,8 +16,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (every workspace crate)"
+cargo test --workspace -q
 
 echo "==> figure8_stalls smoke gate (ARL_SCALE=1)"
 smoke_dir="$(mktemp -d)"

@@ -1,5 +1,5 @@
-//! Replay-throughput benchmark: event-driven vs legacy core,
-//! instructions/second per workload.
+//! Replay-throughput benchmark: event-driven core vs the legacy
+//! reference core, instructions/second per workload on `(3+3)`.
 //!
 //! Prints a table, writes `BENCH_speed.json` (schema `arl-speed/v3`),
 //! and — when `ARL_SPEED_BASELINE` points at a committed baseline —
@@ -17,15 +17,13 @@ fn main() {
         "workload", "inst", "event i/s", "legacy i/s", "speedup"
     );
     for row in &report.rows {
-        let legacy = row
-            .legacy_ips
-            .map_or_else(|| "-".to_string(), |v| format!("{v:.0}"));
-        let speedup = row
-            .speedup()
-            .map_or_else(|| "-".to_string(), |v| format!("{v:.1}x"));
         println!(
-            "{:<10} {:>12} {:>14.0} {:>14} {:>9}",
-            row.workload, row.instructions, row.event_ips, legacy, speedup,
+            "{:<10} {:>12} {:>14.0} {:>14.0} {:>8.1}x",
+            row.workload,
+            row.instructions,
+            row.event_ips,
+            row.legacy_ips,
+            row.speedup(),
         );
     }
     let suite_speedup = report

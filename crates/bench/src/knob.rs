@@ -59,23 +59,6 @@ pub fn knob_f64(name: &str, value: Option<&str>, default: f64, min: f64) -> f64 
     n
 }
 
-/// [`knob_parsed`] for boolean knobs: `0`/`false`/`off` and
-/// `1`/`true`/`on` (case-insensitive); anything else warns and takes the
-/// default.
-pub fn knob_bool(name: &str, value: Option<&str>, default: bool) -> bool {
-    knob_parsed(
-        name,
-        value,
-        default,
-        if default { "on" } else { "off" },
-        |v| match v.to_ascii_lowercase().as_str() {
-            "0" | "false" | "off" => Some(false),
-            "1" | "true" | "on" => Some(true),
-            _ => None,
-        },
-    )
-}
-
 /// Resolves a raw `ARL_BACKEND` value to a memory backend: one of the
 /// [`BackendConfig::label`]s (case-insensitive); unset means the baseline
 /// chain and anything else warns and falls back to it.
@@ -136,23 +119,6 @@ mod tests {
         assert_eq!(knob_f64("K", Some("nan"), 0.8, 0.0), 0.8, "NaN falls back");
         assert_eq!(knob_f64("K", Some("inf"), 0.8, 0.0), 0.8, "inf falls back");
         assert_eq!(knob_f64("K", Some("x"), 0.8, 0.0), 0.8);
-    }
-
-    #[test]
-    fn knob_bool_accepts_the_usual_spellings() {
-        for (v, want) in [
-            (None, true),
-            (Some("1"), true),
-            (Some("true"), true),
-            (Some("ON"), true),
-            (Some("0"), false),
-            (Some("false"), false),
-            (Some("off"), false),
-            (Some("maybe"), true),
-        ] {
-            assert_eq!(knob_bool("K", v, true), want, "{v:?}");
-        }
-        assert!(!knob_bool("K", Some("junk"), false), "fallback is default");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use backends::{backends_bench, run_backends_main, BackendsBenchRun, BACKENDS
 
 pub use chaos::{chaos_campaign, run_chaos_main, ChaosOptions, ChaosRun, CHAOS_SCHEMA};
 
-pub use knob::{backend_from_env, backend_from_value, knob_bool, knob_f64, knob_parsed, knob_u64};
+pub use knob::{backend_from_env, backend_from_value, knob_f64, knob_parsed, knob_u64};
 
 pub use shard::{
     replay_sharded, replay_sharded_supervised, run_shard_main, shard_bench_with, shard_from_env,

@@ -8,7 +8,7 @@
 //! model from the previous job's exported machine-state blob, and exports
 //! its own blob for the next. The final job's [`SimStats`] are the whole
 //! run's — **bit-identical** to an unsharded replay (the shard
-//! differential suite holds this to `==` on every workload, both cores).
+//! differential suite holds this to `==` on every workload).
 //!
 //! Machine state is config-dependent (ARPT geometry, cache contents,
 //! in-flight pipeline), so shard jobs of one (workload × config) cell are

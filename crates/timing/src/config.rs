@@ -165,35 +165,6 @@ pub enum RecoveryMode {
     Squash,
 }
 
-/// Which main loop drives the timing simulation.
-///
-/// Both cores share every pipeline stage and produce bit-identical
-/// `SimStats` and probe output (pinned by `tests/core_differential.rs`);
-/// they differ only in how idle time passes. [`CoreMode::Event`] detects
-/// cycles on which provably nothing can change and jumps straight to the
-/// next scheduled event; [`CoreMode::Legacy`] ticks every cycle, and is
-/// kept for one release as the differential reference (`ARL_CORE=legacy`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CoreMode {
-    /// Event-driven: fast-forward provably idle spans (the default).
-    #[default]
-    Event,
-    /// Tick every cycle (the pre-event-wheel loop).
-    Legacy,
-}
-
-impl CoreMode {
-    /// Reads `ARL_CORE` from the environment: `legacy` (any case) selects
-    /// [`CoreMode::Legacy`], anything else — including unset — selects
-    /// [`CoreMode::Event`].
-    pub fn from_env() -> CoreMode {
-        match std::env::var("ARL_CORE") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => CoreMode::Legacy,
-            _ => CoreMode::Event,
-        }
-    }
-}
-
 /// What serves references beyond the first-level structures (L1 + LVC).
 ///
 /// The paper evaluates one fixed chain — a shared L2 backed by flat
@@ -324,9 +295,6 @@ pub struct MachineConfig {
     /// Faults to inject during the run (empty for normal simulation; the
     /// fault campaign materializes seeded plans into this list).
     pub faults: Vec<TimingFault>,
-    /// Which main loop drives the run (from `ARL_CORE`; results are
-    /// bit-identical either way — this only trades simulation speed).
-    pub core: CoreMode,
     /// What serves references beyond the first-level structures.
     pub backend: BackendConfig,
 }
@@ -356,7 +324,6 @@ impl MachineConfig {
             mshrs: usize::MAX,
             write_buffer: 0,
             faults: Vec::new(),
-            core: CoreMode::from_env(),
             backend: BackendConfig::Baseline,
         }
     }

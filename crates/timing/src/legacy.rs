@@ -1,14 +1,16 @@
-//! The **legacy** cycle-ticking reference core (`ARL_CORE=legacy`).
+//! The **legacy** cycle-ticking reference core, reachable only through
+//! [`crate::reference::run_probed`].
 //!
-//! This is the pre-refactor pipeline, preserved verbatim as an escape
-//! hatch and as the reference the event-driven SoA core in
-//! [`crate::pipeline`] is differentially tested against: one array-of-
-//! structs ROB slot per instruction, every stage walking the full ROB,
-//! and the clock ticking through every cycle — idle or not. Its outputs
-//! (`SimStats`, probe observations, experiment tables) define bit-exact
-//! correctness; `tests/core_differential.rs` holds the event core to
-//! them on every workload and configuration.
-//!
+//! This is the pre-refactor pipeline, preserved verbatim as the oracle the
+//! event-driven core in [`crate::pipeline`] is differentially tested
+//! against: a `VecDeque` of wide per-instruction slots, every stage
+//! walking the full ROB, and the clock ticking through every cycle — idle
+//! or not. Its outputs (`SimStats`, probe observations) define bit-exact
+//! correctness; `tests/core_differential.rs` holds the event core to them
+//! on every workload and configuration, and `bench_speed` times it as the
+//! speedup denominator. It runs whole traces only: sharded replay is a
+//! property of the production core.
+
 use std::collections::VecDeque;
 
 use arl_core::{static_hint, Arpt, StaticHint};
@@ -18,37 +20,85 @@ use crate::cache::{MemSystem, Route};
 use crate::config::{MachineConfig, RecoveryMode};
 use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
-use crate::pipeline::{classify, fu_from, Fu, SegmentRun};
-use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
-use crate::state::{
-    corrupt, read_arpt, read_stats, route_from, route_tag, write_arpt, write_stats, MidCycle,
-    StateReader, StateWriter, CORE_LEGACY, STATE_MAGIC, STATE_VERSION,
-};
+use crate::pipeline::{classify, Fu};
+use crate::probe::{CycleObs, Probe, StallCause};
 use crate::valuepred::StridePredictor;
 
-/// Serialization tag for a [`MemPhase`] (sharded-replay state blobs).
-fn phase_tag(phase: MemPhase) -> u8 {
-    match phase {
-        MemPhase::None => 0,
-        MemPhase::WaitAgen => 1,
-        MemPhase::Ready => 2,
-        MemPhase::Accessed => 3,
-    }
-}
-
-fn phase_from(tag: u8) -> Result<MemPhase, SourceError> {
-    match tag {
-        0 => Ok(MemPhase::None),
-        1 => Ok(MemPhase::WaitAgen),
-        2 => Ok(MemPhase::Ready),
-        3 => Ok(MemPhase::Accessed),
-        _ => Err(corrupt("memory phase out of range")),
-    }
-}
-
 const NO_CYCLE: u64 = u64::MAX;
-/// Serialized stand-in for `None` in the dependence and renamer fields.
-const NO_DEP: u64 = u64::MAX;
+
+/// Runs `source` to completion through the legacy core with an attached
+/// probe and returns the statistics alongside it. The probe is pure
+/// observation: `SimStats` are identical with any probe attached.
+///
+/// # Errors
+///
+/// Propagates the first [`SourceError`] from the source.
+pub fn run_probed<S: TraceSource, P: Probe>(
+    source: &mut S,
+    config: &MachineConfig,
+    probe: P,
+) -> Result<(SimStats, P), SourceError> {
+    let mut sim = LegacySim::new(config, probe);
+    let mut pending: Option<TraceEntry> = None;
+    let mut exhausted = false;
+    loop {
+        sim.begin_cycle();
+        let committed = sim.commit_stage();
+        sim.memory_stage();
+        // Attribute the stall after the memory stage so port/MSHR denials
+        // reflect this cycle's actual bandwidth claims, but before issue
+        // mutates the head's issued state.
+        let stall = if P::ENABLED && committed == 0 {
+            Some(sim.stall_cause())
+        } else {
+            None
+        };
+        let issued = sim.issue_stage();
+        // Dispatch stage: pull from the source.
+        let mut dispatched = 0;
+        while dispatched < sim.config.issue_width {
+            let entry = match pending.take() {
+                Some(e) => e,
+                None => match source.next_entry()? {
+                    Some(e) => e,
+                    None => {
+                        exhausted = true;
+                        break;
+                    }
+                },
+            };
+            if sim.try_dispatch(&entry) {
+                dispatched += 1;
+            } else {
+                pending = Some(entry);
+                break;
+            }
+        }
+        if P::ENABLED {
+            let (dcache_claims, lvc_claims) = sim.mem.claims_this_cycle();
+            sim.probe.record(&CycleObs {
+                rob_occupancy: sim.rob.len(),
+                issued,
+                committed,
+                lsq_depth: sim.lsq_count,
+                lvaq_depth: sim.lvaq_count,
+                dcache_claims,
+                lvc_claims,
+                stall,
+            });
+        }
+        if exhausted && pending.is_none() && sim.rob.is_empty() && sim.write_buffer.is_empty() {
+            break;
+        }
+        debug_assert!(
+            sim.cycle < 100 * sim.stats.instructions.max(1_000_000),
+            "timing simulation is not making progress"
+        );
+    }
+    let (mut stats, probe) = sim.finish();
+    stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
+    Ok((stats, probe))
+}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum MemPhase {
@@ -101,14 +151,10 @@ struct Slot {
     ra: u64,
 }
 
-/// The preserved pre-refactor simulator. Only reachable through
-/// [`crate::TimingSim`] with [`crate::CoreMode::Legacy`] selected; the
-/// public entry points delegate here so callers never name this type.
-///
-/// The simulator is monomorphized over its [`Probe`] exactly like the
-/// event core: the default [`NullProbe`] has `ENABLED == false`, so every
-/// observation-gathering expression is statically dead.
-pub(crate) struct LegacySim<P: Probe = NullProbe> {
+/// The preserved pre-refactor simulator, monomorphized over its
+/// [`Probe`] exactly like the event core: a probe with `ENABLED == false`
+/// makes every observation-gathering expression statically dead.
+struct LegacySim<P: Probe> {
     config: MachineConfig,
     mem: MemSystem,
     arpt: Arpt,
@@ -179,132 +225,8 @@ impl<P: Probe> LegacySim<P> {
         }
     }
 
-    /// Runs one shard segment through the legacy model with an attached
-    /// probe — the legacy counterpart of
-    /// `TimingSim::run_segment_probed`, with the same mid-cycle cut
-    /// semantics (an unsharded run passes `resume: None, final_segment:
-    /// true`). The probe is pure observation — `SimStats` are identical
-    /// with any probe attached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SourceError`] from the source, and rejects a
-    /// corrupt or mismatched `resume` blob as [`SourceError::Corrupt`].
-    pub(crate) fn run_segment_probed<S: TraceSource>(
-        source: &mut S,
-        config: &MachineConfig,
-        resume: Option<&[u8]>,
-        final_segment: bool,
-        probe: P,
-    ) -> Result<SegmentRun<P>, SourceError> {
-        let mut sim = LegacySim::new(config, probe);
-        let mut carried = match resume {
-            Some(blob) => Some(sim.import_state(blob)?),
-            None => None,
-        };
-        let mut pending: Option<TraceEntry> = None;
-        let mut exhausted = false;
-        loop {
-            // A carried mid-cycle resumes *inside* the cycle the previous
-            // shard stopped in: commit, memory, stall attribution and
-            // issue already ran there, so only the dispatch loop (and
-            // everything after it) executes for that cycle.
-            let mut mid = match carried.take() {
-                Some(m) => m,
-                None => {
-                    sim.begin_cycle();
-                    let committed = sim.commit_stage();
-                    sim.memory_stage();
-                    // Attribute the stall after the memory stage so
-                    // port/MSHR denials reflect this cycle's actual
-                    // bandwidth claims, but before issue mutates the
-                    // head's issued state.
-                    let stall = if P::ENABLED && committed == 0 {
-                        Some(sim.stall_cause())
-                    } else {
-                        None
-                    };
-                    let issued = sim.issue_stage();
-                    MidCycle {
-                        committed,
-                        issued,
-                        dispatched: 0,
-                        // The legacy core ticks every cycle; the event
-                        // core's fast-forward guard never reads this.
-                        mem_active: false,
-                        stall,
-                        rob_stalls_before: sim.stats.rob_stall_cycles,
-                        queue_stalls_before: sim.stats.queue_stall_cycles,
-                    }
-                }
-            };
-            // Dispatch stage: pull from the source.
-            while mid.dispatched < sim.config.issue_width {
-                let entry = match pending.take() {
-                    Some(e) => e,
-                    None => match source.next_entry()? {
-                        Some(e) => e,
-                        None => {
-                            exhausted = true;
-                            break;
-                        }
-                    },
-                };
-                if sim.try_dispatch(&entry) {
-                    mid.dispatched += 1;
-                } else {
-                    pending = Some(entry);
-                    break;
-                }
-            }
-            if exhausted && !final_segment {
-                // The segment's span is spent: stop mid-cycle and hand the
-                // machine to the next shard, which resumes inside this
-                // very cycle with the next span's entries.
-                debug_assert!(pending.is_none(), "a dry source cannot leave an entry");
-                let state = sim.export_state(&mid);
-                let mut stats = sim.stats_view();
-                stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
-                return Ok(SegmentRun {
-                    stats,
-                    state: Some(state),
-                    probe: sim.probe,
-                });
-            }
-            if P::ENABLED {
-                let (dcache_claims, lvc_claims) = sim.mem.claims_this_cycle();
-                sim.probe.record(&CycleObs {
-                    rob_occupancy: sim.rob.len(),
-                    issued: mid.issued,
-                    committed: mid.committed,
-                    lsq_depth: sim.lsq_count,
-                    lvaq_depth: sim.lvaq_count,
-                    dcache_claims,
-                    lvc_claims,
-                    stall: mid.stall,
-                });
-            }
-            if exhausted && pending.is_none() && sim.rob.is_empty() && sim.write_buffer.is_empty() {
-                break;
-            }
-            debug_assert!(
-                sim.cycle < 100 * sim.stats.instructions.max(1_000_000),
-                "timing simulation is not making progress"
-            );
-        }
-        let (mut stats, probe) = sim.finish();
-        stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
-        Ok(SegmentRun {
-            stats,
-            state: None,
-            probe,
-        })
-    }
-
-    /// The statistics as they stand right now, presented finish-style
-    /// (see `TimingSim::stats_view`).
-    fn stats_view(&self) -> SimStats {
-        let mut stats = self.stats.clone();
+    fn finish(self) -> (SimStats, P) {
+        let mut stats = self.stats;
         stats.cycles = self.cycle;
         stats.dcache = self.mem.dcache_stats();
         stats.lvc = self.mem.lvc_stats();
@@ -320,217 +242,7 @@ impl<P: Probe> LegacySim<P> {
             .extend_from_slice(self.mem.faults_triggered());
         stats.faults_applied.sort_unstable();
         stats.faults_applied.dedup();
-        stats
-    }
-
-    fn finish(self) -> (SimStats, P) {
-        (self.stats_view(), self.probe)
-    }
-
-    // ---- segment-boundary state (sharded replay) ----------------------------
-
-    /// Serializes the complete legacy-core machine state at a mid-cycle
-    /// segment boundary. The shared section mirrors the event core's blob
-    /// field for field; the core-specific section is the array-of-structs
-    /// ROB plus the waiting-issue queue.
-    fn export_state(&self, mid: &MidCycle) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.bytes(&STATE_MAGIC);
-        w.u8(STATE_VERSION);
-        w.u8(CORE_LEGACY);
-        let name = self.config.name.as_bytes();
-        w.u32(name.len() as u32);
-        w.bytes(name);
-        mid.write(&mut w);
-        // Shared section (same order in both cores).
-        w.u64(self.cycle);
-        write_stats(&mut w, &self.stats);
-        for &p in &self.reg_producer {
-            w.u64(p.unwrap_or(NO_DEP));
-        }
-        for &n in &self.fu_used {
-            w.usize(n);
-        }
-        w.usize(self.lsq_count);
-        w.usize(self.lvaq_count);
-        w.u64_list(&self.lsq_stores.iter().copied().collect::<Vec<_>>());
-        w.u64_list(&self.lvaq_stores.iter().copied().collect::<Vec<_>>());
-        w.u32(self.write_buffer.len() as u32);
-        for &(route, addr) in &self.write_buffer {
-            w.u8(route_tag(route));
-            w.u64(addr);
-        }
-        w.u32(self.arpt_faults.len() as u32);
-        for f in &self.arpt_faults {
-            w.u32(f.id);
-        }
-        match &self.vpred {
-            Some(vp) => {
-                w.u8(1);
-                vp.write_state(&mut w);
-            }
-            None => w.u8(0),
-        }
-        write_arpt(&mut w, &self.arpt);
-        self.mem.write_state(&mut w);
-        // Legacy-core section: the ROB in order (slot seq is derived from
-        // `head_seq` on import) and the issue wait queue.
-        w.u64(self.head_seq);
-        w.u64(self.next_seq);
-        w.u32(self.rob.len() as u32);
-        for s in &self.rob {
-            w.u64(s.dispatch_cycle);
-            for &d in &s.deps {
-                w.u64(d.unwrap_or(NO_DEP));
-            }
-            w.u64(s.data_dep.unwrap_or(NO_DEP));
-            w.u8(s.fu as u8);
-            w.u64(s.latency);
-            w.bool(s.issued);
-            w.u64(s.complete_at);
-            w.bool(s.value_predicted);
-            w.u8(phase_tag(s.mem));
-            w.bool(s.is_load);
-            w.u64(s.addr);
-            w.bool(s.is_stack);
-            w.u8(route_tag(s.route));
-            w.u64(s.mem_ready_at);
-            w.u64(s.agen_done_at);
-            w.bool(s.verified);
-            w.bool(s.arpt_predicted);
-            w.bool(s.recovered);
-            w.u64(s.pc);
-            w.u64(s.ghr);
-            w.u64(s.ra);
-        }
-        w.u64_list(&self.waiting_issue.iter().copied().collect::<Vec<_>>());
-        w.seal()
-    }
-
-    /// Restores a blob produced by [`LegacySim::export_state`] into this
-    /// freshly constructed simulator; strict like the event core's import.
-    fn import_state(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
-        let mut r = StateReader::open(blob)?;
-        if r.bytes(4)? != STATE_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.u8()? != STATE_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-        if r.u8()? != CORE_LEGACY {
-            return Err(corrupt("state was captured by a different core"));
-        }
-        let name_len = r.len32()?;
-        if r.bytes(name_len)? != self.config.name.as_bytes() {
-            return Err(corrupt("configuration mismatch"));
-        }
-        let mid = MidCycle::read(&mut r)?;
-        // Shared section.
-        self.cycle = r.u64()?;
-        read_stats(&mut r, &mut self.stats)?;
-        for p in &mut self.reg_producer {
-            let v = r.u64()?;
-            *p = (v != NO_DEP).then_some(v);
-        }
-        for n in &mut self.fu_used {
-            *n = r.usize()?;
-        }
-        self.lsq_count = r.usize()?;
-        self.lvaq_count = r.usize()?;
-        self.lsq_stores = r.u64_list()?.into();
-        self.lvaq_stores = r.u64_list()?.into();
-        self.write_buffer.clear();
-        for _ in 0..r.len32()? {
-            let route = route_from(r.u8()?)?;
-            let addr = r.u64()?;
-            self.write_buffer.push_back((route, addr));
-        }
-        // Pending ARPT faults are stored as ids and rebuilt from the
-        // configuration's fault plan, preserving its order.
-        let n_faults = r.len32()?;
-        let mut fault_ids = Vec::with_capacity(n_faults.min(1024));
-        for _ in 0..n_faults {
-            fault_ids.push(r.u32()?);
-        }
-        self.arpt_faults = self
-            .config
-            .faults
-            .iter()
-            .filter(|f| !f.is_port_fault() && fault_ids.contains(&f.id))
-            .copied()
-            .collect();
-        if self.arpt_faults.len() != n_faults {
-            return Err(corrupt("pending fault not in the configuration"));
-        }
-        if r.bool()? != self.vpred.is_some() {
-            return Err(corrupt("value-predictor presence mismatch"));
-        }
-        if let Some(vp) = &mut self.vpred {
-            vp.read_state(&mut r)?;
-        }
-        read_arpt(&mut r, &mut self.arpt)?;
-        self.mem.read_state(&mut r)?;
-        // Legacy-core section.
-        let head_seq = r.u64()?;
-        let next_seq = r.u64()?;
-        let rob_len = r.len32()?;
-        if rob_len > self.config.rob_size {
-            return Err(corrupt("ROB length exceeds capacity"));
-        }
-        let expect_next = head_seq
-            .checked_add(rob_len as u64)
-            .ok_or_else(|| corrupt("sequence overflow"))?;
-        if next_seq != expect_next {
-            return Err(corrupt("sequence numbering is inconsistent"));
-        }
-        self.head_seq = head_seq;
-        self.next_seq = next_seq;
-        self.rob.clear();
-        for k in 0..rob_len {
-            let dispatch_cycle = r.u64()?;
-            let mut deps = [None; 3];
-            for d in &mut deps {
-                let v = r.u64()?;
-                *d = (v != NO_DEP).then_some(v);
-            }
-            let data_dep = {
-                let v = r.u64()?;
-                (v != NO_DEP).then_some(v)
-            };
-            self.rob.push_back(Slot {
-                seq: head_seq + k as u64,
-                dispatch_cycle,
-                deps,
-                data_dep,
-                fu: fu_from(r.u8()?)?,
-                latency: r.u64()?,
-                issued: r.bool()?,
-                complete_at: r.u64()?,
-                value_predicted: r.bool()?,
-                mem: phase_from(r.u8()?)?,
-                is_load: r.bool()?,
-                addr: r.u64()?,
-                is_stack: r.bool()?,
-                route: route_from(r.u8()?)?,
-                mem_ready_at: r.u64()?,
-                agen_done_at: r.u64()?,
-                verified: r.bool()?,
-                arpt_predicted: r.bool()?,
-                recovered: r.bool()?,
-                pc: r.u64()?,
-                ghr: r.u64()?,
-                ra: r.u64()?,
-            });
-        }
-        self.waiting_issue.clear();
-        for seq in r.u64_list()? {
-            if seq < head_seq || seq >= next_seq {
-                return Err(corrupt("waiting-issue entry not in flight"));
-            }
-            self.waiting_issue.push_back(seq);
-        }
-        r.finish()?;
-        Ok(mid)
+        (stats, self.probe)
     }
 
     fn begin_cycle(&mut self) {

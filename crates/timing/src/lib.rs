@@ -56,10 +56,19 @@ mod valuepred;
 mod wheel;
 
 pub use cache::{Cache, CacheStats, MemSystem, Route};
-pub use config::{BackendConfig, CacheConfig, CoreMode, MachineConfig, PortModel, RecoveryMode};
+pub use config::{BackendConfig, CacheConfig, MachineConfig, PortModel, RecoveryMode};
 pub use fault::{FaultKind, TimingFault};
 pub use metrics::SimStats;
 pub use pipeline::{SegmentRun, TimingSim};
 pub use probe::{CycleObs, NullProbe, Probe, Recorder, StallCause};
 pub use valuepred::StridePredictor;
 pub use wheel::EventWheel;
+
+/// The reference implementation: the pre-event-wheel core that ticks
+/// every cycle. [`TimingSim`] is the one production timing loop; this
+/// oracle exists so the differential suites can hold it to bit-identical
+/// `SimStats` and probe output, and so `bench_speed` has a same-run
+/// speedup denominator. It runs whole traces only — no resume state.
+pub mod reference {
+    pub use crate::legacy::run_probed;
+}

@@ -9,31 +9,27 @@
 //!
 //! ## Hot-loop layout and the event-driven core
 //!
-//! In-flight state lives in a structure-of-arrays ring buffer ([`RobSoa`]):
-//! each per-slot field is its own array, so the per-cycle walks (issue
-//! wake-up, memory-stage scan, commit) touch dense homogeneous memory
-//! instead of striding over wide structs.
+//! In-flight state lives in a ring buffer of packed per-instruction
+//! records ([`Rob`] of [`Slot`]s): each stage visit touches one record,
+//! and no per-cycle allocation happens once the window is built.
 //!
-//! Two main loops drive the stages, selected by
-//! [`crate::CoreMode`] (`ARL_CORE`):
+//! The main loop is event-driven: after executing a cycle on which
+//! provably nothing happened (no commit, no issue, no dispatch, no
+//! memory-stage mutation, no pending ARPT fault), the core jumps straight
+//! to the cycle before the next scheduled wake-up — the minimum over the
+//! [`crate::EventWheel`] (FU completions, address-generation finishes,
+//! memory returns, redirect re-issues) and [`MemSystem::next_event_after`]
+//! (MSHR releases, fault-window boundaries). The skipped span is replayed
+//! in bulk: per-cycle dispatch-stall counters are multiplied out and the
+//! probe receives one [`Probe::record_span`] with the (provably constant)
+//! cycle observation, so `useful + Σstalls == cycles` still holds exactly.
 //!
-//! * **Event** (default): after executing a cycle on which provably
-//!   nothing happened (no commit, no issue, no dispatch, no memory-stage
-//!   mutation, no pending ARPT fault), the core jumps straight to the
-//!   cycle before the next scheduled wake-up — the minimum over the
-//!   [`crate::EventWheel`] (FU completions, address-generation finishes,
-//!   memory returns, redirect re-issues) and
-//!   [`MemSystem::next_event_after`] (MSHR releases, fault-window
-//!   boundaries). The skipped span is replayed in bulk: per-cycle
-//!   dispatch-stall counters are multiplied out and the probe receives one
-//!   [`Probe::record_span`] with the (provably constant) cycle
-//!   observation, so `useful + Σstalls == cycles` still holds exactly.
-//! * **Legacy**: tick every cycle, as before the event wheel existed.
-//!
-//! Both cores share every stage function and produce bit-identical
-//! [`SimStats`] and probe output; `tests/core_differential.rs` pins this
-//! across the full workload suite, and DESIGN.md spells out the invariant
-//! argument (why every state-changing threshold is a scheduled event).
+//! The pre-event-wheel core that ticks every cycle survives only as the
+//! full-run test oracle [`crate::reference::run_probed`]: both produce
+//! bit-identical [`SimStats`] and probe output, `tests/core_differential.rs`
+//! pins this across the full workload suite, and DESIGN.md spells out the
+//! invariant argument (why every state-changing threshold is a scheduled
+//! event).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -44,7 +40,7 @@ use arl_isa::{AluOp, FAluOp, Inst};
 use arl_sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 
 use crate::cache::{MemSystem, Route};
-use crate::config::{CoreMode, MachineConfig, RecoveryMode};
+use crate::config::{MachineConfig, RecoveryMode};
 use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
 use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
@@ -66,8 +62,9 @@ pub(crate) enum Fu {
 }
 
 /// Execution latency and FU class per instruction (MIPS R10000-flavoured),
-/// shared by both cores. Loads and stores use an integer ALU for address
-/// generation (1 cycle); the memory stage charges the memory latency.
+/// shared with the reference core. Loads and stores use an integer ALU
+/// for address generation (1 cycle); the memory stage charges the memory
+/// latency.
 pub(crate) fn classify(inst: &Inst) -> (Fu, u64) {
     match inst {
         Inst::Alu { op, .. } | Inst::AluI { op, .. } => match op {
@@ -120,11 +117,11 @@ fn phase_from(tag: u8) -> Result<MemPhase, SourceError> {
 const NO_CYCLE: u64 = u64::MAX;
 /// Sentinel for "no producer" in the dependence arrays and renamer map.
 const NO_SEQ: u64 = u64::MAX;
-/// Sentinel for "no renamer claim" in [`RobSoa::claimed`].
+/// Sentinel for "no renamer claim" in [`Rob::claimed`].
 const NO_REG: u8 = u8::MAX;
-/// [`RobSoa::issue_q`]/[`RobSoa::mem_q`] value: not appointed anywhere.
+/// [`Rob::issue_q`]/[`Rob::mem_q`] value: not appointed anywhere.
 const QUEUE_NONE: u64 = u64::MAX;
-/// [`RobSoa::issue_q`]/[`RobSoa::mem_q`] value: on the every-cycle retry
+/// [`Rob::issue_q`]/[`Rob::mem_q`] value: on the every-cycle retry
 /// list (blocked on bandwidth/ordering, or a stale-early wake bound).
 const QUEUE_RETRY: u64 = u64::MAX - 1;
 
@@ -260,7 +257,7 @@ impl Slot {
 /// `seq` lives at physical index `(head + (seq - head_seq)) & mask`.
 /// Capacity is the ROB size rounded up to a power of two and never grows,
 /// so no per-cycle allocation happens on the hot path.
-struct RobSoa {
+struct Rob {
     mask: usize,
     head: usize,
     len: usize,
@@ -274,10 +271,10 @@ struct RobSoa {
     done_prefix: usize,
 }
 
-impl RobSoa {
-    fn new(rob_size: usize) -> RobSoa {
+impl Rob {
+    fn new(rob_size: usize) -> Rob {
         let cap = rob_size.max(1).next_power_of_two();
-        RobSoa {
+        Rob {
             mask: cap - 1,
             head: 0,
             len: 0,
@@ -499,7 +496,7 @@ pub struct TimingSim<P: Probe = NullProbe> {
     stats: SimStats,
 
     cycle: u64,
-    rob: RobSoa,
+    rob: Rob,
     next_seq: u64,
     /// Issue appointment book: `(cycle, seq)` pairs drained when due. A
     /// pair is live only while `rob.issue_q[seq]` still equals its cycle.
@@ -519,7 +516,7 @@ pub struct TimingSim<P: Probe = NullProbe> {
     dc_unknown: Vec<u64>,
     /// Store index, half two: youngest in-flight store per
     /// `(block, route)` key, chained older-ward through
-    /// [`RobSoa::store_next`]. A load's match/forwarding scan touches only
+    /// [`Rob::store_next`]. A load's match/forwarding scan touches only
     /// the stores that share its block instead of every older store.
     /// Rebuilt (not serialized) on state import; [`Self::load_block_cause`]
     /// keeps the original full scan as the probe-side living spec.
@@ -621,7 +618,7 @@ impl<P: Probe> TimingSim<P> {
                 ..SimStats::default()
             },
             cycle: 0,
-            rob: RobSoa::new(config.rob_size),
+            rob: Rob::new(config.rob_size),
             next_seq: 0,
             issue_book: Book::new(),
             issue_retry: Vec::new(),
@@ -714,17 +711,6 @@ impl<P: Probe> TimingSim<P> {
         final_segment: bool,
         probe: P,
     ) -> Result<SegmentRun<P>, SourceError> {
-        if config.core == CoreMode::Legacy {
-            // The escape hatch: the preserved pre-refactor cycle-ticking
-            // core, bit-identical by the differential suite.
-            return crate::legacy::LegacySim::run_segment_probed(
-                source,
-                config,
-                resume,
-                final_segment,
-                probe,
-            );
-        }
         let mut sim = TimingSim::new(config, probe);
         let mut carried = match resume {
             Some(blob) => Some(sim.import_state(blob)?),
@@ -892,7 +878,7 @@ impl<P: Probe> TimingSim<P> {
     /// Serializes the complete machine state at a mid-cycle segment
     /// boundary into a sealed blob (see `crate::state` for the framing).
     /// Everything a resumed [`TimingSim::run_segment_probed`] loop can
-    /// observe is captured: the ROB (every SoA column), renamer, ordering
+    /// observe is captured: the ROB (every slot record), renamer, ordering
     /// queues, write buffer, predictors, memory system, event wheel, the
     /// appointment-book bookings (via each slot's `issue_q`/`mem_q` key),
     /// and the [`MidCycle`] locals of the cut cycle itself.
@@ -905,7 +891,7 @@ impl<P: Probe> TimingSim<P> {
         w.u32(name.len() as u32);
         w.bytes(name);
         mid.write(&mut w);
-        // Shared section (same order in both cores).
+        // Machine section: everything outside the ROB.
         w.u64(self.cycle);
         write_stats(&mut w, &self.stats);
         for &p in &self.reg_producer {
@@ -936,7 +922,7 @@ impl<P: Probe> TimingSim<P> {
         }
         write_arpt(&mut w, &self.arpt);
         self.mem.write_state(&mut w);
-        // Event-core section: the SoA window in sequence order plus the
+        // ROB section: the slot records in sequence order plus the
         // wheel's pending wake-ups. The appointment books are *not* stored
         // — each slot's `issue_q`/`mem_q` key is the authoritative copy
         // (stale book entries are dropped on drain anyway), so import
@@ -1000,7 +986,7 @@ impl<P: Probe> TimingSim<P> {
             return Err(corrupt("configuration mismatch"));
         }
         let mid = MidCycle::read(&mut r)?;
-        // Shared section.
+        // Machine section.
         self.cycle = r.u64()?;
         read_stats(&mut r, &mut self.stats)?;
         for p in &mut self.reg_producer {
@@ -1100,9 +1086,10 @@ impl<P: Probe> TimingSim<P> {
             // The derived structures are not serialized; rebuild them.
             // `stale` is conservatively true (the issue fast path re-proves
             // its invariant on first touch), the done prefix recomputes
-            // from the completion column, and the store index re-links from
-            // the SoA (oldest-first push-head leaves the youngest store at
-            // each chain head, exactly as incremental maintenance does).
+            // from the completion field, and the store index re-links from
+            // the slot records (oldest-first push-head leaves the youngest
+            // store at each chain head, exactly as incremental maintenance
+            // does).
             self.rob.slot[i].stale = true;
             if self.rob.done_prefix == k && self.rob.slot[i].complete_at != NO_CYCLE {
                 self.rob.done_prefix = k + 1;

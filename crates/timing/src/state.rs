@@ -5,7 +5,7 @@
 //! Machine-model state is *configuration-dependent* (cache geometry, ROB
 //! size, predictor capacity), so it cannot live inside the
 //! configuration-independent `.arltrace` container; instead the timing
-//! cores export their complete state at the segment boundary as an opaque
+//! core exports its complete state at the segment boundary as an opaque
 //! checksummed byte blob, and the next shard imports it and resumes
 //! *inside* the boundary cycle (see `TimingSim::run_segment_probed`).
 //! DESIGN.md documents the layout and the bit-identity argument.
@@ -27,13 +27,13 @@ use crate::probe::StallCause;
 pub(crate) const STATE_MAGIC: [u8; 4] = *b"ARLS";
 /// Blob format version. v2 added the memory-backend identity tag and
 /// per-backend device state to the `MemSystem` section; v3 replaced the
-/// event core's per-slot `pc`/`ghr`/`ra` columns with the single folded
+/// event core's per-slot `pc`/`ghr`/`ra` fields with the single folded
 /// ARPT key dispatch now computes.
 pub(crate) const STATE_VERSION: u8 = 3;
-/// Core tag for state captured by the event-driven SoA core.
+/// Core tag for state captured by the event-driven core, the only core
+/// that exports state. Import refuses any other tag, such as the 1 that
+/// legacy-core checkpoints carried.
 pub(crate) const CORE_EVENT: u8 = 0;
-/// Core tag for state captured by the legacy cycle-ticking core.
-pub(crate) const CORE_LEGACY: u8 = 1;
 
 /// FNV-1a 64-bit (same parameters as the `.arltrace` footer checksum).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -219,8 +219,8 @@ pub(crate) struct MidCycle {
     pub(crate) committed: usize,
     pub(crate) issued: usize,
     pub(crate) dispatched: usize,
-    /// Whether the memory stage mutated state this cycle (event core's
-    /// fast-forward guard; always `false` under the legacy core).
+    /// Whether the memory stage mutated state this cycle (the
+    /// fast-forward guard).
     pub(crate) mem_active: bool,
     /// The stall attribution computed before issue ran (probe runs only).
     pub(crate) stall: Option<StallCause>,

@@ -7,21 +7,33 @@
 //!
 //! The whole test binary runs under a counting `#[global_allocator]`;
 //! each measurement replays a pre-collected entry slice so capture-side
-//! allocations stay outside the measured window.
+//! allocations stay outside the measured window. The counter is global,
+//! so each test holds [`MEASURING`] for its whole body: run in parallel,
+//! the tests would otherwise count each other's allocations.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use arl_asm::{Program, ProgramBuilder, Provenance};
 use arl_isa::Gpr;
-use arl_sim::{Machine, TraceEntry, TraceSource};
-use arl_timing::{CoreMode, MachineConfig, TimingSim};
+use arl_sim::{EntrySliceSource, Machine, TraceEntry, TraceSource};
+use arl_timing::{reference, MachineConfig, NullProbe, SimStats, TimingSim};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the measuring tests (see the module docs).
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Takes the measurement lock; a panicking holder does not poison it for
+/// the other test.
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -85,10 +97,15 @@ fn collect_entries(program: &Program) -> Vec<TraceEntry> {
     entries
 }
 
-/// Allocations performed while replaying `entries` through a fresh sim.
-fn allocs_for(entries: &[TraceEntry], config: &MachineConfig) -> u64 {
+/// Allocations performed while `run` replays `entries` through a fresh
+/// sim.
+fn allocs_for(
+    entries: &[TraceEntry],
+    config: &MachineConfig,
+    run: fn(&[TraceEntry], &MachineConfig) -> SimStats,
+) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let stats = TimingSim::run_trace(entries, config);
+    let stats = run(entries, config);
     assert_eq!(stats.instructions, entries.len() as u64);
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
@@ -99,6 +116,7 @@ fn allocs_for(entries: &[TraceEntry], config: &MachineConfig) -> u64 {
 /// anything proportional to the extra ~30k instructions.
 #[test]
 fn hot_loop_allocations_do_not_scale_with_trace_length() {
+    let _guard = measuring();
     let short = collect_entries(&looped_program(1_000));
     let long = collect_entries(&looped_program(4_000));
     assert!(long.len() > 3 * short.len());
@@ -107,13 +125,11 @@ fn hot_loop_allocations_do_not_scale_with_trace_length() {
         ("decoupled", MachineConfig::decoupled(2, 2)),
         ("conventional", MachineConfig::conventional(2, 2)),
     ] {
-        let mut config = config;
-        config.core = CoreMode::Event;
         // Warm-up run so lazily initialized process state (stdio locks,
         // thread-local buffers) does not pollute the measurement.
-        let _ = allocs_for(&short, &config);
-        let a_short = allocs_for(&short, &config);
-        let a_long = allocs_for(&long, &config);
+        let _ = allocs_for(&short, &config, TimingSim::run_trace);
+        let a_short = allocs_for(&short, &config, TimingSim::run_trace);
+        let a_long = allocs_for(&long, &config, TimingSim::run_trace);
         // Each run pays the same fixed construction cost (ROB, books,
         // wheel, index maps). The longer run may add a few extra capacity
         // doublings; 64 is orders of magnitude below any per-instruction
@@ -126,18 +142,26 @@ fn hot_loop_allocations_do_not_scale_with_trace_length() {
     }
 }
 
-/// The same stability bound holds for the legacy core since its
-/// memory-stage action list moved into persistent scratch.
+/// The legacy reference core through its full-run entry point.
+fn reference_run(entries: &[TraceEntry], config: &MachineConfig) -> SimStats {
+    reference::run_probed(&mut EntrySliceSource::new(entries), config, NullProbe)
+        .expect("slice sources cannot fail")
+        .0
+}
+
+/// The same stability bound holds for the legacy reference core since its
+/// memory-stage action list moved into persistent scratch; it guards
+/// `bench_speed`'s speedup denominator against allocator noise.
 #[test]
 fn legacy_hot_loop_allocations_do_not_scale_with_trace_length() {
+    let _guard = measuring();
     let short = collect_entries(&looped_program(1_000));
     let long = collect_entries(&looped_program(4_000));
 
-    let mut config = MachineConfig::decoupled(2, 2);
-    config.core = CoreMode::Legacy;
-    let _ = allocs_for(&short, &config);
-    let a_short = allocs_for(&short, &config);
-    let a_long = allocs_for(&long, &config);
+    let config = MachineConfig::decoupled(2, 2);
+    let _ = allocs_for(&short, &config, reference_run);
+    let a_short = allocs_for(&short, &config, reference_run);
+    let a_long = allocs_for(&long, &config, reference_run);
     assert!(
         a_long <= a_short + 64,
         "legacy: replaying 4x the instructions cost {a_long} allocations \

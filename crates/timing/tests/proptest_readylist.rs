@@ -1,17 +1,19 @@
 //! Property tests pinning the event core's ready-list dispatch/issue and
-//! store index against the brute-force model: the preserved legacy core,
+//! store index against the brute-force model: the legacy reference core,
 //! which finds ready work by scanning every ROB slot every cycle and
 //! resolves store-to-load visibility by walking the whole window. Any
 //! divergence in `SimStats` between the two cores on the same program is
 //! a bug in the appointment books, the head-contiguous commit prefix, or
-//! the store index — exactly the structures PR 10's hot loop trusts.
+//! the store index — exactly the structures the event core's hot loop
+//! trusts.
 
 #![cfg(feature = "proptest-tests")]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use arl_asm::{FunctionBuilder, Program, ProgramBuilder, Provenance};
 use arl_isa::Gpr;
-use arl_timing::{CoreMode, MachineConfig, TimingSim};
+use arl_sim::Machine;
+use arl_timing::{reference, MachineConfig, NullProbe, TimingSim};
 use proptest::prelude::*;
 
 /// One random instruction "atom" for the generated program body.
@@ -80,11 +82,10 @@ fn build_program(atoms: &[Atom], iters: i64) -> Program {
 
 /// Runs `program` through both cores under `config` and asserts the full
 /// statistics blocks are identical.
-fn assert_cores_agree(program: &Program, mut config: MachineConfig) {
-    config.core = CoreMode::Event;
+fn assert_cores_agree(program: &Program, config: MachineConfig) {
     let event = TimingSim::run_program(program, &config);
-    config.core = CoreMode::Legacy;
-    let legacy = TimingSim::run_program(program, &config);
+    let (legacy, _) = reference::run_probed(&mut Machine::new(program), &config, NullProbe)
+        .expect("functional execution");
     assert_eq!(
         event, legacy,
         "event core diverged from the brute-force scan model"

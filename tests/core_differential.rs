@@ -1,16 +1,15 @@
-//! Differential suite: the event-driven core vs the legacy cycle-ticking
-//! core (`ARL_CORE=legacy`) must be **bit-identical** — same `SimStats`,
-//! same rendered probe JSON — on every workload × Figure 8 configuration,
-//! with and without injected memory-port faults.
+//! Differential suite: the event-driven production core vs the legacy
+//! cycle-ticking oracle (`arl_timing::reference`) must be
+//! **bit-identical** — same `SimStats`, same rendered probe JSON — on
+//! every workload × Figure 8 configuration, with and without injected
+//! memory-port faults.
 //!
 //! The event core never executes the cycles it skips; these tests are the
-//! proof that skipping is unobservable. Configs are compared by setting
-//! `MachineConfig::core` directly (not via the `ARL_CORE` env var) so the
-//! two runs can live in one process without env races.
+//! proof that skipping is unobservable.
 
-use arl::sim::{Machine, TraceEntry, TraceSource};
+use arl::sim::{EntrySliceSource, Machine, TraceEntry, TraceSource};
 use arl::timing::{
-    CoreMode, FaultKind, MachineConfig, Recorder, Route, StallCause, TimingFault, TimingSim,
+    reference, FaultKind, MachineConfig, Recorder, Route, StallCause, TimingFault, TimingSim,
 };
 use arl::workloads::{workload, Scale};
 use arl_faults::{plan_arpt_fault, plan_port_fault};
@@ -37,14 +36,10 @@ fn assert_cores_agree(
     config: &MachineConfig,
     label: &str,
 ) -> arl::timing::SimStats {
-    let mut event_cfg = config.clone();
-    event_cfg.core = CoreMode::Event;
-    let mut legacy_cfg = config.clone();
-    legacy_cfg.core = CoreMode::Legacy;
-    let (event_stats, event_rec) =
-        TimingSim::run_trace_probed(entries, &event_cfg, Recorder::new());
+    let (event_stats, event_rec) = TimingSim::run_trace_probed(entries, config, Recorder::new());
     let (legacy_stats, legacy_rec) =
-        TimingSim::run_trace_probed(entries, &legacy_cfg, Recorder::new());
+        reference::run_probed(&mut EntrySliceSource::new(entries), config, Recorder::new())
+            .unwrap_or_else(|e| panic!("{label}: slice sources cannot fail: {e}"));
     assert_eq!(event_stats, legacy_stats, "{label}: SimStats diverge");
     assert_eq!(
         event_rec.to_json().render(),

@@ -2,16 +2,17 @@
 //! back together must be **bit-identical** to one unsharded serial replay
 //! — same entry stream, same `SimStats`, same `PredictionStats`, same
 //! probed stall breakdown, same rendered table bytes — for every suite
-//! workload, shard counts 2/3/7, and both timing cores.
+//! workload and shard counts 2/3/7.
 //!
 //! The shard runner chains segments through serialized machine-state
 //! blobs (`crates/timing/src/state.rs`); these tests are the proof that
-//! the mid-cycle cut and resume is unobservable.
+//! the mid-cycle cut and resume is unobservable, and that a blob from a
+//! different core or machine is refused loudly.
 
 use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
-use arl::sim::{TraceEntry, TraceSource};
+use arl::sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 use arl::stats::TableBuilder;
-use arl::timing::{CoreMode, MachineConfig, SimStats};
+use arl::timing::{MachineConfig, SimStats, TimingSim};
 use arl::trace::{Replayer, Trace};
 use arl::workloads::{workload, Scale};
 use arl_bench::{
@@ -76,33 +77,30 @@ fn assert_entries_stitch(name: &str, program: &arl::asm::Program, trace: &Trace)
 
 /// Sharded timing replay — machine state exported at each cut and
 /// re-imported by the next shard — must reproduce the serial run's
-/// `SimStats` and probed stall breakdown exactly, on both cores.
+/// `SimStats` and probed stall breakdown exactly.
 fn assert_timing_stitches(name: &str, program: &arl::asm::Program, trace: &Trace) {
-    for core in [CoreMode::Event, CoreMode::Legacy] {
-        let mut config = MachineConfig::decoupled(3, 3);
-        config.core = core;
-        let (serial_stats, serial_rec) = timing_trace_probed(program, trace, name, &config);
-        let serial_probe = serial_rec.to_json().render();
-        for shards in SHARD_COUNTS {
-            let run = replay_sharded(program, trace, name, &config, shards, true);
-            assert_eq!(
-                run.plan.len(),
-                shards.min((trace.snapshot_count() + 1) as usize),
-                "{name} {core:?}: unexpected shard plan size"
-            );
-            assert_eq!(
-                run.stats, serial_stats,
-                "{name} {core:?}: {shards}-shard SimStats diverged from serial"
-            );
-            assert_eq!(
-                run.recorder
-                    .expect("probed run returns a recorder")
-                    .to_json()
-                    .render(),
-                serial_probe,
-                "{name} {core:?}: {shards}-shard probe JSON diverged from serial"
-            );
-        }
+    let config = MachineConfig::decoupled(3, 3);
+    let (serial_stats, serial_rec) = timing_trace_probed(program, trace, name, &config);
+    let serial_probe = serial_rec.to_json().render();
+    for shards in SHARD_COUNTS {
+        let run = replay_sharded(program, trace, name, &config, shards, true);
+        assert_eq!(
+            run.plan.len(),
+            shards.min((trace.snapshot_count() + 1) as usize),
+            "{name}: unexpected shard plan size"
+        );
+        assert_eq!(
+            run.stats, serial_stats,
+            "{name}: {shards}-shard SimStats diverged from serial"
+        );
+        assert_eq!(
+            run.recorder
+                .expect("probed run returns a recorder")
+                .to_json()
+                .render(),
+            serial_probe,
+            "{name}: {shards}-shard probe JSON diverged from serial"
+        );
     }
 }
 
@@ -170,33 +168,83 @@ shard_differential! {
 
 /// The backend axis: the state blob carries per-backend device state
 /// (stacked-cache tags, open burst rows), so the mid-cycle cut-and-resume
-/// must stay unobservable under every backend, on both cores.
+/// must stay unobservable under every backend.
 #[test]
 fn stitched_equals_serial_per_backend() {
     use arl::timing::BackendConfig;
     let name = "compress";
     let (program, trace) = snapshotted(name);
     for backend in BackendConfig::ALL {
-        for core in [CoreMode::Event, CoreMode::Legacy] {
-            let mut config = MachineConfig::decoupled(3, 3).with_backend(backend);
-            config.core = core;
-            let label = format!("{name} on {} ({core:?})", config.name);
-            let (serial_stats, serial_rec) = timing_trace_probed(&program, &trace, name, &config);
-            let run = replay_sharded(&program, &trace, name, &config, 3, true);
-            assert_eq!(
-                run.stats, serial_stats,
-                "{label}: sharded SimStats diverged from serial"
-            );
-            assert_eq!(
-                run.recorder
-                    .expect("probed run returns a recorder")
-                    .to_json()
-                    .render(),
-                serial_rec.to_json().render(),
-                "{label}: sharded probe JSON diverged from serial"
-            );
-        }
+        let config = MachineConfig::decoupled(3, 3).with_backend(backend);
+        let label = format!("{name} on {}", config.name);
+        let (serial_stats, serial_rec) = timing_trace_probed(&program, &trace, name, &config);
+        let run = replay_sharded(&program, &trace, name, &config, 3, true);
+        assert_eq!(
+            run.stats, serial_stats,
+            "{label}: sharded SimStats diverged from serial"
+        );
+        assert_eq!(
+            run.recorder
+                .expect("probed run returns a recorder")
+                .to_json()
+                .render(),
+            serial_rec.to_json().render(),
+            "{label}: sharded probe JSON diverged from serial"
+        );
     }
+}
+
+/// FNV-1a 64 over `body` — the `"ARLS"` blob's trailing checksum.
+fn fnv1a64(body: &[u8]) -> u64 {
+    body.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Resumes the second half of `entries` on `config` from `blob` and
+/// returns the refusal message.
+fn refusal(entries: &[TraceEntry], config: &MachineConfig, blob: &[u8]) -> String {
+    let mut rest = EntrySliceSource::new(&entries[entries.len() / 2..]);
+    match TimingSim::run_segment(&mut rest, config, Some(blob), true) {
+        Err(SourceError::Corrupt(msg)) => msg,
+        Err(e) => panic!("foreign blob refused with the wrong error kind: {e}"),
+        Ok(_) => panic!("foreign blob was accepted"),
+    }
+}
+
+/// A validly sealed resume blob that belongs to another core or another
+/// machine must be refused as corrupt, naming the reason — never resumed
+/// into silently wrong statistics.
+#[test]
+fn foreign_resume_blobs_are_refused_loudly() {
+    let program = workload("perl")
+        .expect("perl is a suite workload")
+        .build(Scale::tiny());
+    let mut machine = Machine::new(&program);
+    let mut entries = Vec::new();
+    while let Some(entry) = machine.next_entry().expect("functional execution") {
+        entries.push(entry);
+    }
+    let config = MachineConfig::decoupled(3, 3);
+    let mut head = EntrySliceSource::new(&entries[..entries.len() / 2]);
+    let blob = TimingSim::run_segment(&mut head, &config, None, false)
+        .expect("first segment runs")
+        .state
+        .expect("a non-final segment exports its state");
+
+    // Byte 5 is the core tag (after the 4-byte magic and the version);
+    // tag 1 is what a legacy-core checkpoint carried.
+    assert_eq!(&blob[..4], b"ARLS");
+    assert_eq!(blob[5], 0, "the event core writes core tag 0");
+    let mut foreign = blob[..blob.len() - 8].to_vec();
+    foreign[5] = 1;
+    let checksum = fnv1a64(&foreign);
+    foreign.extend_from_slice(&checksum.to_le_bytes());
+    let msg = refusal(&entries, &config, &foreign);
+    assert!(msg.contains("different core"), "{msg}");
+
+    let msg = refusal(&entries, &MachineConfig::baseline_2_0(), &blob);
+    assert!(msg.contains("configuration mismatch"), "{msg}");
 }
 
 /// The reporting layer sees no difference either: a results table built
