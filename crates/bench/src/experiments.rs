@@ -13,7 +13,7 @@ use std::time::Instant;
 use arl_asm::Program;
 use arl_core::{Capacity, Context, EvalConfig, HintTable, PredictorKind, Source};
 use arl_mem::{Region, RegionSet};
-use arl_sim::RegionProfiler;
+use arl_sim::{RegionProfiler, SlidingWindowProfiler, TraceEntry, WorkloadCharacter};
 use arl_stats::{BarChart, Json, TableBuilder};
 use arl_timing::{
     BackendConfig, CacheConfig, MachineConfig, Recorder, RecoveryMode, SimStats, StallCause,
@@ -27,17 +27,19 @@ use crate::runner::{
     PROBE_SCHEMA,
 };
 use crate::{
-    capture_trace, capture_trace_snapshotted, capture_trace_with, evaluate_program, evaluate_trace,
-    fmt_millions, fmt_pct, profile_workload, scale_from_env, timing_trace, timing_trace_probed,
-    EvalReport, ProfileReport,
+    capture_trace, capture_trace_snapshotted, capture_trace_with, evaluate_program,
+    evaluate_trace_all, execute_with, fmt_millions, fmt_pct, scale_from_env, timing_trace,
+    timing_trace_probed, EvalReport,
 };
 
 /// How experiments obtain each workload's dynamic instruction stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceMode {
     /// Execute each workload functionally exactly once, capturing its
-    /// trace, and fan the config sweep out over replays (the default:
-    /// the worker pool then scales with configs instead of re-execution).
+    /// trace, and fan the config sweep out over replays (the default).
+    /// Timing sweeps run one pool job per replayed cell; prediction sweeps
+    /// run one job per workload that decodes the trace once and feeds
+    /// every scheme.
     Replay,
     /// Re-execute the functional simulation for every (workload × config)
     /// cell — the pre-trace harness, kept for cross-checking.
@@ -297,15 +299,22 @@ fn finish(
     }
 }
 
-/// Profiles the whole suite in parallel; the backbone of the Section 3
-/// experiments (Table 1/2, Figure 2).
-fn profile_cells(opts: &ExperimentOptions) -> (Vec<ProfileReport>, Vec<RunRecord>) {
+/// Runs one functional pass per workload in parallel with a single
+/// observer attached; the backbone of the Section 3 experiments (Table 1,
+/// Table 2, Figure 2), each of which attaches only the profiler it prints.
+fn observe_cells<O: Send>(
+    opts: &ExperimentOptions,
+    new: impl Fn() -> O + Sync,
+    observe: impl Fn(&mut O, &TraceEntry) + Sync,
+) -> (Vec<O>, Vec<RunRecord>) {
     let results = opts.pool().map(suite(), |_i, spec| {
         timed_record(spec.name, "profile", |record| {
-            let report = profile_workload(spec, opts.scale);
-            record.instructions = report.character.instructions;
-            record.peak_rss_bytes = report.metrics.peak_rss_bytes;
-            report
+            let program = spec.build(opts.scale);
+            let mut observer = new();
+            let metrics = execute_with(&program, spec.name, |e| observe(&mut observer, e));
+            record.instructions = metrics.instructions;
+            record.peak_rss_bytes = metrics.peak_rss_bytes;
+            observer
         })
     });
     results.into_iter().unzip()
@@ -333,32 +342,64 @@ struct Captured {
     trace: Trace,
 }
 
+/// Builds one workload and executes it functionally, capturing its trace;
+/// the returned `"capture"` record covers both steps.
+fn capture_workload(opts: &ExperimentOptions, spec: WorkloadSpec) -> (Captured, RunRecord) {
+    timed_record(spec.name, "capture", |record| {
+        record.phase = "capture".into();
+        let program = spec.build(opts.scale);
+        // Sharded replays resume at snapshot boundaries, so the capture
+        // must embed them; unsharded runs keep the byte-identical
+        // snapshot-free container.
+        let trace = if opts.shards > 1 {
+            capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval)
+        } else {
+            capture_trace(&program, spec.name)
+        };
+        record.instructions = trace.metrics().instructions;
+        record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
+        Captured {
+            spec,
+            program,
+            trace,
+        }
+    })
+}
+
 /// Executes every suite workload functionally exactly once (in parallel),
 /// capturing its trace. The per-workload `"capture"` records lead the
 /// experiment's record list; subsequent sweep cells are pure replays.
 fn capture_suite(opts: &ExperimentOptions) -> (Vec<Captured>, Vec<RunRecord>) {
-    let results = opts.pool().map(suite(), |_i, spec| {
-        timed_record(spec.name, "capture", |record| {
-            record.phase = "capture".into();
-            let program = spec.build(opts.scale);
-            // Sharded replays resume at snapshot boundaries, so the
-            // capture must embed them; unsharded runs keep the
-            // byte-identical snapshot-free container.
-            let trace = if opts.shards > 1 {
-                capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval)
-            } else {
-                capture_trace(&program, spec.name)
-            };
-            record.instructions = trace.metrics().instructions;
-            record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-            Captured {
-                spec,
-                program,
-                trace,
-            }
-        })
-    });
+    let results = opts
+        .pool()
+        .map(suite(), |_i, spec| capture_workload(opts, spec));
     results.into_iter().unzip()
+}
+
+/// Replays `trace` once, one decode feeding every scheme's evaluator (see
+/// [`evaluate_trace_all`]). Each scheme still gets its own `"replay"`
+/// record, charged an equal share of the shared pass's wall time.
+fn fan_out_eval<L: AsRef<str>>(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    schemes: &[(L, EvalConfig)],
+) -> Vec<(EvalReport, RunRecord)> {
+    let start = Instant::now();
+    let configs = schemes.iter().map(|(_, config)| config.clone());
+    let reports = evaluate_trace_all(program, trace, name, configs);
+    let share = start.elapsed().as_secs_f64() / schemes.len().max(1) as f64;
+    reports
+        .into_iter()
+        .zip(schemes)
+        .map(|(report, (label, _))| {
+            let mut record = RunRecord::new(name, label.as_ref());
+            record.phase = "replay".into();
+            record.wall_seconds = share;
+            eval_record(&mut record, &report);
+            (report, record)
+        })
+        .collect()
 }
 
 /// Regroups a flat `(value, record)` cell list (workload-major, `per`
@@ -503,8 +544,12 @@ fn timing_cells(
 /// the backbone of Figure 4, Table 3 and the 2-bit ablation. Results come
 /// back grouped by workload, schemes in the given order.
 ///
-/// Same capture-once/replay-many split as [`timing_cells`]; both modes
-/// produce bit-identical [`EvalReport`]s.
+/// In [`TraceMode::Replay`] each workload is one pool job: it captures the
+/// trace (a `"capture"` record; these lead the record list, as in
+/// [`timing_cells`]), then decodes it once for every scheme
+/// ([`fan_out_eval`]), and drops it before returning, so at most one trace
+/// per worker is ever live. [`TraceMode::Live`] re-executes every cell.
+/// Both modes produce bit-identical [`EvalReport`]s.
 fn eval_cells(
     opts: &ExperimentOptions,
     schemes: &[(&str, EvalConfig)],
@@ -512,22 +557,17 @@ fn eval_cells(
     let mut records = Vec::new();
     let results = match opts.trace {
         TraceMode::Replay => {
-            let (captured, capture_records) = capture_suite(opts);
-            records = capture_records;
-            let cells: Vec<(usize, usize)> = (0..captured.len())
-                .flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si)))
-                .collect();
-            opts.pool().map(cells, |_i, (wi, si)| {
-                let cap = &captured[wi];
-                let (label, config) = &schemes[si];
-                timed_record(cap.spec.name, label, |record| {
-                    record.phase = "replay".into();
-                    let report =
-                        evaluate_trace(&cap.program, &cap.trace, cap.spec.name, config.clone());
-                    eval_record(record, &report);
-                    report
-                })
-            })
+            let jobs = opts.pool().map(suite(), |_i, spec| {
+                let (cap, capture) = capture_workload(opts, spec);
+                let cells = fan_out_eval(&cap.program, &cap.trace, spec.name, schemes);
+                (capture, cells)
+            });
+            let mut results = Vec::with_capacity(jobs.len() * schemes.len());
+            for (capture, cells) in jobs {
+                records.push(capture);
+                results.extend(cells);
+            }
+            results
         }
         TraceMode::Live => {
             let cells: Vec<(WorkloadSpec, usize)> = suite()
@@ -553,12 +593,12 @@ fn eval_cells(
 /// percentages.
 pub fn table1(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let (reports, records) = profile_cells(opts);
+    let (characters, records) =
+        observe_cells(opts, WorkloadCharacter::default, WorkloadCharacter::observe);
     let mut table = TableBuilder::new(&["Benchmark", "Inst. count", "Loads %", "Stores %", "Refs"]);
-    for report in &reports {
-        let c = &report.character;
+    for (spec, c) in suite().iter().zip(&characters) {
         table.row(&[
-            report.spec.spec_name.to_string(),
+            spec.spec_name.to_string(),
             fmt_millions(c.instructions),
             format!("{:.0}", c.load_pct()),
             format!("{:.0}", c.store_pct()),
@@ -577,7 +617,13 @@ pub fn table1(opts: &ExperimentOptions) -> ExperimentRun {
 /// **Table 2**: per-region access counts in 32/64-instruction windows.
 pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let (reports, records) = profile_cells(opts);
+    let (profilers, records) = observe_cells(
+        opts,
+        SlidingWindowProfiler::new,
+        SlidingWindowProfiler::observe,
+    );
+    let windows: Vec<_> = profilers.iter().map(SlidingWindowProfiler::stats).collect();
+    let specs = suite();
     let mut table = TableBuilder::new(&[
         "Benchmark",
         "W32 Data",
@@ -588,9 +634,9 @@ pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
         "W64 Stack",
     ]);
     let mut avg = [[0.0f64; 3]; 2];
-    for report in &reports {
-        let mut row = vec![report.spec.spec_name.to_string()];
-        for (wi, w) in report.windows.iter().enumerate() {
+    for (spec, stats) in specs.iter().zip(&windows) {
+        let mut row = vec![spec.spec_name.to_string()];
+        for (wi, w) in stats.iter().enumerate() {
             for (ri, region) in Region::DATA_REGIONS.iter().enumerate() {
                 row.push(format!("{:.2} ({:.2})", w.mean(*region), w.stddev(*region)));
                 avg[wi][ri] += w.mean(*region);
@@ -598,7 +644,7 @@ pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
         }
         table.row(&row);
     }
-    let n = reports.len() as f64;
+    let n = windows.len() as f64;
     let mut avg_row = vec!["Average".to_string()];
     for w in &avg {
         for v in w {
@@ -616,8 +662,8 @@ pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
         text,
         "Strictly bursty regions (mean < stddev) and idle-window fractions, window 32:"
     );
-    for report in &reports {
-        let w = &report.windows[0];
+    for (spec, stats) in specs.iter().zip(&windows) {
+        let w = &stats[0];
         let bursty: Vec<&str> = Region::DATA_REGIONS
             .iter()
             .filter(|&&r| w.mean(r) > 0.01 && w.is_strictly_bursty(r))
@@ -630,7 +676,7 @@ pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
         let _ = writeln!(
             text,
             "  {:<12} bursty[{}]  idle windows {}",
-            report.spec.spec_name,
+            spec.spec_name,
             bursty.join(","),
             idle.join(" ")
         );
@@ -641,7 +687,8 @@ pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
 /// **Figure 2**: static memory instructions by accessed-region class.
 pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let (reports, records) = profile_cells(opts);
+    let (profilers, records) = observe_cells(opts, RegionProfiler::new, RegionProfiler::observe);
+    let breakdowns: Vec<_> = profilers.iter().map(RegionProfiler::breakdown).collect();
     let mut header: Vec<String> = vec!["Benchmark".into(), "Static".into()];
     header.extend(RegionSet::CLASS_LABELS.iter().map(|l| format!("{l} %")));
     header.push("Multi(dyn) %".into());
@@ -649,10 +696,9 @@ pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
     let mut table = TableBuilder::new(&header_refs);
     let mut sum_multi_static = [0.0f64; 2];
     let mut counts = [0u32; 2];
-    for report in &reports {
-        let b = &report.breakdown;
+    for (spec, b) in suite().iter().zip(&breakdowns) {
         let total = b.static_total();
-        let mut row = vec![report.spec.spec_name.to_string(), total.to_string()];
+        let mut row = vec![spec.spec_name.to_string(), total.to_string()];
         for (i, _) in RegionSet::CLASS_LABELS.iter().enumerate() {
             row.push(format!(
                 "{:.1}",
@@ -661,7 +707,7 @@ pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
         }
         row.push(fmt_pct(b.dynamic_multi_region_fraction(), 2));
         table.row(&row);
-        let idx = report.spec.is_fp as usize;
+        let idx = spec.is_fp as usize;
         sum_multi_static[idx] += b.static_multi_region_fraction();
         counts[idx] += 1;
     }
@@ -677,11 +723,11 @@ pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
         fmt_pct(sum_multi_static[0] / counts[0].max(1) as f64, 2),
         fmt_pct(sum_multi_static[1] / counts[1].max(1) as f64, 2),
     );
-    let avg_stack: f64 = reports
+    let avg_stack: f64 = breakdowns
         .iter()
-        .map(|r| r.breakdown.static_fraction("S"))
+        .map(|b| b.static_fraction("S"))
         .sum::<f64>()
-        / reports.len() as f64;
+        / breakdowns.len() as f64;
     let _ = writeln!(
         text,
         "Average stack-only share of static instructions: {}",
@@ -857,17 +903,17 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
         ("16K", Capacity::Entries(1 << 14)),
         ("8K", Capacity::Entries(1 << 13)),
     ];
-    // Cell = workload: the hint table needs one profiled functional pass
+    // Job = workload: the hint table needs one profiled functional pass
     // either way. In replay mode that pass also captures the trace (one
-    // recorded "capture" cell) and the 10 variants are pure replays; in
-    // live mode the pass is unrecorded and every variant re-executes, as
+    // recorded "capture" cell) and one decode of it feeds all 10 variants;
+    // in live mode the pass is unrecorded and every variant re-executes, as
     // the pre-trace harness did.
     let results = opts.pool().map(suite(), |_i, spec| {
         let mut records = Vec::new();
-        let (program, hints, trace) = match opts.trace {
+        let program = spec.build(opts.scale);
+        let mut profiler = RegionProfiler::new();
+        let trace = match opts.trace {
             TraceMode::Replay => {
-                let program = spec.build(opts.scale);
-                let mut profiler = RegionProfiler::new();
                 let (trace, record) = timed_record(spec.name, "capture", |record| {
                     record.phase = "capture".into();
                     let trace = capture_trace_with(&program, spec.name, |e| profiler.observe(e));
@@ -876,16 +922,15 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
                     trace
                 });
                 records.push(record);
-                let hints = HintTable::from_profile(&profiler);
-                (program, hints, Some(trace))
+                Some(trace)
             }
             TraceMode::Live => {
-                let report = profile_workload(spec, opts.scale);
-                let hints = HintTable::from_profile(&report.profiler);
-                (report.program, hints, None)
+                execute_with(&program, spec.name, |e| profiler.observe(e));
+                None
             }
         };
-        let mut row = vec![spec.spec_name.to_string()];
+        let hints = HintTable::from_profile(&profiler);
+        let mut variants = Vec::with_capacity(2 * capacities.len());
         for (cap_name, capacity) in &capacities {
             for with_hints in [false, true] {
                 let label = format!("{cap_name}{}", if with_hints { "+hints" } else { "" });
@@ -895,20 +940,26 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
                     capacity: *capacity,
                     hints: with_hints.then(|| hints.clone()),
                 };
-                let (eval, record) = timed_record(spec.name, &label, |record| {
-                    let eval = match &trace {
-                        Some(trace) => {
-                            record.phase = "replay".into();
-                            evaluate_trace(&program, trace, spec.name, config)
-                        }
-                        None => evaluate_program(&program, spec.name, config),
-                    };
-                    eval_record(record, &eval);
-                    eval
-                });
-                row.push(fmt_pct(eval.stats.accuracy(), 2));
-                records.push(record);
+                variants.push((label, config));
             }
+        }
+        let cells = match &trace {
+            Some(trace) => fan_out_eval(&program, trace, spec.name, &variants),
+            None => variants
+                .into_iter()
+                .map(|(label, config)| {
+                    timed_record(spec.name, &label, |record| {
+                        let eval = evaluate_program(&program, spec.name, config);
+                        eval_record(record, &eval);
+                        eval
+                    })
+                })
+                .collect(),
+        };
+        let mut row = vec![spec.spec_name.to_string()];
+        for (eval, record) in cells {
+            row.push(fmt_pct(eval.stats.accuracy(), 2));
+            records.push(record);
         }
         (row, records)
     });
@@ -1234,18 +1285,7 @@ pub fn probe(opts: &ExperimentOptions, name: &str) -> ExperimentRun {
     let mut records = Vec::new();
     let results = match opts.trace {
         TraceMode::Replay => {
-            let program = spec.build(opts.scale);
-            let (trace, record) = timed_record(spec.name, "capture", |record| {
-                record.phase = "capture".into();
-                let trace = if opts.shards > 1 {
-                    capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval)
-                } else {
-                    capture_trace(&program, spec.name)
-                };
-                record.instructions = trace.metrics().instructions;
-                record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-                trace
-            });
+            let (cap, record) = capture_workload(opts, spec);
             records.push(record);
             opts.pool().map(configs.to_vec(), |_i, config| {
                 timed_record(spec.name, &config.name, |record| {
@@ -1253,8 +1293,8 @@ pub fn probe(opts: &ExperimentOptions, name: &str) -> ExperimentRun {
                     let (stats, rec) = run_timing(
                         opts.probe,
                         opts.shards,
-                        &program,
-                        Some(&trace),
+                        &cap.program,
+                        Some(&cap.trace),
                         spec.name,
                         &config,
                     );

@@ -4,16 +4,18 @@
 //! shared runners in this library:
 //!
 //! * [`profile_suite`] / [`ProfileReport`] — one functional-simulation pass
-//!   per workload with every Section 3 profiler attached (drives Table 1,
-//!   Figure 2, Table 2).
+//!   per workload with every Section 3 profiler attached. Table 1, Table 2
+//!   and Figure 2 each run one pass per workload with only the profiler
+//!   they render.
 //! * [`evaluate`] — prediction-accuracy runs for arbitrary
 //!   [`EvalConfig`]s (drives Figure 4, Table 3, Figure 5 and the 2-bit
 //!   ablation).
 //! * [`capture_trace`] / [`evaluate_trace`] / [`timing_trace`] — the
 //!   execute-once/replay-many pipeline: each workload runs functionally
 //!   once per experiment and the config sweep replays its `.arltrace`
-//!   capture (`ARL_TRACE=live` restores per-cell re-execution; outputs
-//!   are byte-identical either way).
+//!   capture; a prediction sweep decodes it once and feeds every scheme
+//!   (`ARL_TRACE=live` restores per-cell re-execution; outputs are
+//!   byte-identical either way).
 //! * [`Pool`] and the experiment entry points ([`figure8`], [`table1`],
 //!   ...) — every binary fans its (workload × config) cells across a
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
@@ -82,7 +84,7 @@ pub use runner::{
 };
 
 use arl_asm::Program;
-use arl_core::{EvalConfig, Evaluator, HintTable, PredictionStats};
+use arl_core::{EvalConfig, Evaluator, PredictionStats};
 use arl_sim::{
     Machine, Metrics, RegionBreakdown, RegionProfiler, SlidingWindowProfiler, TraceEntry,
     TraceSource, WindowStats, WorkloadCharacter,
@@ -112,33 +114,47 @@ pub struct ProfileReport {
     pub metrics: Metrics,
 }
 
+/// Runs an already-built program through the functional simulator,
+/// feeding every retired instruction to `observe`, and returns its
+/// end-of-run counters.
+///
+/// # Panics
+///
+/// Panics if the program fails to execute or exceeds [`INST_CAP`] —
+/// workloads are deterministic programs, so any failure is a harness bug.
+pub(crate) fn execute_with(
+    program: &Program,
+    name: &str,
+    observe: impl FnMut(&TraceEntry),
+) -> Metrics {
+    let mut machine = Machine::new(program);
+    let outcome = machine
+        .run_with(INST_CAP, observe)
+        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+    assert!(
+        outcome.exited,
+        "workload {name} exceeded the instruction cap"
+    );
+    machine.metrics()
+}
+
 /// Runs one workload through the functional simulator with all profilers
 /// attached.
 ///
 /// # Panics
 ///
-/// Panics if the workload fails to execute — workloads are deterministic
-/// programs, so any failure is a harness bug.
+/// Panics if the workload fails to execute.
 pub fn profile_workload(spec: WorkloadSpec, scale: Scale) -> ProfileReport {
     let program = spec.build(scale);
-    let mut machine = Machine::new(&program);
     let mut character = WorkloadCharacter::default();
     let mut profiler = RegionProfiler::new();
     let mut windows = SlidingWindowProfiler::new();
-    let outcome = machine
-        .run_with(INST_CAP, |e| {
-            character.observe(e);
-            profiler.observe(e);
-            windows.observe(e);
-        })
-        .unwrap_or_else(|e| panic!("workload {} failed: {e}", spec.name));
-    assert!(
-        outcome.exited,
-        "workload {} exceeded the instruction cap",
-        spec.name
-    );
+    let metrics = execute_with(&program, spec.name, |e| {
+        character.observe(e);
+        profiler.observe(e);
+        windows.observe(e);
+    });
     let breakdown = profiler.breakdown();
-    let metrics = machine.metrics();
     ProfileReport {
         spec,
         program,
@@ -187,19 +203,12 @@ pub fn evaluate(spec: WorkloadSpec, scale: Scale, config: EvalConfig) -> EvalRep
 ///
 /// Panics if the program fails to execute.
 pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> EvalReport {
-    let mut machine = Machine::new(program);
     let mut evaluator = Evaluator::new(config);
-    let outcome = machine
-        .run_with(INST_CAP, |e| evaluator.observe(e))
-        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-    assert!(
-        outcome.exited,
-        "workload {name} exceeded the instruction cap"
-    );
+    let metrics = execute_with(program, name, |e| evaluator.observe(e));
     EvalReport {
         stats: *evaluator.stats(),
         arpt_occupied: evaluator.arpt_occupied(),
-        metrics: machine.metrics(),
+        metrics,
     }
 }
 
@@ -264,17 +273,45 @@ pub fn evaluate_trace(
     name: &str,
     config: EvalConfig,
 ) -> EvalReport {
+    let mut reports = evaluate_trace_all(program, trace, name, [config]);
+    reports.pop().expect("one report per configuration")
+}
+
+/// Replays a captured trace once through every predictor configuration in
+/// `configs`: a single decode feeds all the evaluators, so a sweep of N
+/// schemes decodes the trace once instead of N times. Reports come back in
+/// `configs` order, each bit-identical to [`evaluate_trace`] with that
+/// configuration alone.
+///
+/// # Panics
+///
+/// Panics if the trace does not replay cleanly against `program`.
+pub(crate) fn evaluate_trace_all(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    configs: impl IntoIterator<Item = EvalConfig>,
+) -> Vec<EvalReport> {
     let mut replayer = Replayer::new(trace, program)
         .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
-    let mut evaluator = Evaluator::new(config);
-    evaluator
-        .consume(&mut replayer)
-        .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"));
-    EvalReport {
-        stats: *evaluator.stats(),
-        arpt_occupied: evaluator.arpt_occupied(),
-        metrics: replayer.metrics(),
+    let mut evaluators: Vec<Evaluator> = configs.into_iter().map(Evaluator::new).collect();
+    while let Some(entry) = replayer
+        .next_entry()
+        .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
+    {
+        for evaluator in &mut evaluators {
+            evaluator.observe(&entry);
+        }
     }
+    let metrics = replayer.metrics();
+    evaluators
+        .iter()
+        .map(|evaluator| EvalReport {
+            stats: *evaluator.stats(),
+            arpt_occupied: evaluator.arpt_occupied(),
+            metrics,
+        })
+        .collect()
 }
 
 /// Replays a captured trace through the cycle-level timing model — the
@@ -313,16 +350,6 @@ pub fn timing_trace_probed(
         .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
     arl_timing::TimingSim::run_source_probed(&mut replayer, config, arl_timing::Recorder::new())
         .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
-}
-
-/// Builds the paper's two hint sources for a profiled workload: the
-/// realizable Figure 6 compiler analysis and the profile-derived upper
-/// bound.
-pub fn hint_sources(report: &ProfileReport) -> (HintTable, HintTable) {
-    (
-        HintTable::from_program(&report.program),
-        HintTable::from_profile(&report.profiler),
-    )
 }
 
 /// Reads the run scale from `ARL_SCALE` (`"tiny"`, or an integer

@@ -416,7 +416,10 @@ pub struct RunRecord {
     /// Prediction accuracy (ARPT/evaluator or in-pipeline), when the cell
     /// predicts anything.
     pub accuracy: Option<f64>,
-    /// Host wall-clock seconds the cell took.
+    /// Host wall-clock seconds the cell took. A replay-mode prediction
+    /// cell shares one decode with the other schemes of its workload and
+    /// records an equal share of that shared pass; under `ARL_TRACE=live`
+    /// every cell runs its own pass and records its own time.
     pub wall_seconds: f64,
     /// Peak-RSS proxy: bytes resident in the simulated memory image.
     pub peak_rss_bytes: u64,

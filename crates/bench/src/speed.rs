@@ -16,10 +16,12 @@
 //!
 //! Each workload's trace is captured once and pre-decoded into one
 //! [`TraceEntry`] slice, so the measurement times the *simulator*, not
-//! trace decode. Knobs (all warn-and-fallback via [`crate::knob`]):
-//! `ARL_SPEED_WORKLOADS` (comma list filter), `ARL_SPEED_REPS` (best-of,
-//! default 2), `ARL_SPEED_BASELINE` (path to a committed baseline to gate
-//! against), `ARL_SPEED_MIN_RATIO`, plus the usual `ARL_SCALE`/`ARL_JSON`.
+//! trace decode. The reps alternate the two cores so both share the same
+//! window of host load. Knobs (all warn-and-fallback via
+//! [`crate::knob`]): `ARL_SPEED_WORKLOADS` (comma list filter),
+//! `ARL_SPEED_REPS` (best-of, default 2), `ARL_SPEED_BASELINE` (path to a
+//! committed baseline to gate against), `ARL_SPEED_MIN_RATIO`, plus the
+//! usual `ARL_SCALE`/`ARL_JSON`.
 
 use std::time::Instant;
 
@@ -186,24 +188,25 @@ fn reference_trace(entries: &[TraceEntry], config: &MachineConfig) -> SimStats {
         .0
 }
 
-/// Times `reps` runs of `entries` through `run`, returning the best
-/// throughput and the (rep-invariant) stats.
-fn time_core(
-    entries: &[TraceEntry],
-    config: &MachineConfig,
-    run: fn(&[TraceEntry], &MachineConfig) -> SimStats,
-    reps: u32,
-) -> (f64, SimStats) {
-    let mut best = 0.0f64;
-    let mut stats = SimStats::default();
+/// Times `reps` rounds of `entries` through the event core and the legacy
+/// reference core, alternating them (event, legacy, event, legacy, ...)
+/// so a spell of host contention slows both cores alike instead of
+/// skewing their ratio. Returns each core's best throughput and its
+/// (rep-invariant) stats, event core first.
+fn time_cores(entries: &[TraceEntry], config: &MachineConfig, reps: u32) -> [(f64, SimStats); 2] {
+    let cores: [fn(&[TraceEntry], &MachineConfig) -> SimStats; 2] =
+        [TimingSim::run_trace, reference_trace];
+    let mut best: [(f64, SimStats); 2] = Default::default();
     for _ in 0..reps {
-        let start = Instant::now();
-        let run = run(entries, config);
-        let secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-        best = best.max(run.instructions as f64 / secs);
-        stats = run;
+        for (run, (best_ips, stats)) in cores.iter().zip(&mut best) {
+            let start = Instant::now();
+            let run = run(entries, config);
+            let secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
+            *best_ips = best_ips.max(run.instructions as f64 / secs);
+            *stats = run;
+        }
     }
-    (best, stats)
+    best
 }
 
 /// Runs the benchmark over the (possibly filtered) suite.
@@ -241,8 +244,7 @@ pub fn run_speed_suite(scale: Scale) -> SpeedReport {
             entries.push(entry);
         }
 
-        let (event_ips, stats) = time_core(&entries, &config, TimingSim::run_trace, reps);
-        let (legacy_ips, legacy_stats) = time_core(&entries, &config, reference_trace, reps);
+        let [(event_ips, stats), (legacy_ips, legacy_stats)] = time_cores(&entries, &config, reps);
         assert_eq!(
             stats, legacy_stats,
             "{}: event and legacy cores diverged",

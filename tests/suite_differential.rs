@@ -122,31 +122,78 @@ fn replayed_timing_stats_are_bit_identical_for_every_workload() {
     }
 }
 
+type Experiment = fn(&ExperimentOptions) -> ExperimentRun;
+
 /// Replay-mode experiments must execute each workload functionally
-/// exactly once, regardless of how many configs the sweep fans out to.
+/// exactly once, regardless of how many configs the sweep fans out to;
+/// the Section 3 experiments run one profiling pass per workload.
 #[test]
 fn replay_mode_experiments_execute_each_workload_exactly_once() {
     let _guard = lock();
     let opts = ExperimentOptions::new(Scale::tiny(), 2);
     assert_eq!(opts.trace, TraceMode::Replay);
 
-    let before = functional_instructions_executed();
-    let run = arl_bench::figure4(&opts);
-    let executed = functional_instructions_executed() - before;
+    let mut captured_insts = 0;
+    let mut figure4_text = String::new();
+    for (name, f) in [
+        ("figure4", arl_bench::figure4 as Experiment),
+        ("table3", arl_bench::table3 as Experiment),
+        ("figure5", arl_bench::figure5 as Experiment),
+    ] {
+        let before = functional_instructions_executed();
+        let run = f(&opts);
+        let executed = functional_instructions_executed() - before;
 
-    let captures: Vec<_> = run
-        .report
-        .records
-        .iter()
-        .filter(|r| r.phase == "capture")
-        .collect();
-    assert_eq!(captures.len(), suite().len(), "one capture per workload");
-    let captured_insts: u64 = captures.iter().map(|r| r.instructions).sum();
-    assert!(captured_insts > 0);
-    assert_eq!(
-        executed, captured_insts,
-        "figure4 must execute exactly the 12 capture passes and nothing more"
-    );
+        let captures: Vec<_> = run
+            .report
+            .records
+            .iter()
+            .filter(|r| r.phase == "capture")
+            .collect();
+        assert_eq!(
+            captures.len(),
+            suite().len(),
+            "{name}: one capture per workload"
+        );
+        captured_insts = captures.iter().map(|r| r.instructions).sum();
+        assert!(captured_insts > 0);
+        assert_eq!(
+            executed, captured_insts,
+            "{name} must execute exactly the 12 capture passes and nothing more"
+        );
+        if name == "figure4" {
+            figure4_text = run.text;
+        }
+    }
+
+    for (name, f) in [
+        ("table1", arl_bench::table1 as Experiment),
+        ("table2", arl_bench::table2 as Experiment),
+        ("figure2", arl_bench::figure2 as Experiment),
+    ] {
+        let before = functional_instructions_executed();
+        let run = f(&opts);
+        let executed = functional_instructions_executed() - before;
+        let records = &run.report.records;
+        assert_eq!(
+            records.len(),
+            suite().len(),
+            "{name}: one pass per workload"
+        );
+        assert!(
+            records.iter().all(|r| r.phase == "execute"),
+            "{name}: phase"
+        );
+        let profiled: u64 = records.iter().map(|r| r.instructions).sum();
+        assert_eq!(
+            profiled, captured_insts,
+            "{name}: a pass covers the workload"
+        );
+        assert_eq!(
+            executed, profiled,
+            "{name} must execute exactly one pass per workload and nothing more"
+        );
+    }
 
     // The live-mode control: the same sweep re-executes per cell, so it
     // burns one functional pass per scheme.
@@ -162,20 +209,24 @@ fn replay_mode_experiments_execute_each_workload_exactly_once() {
 
     // And the deliverable: both modes emit byte-identical tables.
     assert_eq!(
-        run.text, live.text,
+        figure4_text, live.text,
         "figure4 replay text must match live text"
     );
 }
 
-/// Figure 8 (the paper's headline timing sweep) and a prediction ablation
-/// must render byte-identical tables in live and replay modes.
+/// Figure 8 (the paper's headline timing sweep) and every prediction
+/// sweep must render byte-identical tables in live and replay modes: the
+/// replay side decodes each trace once for all schemes, the live side is
+/// the per-cell oracle.
 #[test]
 fn live_and_replay_modes_emit_identical_tables() {
     let _guard = lock();
     let opts = ExperimentOptions::new(Scale::tiny(), 2);
-    type Experiment = fn(&ExperimentOptions) -> ExperimentRun;
     for (name, f) in [
         ("figure8", arl_bench::figure8 as Experiment),
+        ("figure4", arl_bench::figure4 as Experiment),
+        ("table3", arl_bench::table3 as Experiment),
+        ("figure5", arl_bench::figure5 as Experiment),
         ("ablation_twobit", arl_bench::ablation_twobit as Experiment),
     ] {
         let replay = f(&opts);
