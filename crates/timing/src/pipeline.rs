@@ -24,6 +24,13 @@
 //! probe receives one [`Probe::record_span`] with the (provably constant)
 //! cycle observation, so `useful + Σstalls == cycles` still holds exactly.
 //!
+//! Within a visited cycle, each stage examines only its candidates: due
+//! appointment-book entries plus an every-cycle retry list for work denied
+//! bandwidth. The memory stage does not poll ordering-blocked loads at
+//! all: such a load parks until one of the three events that can unblock
+//! it (an unknown store address resolving, a blocking store completing, or
+//! that store re-routing out of the load's block chain) wakes it.
+//!
 //! The pre-event-wheel core that ticks every cycle survives only as the
 //! full-run test oracle [`crate::reference::run_probed`]: both produce
 //! bit-identical [`SimStats`] and probe output, `tests/core_differential.rs`
@@ -122,8 +129,12 @@ const NO_REG: u8 = u8::MAX;
 /// [`Rob::issue_q`]/[`Rob::mem_q`] value: not appointed anywhere.
 const QUEUE_NONE: u64 = u64::MAX;
 /// [`Rob::issue_q`]/[`Rob::mem_q`] value: on the every-cycle retry
-/// list (blocked on bandwidth/ordering, or a stale-early wake bound).
+/// list (blocked on bandwidth, or a stale-early wake bound).
 const QUEUE_RETRY: u64 = u64::MAX - 1;
+/// [`Rob::mem_q`] value: an ordering-blocked load parked until a store
+/// event wakes it (see [`TimingSim::memory_stage`]). Exported as
+/// [`QUEUE_RETRY`], which is what a polling core holds for the same load.
+const QUEUE_PARKED: u64 = u64::MAX - 2;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum MemPhase {
@@ -196,6 +207,19 @@ struct Slot {
     /// index's per-block list (see [`TimingSim::store_blocks`]). Not
     /// serialized; import rebuilds the chains from the slot records.
     store_next: u64,
+    // Ordering-wait support, none of it serialized (a parked load is
+    // exported as on the retry list, so import starts with no links). A
+    // load blocked on an older store's missing data links itself onto
+    // that store's `park_head` list through `park_next`, and
+    // `park_linked` marks the link live.
+    /// For stores: the most recently parked load waiting on this store.
+    park_head: u64,
+    /// For parked loads: the next waiter on the same store.
+    park_next: u64,
+    /// For loads: the [`TimingSim::reroute_epoch`] at which the load last
+    /// passed its ordering checks; 0 = never. While it is current, a
+    /// port or MSHR retry skips straight to the port check.
+    order_epoch: u64,
     latency: u64,
     // Issue wake-up support: the slot enters the issue appointment book at
     // `earliest_try` once `unknown_deps` (producers whose completion cycle
@@ -221,6 +245,10 @@ struct Slot {
     /// hence themselves squash-marked), so the issue stage skips both
     /// checks. Not serialized.
     stale: bool,
+    /// A load linked on some store's `park_head` list. The store has then
+    /// neither completed nor left the load's block chain (either one fires
+    /// the list), so the load is provably still ordering-blocked.
+    park_linked: bool,
     /// Registers whose renamer claim this slot holds (`NO_REG` = none):
     /// commit releases exactly these instead of scanning all 64.
     claimed: [u8; 2],
@@ -240,6 +268,9 @@ impl Slot {
         mem_q: QUEUE_NONE,
         arpt_key: 0,
         store_next: NO_SEQ,
+        park_head: NO_SEQ,
+        park_next: NO_SEQ,
+        order_epoch: 0,
         latency: 0,
         wake_head: NO_SEQ,
         wake_next: [NO_SEQ; 4],
@@ -249,6 +280,7 @@ impl Slot {
         flags: 0,
         unknown_deps: 0,
         stale: false,
+        park_linked: false,
         claimed: [NO_REG; 2],
     };
 }
@@ -392,22 +424,76 @@ impl Book {
                 || matches!(self.overflow.peek(), Some(&Reverse((at, _))) if at <= now))
     }
 
-    /// Moves every booking due at `now` into `out` as `(booked_at, seq)`
-    /// pairs (ring entries are due exactly at `now` by the slot
-    /// invariant).
-    fn drain_due(&mut self, now: u64, out: &mut Vec<(u64, u64)>) {
+    /// Removes every booking due at `now`, handing each to `visit` as
+    /// `(booked_at, seq)` (ring entries are due exactly at `now` by the
+    /// slot invariant).
+    #[inline]
+    fn drain_due(&mut self, now: u64, mut visit: impl FnMut(u64, u64)) {
         let slot = &mut self.ring[now as usize & (BOOK_WINDOW - 1)];
         self.pending -= slot.len();
-        out.extend(slot.drain(..).map(|seq| (now, seq)));
+        for seq in slot.drain(..) {
+            visit(now, seq);
+        }
         while let Some(&Reverse((at, seq))) = self.overflow.peek() {
             if at > now {
                 break;
             }
             self.overflow.pop();
             self.pending -= 1;
-            out.push((at, seq));
+            visit(at, seq);
         }
     }
+}
+
+/// One stage pass's candidate set: a bitmap over ROB offsets from
+/// `head_seq`, which neither the issue nor the memory stage moves.
+/// Ascending bits are program order and duplicates collapse, so gathering
+/// needs no sort or dedup; a same-pass wake sets a bit ahead of the pass
+/// cursor and is visited in order. Every pass leaves the set empty.
+struct Cands {
+    words: Vec<u64>,
+}
+
+impl Cands {
+    fn new(capacity: usize) -> Cands {
+        Cands {
+            words: vec![0; capacity.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, offset: usize) {
+        self.words[offset >> 6] |= 1 << (offset & 63);
+    }
+
+    /// Removes and returns the lowest member. `cursor` is the word the
+    /// pass has reached; no member may lie below it.
+    #[inline]
+    fn pop(&mut self, cursor: &mut usize) -> Option<usize> {
+        while let Some(w) = self.words.get_mut(*cursor) {
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(*cursor * 64 + bit);
+            }
+            *cursor += 1;
+        }
+        None
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// Why [`TimingSim::try_start_load`] could not start a load.
+enum LoadBlock {
+    /// An older DataCache store's address is unknown.
+    AddrUnknown,
+    /// An older store in the load's block chain (this seq) has no data yet.
+    DataPending(u64),
+    /// Ordering passed, but no port or MSHR is free this cycle.
+    Bandwidth,
 }
 
 /// Hasher for the store index's block map. Keys are cache-block addresses
@@ -504,8 +590,8 @@ pub struct TimingSim<P: Probe = NullProbe> {
     /// Slots re-examined every cycle: issue-ready but starved of width or
     /// a functional unit, or holding a stale-early wake bound (squash).
     issue_retry: Vec<u64>,
-    /// Persistent scratch for the issue candidate list.
-    issue_cand: Vec<u64>,
+    /// The running stage pass's candidates (issue, then memory).
+    cands: Cands,
     /// In-flight stores per queue, in program order (for ordering checks).
     lsq_stores: VecDeque<u64>,
     lvaq_stores: VecDeque<u64>,
@@ -541,15 +627,21 @@ pub struct TimingSim<P: Probe = NullProbe> {
     /// wake-ups (address generation done, redirect penalty served, store
     /// data arrival). Live only while `rob.mem_q[seq]` matches.
     mem_book: Book,
-    /// Persistent scratch for draining either book (no per-cycle
-    /// allocation; the stages use it sequentially).
-    due_scratch: Vec<(u64, u64)>,
-    /// Memory slots re-examined every cycle: blocked on ordering, ports,
-    /// MSHRs, or a full redirect target queue.
+    /// Memory slots re-examined every cycle: loads denied a port or MSHR,
+    /// slots whose redirect target queue is full, and loads woken from
+    /// [`Self::addr_parked`].
     mem_retry: Vec<u64>,
-    /// Persistent scratch for the memory-stage action list (no per-cycle
-    /// allocation).
-    mem_scratch: Vec<u64>,
+    /// Loads parked behind an unknown-address DataCache store, as a
+    /// min-heap of seqs. Only the issue stage's removal of the oldest
+    /// unknown store unblocks any of them, and it unblocks exactly those
+    /// older than the new oldest one: the heap's smallest seqs. A copy is
+    /// live only while the load's `mem_q` is [`QUEUE_PARKED`].
+    addr_parked: BinaryHeap<Reverse<u64>>,
+    /// Bumped whenever region verification re-links a store into another
+    /// block chain — besides a squash, the only event that can put an
+    /// unfinished older store in front of a load that already passed its
+    /// ordering checks (see [`Slot::order_epoch`]).
+    reroute_epoch: u64,
     probe: P,
 }
 
@@ -622,7 +714,7 @@ impl<P: Probe> TimingSim<P> {
             next_seq: 0,
             issue_book: Book::new(),
             issue_retry: Vec::new(),
-            issue_cand: Vec::new(),
+            cands: Cands::new(config.rob_size),
             lsq_stores: VecDeque::new(),
             lvaq_stores: VecDeque::new(),
             dc_unknown: Vec::new(),
@@ -641,8 +733,8 @@ impl<P: Probe> TimingSim<P> {
             wheel: EventWheel::new(),
             mem_book: Book::new(),
             mem_retry: Vec::new(),
-            mem_scratch: Vec::new(),
-            due_scratch: Vec::new(),
+            addr_parked: BinaryHeap::new(),
+            reroute_epoch: 1,
             config: config.clone(),
             probe,
         }
@@ -957,7 +1049,13 @@ impl<P: Probe> TimingSim<P> {
                 w.u8(r);
             }
             w.u64(self.rob.slot[i].issue_q);
-            w.u64(self.rob.slot[i].mem_q);
+            // A parked load is exported as on the retry list: the blob
+            // stays what a polling core writes, and the resumed core
+            // re-examines it next cycle (an early wake) and re-parks it.
+            w.u64(match self.rob.slot[i].mem_q {
+                QUEUE_PARKED => QUEUE_RETRY,
+                q => q,
+            });
         }
         w.u64_list(&self.wheel.pending());
         w.seal()
@@ -1078,8 +1176,8 @@ impl<P: Probe> TimingSim<P> {
         // queue key. Every live booking is strictly future at a cut (every
         // insert site books at `cycle + 1` or later, and due bookings were
         // drained at their cycle), so a stale one means corruption. Retry
-        // lists rebuild in sequence order — the order the drain loop left
-        // them in, since candidates are processed sorted.
+        // lists rebuild in sequence order; a stage pass visits its
+        // candidates in sequence order whatever order they were gathered in.
         for k in 0..self.rob.len {
             let seq = self.rob.head_seq + k as u64;
             let i = self.rob.phys(k);
@@ -1110,6 +1208,7 @@ impl<P: Probe> TimingSim<P> {
             match self.rob.slot[i].mem_q {
                 QUEUE_NONE => {}
                 QUEUE_RETRY => self.mem_retry.push(seq),
+                QUEUE_PARKED => return Err(corrupt("parked memory appointment")),
                 at if at > self.cycle => self.mem_book.insert(at, self.cycle, seq),
                 _ => return Err(corrupt("stale memory appointment")),
             }
@@ -1327,7 +1426,6 @@ impl<P: Probe> TimingSim<P> {
         // Memory instructions need a queue entry; pick the queue now (the
         // paper's dispatch-stage steering).
         let mut route = Route::DataCache;
-        let mut predicted_stack = false;
         let mut arpt_predicted = false;
         let mut arpt_key = 0u64;
         let is_mem = entry.mem.is_some();
@@ -1336,7 +1434,7 @@ impl<P: Probe> TimingSim<P> {
                 let Some(info) = entry.inst.mem_op() else {
                     unreachable!("memory entry carries no mem_op");
                 };
-                predicted_stack = match static_hint(&info) {
+                let predicted_stack = match static_hint(&info) {
                     StaticHint::Stack => true,
                     StaticHint::NonStack => false,
                     StaticHint::Dynamic => {
@@ -1486,6 +1584,10 @@ impl<P: Probe> TimingSim<P> {
         self.rob.slot[i].stale = false;
         self.rob.slot[i].claimed = claimed;
         self.rob.slot[i].mem_q = QUEUE_NONE; // agen issue books the appointment
+        self.rob.slot[i].park_head = NO_SEQ;
+        self.rob.slot[i].park_next = NO_SEQ;
+        self.rob.slot[i].park_linked = false;
+        self.rob.slot[i].order_epoch = 0;
         if is_mem && !is_load {
             // Store-index maintenance: link into the (block, route) chain;
             // a DataCache store's address is unknown until its agen issues.
@@ -1526,7 +1628,6 @@ impl<P: Probe> TimingSim<P> {
         } else {
             self.rob.slot[i].issue_q = QUEUE_NONE; // parked until the last wake
         }
-        let _ = predicted_stack;
         true
     }
 
@@ -1563,31 +1664,27 @@ impl<P: Probe> TimingSim<P> {
         if self.issue_retry.is_empty() && !self.issue_book.has_due(cycle) {
             return 0;
         }
-        let mut cand = std::mem::take(&mut self.issue_cand);
-        cand.clear();
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        self.issue_book.drain_due(cycle, &mut due);
-        for &(at, seq) in &due {
-            if seq >= self.rob.head_seq && self.rob.slot[self.rob.idx(seq)].issue_q == at {
-                cand.push(seq);
+        let head = self.rob.head_seq;
+        let (rob, cands) = (&self.rob, &mut self.cands);
+        self.issue_book.drain_due(cycle, |at, seq| {
+            if seq >= head && rob.slot[rob.idx(seq)].issue_q == at {
+                cands.insert((seq - head) as usize);
             }
-        }
-        self.due_scratch = due;
+        });
         for n in 0..self.issue_retry.len() {
             let seq = self.issue_retry[n];
-            if seq >= self.rob.head_seq && self.rob.slot[self.rob.idx(seq)].issue_q == QUEUE_RETRY {
-                cand.push(seq);
+            if seq >= head && self.rob.slot[self.rob.idx(seq)].issue_q == QUEUE_RETRY {
+                self.cands.insert((seq - head) as usize);
             }
         }
         self.issue_retry.clear();
         // The authoritative walk is in program order, exactly the order
         // the legacy core examines ready entries in.
-        cand.sort_unstable();
-        cand.dedup();
         let mut issued = 0;
         let width = self.config.issue_width;
-        for &seq in &cand {
+        let mut cursor = 0;
+        while let Some(offset) = self.cands.pop(&mut cursor) {
+            let seq = head + offset as u64;
             let i = self.rob.idx(seq);
             debug_assert_eq!(self.rob.slot[i].unknown_deps, 0);
             debug_assert!(self.rob.slot[i].earliest_try <= cycle);
@@ -1636,6 +1733,9 @@ impl<P: Probe> TimingSim<P> {
                             // observed next memory stage) known.
                             if let Ok(p) = self.dc_unknown.binary_search(&seq) {
                                 self.dc_unknown.remove(p);
+                                if p == 0 {
+                                    self.wake_addr_parked();
+                                }
                             } else {
                                 debug_assert!(false, "issuing DataCache store {seq} untracked");
                             }
@@ -1656,8 +1756,33 @@ impl<P: Probe> TimingSim<P> {
             self.rob.slot[i].issue_q = QUEUE_RETRY;
             self.issue_retry.push(seq);
         }
-        self.issue_cand = cand;
+        debug_assert!(self.cands.is_empty());
         issued
+    }
+
+    /// The oldest unknown-address DataCache store just left `dc_unknown`
+    /// (its address generation issued). Every parked load older than the
+    /// new oldest unknown store passes that check from next cycle's memory
+    /// stage on, so it goes on the retry list: examined exactly at
+    /// `cycle + 1`, which follows this active cycle (the [`Book`] coverage
+    /// rule), and exported as [`QUEUE_RETRY`] just as a polling core would.
+    fn wake_addr_parked(&mut self) {
+        let oldest = self.dc_unknown.first().copied().unwrap_or(NO_SEQ);
+        while let Some(&Reverse(seq)) = self.addr_parked.peek() {
+            if seq > oldest {
+                break;
+            }
+            self.addr_parked.pop();
+            // Stale copies (the load committed, or a squash or an earlier
+            // wake moved it on) fail the `mem_q` check.
+            if seq >= self.rob.head_seq {
+                let i = self.rob.idx(seq);
+                if self.rob.slot[i].mem_q == QUEUE_PARKED {
+                    self.rob.slot[i].mem_q = QUEUE_RETRY;
+                    self.mem_retry.push(seq);
+                }
+            }
+        }
     }
 
     // ---- memory stage -------------------------------------------------------
@@ -1684,31 +1809,38 @@ impl<P: Probe> TimingSim<P> {
         }
         // Gather this cycle's work: due appointments (address generation
         // done, redirect penalty served, store data arrived) plus the
-        // every-cycle retry list (ordering/port/MSHR blocked). Stale book
-        // copies drop out; the survivors are processed oldest-first,
-        // exactly the program-order walk the legacy core does. (Stores
-        // access the cache at commit.)
-        let mut actions = std::mem::take(&mut self.mem_scratch);
-        actions.clear();
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        self.mem_book.drain_due(cycle, &mut due);
-        for &(at, seq) in &due {
-            if seq >= self.rob.head_seq && self.rob.slot[self.rob.idx(seq)].mem_q == at {
-                actions.push(seq);
+        // every-cycle retry list (port/MSHR blocked). Stale book copies
+        // drop out; the survivors are processed oldest-first, exactly the
+        // program-order walk the legacy core does. (Stores access the
+        // cache at commit.)
+        //
+        // Ordering-blocked loads are not polled: they park (`QUEUE_PARKED`)
+        // until one of the only three events that can unblock them — the
+        // issue stage resolving the oldest unknown DataCache store address
+        // (`wake_addr_parked`), or the blocking store completing or being
+        // re-routed out of the load's block chain, both in this stage
+        // (`wake_order_waiters`). The last two wake the waiters into this
+        // very pass: they are younger than the store, so still ahead of
+        // the cursor, and the polling walk would see the store's new state
+        // on reaching them. A wake may come early (the check re-runs and
+        // re-parks), never late.
+        let head = self.rob.head_seq;
+        let (rob, cands) = (&self.rob, &mut self.cands);
+        self.mem_book.drain_due(cycle, |at, seq| {
+            if seq >= head && rob.slot[rob.idx(seq)].mem_q == at {
+                cands.insert((seq - head) as usize);
             }
-        }
-        self.due_scratch = due;
+        });
         for n in 0..self.mem_retry.len() {
             let seq = self.mem_retry[n];
-            if seq >= self.rob.head_seq && self.rob.slot[self.rob.idx(seq)].mem_q == QUEUE_RETRY {
-                actions.push(seq);
+            if seq >= head && self.rob.slot[self.rob.idx(seq)].mem_q == QUEUE_RETRY {
+                self.cands.insert((seq - head) as usize);
             }
         }
         self.mem_retry.clear();
-        actions.sort_unstable();
-        actions.dedup();
-        for &seq in &actions {
+        let mut cursor = 0;
+        while let Some(offset) = self.cands.pop(&mut cursor) {
+            let seq = head + offset as u64;
             let i = self.rob.idx(seq);
             // 1. Verification (TLB stack-bit check) the cycle address
             //    generation finishes. (A squash may have reset a later
@@ -1739,13 +1871,33 @@ impl<P: Probe> TimingSim<P> {
                 continue;
             }
             if self.rob.has(i, F_IS_LOAD) {
-                if self.try_start_load(seq) {
-                    active = true;
-                    self.rob.slot[i].mem_q = QUEUE_NONE; // access in flight
-                } else {
-                    // Ordering, port, or MSHR blocked: retry every cycle.
-                    self.rob.slot[i].mem_q = QUEUE_RETRY;
-                    self.mem_retry.push(seq);
+                if self.rob.slot[i].park_linked {
+                    // Woken early while still linked on a store that has
+                    // not fired: provably still blocked.
+                    self.rob.slot[i].mem_q = QUEUE_PARKED;
+                    continue;
+                }
+                match self.try_start_load(seq) {
+                    Ok(()) => {
+                        active = true;
+                        self.rob.slot[i].mem_q = QUEUE_NONE; // access in flight
+                    }
+                    Err(LoadBlock::Bandwidth) => {
+                        // Port or MSHR denied: retry every cycle.
+                        self.rob.slot[i].mem_q = QUEUE_RETRY;
+                        self.mem_retry.push(seq);
+                    }
+                    Err(LoadBlock::AddrUnknown) => {
+                        self.rob.slot[i].mem_q = QUEUE_PARKED;
+                        self.addr_parked.push(Reverse(seq));
+                    }
+                    Err(LoadBlock::DataPending(store)) => {
+                        let j = self.rob.idx(store);
+                        self.rob.slot[i].park_next = self.rob.slot[j].park_head;
+                        self.rob.slot[j].park_head = seq;
+                        self.rob.slot[i].park_linked = true;
+                        self.rob.slot[i].mem_q = QUEUE_PARKED;
+                    }
                 }
             } else if self.rob.slot[i].complete_at == NO_CYCLE {
                 // Store: becomes commit-eligible once its data arrives.
@@ -1756,6 +1908,7 @@ impl<P: Probe> TimingSim<P> {
                 if data_ready != NO_CYCLE && data_ready <= cycle {
                     self.rob.slot[i].complete_at = cycle;
                     self.note_complete(seq);
+                    self.wake_order_waiters(i);
                     active = true;
                     self.rob.slot[i].mem_q = QUEUE_NONE; // commit takes over
                 } else if data_ready != NO_CYCLE {
@@ -1777,8 +1930,28 @@ impl<P: Probe> TimingSim<P> {
                 self.rob.slot[i].mem_q = QUEUE_NONE; // completed store
             }
         }
-        self.mem_scratch = actions;
+        debug_assert!(self.cands.is_empty());
         active
+    }
+
+    /// Store slot `j` just completed, or left its block chain: every load
+    /// parked on its list joins the running memory pass (the waiters are
+    /// younger than the store, so their bits land ahead of the cursor).
+    /// Registrations whose load has since moved on (a squash reset it, or
+    /// it was woken early onto the retry list) are just unlinked.
+    fn wake_order_waiters(&mut self, j: usize) {
+        let head = self.rob.head_seq;
+        let mut seq = std::mem::replace(&mut self.rob.slot[j].park_head, NO_SEQ);
+        while seq != NO_SEQ {
+            let i = self.rob.idx(seq);
+            let next = std::mem::replace(&mut self.rob.slot[i].park_next, NO_SEQ);
+            self.rob.slot[i].park_linked = false;
+            if self.rob.slot[i].mem_q == QUEUE_PARKED {
+                self.rob.slot[i].mem_q = QUEUE_NONE; // in this pass
+                self.cands.insert((seq - head) as usize);
+            }
+            seq = next;
+        }
     }
 
     /// The TLB region check: reroute and retrain on a wrong prediction.
@@ -1799,9 +1972,9 @@ impl<P: Probe> TimingSim<P> {
         let penalty = self.config.region_mispredict_penalty;
         let now = self.cycle;
         if decoupled && route != correct_route {
-            // Misprediction: move the entry to the right queue (space
-            // permitting — if the target queue is full we retry by staying
-            // in WaitAgen with verified=false? Instead: wait for space).
+            // Misprediction: move the entry to the right queue. If that
+            // queue is full, the slot stays unverified in WaitAgen and the
+            // memory stage retries verification every cycle.
             let space = match correct_route {
                 Route::Lvc => self.lvaq_count < self.config.lvaq_size,
                 Route::DataCache => self.lsq_count < self.config.lsq_size,
@@ -1838,6 +2011,11 @@ impl<P: Probe> TimingSim<P> {
                 let addr = self.rob.slot[i].addr;
                 self.unlink_store_block(seq, route, addr);
                 self.link_store_block(seq, correct_route, addr);
+                // The store may now stand in front of loads that already
+                // proved their ordering, and it no longer blocks the loads
+                // parked on it in its old chain.
+                self.reroute_epoch += 1;
+                self.wake_order_waiters(i);
             }
             self.rob.slot[i].route = correct_route;
             self.rob.set(i, F_VERIFIED);
@@ -1869,9 +2047,41 @@ impl<P: Probe> TimingSim<P> {
     }
 
     /// Attempts to begin a load's cache access (ordering + forwarding +
-    /// ports); returns whether the access (or forwarding) started.
-    fn try_start_load(&mut self, seq: u64) -> bool {
+    /// ports); `Ok` when the access (or forwarding) started, else why not.
+    fn try_start_load(&mut self, seq: u64) -> Result<(), LoadBlock> {
         let i = self.rob.idx(seq);
+        let route = self.rob.slot[i].route;
+        let addr = self.rob.slot[i].addr;
+        if self.rob.slot[i].order_epoch != self.reroute_epoch {
+            if self.check_load_order(seq, i)? {
+                return Ok(()); // forwarded
+            }
+            // Proven: no older store shares the load's block chain and no
+            // older DataCache address is unknown. Only a squash (which
+            // clears the stamp) or a store re-linked into the chain (which
+            // bumps the epoch) can undo that, so port retries skip here.
+            self.rob.slot[i].order_epoch = self.reroute_epoch;
+        }
+        if !self.mem.port_available(route, addr) {
+            return Err(LoadBlock::Bandwidth); // bandwidth contention — retry next cycle
+        }
+        let Some(latency) = self.mem.access(route, addr) else {
+            return Err(LoadBlock::Bandwidth); // miss with no free MSHR — retry next cycle
+        };
+        let done_at = self.cycle + latency;
+        self.rob.slot[i].mem = MemPhase::Accessed;
+        self.rob.slot[i].complete_at = done_at;
+        self.note_complete(seq);
+        self.fire_wakes(i, done_at);
+        self.sched(done_at);
+        Ok(())
+    }
+
+    /// The ordering half of [`Self::try_start_load`]: fails with the
+    /// blocking cause, or forwards from the matching older stores
+    /// (`Ok(true)`), or passes with the cache access still to start
+    /// (`Ok(false)`).
+    fn check_load_order(&mut self, seq: u64, i: usize) -> Result<bool, LoadBlock> {
         let route = self.rob.slot[i].route;
         let addr = self.rob.slot[i].addr;
         // Ordering against older stores in the same queue, answered by the
@@ -1893,7 +2103,7 @@ impl<P: Probe> TimingSim<P> {
         if route == Route::DataCache {
             if let Some(&first) = self.dc_unknown.first() {
                 if first < seq {
-                    return false; // an older store's address is unknown
+                    return Err(LoadBlock::AddrUnknown);
                 }
             }
         }
@@ -1909,7 +2119,7 @@ impl<P: Probe> TimingSim<P> {
                 let complete = self.rob.slot[j].complete_at;
                 debug_assert!(complete == NO_CYCLE || complete <= self.cycle);
                 if complete == NO_CYCLE {
-                    return false; // matching store's data not produced yet
+                    return Err(LoadBlock::DataPending(st_seq));
                 }
                 forward_ready = true;
             }
@@ -1927,21 +2137,8 @@ impl<P: Probe> TimingSim<P> {
             self.note_complete(seq);
             self.fire_wakes(i, done_at);
             self.sched(done_at);
-            return true;
         }
-        if !self.mem.port_available(route, addr) {
-            return false; // bandwidth contention — retry next cycle
-        }
-        let Some(latency) = self.mem.access(route, addr) else {
-            return false; // miss with no free MSHR — retry next cycle
-        };
-        let done_at = self.cycle + latency;
-        self.rob.slot[i].mem = MemPhase::Accessed;
-        self.rob.slot[i].complete_at = done_at;
-        self.note_complete(seq);
-        self.fire_wakes(i, done_at);
-        self.sched(done_at);
-        true
+        Ok(forward_ready)
     }
 
     /// Branch-style recovery: every instruction younger than `seq` loses
@@ -2007,6 +2204,10 @@ impl<P: Probe> TimingSim<P> {
                 self.rob.clear(i, F_VERIFIED);
                 self.rob.slot[i].mem_ready_at = 0;
                 self.rob.slot[i].mem_q = QUEUE_NONE;
+                // A load's ordering proof is void; a parked load keeps its
+                // store link, which still proves it blocked (see
+                // `Slot::park_linked`).
+                self.rob.slot[i].order_epoch = 0;
             }
         }
         // Squashed slots become issue-eligible again the cycle after their
