@@ -17,7 +17,8 @@ use arl_stats::{Json, TableBuilder};
 use arl_timing::{BackendConfig, CacheStats, MachineConfig, Recorder, SimStats, StallCause};
 use arl_workloads::workload;
 
-use crate::runner::{scale_label, write_named_json, Pool};
+use crate::knob::Knobs;
+use crate::runner::{end_main, scale_label, Pool};
 use crate::{capture_trace, timing_trace_probed, ExperimentOptions};
 
 /// `BENCH_backends.json` schema identifier.
@@ -235,26 +236,21 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
 }
 
 /// The `bench_backends` binary's `main`: runs [`backends_bench`] with
-/// env-derived options, prints the report, writes `BENCH_backends.json`
-/// when `ARL_JSON` is set, and exits non-zero if any cell violates
-/// stall conservation.
+/// the environment's [`Knobs`], prints the report, emits
+/// `BENCH_backends.json` under `ARL_JSON`, and exits non-zero if any cell
+/// violates stall conservation.
 pub fn run_backends_main() {
-    let opts = ExperimentOptions::from_env();
-    let run = backends_bench(&opts);
-    print!("{}", run.text);
-    if std::env::var_os("ARL_JSON").is_some() {
-        match write_named_json("BENCH_backends.json", &run.doc) {
-            Ok(path) => eprintln!("[arl-bench] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("[arl-bench] failed to write ARL_JSON: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if run.failed {
-        eprintln!("[arl-bench] backend sweep FAILED: a probed cell broke stall conservation");
-        std::process::exit(1);
-    }
+    let knobs = Knobs::from_env();
+    let run = backends_bench(&knobs.options());
+    let failure = run
+        .failed
+        .then(|| "backend sweep FAILED: a probed cell broke stall conservation".to_string());
+    end_main(
+        &knobs,
+        &run.text,
+        &[("BENCH_backends.json".to_string(), run.doc)],
+        failure.as_slice(),
+    );
 }
 
 #[cfg(test)]

@@ -33,11 +33,12 @@
 //! (seeded faults, deterministic simulators, no wall-clock), so the
 //! committed `BENCH_chaos.json` regenerates bit-for-bit.
 //!
-//! Knobs: `ARL_CHAOS_SEED` (default 42), `ARL_CHAOS_POINTS` (default
-//! 20), `ARL_CHAOS_JOBS` (suite workloads per child sweep, default 3),
-//! `ARL_CHAOS_CHILD` (path to the `fault_campaign` binary, default: a
-//! sibling of the current executable), `ARL_CHAOS_DIR` (work directory,
-//! default: under the system temp dir; kept on failure for inspection).
+//! The fault seed is 42 and each child sweeps the first 3 suite
+//! workloads. Knobs: `ARL_CHAOS_POINTS` (default 20), `ARL_SCALE`
+//! (default tiny), `ARL_CHAOS_CHILD` (path to the `fault_campaign`
+//! binary, default: a sibling of the current executable), `ARL_CHAOS_DIR`
+//! (work directory, default: under the system temp dir; kept on failure
+//! for inspection).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -46,11 +47,11 @@ use std::process::Command;
 use arl_faults::{parse_plan, plan_io_fault, LayerPlan};
 use arl_sink::{parse_io_trace, IoOp, PlannedIoFault};
 use arl_stats::{Json, TableBuilder};
-use arl_workloads::suite;
+use arl_workloads::{suite, Scale};
 
-use crate::knob::knob_u64;
-use crate::runner::{write_named_json, Checkpoint};
-use crate::{scale_from_value, ExperimentOptions};
+use crate::knob::{ambient_knob_names, Knobs};
+use crate::runner::{end_main, Checkpoint};
+use crate::ExperimentOptions;
 
 /// `BENCH_chaos.json` schema identifier.
 pub const CHAOS_SCHEMA: &str = "arl-chaos/v1";
@@ -60,16 +61,19 @@ pub const CHAOS_SCHEMA: &str = "arl-chaos/v1";
 /// every record shape.
 const CHILD_FAULT_PLAN: &str = "all:42:1";
 
+/// Seed for I/O-fault planning.
+const SEED: u64 = 42;
+
+/// Suite workloads per child sweep.
+const JOBS: usize = 3;
+
 /// Configuration for one chaos campaign.
 pub struct ChaosOptions {
-    /// Seed for I/O-fault planning (`ARL_CHAOS_SEED`).
-    pub seed: u64,
     /// Seeded kill/fault points to run (`ARL_CHAOS_POINTS`).
     pub points: u32,
-    /// Suite workloads per child sweep (`ARL_CHAOS_JOBS`).
-    pub jobs: usize,
-    /// Raw `ARL_SCALE` value forwarded to every child.
-    pub scale: String,
+    /// The scale every child runs at (`ARL_SCALE`, default tiny — chaos
+    /// measures robustness, not throughput).
+    pub scale: Scale,
     /// Path to the `fault_campaign` binary (`ARL_CHAOS_CHILD`), or
     /// `None` to use the sibling of the current executable.
     pub child: Option<PathBuf>,
@@ -78,22 +82,13 @@ pub struct ChaosOptions {
 }
 
 impl ChaosOptions {
-    /// Reads the `ARL_CHAOS_*` knobs and `ARL_SCALE` (default `tiny` —
-    /// chaos measures robustness, not throughput).
-    pub fn from_env() -> ChaosOptions {
-        let env = |k: &str| std::env::var(k).ok();
-        ChaosOptions {
-            seed: knob_u64("ARL_CHAOS_SEED", env("ARL_CHAOS_SEED").as_deref(), 42, 0),
-            points: knob_u64(
-                "ARL_CHAOS_POINTS",
-                env("ARL_CHAOS_POINTS").as_deref(),
-                20,
-                1,
-            ) as u32,
-            jobs: knob_u64("ARL_CHAOS_JOBS", env("ARL_CHAOS_JOBS").as_deref(), 3, 1) as usize,
-            scale: env("ARL_SCALE").unwrap_or_else(|| "tiny".to_string()),
-            child: std::env::var_os("ARL_CHAOS_CHILD").map(PathBuf::from),
-            dir: std::env::var_os("ARL_CHAOS_DIR").map(PathBuf::from),
+    /// The `ARL_SCALE` value that selects [`ChaosOptions::scale`] in a
+    /// child.
+    fn scale_arg(&self) -> String {
+        if self.scale.is_tiny() {
+            "tiny".to_string()
+        } else {
+            self.scale.factor().to_string()
         }
     }
 }
@@ -141,15 +136,13 @@ fn run_child(
     // Children must see exactly the chaos configuration — ambient ARL_*
     // knobs (a user's ARL_BACKEND, a CI ARL_JSON) would silently change
     // what the campaign measures.
-    for (key, _) in std::env::vars_os() {
-        if key.to_string_lossy().starts_with("ARL_") {
-            cmd.env_remove(key);
-        }
+    for key in ambient_knob_names() {
+        cmd.env_remove(key);
     }
-    cmd.env("ARL_SCALE", &opts.scale)
+    cmd.env("ARL_SCALE", opts.scale_arg())
         .env("ARL_THREADS", "1") // deterministic durable-op order
         .env("ARL_FAULT", CHILD_FAULT_PLAN)
-        .env("ARL_MAX_JOBS", opts.jobs.to_string())
+        .env("ARL_MAX_JOBS", JOBS.to_string())
         .env("ARL_JSON", dir)
         .env("ARL_CHECKPOINT", dir.join("ledger.ckpt"));
     for (key, value) in extra {
@@ -176,9 +169,8 @@ fn functional_instructions(stderr: &str) -> Option<u64> {
 fn child_identity(opts: &ChaosOptions, plan: &str) -> std::io::Result<crate::RunIdentity> {
     let plans: Vec<LayerPlan> = parse_plan(plan)
         .map_err(|e| std::io::Error::other(format!("bad chaos child plan {plan:?}: {e}")))?;
-    let scale = scale_from_value(Some(&opts.scale));
     Ok(crate::campaign_identity(
-        &ExperimentOptions::new(scale, 1),
+        &ExperimentOptions::new(opts.scale, 1),
         &plans,
     ))
 }
@@ -262,7 +254,7 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
     ]);
 
     for index in 0..opts.points {
-        let plan = plan_io_fault(opts.seed, index, &ops).map(|fault| PointPlan {
+        let plan = plan_io_fault(SEED, index, &ops).map(|fault| PointPlan {
             file: ops
                 .iter()
                 .find(|o| o.op == fault.op)
@@ -339,7 +331,7 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
             point.file.clone(),
             faulted.label(),
             format!("{live}"),
-            format!("{}", opts.jobs.saturating_sub(live)),
+            format!("{}", JOBS.saturating_sub(live)),
             format!("{}", identical && still_identical),
             outcome.to_string(),
         ]);
@@ -350,10 +342,7 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
             ("file", Json::from(point.file.as_str())),
             ("child", Json::from(faulted.label())),
             ("survivors", Json::from(live)),
-            (
-                "reexecuted_jobs",
-                Json::from(opts.jobs.saturating_sub(live)),
-            ),
+            ("reexecuted_jobs", Json::from(JOBS.saturating_sub(live))),
             ("resume_identical", Json::from(identical)),
             ("compacted", Json::from(compacted)),
             (
@@ -402,7 +391,10 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
         text,
         "Chaos campaign: {} seeded I/O fault point(s), seed {}, {} workload job(s) per sweep, \
          scale {}",
-        opts.points, opts.seed, opts.jobs, opts.scale
+        opts.points,
+        SEED,
+        JOBS,
+        opts.scale_arg()
     );
     let _ = writeln!(text, "{}", table.render());
     let _ = writeln!(
@@ -424,15 +416,15 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
 
     let workloads = {
         let mut specs = suite();
-        specs.truncate(opts.jobs);
+        specs.truncate(JOBS);
         specs.iter().map(|s| Json::from(s.name)).collect::<Vec<_>>()
     };
     let doc = Json::obj([
         ("schema", Json::from(CHAOS_SCHEMA)),
         ("experiment", Json::from("chaos")),
-        ("seed", Json::from(opts.seed)),
+        ("seed", Json::from(SEED)),
         ("points", Json::from(u64::from(opts.points))),
-        ("scale", Json::from(opts.scale.as_str())),
+        ("scale", Json::from(opts.scale_arg())),
         ("plan", Json::from(CHILD_FAULT_PLAN)),
         ("workloads", Json::Arr(workloads)),
         ("records", Json::Arr(records)),
@@ -467,12 +459,18 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
     Ok(ChaosRun { text, doc, failed })
 }
 
-/// The `bench_chaos` binary's `main`: reads the `ARL_CHAOS_*` knobs,
-/// runs the campaign, prints the table, writes `BENCH_chaos.json` when
-/// `ARL_JSON` is set, and exits non-zero on any silent/fatal outcome,
-/// divergent merge, or fingerprint-guard miss.
+/// The `bench_chaos` binary's `main`: reads the [`Knobs`], runs the
+/// campaign, prints the table, emits `BENCH_chaos.json` under `ARL_JSON`,
+/// and exits non-zero on any silent/fatal outcome, divergent merge, or
+/// fingerprint-guard miss.
 pub fn run_chaos_main() {
-    let opts = ChaosOptions::from_env();
+    let knobs = Knobs::from_env();
+    let opts = ChaosOptions {
+        points: knobs.chaos_points,
+        scale: knobs.scale.unwrap_or_else(Scale::tiny),
+        child: knobs.chaos_child.clone(),
+        dir: knobs.chaos_dir.clone(),
+    };
     let run = match chaos_campaign(&opts) {
         Ok(run) => run,
         Err(e) => {
@@ -480,18 +478,13 @@ pub fn run_chaos_main() {
             std::process::exit(2);
         }
     };
-    print!("{}", run.text);
-    if std::env::var_os("ARL_JSON").is_some() {
-        match write_named_json("BENCH_chaos.json", &run.doc) {
-            Ok(path) => eprintln!("[arl-bench] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("[arl-bench] failed to write ARL_JSON: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if run.failed {
-        eprintln!("[arl-bench] chaos campaign FAILED (silent/fatal outcomes or guard miss above)");
-        std::process::exit(1);
-    }
+    let failure = run
+        .failed
+        .then(|| "chaos campaign FAILED (silent/fatal outcomes or guard miss above)".to_string());
+    end_main(
+        &knobs,
+        &run.text,
+        &[("BENCH_chaos.json".to_string(), run.doc)],
+        failure.as_slice(),
+    );
 }

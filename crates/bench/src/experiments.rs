@@ -22,14 +22,15 @@ use arl_timing::{
 use arl_trace::Trace;
 use arl_workloads::{suite, workload, Scale, WorkloadSpec};
 
+use crate::knob::Knobs;
 use crate::runner::{
-    dedupe_failures, timed_record, write_probe_json, Pool, RunRecord, SuiteFailures, SuiteReport,
-    PROBE_SCHEMA,
+    dedupe_failures, end_main, timed_record, JobFailure, Pool, RunRecord, SuiteFailures,
+    SuiteReport, PROBE_SCHEMA,
 };
 use crate::{
     capture_trace, capture_trace_snapshotted, capture_trace_with, evaluate_program,
-    evaluate_trace_all, execute_with, fmt_millions, fmt_pct, scale_from_env, timing_trace,
-    timing_trace_probed, EvalReport,
+    evaluate_trace_all, execute_with, fmt_millions, fmt_pct, timing_trace, timing_trace_probed,
+    EvalReport,
 };
 
 /// How experiments obtain each workload's dynamic instruction stream.
@@ -44,29 +45,6 @@ pub enum TraceMode {
     /// Re-execute the functional simulation for every (workload × config)
     /// cell — the pre-trace harness, kept for cross-checking.
     Live,
-}
-
-impl TraceMode {
-    /// Resolves a raw `ARL_TRACE` value: `"live"`, `"off"` or `"0"`
-    /// select [`TraceMode::Live`]; anything else — including unset —
-    /// selects [`TraceMode::Replay`].
-    pub fn from_value(value: Option<&str>) -> TraceMode {
-        match value {
-            Some(v)
-                if v.eq_ignore_ascii_case("live")
-                    || v.eq_ignore_ascii_case("off")
-                    || v.trim() == "0" =>
-            {
-                TraceMode::Live
-            }
-            _ => TraceMode::Replay,
-        }
-    }
-
-    /// Reads `ARL_TRACE`.
-    pub fn from_env() -> TraceMode {
-        TraceMode::from_value(std::env::var("ARL_TRACE").ok().as_deref())
-    }
 }
 
 /// Scale, parallelism, trace mode, and probing for one experiment run.
@@ -142,35 +120,6 @@ impl ExperimentOptions {
         self
     }
 
-    /// Resolves a raw `ARL_PROBE` value: unset, empty, `"0"`, `"false"`,
-    /// or `"off"` leave probing disabled; anything else enables it.
-    pub fn probe_from_value(value: Option<&str>) -> bool {
-        match value {
-            None => false,
-            Some(v) => {
-                let v = v.trim();
-                !(v.is_empty()
-                    || v == "0"
-                    || v.eq_ignore_ascii_case("false")
-                    || v.eq_ignore_ascii_case("off"))
-            }
-        }
-    }
-
-    /// Reads `ARL_SCALE`, `ARL_THREADS`, `ARL_TRACE`, `ARL_PROBE`,
-    /// `ARL_SHARD`, `ARL_SNAPSHOT_INTERVAL`, and `ARL_BACKEND`.
-    pub fn from_env() -> ExperimentOptions {
-        ExperimentOptions {
-            scale: scale_from_env(),
-            threads: Pool::from_env().threads(),
-            trace: TraceMode::from_env(),
-            probe: Self::probe_from_value(std::env::var("ARL_PROBE").ok().as_deref()),
-            shards: crate::shard::shard_from_env(),
-            snapshot_interval: crate::shard::snapshot_interval_from_env(),
-            backend: crate::knob::backend_from_env(),
-        }
-    }
-
     fn pool(&self) -> Pool {
         Pool::new(self.threads)
     }
@@ -187,66 +136,48 @@ pub struct ExperimentRun {
     pub probe: Option<Json>,
 }
 
-/// Runs an experiment with env-derived options, prints its text, and
-/// honours `ARL_JSON` and `ARL_PROBE`. The shared `main` of every bench
-/// binary.
+/// One stderr line per failed job id — even when an experiment collected
+/// a record per attempt — closed by a count line naming `outcome`.
+fn failure_lines(mut failures: Vec<JobFailure>, outcome: &str) -> Vec<String> {
+    dedupe_failures(&mut failures);
+    let mut lines: Vec<String> = failures.iter().map(JobFailure::summary).collect();
+    if !failures.is_empty() {
+        lines.push(format!("{} job(s) failed; {outcome}", failures.len()));
+    }
+    lines
+}
+
+/// Runs an experiment with the environment's [`Knobs`], prints its text,
+/// and emits `BENCH_<experiment>.json` (plus the `ARL_PROBE` document)
+/// under `ARL_JSON`. The shared `main` of every table/figure binary.
 ///
 /// Failed jobs never abort the suite silently: a [`SuiteFailures`] panic
 /// from the pool (every surviving cell already ran) and any error records
 /// the experiment collected itself both end in a one-line-per-job stderr
 /// summary and a non-zero exit.
 pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {
-    let opts = ExperimentOptions::from_env();
+    let knobs = Knobs::from_env();
+    let opts = knobs.options();
     let run = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| experiment(&opts))) {
         Ok(run) => run,
         Err(payload) => match payload.downcast::<SuiteFailures>() {
             Ok(failures) => {
-                let mut failures = failures.0;
-                dedupe_failures(&mut failures);
-                for failure in &failures {
-                    eprintln!("[arl-bench] {}", failure.summary());
-                }
-                eprintln!(
-                    "[arl-bench] {} job(s) failed; no output written",
-                    failures.len()
-                );
-                std::process::exit(1);
+                let lines = failure_lines(failures.0, "no output written");
+                return end_main(&knobs, "", &[], &lines);
             }
             Err(payload) => std::panic::resume_unwind(payload),
         },
     };
-    print!("{}", run.text);
-    match run.report.emit_from_env() {
-        Ok(Some(path)) => eprintln!("[arl-bench] wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("[arl-bench] failed to write ARL_JSON: {e}");
-            std::process::exit(1);
-        }
+    let name = &run.report.experiment;
+    let mut docs = vec![(format!("BENCH_{name}.json"), run.report.to_json())];
+    if let Some(doc) = run.probe {
+        docs.push((format!("BENCH_{name}_probe.json"), doc));
     }
-    if let Some(doc) = &run.probe {
-        match write_probe_json(&run.report.experiment, doc) {
-            Ok(path) => eprintln!("[arl-bench] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("[arl-bench] failed to write ARL_PROBE document: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if !run.report.errors.is_empty() {
-        // One stderr line per job id, even when an experiment collected a
-        // record per attempt (the JSON keeps the full per-attempt array).
-        let mut errors = run.report.errors.clone();
-        dedupe_failures(&mut errors);
-        for failure in &errors {
-            eprintln!("[arl-bench] {}", failure.summary());
-        }
-        eprintln!(
-            "[arl-bench] {} job(s) failed; see the errors array in the JSON output",
-            errors.len()
-        );
-        std::process::exit(1);
-    }
+    let failures = failure_lines(
+        run.report.errors.clone(),
+        "see the errors array in the JSON output",
+    );
+    end_main(&knobs, &run.text, &docs, &failures);
 }
 
 /// One probed timing cell, in cell order: which (workload × config) pair

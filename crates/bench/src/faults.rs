@@ -38,22 +38,12 @@ use arl_timing::{MachineConfig, SimStats, TimingFault};
 use arl_trace::Trace;
 use arl_workloads::suite;
 
-use crate::runner::{scale_label, write_named_json, Checkpoint, JobFailure, Pool, RunIdentity};
+use crate::knob::Knobs;
+use crate::runner::{end_main, scale_label, Checkpoint, JobFailure, Pool, RunIdentity};
 use crate::{capture_trace, timing_trace, ExperimentOptions};
 
 /// `BENCH_faults.json` schema identifier.
 pub const FAULTS_SCHEMA: &str = "arl-faults/v1";
-
-/// Resolves a raw `ARL_MAX_JOBS` value: a positive integer truncates the
-/// campaign to its first N workload jobs (the CI kill-resume gate uses
-/// this to interrupt deterministically); unset, zero, or unparsable
-/// values run the full suite.
-pub fn max_jobs_from_value(value: Option<&str>) -> Option<usize> {
-    match value?.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
-    }
-}
 
 /// A finished campaign: rendered text, the `arl-faults/v1` document, and
 /// whether anything demands a non-zero exit.
@@ -171,28 +161,21 @@ pub fn campaign_identity(opts: &ExperimentOptions, plans: &[LayerPlan]) -> RunId
         .field("workloads", workloads)
 }
 
-/// Runs the campaign with an env-configured supervision policy
-/// (`ARL_DEADLINE`, `ARL_RETRIES`): `plans` faults per workload over the
-/// first `max_jobs` suite workloads (all 12 when `None`), resuming
-/// completed jobs from `checkpoint` when one is given.
+/// Runs the campaign unsupervised by deadline or retries: `plans` faults
+/// per workload over the first `max_jobs` suite workloads (all 12 when
+/// `None`), resuming completed jobs from `checkpoint` when one is given.
 pub fn fault_campaign_with(
     opts: &ExperimentOptions,
     plans: &[LayerPlan],
     max_jobs: Option<usize>,
     checkpoint: Option<Checkpoint>,
 ) -> FaultCampaignRun {
-    let pool = Pool::new(opts.threads)
-        .with_deadline(crate::runner::deadline_from_value(
-            std::env::var("ARL_DEADLINE").ok().as_deref(),
-        ))
-        .with_retries(crate::runner::retries_from_value(
-            std::env::var("ARL_RETRIES").ok().as_deref(),
-        ));
-    fault_campaign_pooled(opts, plans, max_jobs, checkpoint, &pool)
+    fault_campaign_pooled(opts, plans, max_jobs, checkpoint, &Pool::new(opts.threads))
 }
 
-/// [`fault_campaign_with`], supervised by an explicit [`Pool`] (tests
-/// drive deadline/retry behaviour through this).
+/// [`fault_campaign_with`], supervised by an explicit [`Pool`] (the binary
+/// passes the `ARL_DEADLINE`/`ARL_RETRIES` policy; tests drive
+/// deadline/retry behaviour through this).
 pub fn fault_campaign_pooled(
     opts: &ExperimentOptions,
     plans: &[LayerPlan],
@@ -448,12 +431,14 @@ pub fn fault_campaign_pooled(
     }
 }
 
-/// The `fault_campaign` binary's `main`: reads `ARL_FAULT`, `ARL_SCALE`,
-/// `ARL_THREADS`, `ARL_MAX_JOBS`, and `ARL_CHECKPOINT`; prints the
-/// campaign table; writes `BENCH_faults.json` when `ARL_JSON` is set;
-/// exits non-zero when any fault was fatal or silent or any job failed.
+/// The `fault_campaign` binary's `main`: reads `ARL_FAULT` and the
+/// [`Knobs`] (`ARL_SCALE`, `ARL_THREADS`, `ARL_DEADLINE`, `ARL_RETRIES`,
+/// `ARL_MAX_JOBS`, `ARL_CHECKPOINT`, ...); prints the campaign table;
+/// emits `BENCH_faults.json` under `ARL_JSON`; exits non-zero when any
+/// fault was fatal or silent or any job failed.
 pub fn run_faults_main() {
-    let opts = ExperimentOptions::from_env();
+    let knobs = Knobs::from_env();
+    let opts = knobs.options();
     let plans = match arl_faults::plan_from_env() {
         Ok(plans) => plans,
         Err(e) => {
@@ -461,39 +446,41 @@ pub fn run_faults_main() {
             std::process::exit(2);
         }
     };
-    let max_jobs = max_jobs_from_value(std::env::var("ARL_MAX_JOBS").ok().as_deref());
     // A ledger the user asked for but that cannot be opened — or that
     // fingerprints a different run — is a hard error: proceeding would
     // either silently lose resume protection or merge foreign payloads.
     let identity = campaign_identity(&opts, &plans);
-    let checkpoint = match Checkpoint::from_env(&identity) {
+    let checkpoint = match knobs
+        .checkpoint
+        .as_deref()
+        .map(|path| Checkpoint::open(path, &identity, knobs.checkpoint_force))
+        .transpose()
+    {
         Ok(ckpt) => ckpt,
         Err(e) => {
             eprintln!("[arl-bench] cannot open ARL_CHECKPOINT: {e}");
             std::process::exit(2);
         }
     };
-    let run = fault_campaign_with(&opts, &plans, max_jobs, checkpoint);
-    print!("{}", run.text);
+    let pool = Pool::new(knobs.threads)
+        .with_deadline(knobs.deadline)
+        .with_retries(knobs.retries);
+    let run = fault_campaign_pooled(&opts, &plans, knobs.max_jobs, checkpoint, &pool);
     // Audit line for supervisors (the chaos harness asserts a fully
     // resumed campaign re-executes zero functional instructions).
     eprintln!(
         "[arl-bench] functional instructions executed: {}",
         arl_sim::functional_instructions_executed()
     );
-    if std::env::var_os("ARL_JSON").is_some() {
-        match write_named_json("BENCH_faults.json", &run.doc) {
-            Ok(path) => eprintln!("[arl-bench] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("[arl-bench] failed to write ARL_JSON: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if run.failed {
-        eprintln!("[arl-bench] fault campaign FAILED (fatal/silent faults or job errors above)");
-        std::process::exit(1);
-    }
+    let failure = run
+        .failed
+        .then(|| "fault campaign FAILED (fatal/silent faults or job errors above)".to_string());
+    end_main(
+        &knobs,
+        &run.text,
+        &[("BENCH_faults.json".to_string(), run.doc)],
+        failure.as_slice(),
+    );
 }
 
 #[cfg(test)]
@@ -592,13 +579,5 @@ mod tests {
         let rendered = a.render();
         assert!(rendered.contains("\"experiment\":\"faults\""), "{rendered}");
         assert!(rendered.contains("trace:42:2"), "{rendered}");
-    }
-
-    #[test]
-    fn max_jobs_parser_handles_edge_cases() {
-        assert_eq!(max_jobs_from_value(None), None);
-        assert_eq!(max_jobs_from_value(Some("3")), Some(3));
-        assert_eq!(max_jobs_from_value(Some("0")), None);
-        assert_eq!(max_jobs_from_value(Some("all")), None);
     }
 }

@@ -3,8 +3,8 @@
 //! One binary per table/figure of the paper (see `src/bin/`), backed by the
 //! shared runners in this library:
 //!
-//! * [`profile_suite`] / [`ProfileReport`] — one functional-simulation pass
-//!   per workload with every Section 3 profiler attached. Table 1, Table 2
+//! * [`profile_suite_with`] / [`ProfileReport`] — one functional-simulation
+//!   pass per workload with every Section 3 profiler attached. Table 1, Table 2
 //!   and Figure 2 each run one pass per workload with only the profiler
 //!   they render.
 //! * [`evaluate`] — prediction-accuracy runs for arbitrary
@@ -21,11 +21,11 @@
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
 //!   results in cell order, so output is byte-identical to a serial run.
 //! * [`SuiteReport`] — structured [`RunRecord`]s per cell (tagged with a
-//!   capture/replay/execute `phase`), written as `BENCH_<experiment>.json`
-//!   when `ARL_JSON` is set.
-//! * [`scale_from_env`] — every binary honours `ARL_SCALE` (an integer
-//!   iteration multiplier; `tiny` for smoke runs) so results can be
-//!   reproduced at larger scales without recompiling.
+//!   capture/replay/execute `phase`), written by [`emit`] as
+//!   `BENCH_<experiment>.json` when `ARL_JSON` is set.
+//! * [`Knobs`] — every `ARL_*` knob (`ARL_SCALE`, an integer iteration
+//!   multiplier or `tiny` for smoke runs; `ARL_THREADS`; ...), read once
+//!   per binary with one warn-and-fallback contract.
 //! * [`timing_trace_probed`] / [`figure8_stalls`] — the opt-in
 //!   cycle-level observability layer: `ARL_PROBE=1` attaches an
 //!   `arl-timing` `Recorder` to every timing cell and additionally writes
@@ -53,22 +53,22 @@ pub use backends::{backends_bench, run_backends_main, BackendsBenchRun, BACKENDS
 
 pub use chaos::{chaos_campaign, run_chaos_main, ChaosOptions, ChaosRun, CHAOS_SCHEMA};
 
-pub use knob::{backend_from_env, backend_from_value, knob_f64, knob_parsed, knob_u64};
+pub use knob::Knobs;
 
 pub use shard::{
-    replay_sharded, replay_sharded_supervised, run_shard_main, shard_bench_with, shard_from_env,
-    shard_from_value, shard_identity, shard_plan, snapshot_interval_from_env,
-    snapshot_interval_from_value, stats_fingerprint, ShardBenchRun, ShardedReplay,
-    DEFAULT_SNAPSHOT_INTERVAL, SHARD_SCHEMA,
+    replay_sharded, replay_sharded_supervised, run_shard_main, shard_bench_with, shard_identity,
+    shard_plan, stats_fingerprint, ShardBenchRun, ShardedReplay, DEFAULT_SNAPSHOT_INTERVAL,
+    SHARD_SCHEMA,
 };
 
 pub use speed::{
-    regressions_vs_baseline, run_speed_suite, write_speed_json, SpeedReport, SpeedRow, SPEED_SCHEMA,
+    regressions_vs_baseline, run_speed_main, run_speed_suite, SpeedReport, SpeedRow,
+    MIN_SPEEDUP_RATIO, SPEED_SCHEMA,
 };
 
 pub use faults::{
-    campaign_identity, fault_campaign_pooled, fault_campaign_with, max_jobs_from_value,
-    run_faults_main, FaultCampaignRun, FAULTS_SCHEMA,
+    campaign_identity, fault_campaign_pooled, fault_campaign_with, run_faults_main,
+    FaultCampaignRun, FAULTS_SCHEMA,
 };
 
 pub use experiments::{
@@ -77,10 +77,9 @@ pub use experiments::{
     ExperimentOptions, ExperimentRun, TraceMode,
 };
 pub use runner::{
-    deadline_from_value, dedupe_failures, force_from_env, retries_from_value, threads_from_value,
-    timed_record, write_named_json, write_probe_json, Checkpoint, FailureKind, JobFailure,
-    LedgerView, Pool, RunIdentity, RunRecord, SuiteFailures, SuiteReport, CHECKPOINT_SCHEMA,
-    JSON_SCHEMA, PROBE_SCHEMA,
+    dedupe_failures, emit, timed_record, Checkpoint, FailureKind, JobFailure, LedgerView, Pool,
+    RunIdentity, RunRecord, SuiteFailures, SuiteReport, CHECKPOINT_SCHEMA, JSON_SCHEMA,
+    PROBE_SCHEMA,
 };
 
 use arl_asm::Program;
@@ -170,11 +169,6 @@ pub fn profile_workload(spec: WorkloadSpec, scale: Scale) -> ProfileReport {
 /// Results come back in suite order regardless of the worker count.
 pub fn profile_suite_with(pool: &Pool, scale: Scale) -> Vec<ProfileReport> {
     pool.map(suite(), |_i, spec| profile_workload(spec, scale))
-}
-
-/// Profiles the whole 12-workload suite with `ARL_THREADS` workers.
-pub fn profile_suite(scale: Scale) -> Vec<ProfileReport> {
-    profile_suite_with(&Pool::from_env(), scale)
 }
 
 /// Result of one prediction-accuracy run.
@@ -352,38 +346,6 @@ pub fn timing_trace_probed(
         .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
 }
 
-/// Reads the run scale from `ARL_SCALE` (`"tiny"`, or an integer
-/// multiplier; default 1).
-pub fn scale_from_env() -> Scale {
-    scale_from_value(std::env::var("ARL_SCALE").ok().as_deref())
-}
-
-/// Resolves a raw `ARL_SCALE` value: `"tiny"` selects the smoke scale, a
-/// positive integer is honoured (`0` is clamped to 1 with a warning), and
-/// anything unparsable warns and falls back to the default — mirroring the
-/// `ARL_THREADS` handling, so a typo never silently runs at the wrong
-/// scale.
-pub fn scale_from_value(value: Option<&str>) -> Scale {
-    let Some(v) = value else {
-        return Scale::default();
-    };
-    let trimmed = v.trim();
-    if trimmed.eq_ignore_ascii_case("tiny") {
-        return Scale::tiny();
-    }
-    match trimmed.parse::<u32>() {
-        Ok(0) => {
-            eprintln!("[arl-bench] clamping ARL_SCALE=0 to 1");
-            Scale::new(1)
-        }
-        Ok(n) => Scale::new(n),
-        Err(_) => {
-            eprintln!("[arl-bench] ignoring invalid ARL_SCALE={v:?}; using the default scale");
-            Scale::default()
-        }
-    }
-}
-
 /// Formats a count in millions with one decimal (Table 1 style).
 pub fn fmt_millions(n: u64) -> String {
     format!("{:.1}M", n as f64 / 1e6)
@@ -425,26 +387,5 @@ mod tests {
     fn fmt_helpers() {
         assert_eq!(fmt_millions(1_234_567), "1.2M");
         assert_eq!(fmt_pct(0.99891, 2), "99.89%");
-    }
-
-    #[test]
-    fn scale_from_value_handles_edge_cases() {
-        // Explicit factors are honoured; zero clamps to 1 instead of
-        // producing a degenerate scale.
-        assert_eq!(scale_from_value(Some("4")).factor(), 4);
-        assert_eq!(scale_from_value(Some(" 2 ")).factor(), 2);
-        assert_eq!(scale_from_value(Some("0")).factor(), 1);
-        // The smoke scale survives, whatever the capitalization.
-        assert!(scale_from_value(Some("tiny")).is_tiny());
-        assert!(scale_from_value(Some("TINY")).is_tiny());
-        // Unset or invalid values fall back to the default scale — they
-        // must never be silently misread as factor 1.
-        let default = Scale::default();
-        assert_eq!(scale_from_value(None).factor(), default.factor());
-        for bad in ["", "lots", "-2", "1.5", "0x8"] {
-            let scale = scale_from_value(Some(bad));
-            assert_eq!(scale.factor(), default.factor(), "value {bad:?}");
-            assert_eq!(scale.is_tiny(), default.is_tiny(), "value {bad:?}");
-        }
     }
 }

@@ -18,6 +18,8 @@ use std::time::{Duration, Instant};
 use arl_stats::Json;
 use arl_workloads::Scale;
 
+use crate::knob::Knobs;
+
 /// Locks a mutex even when a previous holder panicked: a worker panic
 /// must never cascade into `PoisonError` panics on the threads that are
 /// still making progress. Every datum behind these locks is written in
@@ -155,28 +157,6 @@ impl Pool {
             deadline: None,
             retries: 0,
         }
-    }
-
-    /// Reads `ARL_THREADS` (defaults to all available cores),
-    /// `ARL_DEADLINE` (per-job deadline in seconds; unset = none), and
-    /// `ARL_RETRIES` (bounded retry count for supervised jobs; default 0).
-    /// `ARL_THREADS=1` reproduces the serial harness exactly; invalid
-    /// values fall back to the default (the output never depends on the
-    /// worker count, so a fallback is always safe).
-    pub fn from_env() -> Pool {
-        let value = std::env::var("ARL_THREADS").ok();
-        if let Some(v) = &value {
-            if v.trim().parse::<usize>().is_err() {
-                eprintln!("[arl-bench] ignoring invalid ARL_THREADS={v:?}; using all cores");
-            }
-        }
-        Pool::new(threads_from_value(value.as_deref()))
-            .with_deadline(deadline_from_value(
-                std::env::var("ARL_DEADLINE").ok().as_deref(),
-            ))
-            .with_retries(retries_from_value(
-                std::env::var("ARL_RETRIES").ok().as_deref(),
-            ))
     }
 
     /// Sets the per-job deadline for [`Pool::try_map`] jobs.
@@ -355,47 +335,6 @@ impl Pool {
     }
 }
 
-/// Resolves a raw `ARL_DEADLINE` value: positive seconds (fractions
-/// allowed) become a per-job deadline; unset, zero, or unparsable values
-/// mean no deadline (with a warning for the unparsable case).
-pub fn deadline_from_value(value: Option<&str>) -> Option<Duration> {
-    let v = value?;
-    match v.trim().parse::<f64>() {
-        Ok(secs) if secs > 0.0 && secs.is_finite() => Some(Duration::from_secs_f64(secs)),
-        Ok(_) => None,
-        Err(_) => {
-            eprintln!("[arl-bench] ignoring invalid ARL_DEADLINE={v:?}; no deadline");
-            None
-        }
-    }
-}
-
-/// Resolves a raw `ARL_RETRIES` value: a non-negative integer count of
-/// re-attempts; unset or unparsable values mean no retries (with a
-/// warning for the unparsable case).
-pub fn retries_from_value(value: Option<&str>) -> u32 {
-    let Some(v) = value else {
-        return 0;
-    };
-    match v.trim().parse::<u32>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("[arl-bench] ignoring invalid ARL_RETRIES={v:?}; no retries");
-            0
-        }
-    }
-}
-
-/// Resolves a raw `ARL_THREADS` value to a worker count: a positive
-/// integer is honoured (`0` clamps to 1), anything unparsable — or no
-/// value at all — falls back to all available cores.
-pub fn threads_from_value(value: Option<&str>) -> usize {
-    match value.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 /// One (workload × config) cell's structured result.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunRecord {
@@ -498,34 +437,43 @@ pub const JSON_SCHEMA: &str = "arl-bench/v2";
 /// `BENCH_*_probe.json` schema identifier (the `ARL_PROBE=1` payload).
 pub const PROBE_SCHEMA: &str = "arl-probe/v1";
 
-/// Writes an `ARL_PROBE` document as `BENCH_<experiment>_probe.json`,
-/// steered by the same `ARL_JSON` convention as [`SuiteReport`]: into the
-/// directory when `ARL_JSON` names one, alongside the file when it names a
-/// file, and into the working directory when `ARL_JSON` is unset.
-pub fn write_probe_json(experiment: &str, doc: &Json) -> std::io::Result<PathBuf> {
-    write_named_json(&format!("BENCH_{experiment}_probe.json"), doc)
+/// Writes `doc` as `file_name` under the `ARL_JSON` value `json`: inside
+/// the directory it names (an existing directory, or any path ending in
+/// `/`), or alongside the file it names. The one writer of every
+/// `BENCH_*.json` document.
+pub fn emit(json: &Path, file_name: &str, doc: &Json) -> std::io::Result<PathBuf> {
+    let dir = if json.is_dir() || json.as_os_str().as_encoded_bytes().ends_with(b"/") {
+        json
+    } else {
+        json.parent().unwrap_or(Path::new(""))
+    };
+    let file = dir.join(file_name);
+    arl_sink::durable_write(&file, (doc.render() + "\n").as_bytes())?;
+    Ok(file)
 }
 
-/// Writes `doc` as `file_name`, resolved by the `ARL_JSON` convention
-/// (into the directory it names, alongside the file it names, or into
-/// the working directory when unset).
-pub fn write_named_json(file_name: &str, doc: &Json) -> std::io::Result<PathBuf> {
-    let file = match std::env::var_os("ARL_JSON") {
-        Some(raw) => {
-            let path = PathBuf::from(raw);
-            if path.is_dir() {
-                path.join(file_name)
-            } else {
-                match path.parent() {
-                    Some(dir) if !dir.as_os_str().is_empty() => dir.join(file_name),
-                    _ => PathBuf::from(file_name),
+/// The shared end of every bench binary: prints `text`, emits each
+/// `(file name, document)` when `ARL_JSON` is set, then reports each of
+/// `failures` as one stderr line and exits non-zero if there are any.
+pub(crate) fn end_main(knobs: &Knobs, text: &str, docs: &[(String, Json)], failures: &[String]) {
+    print!("{text}");
+    if let Some(json) = &knobs.json {
+        for (file_name, doc) in docs {
+            match emit(json, file_name, doc) {
+                Ok(path) => eprintln!("[arl-bench] wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("[arl-bench] failed to write ARL_JSON {file_name}: {e}");
+                    std::process::exit(1);
                 }
             }
         }
-        None => PathBuf::from(file_name),
-    };
-    arl_sink::durable_write(&file, (doc.render() + "\n").as_bytes())?;
-    Ok(file)
+    }
+    for line in failures {
+        eprintln!("[arl-bench] {line}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 impl SuiteReport {
@@ -585,28 +533,6 @@ impl SuiteReport {
             ));
         }
         Json::obj(pairs)
-    }
-
-    /// Writes the report to `path`. If `path` is a directory, writes
-    /// `BENCH_<experiment>.json` inside it.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<PathBuf> {
-        let file = if path.is_dir() {
-            path.join(format!("BENCH_{}.json", self.experiment))
-        } else {
-            path.to_path_buf()
-        };
-        arl_sink::durable_write(&file, (self.to_json().render() + "\n").as_bytes())?;
-        Ok(file)
-    }
-
-    /// Honours `ARL_JSON`: when set, writes the report there (file path,
-    /// or directory to get the `BENCH_<experiment>.json` name) and returns
-    /// the path written.
-    pub fn emit_from_env(&self) -> std::io::Result<Option<PathBuf>> {
-        match std::env::var_os("ARL_JSON") {
-            Some(path) => self.write_json(Path::new(&path)).map(Some),
-            None => Ok(None),
-        }
     }
 }
 
@@ -948,19 +874,6 @@ impl Checkpoint {
         })
     }
 
-    /// Honours `ARL_CHECKPOINT` (+ `ARL_CHECKPOINT_FORCE`): opens the
-    /// ledger it names for `identity`, or `None` when unset.
-    ///
-    /// # Errors
-    ///
-    /// I/O and identity errors from [`Checkpoint::open`].
-    pub fn from_env(identity: &RunIdentity) -> std::io::Result<Option<Checkpoint>> {
-        match std::env::var_os("ARL_CHECKPOINT") {
-            Some(path) => Checkpoint::open(Path::new(&path), identity, force_from_env()).map(Some),
-            None => Ok(None),
-        }
-    }
-
     /// Parses an existing ledger without opening it for writing (nothing
     /// is truncated); `Err` for a missing file or unreadable header.
     pub fn inspect(path: &Path) -> std::io::Result<LedgerView> {
@@ -1055,13 +968,6 @@ impl Checkpoint {
     }
 }
 
-/// Reads `ARL_CHECKPOINT_FORCE` (any value but `0`/empty arms it).
-pub fn force_from_env() -> bool {
-    std::env::var("ARL_CHECKPOINT_FORCE")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false)
-}
-
 pub(crate) fn scale_label(scale: Scale) -> String {
     if scale.is_tiny() {
         "tiny".to_string()
@@ -1097,23 +1003,6 @@ mod tests {
     #[test]
     fn pool_clamps_zero_threads() {
         assert_eq!(Pool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn threads_from_value_handles_edge_cases() {
-        let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Explicit counts are honoured; zero clamps to serial.
-        assert_eq!(threads_from_value(Some("1")), 1);
-        assert_eq!(threads_from_value(Some(" 3 ")), 3);
-        assert_eq!(threads_from_value(Some("0")), 1);
-        // Oversubscription is allowed — Pool::map caps workers at the
-        // cell count, so a huge value is harmless.
-        assert_eq!(threads_from_value(Some("4096")), 4096);
-        // Unset or invalid values fall back to all cores.
-        assert_eq!(threads_from_value(None), default);
-        for bad in ["", "lots", "-2", "1.5", "0x8"] {
-            assert_eq!(threads_from_value(Some(bad)), default, "value {bad:?}");
-        }
     }
 
     #[test]
@@ -1304,20 +1193,6 @@ mod tests {
         assert_eq!(errors[0].get("attempts").unwrap().as_u64(), Some(2));
     }
 
-    #[test]
-    fn env_knob_parsers_handle_edge_cases() {
-        assert_eq!(deadline_from_value(None), None);
-        assert_eq!(
-            deadline_from_value(Some("2.5")),
-            Some(Duration::from_secs_f64(2.5))
-        );
-        assert_eq!(deadline_from_value(Some("0")), None);
-        assert_eq!(deadline_from_value(Some("soon")), None);
-        assert_eq!(retries_from_value(None), 0);
-        assert_eq!(retries_from_value(Some(" 3 ")), 3);
-        assert_eq!(retries_from_value(Some("many")), 0);
-    }
-
     fn ckpt_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("arl-ckpt-test-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1478,15 +1353,20 @@ mod tests {
     }
 
     #[test]
-    fn write_json_into_directory_uses_bench_name() {
+    fn emit_writes_inside_a_directory_or_alongside_a_file() {
         let dir = std::env::temp_dir().join(format!("arl-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let report = SuiteReport::new("figure8", Scale::default(), 1);
-        let path = report.write_json(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap(), "BENCH_figure8.json");
+        let path = emit(&dir, "BENCH_figure8.json", &report.to_json()).unwrap();
+        assert_eq!(path, dir.join("BENCH_figure8.json"));
         let back = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back.get("experiment").unwrap().as_str(), Some("figure8"));
         assert_eq!(back.get("scale").unwrap().as_str(), Some("x1"));
+        // A file path (existing or not) places the document beside it.
+        let beside = emit(&dir.join("run.json"), "BENCH_x.json", &Json::Null).unwrap();
+        assert_eq!(beside, dir.join("BENCH_x.json"));
+        // A missing directory is an error, never a silent fallback.
+        assert!(emit(&dir.join("missing/"), "BENCH_x.json", &Json::Null).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,7 +23,7 @@
 //! instructions, default [`DEFAULT_SNAPSHOT_INTERVAL`]; 0 disables).
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use arl_asm::Program;
@@ -32,7 +32,8 @@ use arl_timing::{MachineConfig, Recorder, SimStats, TimingSim};
 use arl_trace::{Replayer, Trace};
 use arl_workloads::workload;
 
-use crate::runner::{scale_label, write_named_json, Checkpoint, RunIdentity};
+use crate::knob::Knobs;
+use crate::runner::{end_main, scale_label, Checkpoint, RunIdentity};
 use crate::{capture_trace_snapshotted, timing_trace, ExperimentOptions};
 
 /// `BENCH_shard.json` schema identifier.
@@ -42,32 +43,6 @@ pub const SHARD_SCHEMA: &str = "arl-shard/v1";
 /// instructions — coarse enough to stay invisible in container size,
 /// fine enough that default-scale workloads shard into several segments.
 pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 1_000_000;
-
-/// Resolves a raw `ARL_SHARD` value: a positive integer is the shard-job
-/// count per (workload × config) cell; unset means 1 (unsharded); zero is
-/// clamped to 1 and anything unparsable warns and replays unsharded.
-/// Routed through [`crate::knob_u64`] like every other `ARL_*` knob.
-pub fn shard_from_value(value: Option<&str>) -> usize {
-    crate::knob_u64("ARL_SHARD", value, 1, 1) as usize
-}
-
-/// Reads `ARL_SHARD`.
-pub fn shard_from_env() -> usize {
-    shard_from_value(std::env::var("ARL_SHARD").ok().as_deref())
-}
-
-/// Resolves a raw `ARL_SNAPSHOT_INTERVAL` value: instructions between
-/// snapshot records at capture time; 0 disables snapshots; unset or
-/// unparsable values use [`DEFAULT_SNAPSHOT_INTERVAL`]. Routed through
-/// [`crate::knob_u64`] like every other `ARL_*` knob.
-pub fn snapshot_interval_from_value(value: Option<&str>) -> u64 {
-    crate::knob_u64("ARL_SNAPSHOT_INTERVAL", value, DEFAULT_SNAPSHOT_INTERVAL, 0)
-}
-
-/// Reads `ARL_SNAPSHOT_INTERVAL`.
-pub fn snapshot_interval_from_env() -> u64 {
-    snapshot_interval_from_value(std::env::var("ARL_SNAPSHOT_INTERVAL").ok().as_deref())
-}
 
 /// Groups `segments` trace segments into at most `shards` contiguous,
 /// balanced shard jobs. Returns `(start, end)` *boundary* pairs in
@@ -408,7 +383,7 @@ pub fn shard_bench_with(
     force: bool,
 ) -> std::io::Result<ShardBenchRun> {
     let spec = workload(workload_name)
-        .unwrap_or_else(|| panic!("ARL_SHARD_WORKLOAD={workload_name} matches no suite workload"));
+        .unwrap_or_else(|| panic!("workload {workload_name} matches no suite workload"));
     let config = MachineConfig::decoupled(3, 3);
     let scale = scale_label(opts.scale);
 
@@ -568,32 +543,26 @@ pub fn shard_bench_with(
     })
 }
 
-/// The `bench_shard` binary's `main`: reads `ARL_SHARD` (default 3 when
-/// unset — a serial "sweep" would measure nothing), `ARL_SHARD_WORKLOAD`
-/// (default `gcc`, the longest suite workload), `ARL_SNAPSHOT_INTERVAL`,
-/// `ARL_SCALE`, and `ARL_CHECKPOINT` (enables the kill-resume
-/// measurement); prints the comparison; writes `BENCH_shard.json` when
-/// `ARL_JSON` is set; exits non-zero if stitched and serial diverge.
+/// The workload `bench_shard` measures: `gcc`, the longest in the suite.
+const SHARD_WORKLOAD: &str = "gcc";
+
+/// The `bench_shard` binary's `main`: reads the [`Knobs`] (`ARL_SHARD`
+/// defaults to 3 here — a serial "sweep" would measure nothing;
+/// `ARL_CHECKPOINT` enables the kill-resume measurement), prints the
+/// comparison, emits `BENCH_shard.json` under `ARL_JSON`, and exits
+/// non-zero if stitched and serial diverge.
 pub fn run_shard_main() {
-    let opts = ExperimentOptions::from_env();
-    let shards = if std::env::var_os("ARL_SHARD").is_some() {
-        shard_from_env()
-    } else {
-        3
-    };
-    let workload_name = std::env::var("ARL_SHARD_WORKLOAD").unwrap_or_else(|_| "gcc".to_string());
-    let interval = snapshot_interval_from_env();
-    let ledger_path = std::env::var_os("ARL_CHECKPOINT").map(PathBuf::from);
+    let knobs = Knobs::from_env();
     // An unusable or mismatched ledger the user explicitly asked for is
     // a hard error — running on without resume protection would silently
     // discard the guarantee they requested.
     let run = match shard_bench_with(
-        &opts,
-        &workload_name,
-        shards,
-        interval,
-        ledger_path.as_deref(),
-        crate::runner::force_from_env(),
+        &knobs.options(),
+        SHARD_WORKLOAD,
+        knobs.shard.unwrap_or(3),
+        knobs.snapshot_interval,
+        knobs.checkpoint.as_deref(),
+        knobs.checkpoint_force,
     ) {
         Ok(run) => run,
         Err(e) => {
@@ -601,20 +570,15 @@ pub fn run_shard_main() {
             std::process::exit(2);
         }
     };
-    print!("{}", run.text);
-    if std::env::var_os("ARL_JSON").is_some() {
-        match write_named_json("BENCH_shard.json", &run.doc) {
-            Ok(path) => eprintln!("[arl-bench] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("[arl-bench] failed to write ARL_JSON: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if run.failed {
-        eprintln!("[arl-bench] shard bench FAILED: stitched replay diverged from serial");
-        std::process::exit(1);
-    }
+    let failure = run
+        .failed
+        .then(|| "shard bench FAILED: stitched replay diverged from serial".to_string());
+    end_main(
+        &knobs,
+        &run.text,
+        &[("BENCH_shard.json".to_string(), run.doc)],
+        failure.as_slice(),
+    );
 }
 
 #[cfg(test)]
@@ -654,25 +618,6 @@ mod tests {
         assert_eq!(from_hex(""), Some(Vec::new()));
         assert_eq!(from_hex("abc"), None, "odd length");
         assert_eq!(from_hex("zz"), None, "non-hex digits");
-    }
-
-    #[test]
-    fn env_value_parsers_handle_edge_cases() {
-        assert_eq!(shard_from_value(None), 1);
-        assert_eq!(shard_from_value(Some("4")), 4);
-        assert_eq!(shard_from_value(Some(" 2 ")), 2);
-        assert_eq!(shard_from_value(Some("0")), 1);
-        assert_eq!(shard_from_value(Some("many")), 1);
-        assert_eq!(
-            snapshot_interval_from_value(None),
-            DEFAULT_SNAPSHOT_INTERVAL
-        );
-        assert_eq!(snapshot_interval_from_value(Some("5000")), 5_000);
-        assert_eq!(snapshot_interval_from_value(Some("0")), 0, "0 disables");
-        assert_eq!(
-            snapshot_interval_from_value(Some("soon")),
-            DEFAULT_SNAPSHOT_INTERVAL
-        );
     }
 
     #[test]

@@ -11,18 +11,19 @@
 //!
 //! The committed copy at the repo root is the speed trajectory the ci
 //! gate holds the event core to: a run may not fall below
-//! `ARL_SPEED_MIN_RATIO` (default 0.8) of the baseline's per-workload
-//! `speedup` (machine-load-immune; see [`regressions_vs_baseline`]).
+//! [`MIN_SPEEDUP_RATIO`] of the baseline's per-workload `speedup`
+//! (machine-load-immune; see [`regressions_vs_baseline`]).
 //!
 //! Each workload's trace is captured once and pre-decoded into one
 //! [`TraceEntry`] slice, so the measurement times the *simulator*, not
 //! trace decode. The reps alternate the two cores so both share the same
-//! window of host load. Knobs (all warn-and-fallback via
-//! [`crate::knob`]): `ARL_SPEED_WORKLOADS` (comma list filter),
-//! `ARL_SPEED_REPS` (best-of, default 2), `ARL_SPEED_BASELINE` (path to a
-//! committed baseline to gate against), `ARL_SPEED_MIN_RATIO`, plus the
-//! usual `ARL_SCALE`/`ARL_JSON`.
+//! window of host load. Knobs (all warn-and-fallback via [`Knobs`]):
+//! `ARL_SPEED_WORKLOADS` (comma list filter), `ARL_SPEED_REPS` (best-of,
+//! default 2), `ARL_SPEED_BASELINE` (path to a committed baseline to gate
+//! against), plus the usual `ARL_SCALE`/`ARL_JSON`.
 
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
 use arl_sim::{EntrySliceSource, TraceEntry, TraceSource};
@@ -30,8 +31,8 @@ use arl_stats::Json;
 use arl_timing::{reference, MachineConfig, NullProbe, SimStats, TimingSim};
 use arl_workloads::{suite, Scale};
 
-use crate::knob::{knob_f64, knob_u64};
-use crate::runner::{scale_label, write_named_json};
+use crate::knob::Knobs;
+use crate::runner::{end_main, scale_label};
 use crate::INST_CAP;
 
 /// `BENCH_speed.json` schema identifier.
@@ -157,30 +158,6 @@ impl SpeedReport {
     }
 }
 
-fn workload_filter() -> Option<Vec<String>> {
-    let raw = std::env::var("ARL_SPEED_WORKLOADS").ok()?;
-    let names: Vec<String> = raw
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if names.is_empty() {
-        None
-    } else {
-        Some(names)
-    }
-}
-
-fn reps_from_env() -> u32 {
-    let n = knob_u64(
-        "ARL_SPEED_REPS",
-        std::env::var("ARL_SPEED_REPS").ok().as_deref(),
-        2,
-        1,
-    );
-    u32::try_from(n.min(1_000)).unwrap_or(2)
-}
-
 /// The legacy reference core over a pre-decoded slice.
 fn reference_trace(entries: &[TraceEntry], config: &MachineConfig) -> SimStats {
     reference::run_probed(&mut EntrySliceSource::new(entries), config, NullProbe)
@@ -209,23 +186,21 @@ fn time_cores(entries: &[TraceEntry], config: &MachineConfig, reps: u32) -> [(f6
     best
 }
 
-/// Runs the benchmark over the (possibly filtered) suite.
+/// Runs the benchmark over the suite, or over the workloads `filter`
+/// names, timing each core best-of-`reps`.
 ///
 /// # Panics
 ///
-/// Panics if a workload fails to execute or capture, if
-/// `ARL_SPEED_WORKLOADS` names an unknown workload, or if the two cores'
-/// stats diverge (which would mean the event core is broken — the
-/// differential suite covers this, but a free check here keeps the
-/// committed baseline honest).
-pub fn run_speed_suite(scale: Scale) -> SpeedReport {
-    let filter = workload_filter();
-    let reps = reps_from_env();
+/// Panics if a workload fails to execute or capture, if `filter` names
+/// an unknown workload, or if the two cores' stats diverge (which would
+/// mean the event core is broken — the differential suite covers this,
+/// but a free check here keeps the committed baseline honest).
+pub fn run_speed_suite(scale: Scale, filter: Option<&[String]>, reps: u32) -> SpeedReport {
     let config = MachineConfig::decoupled(3, 3);
     let mut rows = Vec::new();
     let mut matched = 0usize;
     for spec in suite() {
-        if let Some(names) = &filter {
+        if let Some(names) = filter {
             if !names.iter().any(|n| n == spec.name) {
                 continue;
             }
@@ -259,7 +234,7 @@ pub fn run_speed_suite(scale: Scale) -> SpeedReport {
             identical: true,
         });
     }
-    if let Some(names) = &filter {
+    if let Some(names) = filter {
         assert_eq!(
             matched,
             names.len(),
@@ -273,30 +248,21 @@ pub fn run_speed_suite(scale: Scale) -> SpeedReport {
     }
 }
 
-/// Writes the report as `BENCH_speed.json` per the `ARL_JSON` convention.
-pub fn write_speed_json(report: &SpeedReport) -> std::io::Result<std::path::PathBuf> {
-    write_named_json("BENCH_speed.json", &report.to_json())
-}
-
-fn min_ratio() -> f64 {
-    knob_f64(
-        "ARL_SPEED_MIN_RATIO",
-        std::env::var("ARL_SPEED_MIN_RATIO").ok().as_deref(),
-        0.8,
-        0.0,
-    )
-}
+/// The speed gate's floor: each workload's speedup must reach this share
+/// of the baseline's.
+pub const MIN_SPEEDUP_RATIO: f64 = 0.85;
 
 /// Gates `report` against the committed baseline at `path`. Returns the
 /// offending rows.
 ///
-/// The gate compares speedups: each row must reach `min_ratio ×
-/// baseline speedup`. Both cores share whatever load the machine is
+/// The gate compares speedups: each row must reach [`MIN_SPEEDUP_RATIO`]
+/// × the baseline speedup. Both cores share whatever load the machine is
 /// under, so the ratio cancels it — absolute throughput on a shared box
 /// swings ±30% with background load and would gate on the weather.
-pub fn regressions_vs_baseline(report: &SpeedReport, path: &str) -> Result<Vec<String>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+pub fn regressions_vs_baseline(report: &SpeedReport, path: &Path) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(path);
+    let path = path.display();
+    let text = text.map_err(|e| format!("cannot read baseline {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("baseline {path} is not JSON: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
         Some(SPEED_SCHEMA) => {}
@@ -306,7 +272,6 @@ pub fn regressions_vs_baseline(report: &SpeedReport, path: &str) -> Result<Vec<S
             ))
         }
     }
-    let ratio = min_ratio();
     let rows = doc
         .get("rows")
         .and_then(Json::as_array)
@@ -325,19 +290,76 @@ pub fn regressions_vs_baseline(report: &SpeedReport, path: &str) -> Result<Vec<S
                 row.workload
             ));
         };
-        let floor = baseline_speedup * ratio;
+        let floor = baseline_speedup * MIN_SPEEDUP_RATIO;
         if row.speedup() < floor {
             failures.push(format!(
                 "{}: event/legacy speedup {:.2}x < {:.2}x ({}% of baseline {:.2}x)",
                 row.workload,
                 row.speedup(),
                 floor,
-                (ratio * 100.0) as u32,
+                (MIN_SPEEDUP_RATIO * 100.0) as u32,
                 baseline_speedup,
             ));
         }
     }
     Ok(failures)
+}
+
+/// The `bench_speed` binary's `main`: times the suite with the
+/// environment's [`Knobs`], prints the table, emits `BENCH_speed.json`
+/// under `ARL_JSON`, and — with `ARL_SPEED_BASELINE` set — exits non-zero
+/// if any workload's speedup falls below [`MIN_SPEEDUP_RATIO`] of the
+/// baseline's.
+pub fn run_speed_main() {
+    let knobs = Knobs::from_env();
+    let report = run_speed_suite(
+        knobs.scale.unwrap_or_default(),
+        knobs.speed_workloads.as_deref(),
+        knobs.speed_reps,
+    );
+    let mut text = format!(
+        "{:<10} {:>12} {:>14} {:>14} {:>9}\n",
+        "workload", "inst", "event i/s", "legacy i/s", "speedup"
+    );
+    for row in &report.rows {
+        let _ = writeln!(
+            text,
+            "{:<10} {:>12} {:>14.0} {:>14.0} {:>8.1}x",
+            row.workload,
+            row.instructions,
+            row.event_ips,
+            row.legacy_ips,
+            row.speedup(),
+        );
+    }
+    let suite_speedup = report
+        .suite_speedup_geomean()
+        .map_or_else(|| "-".to_string(), |v| format!("{v:.2}x"));
+    let _ = writeln!(
+        text,
+        "suite: event {:.0} inst/s, geomean speedup {suite_speedup}",
+        report.suite_event_ips()
+    );
+    let failures = match &knobs.speed_baseline {
+        None => Vec::new(),
+        Some(baseline) => match regressions_vs_baseline(&report, baseline) {
+            Ok(failures) if failures.is_empty() => {
+                let _ = writeln!(text, "speed gate: ok vs {}", baseline.display());
+                failures
+            }
+            Ok(failures) => failures
+                .iter()
+                .map(|f| format!("regression: {f}"))
+                .collect(),
+            Err(e) => vec![e],
+        },
+    };
+    end_main(
+        &knobs,
+        &text,
+        &[("BENCH_speed.json".to_string(), report.to_json())],
+        &failures,
+    );
 }
 
 #[cfg(test)]
@@ -373,11 +395,11 @@ mod tests {
     #[test]
     fn speedup_gate_is_immune_to_shared_machine_load() {
         let baseline = baseline_file("ratio", vec![row("go", 6_000_000.0, 2_000_000.0)]);
-        let path = baseline.to_str().expect("utf-8 path");
+        let path = baseline.as_path();
         // Same code on a box under heavy load: both cores at half
         // throughput, so the speedup ratio is unchanged and the gate
         // must pass even though absolute throughput is far below the
-        // 0.8 floor.
+        // floor.
         let loaded = report(vec![row("go", 3_000_000.0, 1_000_000.0)]);
         assert_eq!(
             regressions_vs_baseline(&loaded, path).expect("gate runs"),
@@ -399,6 +421,23 @@ mod tests {
     }
 
     #[test]
+    fn gate_floor_is_inclusive_at_the_min_ratio() {
+        let baseline = baseline_file("floor", vec![row("go", 2.0, 1.0)]);
+        let floor = 2.0 * MIN_SPEEDUP_RATIO;
+        let at_floor = report(vec![row("go", floor, 1.0)]);
+        assert_eq!(
+            regressions_vs_baseline(&at_floor, &baseline).expect("gate runs"),
+            Vec::<String>::new(),
+            "exactly {MIN_SPEEDUP_RATIO}x the baseline speedup passes"
+        );
+        let below = report(vec![row("go", floor - 1e-9, 1.0)]);
+        let failures = regressions_vs_baseline(&below, &baseline).expect("gate runs");
+        assert_eq!(failures.len(), 1, "just below the floor fails");
+        assert!(failures[0].contains("85% of baseline"), "{}", failures[0]);
+        std::fs::remove_file(&baseline).ok();
+    }
+
+    #[test]
     fn baseline_row_without_speedup_is_an_error() {
         let path =
             std::env::temp_dir().join(format!("arl-speed-nospeedup-{}.json", std::process::id()));
@@ -408,7 +447,7 @@ mod tests {
         )
         .expect("write baseline");
         let run = report(vec![row("go", 2.0, 1.0)]);
-        let err = regressions_vs_baseline(&run, path.to_str().expect("utf-8 path"))
+        let err = regressions_vs_baseline(&run, &path)
             .expect_err("a row the gate cannot compare must not pass silently");
         assert!(err.contains("no speedup"), "{err}");
         std::fs::remove_file(&path).ok();

@@ -4,14 +4,14 @@
 //! pool — and the rendered text must be **byte-identical**: the parallel
 //! runner folds cells in suite order, so scheduling must never leak into
 //! the output. The structured `SuiteReport` is additionally written to a
-//! temp file via the `BENCH_*.json` path and parsed back, pinning the
-//! schema every binary emits.
+//! temp directory through `emit`, the one `BENCH_*.json` writer, and
+//! parsed back, pinning the schema every binary emits.
 
 use std::collections::BTreeSet;
 
 use arl::stats::Json;
 use arl::workloads::{suite, Scale};
-use arl_bench::{ExperimentOptions, ExperimentRun, JSON_SCHEMA};
+use arl_bench::{emit, ExperimentOptions, ExperimentRun, JSON_SCHEMA};
 
 /// Runs one experiment serial and parallel, checks the determinism
 /// contract plus JSON round-trip, and returns the parallel run.
@@ -43,11 +43,9 @@ fn smoke(name: &str, f: impl Fn(&ExperimentOptions) -> ExperimentRun) -> Experim
     // BENCH_*.json: write to a temp dir, parse back, check the schema.
     let dir = std::env::temp_dir().join(format!("arl-smoke-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = parallel.report.write_json(&dir).unwrap();
-    assert_eq!(
-        path.file_name().unwrap().to_str().unwrap(),
-        format!("BENCH_{name}.json")
-    );
+    let file_name = format!("BENCH_{name}.json");
+    let path = emit(&dir, &file_name, &parallel.report.to_json()).unwrap();
+    assert_eq!(path, dir.join(file_name));
     let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(doc.get("schema").unwrap().as_str(), Some(JSON_SCHEMA));
     assert_eq!(doc.get("experiment").unwrap().as_str(), Some(name));
