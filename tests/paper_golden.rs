@@ -1,5 +1,6 @@
-//! Golden paper output: the rendered text of all eight paper experiments
-//! at `Scale::tiny()` must hash to the FNV-1a digests pinned in
+//! Golden experiment output: the rendered text of all eight paper
+//! experiments, the ablations, the Figure 8 stall companion and the `gcc`
+//! probe at `Scale::tiny()` must hash to the FNV-1a digests pinned in
 //! `tests/fixtures/paper_tiny.digests`.
 //!
 //! Every other suite compares two runs of the current code with each other
@@ -24,8 +25,9 @@ const FIXTURE: &str = concat!(
 
 type Experiment = fn(&ExperimentOptions) -> ExperimentRun;
 
-/// The paper's eight artifacts, in fixture order.
-const PAPER: [(&str, Experiment); 8] = [
+/// Every experiment entry point, in fixture order: the paper's eight
+/// artifacts first, then the ablations and diagnostics.
+const PAPER: [(&str, Experiment); 15] = [
     ("table1", arl_bench::table1),
     ("table2", arl_bench::table2),
     ("figure2", arl_bench::figure2),
@@ -34,6 +36,13 @@ const PAPER: [(&str, Experiment); 8] = [
     ("table4", arl_bench::table4),
     ("figure5", arl_bench::figure5),
     ("figure8", arl_bench::figure8),
+    ("ablation_l1size", arl_bench::ablation_l1size),
+    ("ablation_lvc", arl_bench::ablation_lvc),
+    ("ablation_ports", arl_bench::ablation_ports),
+    ("ablation_recovery", arl_bench::ablation_recovery),
+    ("ablation_twobit", arl_bench::ablation_twobit),
+    ("figure8_stalls", arl_bench::figure8_stalls),
+    ("probe_gcc", |opts| arl_bench::probe(opts, "gcc")),
 ];
 
 /// `name digest` lines, one per experiment.
