@@ -27,6 +27,18 @@ cargo build --release
 echo "==> cargo test (every workspace crate)"
 cargo test --workspace -q
 
+echo "==> cargo check benchmark/ (a separate package over arl-bench's API)"
+# `cargo test --workspace` never builds benchmark/, so an arl-bench API
+# change could break it unnoticed. Its lock file carries a stale entry
+# that every build rewrites; restore it whether or not the check passes.
+lock_backup="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_backup"
+bench_ok=0
+cargo check --offline --manifest-path benchmark/Cargo.toml && bench_ok=1
+cp "$lock_backup" benchmark/Cargo.lock
+rm -f "$lock_backup"
+test "$bench_ok" = 1
+
 echo "==> figure8_stalls smoke gate (ARL_SCALE=1)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT

@@ -1,11 +1,15 @@
 //! One entry point per table/figure binary, shared between the thin
 //! `src/bin/*` wrappers and the integration tests.
 //!
-//! Each experiment builds its (workload × config) cell list, fans the
-//! cells out over a [`Pool`], and folds the results back in cell order, so
-//! its rendered [`ExperimentRun::text`] is byte-identical for any thread
-//! count. Alongside the text, every cell contributes a [`RunRecord`] to
-//! the experiment's [`SuiteReport`] for `BENCH_*.json` emission.
+//! Each experiment renders over two shared functions. `workload_passes`
+//! runs one functional pass per workload: it builds the program, executes
+//! it once with an optional profiler, and captures the trace only when the
+//! experiment replays. A cell runner (`timing_cells` or `eval_cells`) then
+//! fans the (workload × config) cells out over a [`Pool`] and folds the
+//! results back in cell order, so the rendered [`ExperimentRun::text`] is
+//! byte-identical for any thread count. Alongside the text, every pass and
+//! cell contributes a [`RunRecord`] to the experiment's [`SuiteReport`]
+//! for `BENCH_*.json` emission.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -13,7 +17,9 @@ use std::time::Instant;
 use arl_asm::Program;
 use arl_core::{Capacity, Context, EvalConfig, HintTable, PredictorKind, Source};
 use arl_mem::{Region, RegionSet};
-use arl_sim::{RegionProfiler, SlidingWindowProfiler, TraceEntry, WorkloadCharacter};
+use arl_sim::{
+    Machine, RegionProfiler, SlidingWindowProfiler, TraceEntry, TraceSource, WorkloadCharacter,
+};
 use arl_stats::{BarChart, Json, TableBuilder};
 use arl_timing::{
     BackendConfig, CacheConfig, MachineConfig, Recorder, RecoveryMode, SimStats, StallCause,
@@ -27,9 +33,9 @@ use crate::runner::{
     dedupe_failures, end_main, timed_record, JobFailure, Pool, RunRecord, SuiteFailures,
     SuiteReport, PROBE_SCHEMA,
 };
+use crate::shard::replay_sharded;
 use crate::{
-    capture_trace, capture_trace_snapshotted, capture_trace_with, evaluate_program,
-    evaluate_trace_all, execute_with, fmt_millions, fmt_pct, timing_trace, timing_trace_probed,
+    evaluate_program, evaluate_trace_all, fmt_millions, fmt_pct, functional_pass, replayer,
     EvalReport,
 };
 
@@ -122,6 +128,19 @@ impl ExperimentOptions {
 
     fn pool(&self) -> Pool {
         Pool::new(self.threads)
+    }
+
+    /// What a workload's pass captures: nothing under [`TraceMode::Live`],
+    /// where every cell executes for itself; otherwise the trace its cells
+    /// replay, as `Some(snapshot interval)`. Only a trace that `timing`
+    /// cells will shard embeds snapshot records (interval 0 = none, the
+    /// byte-identical snapshot-free container).
+    fn capture(&self, timing: bool) -> Option<u64> {
+        match self.trace {
+            TraceMode::Live => None,
+            TraceMode::Replay if timing && self.shards > 1 => Some(self.snapshot_interval),
+            TraceMode::Replay => Some(0),
+        }
     }
 }
 
@@ -230,27 +249,6 @@ fn finish(
     }
 }
 
-/// Runs one functional pass per workload in parallel with a single
-/// observer attached; the backbone of the Section 3 experiments (Table 1,
-/// Table 2, Figure 2), each of which attaches only the profiler it prints.
-fn observe_cells<O: Send>(
-    opts: &ExperimentOptions,
-    new: impl Fn() -> O + Sync,
-    observe: impl Fn(&mut O, &TraceEntry) + Sync,
-) -> (Vec<O>, Vec<RunRecord>) {
-    let results = opts.pool().map(suite(), |_i, spec| {
-        timed_record(spec.name, "profile", |record| {
-            let program = spec.build(opts.scale);
-            let mut observer = new();
-            let metrics = execute_with(&program, spec.name, |e| observe(&mut observer, e));
-            record.instructions = metrics.instructions;
-            record.peak_rss_bytes = metrics.peak_rss_bytes;
-            observer
-        })
-    });
-    results.into_iter().unzip()
-}
-
 fn eval_record(record: &mut RunRecord, report: &EvalReport) {
     record.instructions = report.metrics.instructions;
     record.peak_rss_bytes = report.metrics.peak_rss_bytes;
@@ -265,46 +263,76 @@ fn timing_record(record: &mut RunRecord, stats: &SimStats) {
     record.peak_rss_bytes = stats.peak_rss_bytes;
 }
 
-/// One workload captured for replay: the built program plus its recorded
-/// dynamic trace.
-struct Captured {
+/// One workload's functional pass: its built program and, when the
+/// experiment replays, the captured trace its cells replay.
+struct Pass {
     spec: WorkloadSpec,
     program: Program,
-    trace: Trace,
+    trace: Option<Trace>,
 }
 
-/// Builds one workload and executes it functionally, capturing its trace;
-/// the returned `"capture"` record covers both steps.
-fn capture_workload(opts: &ExperimentOptions, spec: WorkloadSpec) -> (Captured, RunRecord) {
-    timed_record(spec.name, "capture", |record| {
-        record.phase = "capture".into();
-        let program = spec.build(opts.scale);
-        // Sharded replays resume at snapshot boundaries, so the capture
-        // must embed them; unsharded runs keep the byte-identical
-        // snapshot-free container.
-        let trace = if opts.shards > 1 {
-            capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval)
-        } else {
-            capture_trace(&program, spec.name)
-        };
-        record.instructions = trace.metrics().instructions;
-        record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-        Captured {
-            spec,
-            program,
-            trace,
-        }
-    })
-}
+/// The observer of a pass nothing profiles.
+const UNOBSERVED: Option<fn(&mut (), &TraceEntry)> = None;
 
-/// Executes every suite workload functionally exactly once (in parallel),
-/// capturing its trace. The per-workload `"capture"` records lead the
-/// experiment's record list; subsequent sweep cells are pure replays.
-fn capture_suite(opts: &ExperimentOptions) -> (Vec<Captured>, Vec<RunRecord>) {
-    let results = opts
-        .pool()
-        .map(suite(), |_i, spec| capture_workload(opts, spec));
-    results.into_iter().unzip()
+/// Runs one functional pass per workload of `specs`, one pool job each,
+/// and hands every pass with its profile to `then` inside the same job.
+///
+/// A pass builds the program and executes it once, feeding every retired
+/// instruction to `observe` on a fresh `P`. `capture` (see
+/// [`ExperimentOptions::capture`]) also records the trace. A pass with
+/// neither a capture nor an observer only builds the program: under
+/// [`TraceMode::Live`] its cells execute it themselves. Every pass that
+/// executed contributes one record, `"capture"` when it captured and
+/// `"profile"` otherwise.
+fn workload_passes<P: Default, T: Send>(
+    opts: &ExperimentOptions,
+    specs: &[WorkloadSpec],
+    capture: Option<u64>,
+    observe: Option<impl Fn(&mut P, &TraceEntry) + Sync>,
+    then: impl Fn(Pass, P) -> T + Sync,
+) -> (Vec<T>, Vec<RunRecord>) {
+    let executes = capture.is_some() || observe.is_some();
+    let label = if capture.is_some() {
+        "capture"
+    } else {
+        "profile"
+    };
+    let jobs = opts.pool().map(specs.to_vec(), |_i, spec| {
+        let mut profile = P::default();
+        let (pass, record) = timed_record(spec.name, label, |record| {
+            let program = spec.build(opts.scale);
+            let run = match &observe {
+                Some(observe) => Some(functional_pass(&program, spec.name, capture, |e| {
+                    observe(&mut profile, e)
+                })),
+                None if executes => Some(functional_pass(&program, spec.name, capture, |_| {})),
+                None => None,
+            };
+            let trace = run.and_then(|(metrics, trace)| {
+                record.instructions = metrics.instructions;
+                record.peak_rss_bytes = metrics.peak_rss_bytes;
+                trace
+            });
+            if trace.is_some() {
+                record.phase = "capture".into();
+            }
+            Pass {
+                spec,
+                program,
+                trace,
+            }
+        });
+        (then(pass, profile), executes.then_some(record))
+    });
+    let mut records = Vec::new();
+    let results = jobs
+        .into_iter()
+        .map(|(result, record)| {
+            records.extend(record);
+            result
+        })
+        .collect();
+    (results, records)
 }
 
 /// Replays `trace` once, one decode feeding every scheme's evaluator (see
@@ -333,68 +361,63 @@ fn fan_out_eval<L: AsRef<str>>(
         .collect()
 }
 
-/// Regroups a flat `(value, record)` cell list (workload-major, `per`
-/// cells each) into per-workload rows, appending the records in cell
-/// order.
-fn group_cells<T>(
-    results: Vec<(T, RunRecord)>,
-    per: usize,
-    records: &mut Vec<RunRecord>,
-) -> Vec<Vec<T>> {
-    let mut grouped: Vec<Vec<T>> = Vec::with_capacity(results.len() / per.max(1) + 1);
-    for (i, (value, record)) in results.into_iter().enumerate() {
-        if i % per == 0 {
-            grouped.push(Vec::with_capacity(per));
-        }
-        grouped.last_mut().expect("chunk started").push(value);
-        records.push(record);
-    }
-    grouped
-}
-
-/// Runs one timing cell, attaching a [`Recorder`] when `probe` is set.
-/// `trace` selects replay (Some) vs live execution (None); with
-/// `shards > 1` a replay cell runs as a chain of snapshot-bounded shard
-/// segments. The stats are bit-identical across all combinations.
-fn run_timing(
+/// Runs `config` over `source`, attaching a [`Recorder`] when `probe` is
+/// set. Monomorphized per source, so the live and replay loops are the
+/// same code with no per-entry dispatch.
+fn run_timing<S: TraceSource>(
     probe: bool,
-    shards: usize,
-    program: &Program,
-    trace: Option<&Trace>,
+    source: &mut S,
     name: &str,
     config: &MachineConfig,
 ) -> (SimStats, Option<Recorder>) {
-    if shards > 1 {
-        if let Some(trace) = trace {
-            let run = crate::shard::replay_sharded(program, trace, name, config, shards, probe);
-            return (run.stats, run.recorder);
-        }
-    }
-    match (probe, trace) {
-        (false, Some(trace)) => (timing_trace(program, trace, name, config), None),
-        (true, Some(trace)) => {
-            let (stats, rec) = timing_trace_probed(program, trace, name, config);
-            (stats, Some(rec))
-        }
-        (false, None) => (TimingSim::run_program(program, config), None),
-        (true, None) => {
-            let (stats, rec) = TimingSim::run_program_probed(program, config, Recorder::new());
-            (stats, Some(rec))
-        }
+    if probe {
+        let (stats, recorder) = TimingSim::run_source_probed(source, config, Recorder::new())
+            .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+        (stats, Some(recorder))
+    } else {
+        let stats = TimingSim::run_source(source, config)
+            .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+        (stats, None)
     }
 }
 
-/// Runs every (workload × config) timing cell in parallel; the backbone
-/// of Figure 8 and the timing ablations. Results come back grouped by
-/// workload, configs in the given order, with one [`ProbeCell`] per cell
-/// (in cell order) when `opts.probe` is set.
+/// Runs one timing cell over `pass`: live execution when the pass captured
+/// nothing, else a replay of its trace — a chain of snapshot-bounded shard
+/// segments when `opts.shards > 1`. The stats are bit-identical across all
+/// three.
+fn timing_cell(
+    opts: &ExperimentOptions,
+    pass: &Pass,
+    config: &MachineConfig,
+) -> (SimStats, Option<Recorder>) {
+    let (program, name) = (&pass.program, pass.spec.name);
+    match &pass.trace {
+        None => run_timing(opts.probe, &mut Machine::new(program), name, config),
+        Some(trace) if opts.shards > 1 => {
+            let run = replay_sharded(program, trace, name, config, opts.shards, opts.probe);
+            (run.stats, run.recorder)
+        }
+        Some(trace) => run_timing(
+            opts.probe,
+            &mut replayer(trace, program, name),
+            name,
+            config,
+        ),
+    }
+}
+
+/// Runs every (workload × config) timing cell of `specs` in parallel; the
+/// backbone of Figure 8, the timing ablations and `probe`. Results come
+/// back grouped by workload, configs in the given order, with one
+/// [`ProbeCell`] per cell (in cell order) when `opts.probe` is set.
 ///
-/// In [`TraceMode::Replay`] each workload executes functionally once (a
-/// `"capture"` cell) and every config cell replays the trace; in
-/// [`TraceMode::Live`] every cell re-executes functionally. Both modes
-/// produce bit-identical [`SimStats`].
+/// The workload passes run first: in [`TraceMode::Replay`] each captures
+/// its trace (a `"capture"` record; these lead the record list) and every
+/// cell replays it; in [`TraceMode::Live`] every cell re-executes the
+/// built program. Both modes produce bit-identical [`SimStats`].
 fn timing_cells(
     opts: &ExperimentOptions,
+    specs: &[WorkloadSpec],
     configs: &[MachineConfig],
 ) -> (Vec<Vec<SimStats>>, Vec<RunRecord>, Vec<ProbeCell>) {
     // `ARL_BACKEND` swaps the memory backend under every swept config; the
@@ -403,120 +426,96 @@ fn timing_cells(
         .iter()
         .map(|c| c.clone().with_backend(opts.backend))
         .collect();
-    let configs = configs.as_slice();
-    let mut records = Vec::new();
-    let results = match opts.trace {
-        TraceMode::Replay => {
-            let (captured, capture_records) = capture_suite(opts);
-            records = capture_records;
-            let cells: Vec<(usize, MachineConfig)> = (0..captured.len())
-                .flat_map(|wi| configs.iter().map(move |c| (wi, c.clone())))
-                .collect();
-            opts.pool().map(cells, |_i, (wi, config)| {
-                let cap = &captured[wi];
-                timed_record(cap.spec.name, &config.name, |record| {
-                    record.phase = "replay".into();
-                    let (stats, rec) = run_timing(
-                        opts.probe,
-                        opts.shards,
-                        &cap.program,
-                        Some(&cap.trace),
-                        cap.spec.name,
-                        &config,
-                    );
-                    timing_record(record, &stats);
-                    (
-                        stats,
-                        rec.map(|recorder| ProbeCell {
-                            workload: cap.spec.name.to_string(),
-                            config: config.name.clone(),
-                            recorder,
-                        }),
-                    )
-                })
-            })
-        }
-        TraceMode::Live => {
-            let cells: Vec<(WorkloadSpec, MachineConfig)> = suite()
-                .iter()
-                .flat_map(|spec| configs.iter().map(move |c| (*spec, c.clone())))
-                .collect();
-            opts.pool().map(cells, |_i, (spec, config)| {
-                timed_record(spec.name, &config.name, |record| {
-                    let program = spec.build(opts.scale);
-                    let (stats, rec) =
-                        run_timing(opts.probe, 1, &program, None, spec.name, &config);
-                    timing_record(record, &stats);
-                    (
-                        stats,
-                        rec.map(|recorder| ProbeCell {
-                            workload: spec.name.to_string(),
-                            config: config.name.clone(),
-                            recorder,
-                        }),
-                    )
-                })
-            })
-        }
-    };
-    let mut probe_cells = Vec::new();
-    let results: Vec<(SimStats, RunRecord)> = results
-        .into_iter()
-        .map(|((stats, cell), record)| {
-            probe_cells.extend(cell);
-            (stats, record)
-        })
+    let (passes, mut records) =
+        workload_passes(opts, specs, opts.capture(true), UNOBSERVED, |pass, ()| pass);
+    let cells: Vec<(usize, usize)> = (0..passes.len())
+        .flat_map(|wi| (0..configs.len()).map(move |ci| (wi, ci)))
         .collect();
-    let grouped = group_cells(results, configs.len(), &mut records);
+    let results = opts.pool().map(cells, |_i, (wi, ci)| {
+        let (pass, config) = (&passes[wi], &configs[ci]);
+        timed_record(pass.spec.name, &config.name, |record| {
+            if pass.trace.is_some() {
+                record.phase = "replay".into();
+            }
+            let (stats, recorder) = timing_cell(opts, pass, config);
+            timing_record(record, &stats);
+            let cell = recorder.map(|recorder| ProbeCell {
+                workload: pass.spec.name.to_string(),
+                config: config.name.clone(),
+                recorder,
+            });
+            (stats, cell)
+        })
+    });
+    let mut grouped: Vec<Vec<SimStats>> = Vec::with_capacity(passes.len());
+    let mut probe_cells = Vec::new();
+    for (i, ((stats, cell), record)) in results.into_iter().enumerate() {
+        if i % configs.len() == 0 {
+            grouped.push(Vec::with_capacity(configs.len()));
+        }
+        grouped.last_mut().expect("row started").push(stats);
+        probe_cells.extend(cell);
+        records.push(record);
+    }
     (grouped, records, probe_cells)
 }
 
-/// Runs every (workload × scheme) prediction-evaluation cell in parallel;
-/// the backbone of Figure 4, Table 3 and the 2-bit ablation. Results come
-/// back grouped by workload, schemes in the given order.
+/// Runs every (workload × scheme) prediction-evaluation cell, one pool job
+/// per workload; the backbone of Figure 4, Table 3, Figure 5 and the 2-bit
+/// ablation. Each workload's schemes come from its pass's profile (only
+/// Figure 5 observes, for its hint table). Results come back grouped by
+/// workload, schemes in the order `schemes` returns them.
 ///
-/// In [`TraceMode::Replay`] each workload is one pool job: it captures the
-/// trace (a `"capture"` record; these lead the record list, as in
-/// [`timing_cells`]), then decodes it once for every scheme
-/// ([`fan_out_eval`]), and drops it before returning, so at most one trace
-/// per worker is ever live. [`TraceMode::Live`] re-executes every cell.
-/// Both modes produce bit-identical [`EvalReport`]s.
-fn eval_cells(
+/// In [`TraceMode::Replay`] the pass captures the trace (a `"capture"`
+/// record; these lead the record list, as in [`timing_cells`]), one decode
+/// of it feeds every scheme ([`fan_out_eval`]), and the job drops it before
+/// returning, so at most one trace per worker is ever live. In
+/// [`TraceMode::Live`] every scheme re-executes the built program. Both
+/// modes produce bit-identical [`EvalReport`]s.
+fn eval_cells<P: Default, L: AsRef<str>>(
     opts: &ExperimentOptions,
-    schemes: &[(&str, EvalConfig)],
+    observe: Option<impl Fn(&mut P, &TraceEntry) + Sync>,
+    schemes: impl Fn(P) -> Vec<(L, EvalConfig)> + Sync,
 ) -> (Vec<Vec<EvalReport>>, Vec<RunRecord>) {
-    let mut records = Vec::new();
-    let results = match opts.trace {
-        TraceMode::Replay => {
-            let jobs = opts.pool().map(suite(), |_i, spec| {
-                let (cap, capture) = capture_workload(opts, spec);
-                let cells = fan_out_eval(&cap.program, &cap.trace, spec.name, schemes);
-                (capture, cells)
-            });
-            let mut results = Vec::with_capacity(jobs.len() * schemes.len());
-            for (capture, cells) in jobs {
-                records.push(capture);
-                results.extend(cells);
+    let (cells, pass_records) = workload_passes(
+        opts,
+        &suite(),
+        opts.capture(false),
+        observe,
+        |pass, profile| {
+            let (program, name) = (&pass.program, pass.spec.name);
+            let schemes = schemes(profile);
+            match &pass.trace {
+                Some(trace) => fan_out_eval(program, trace, name, &schemes),
+                None => schemes
+                    .iter()
+                    .map(|(label, config)| {
+                        timed_record(name, label.as_ref(), |record| {
+                            let report = evaluate_program(program, name, config.clone());
+                            eval_record(record, &report);
+                            report
+                        })
+                    })
+                    .collect(),
             }
-            results
-        }
-        TraceMode::Live => {
-            let cells: Vec<(WorkloadSpec, usize)> = suite()
-                .iter()
-                .flat_map(|spec| (0..schemes.len()).map(move |si| (*spec, si)))
-                .collect();
-            opts.pool().map(cells, |_i, (spec, si)| {
-                let (label, config) = &schemes[si];
-                timed_record(spec.name, label, |record| {
-                    let program = spec.build(opts.scale);
-                    let report = evaluate_program(&program, spec.name, config.clone());
-                    eval_record(record, &report);
+        },
+    );
+    // A live pass runs only to profile; the re-executed cells are the record.
+    let mut records: Vec<RunRecord> = pass_records
+        .into_iter()
+        .filter(|r| r.phase == "capture")
+        .collect();
+    let grouped = cells
+        .into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|(report, record)| {
+                    records.push(record);
                     report
                 })
-            })
-        }
-    };
-    let grouped = group_cells(results, schemes.len(), &mut records);
+                .collect()
+        })
+        .collect();
     (grouped, records)
 }
 
@@ -524,8 +523,8 @@ fn eval_cells(
 /// percentages.
 pub fn table1(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let (characters, records) =
-        observe_cells(opts, WorkloadCharacter::default, WorkloadCharacter::observe);
+    let observe = Some(WorkloadCharacter::observe);
+    let (characters, records) = workload_passes(opts, &suite(), None, observe, |_, c| c);
     let mut table = TableBuilder::new(&["Benchmark", "Inst. count", "Loads %", "Stores %", "Refs"]);
     for (spec, c) in suite().iter().zip(&characters) {
         table.row(&[
@@ -548,12 +547,8 @@ pub fn table1(opts: &ExperimentOptions) -> ExperimentRun {
 /// **Table 2**: per-region access counts in 32/64-instruction windows.
 pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let (profilers, records) = observe_cells(
-        opts,
-        SlidingWindowProfiler::new,
-        SlidingWindowProfiler::observe,
-    );
-    let windows: Vec<_> = profilers.iter().map(SlidingWindowProfiler::stats).collect();
+    let observe = Some(SlidingWindowProfiler::observe);
+    let (windows, records) = workload_passes(opts, &suite(), None, observe, |_, p| p.stats());
     let specs = suite();
     let mut table = TableBuilder::new(&[
         "Benchmark",
@@ -618,8 +613,9 @@ pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
 /// **Figure 2**: static memory instructions by accessed-region class.
 pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
-    let (profilers, records) = observe_cells(opts, RegionProfiler::new, RegionProfiler::observe);
-    let breakdowns: Vec<_> = profilers.iter().map(RegionProfiler::breakdown).collect();
+    let observe = Some(RegionProfiler::observe);
+    let (breakdowns, records) =
+        workload_passes(opts, &suite(), None, observe, |_, p| p.breakdown());
     let mut header: Vec<String> = vec!["Benchmark".into(), "Static".into()];
     header.extend(RegionSet::CLASS_LABELS.iter().map(|l| format!("{l} %")));
     header.push("Multi(dyn) %".into());
@@ -673,7 +669,7 @@ pub fn figure4(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
     let schemes = EvalConfig::figure4_schemes();
     let specs = suite();
-    let (grouped, records) = eval_cells(opts, &schemes);
+    let (grouped, records) = eval_cells(opts, UNOBSERVED, |()| schemes.clone());
     let mut header: Vec<&str> = vec!["Benchmark", "Static-cover %"];
     header.extend(schemes.iter().map(|(n, _)| *n));
     let mut table = TableBuilder::new(&header);
@@ -734,7 +730,7 @@ pub fn table3(opts: &ExperimentOptions) -> ExperimentRun {
             )
         })
         .collect();
-    let (grouped, records) = eval_cells(opts, &schemes);
+    let (grouped, records) = eval_cells(opts, UNOBSERVED, |()| schemes.clone());
     let mut table = TableBuilder::new(&["Bench.", "pc-only", "w/ GBH", "w/ CID", "w/ Hybrid"]);
     for (spec, reports) in specs.iter().zip(&grouped) {
         let mut row = vec![spec.spec_name.to_string()];
@@ -834,32 +830,10 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
         ("16K", Capacity::Entries(1 << 14)),
         ("8K", Capacity::Entries(1 << 13)),
     ];
-    // Job = workload: the hint table needs one profiled functional pass
-    // either way. In replay mode that pass also captures the trace (one
-    // recorded "capture" cell) and one decode of it feeds all 10 variants;
-    // in live mode the pass is unrecorded and every variant re-executes, as
-    // the pre-trace harness did.
-    let results = opts.pool().map(suite(), |_i, spec| {
-        let mut records = Vec::new();
-        let program = spec.build(opts.scale);
-        let mut profiler = RegionProfiler::new();
-        let trace = match opts.trace {
-            TraceMode::Replay => {
-                let (trace, record) = timed_record(spec.name, "capture", |record| {
-                    record.phase = "capture".into();
-                    let trace = capture_trace_with(&program, spec.name, |e| profiler.observe(e));
-                    record.instructions = trace.metrics().instructions;
-                    record.peak_rss_bytes = trace.metrics().peak_rss_bytes;
-                    trace
-                });
-                records.push(record);
-                Some(trace)
-            }
-            TraceMode::Live => {
-                execute_with(&program, spec.name, |e| profiler.observe(e));
-                None
-            }
-        };
+    // The hint table needs one profiled functional pass per workload either
+    // way; in replay mode that pass is also the capture.
+    let observe = Some(RegionProfiler::observe);
+    let (grouped, mut records) = eval_cells(opts, observe, |profiler| {
         let hints = HintTable::from_profile(&profiler);
         let mut variants = Vec::with_capacity(2 * capacities.len());
         for (cap_name, capacity) in &capacities {
@@ -874,26 +848,11 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
                 variants.push((label, config));
             }
         }
-        let cells = match &trace {
-            Some(trace) => fan_out_eval(&program, trace, spec.name, &variants),
-            None => variants
-                .into_iter()
-                .map(|(label, config)| {
-                    timed_record(spec.name, &label, |record| {
-                        let eval = evaluate_program(&program, spec.name, config);
-                        eval_record(record, &eval);
-                        eval
-                    })
-                })
-                .collect(),
-        };
-        let mut row = vec![spec.spec_name.to_string()];
-        for (eval, record) in cells {
-            row.push(fmt_pct(eval.stats.accuracy(), 2));
-            records.push(record);
-        }
-        (row, records)
+        variants
     });
+    // Figure 5 lists each workload's capture right before its cells.
+    let specs = suite();
+    records.sort_by_key(|r| specs.iter().position(|s| s.name == r.workload));
     let mut header: Vec<String> = vec!["Benchmark".into()];
     for (name, _) in &capacities {
         header.push(name.to_string());
@@ -901,10 +860,10 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = TableBuilder::new(&header_refs);
-    let mut records = Vec::new();
-    for (row, cell_records) in results {
+    for (spec, reports) in specs.iter().zip(&grouped) {
+        let mut row = vec![spec.spec_name.to_string()];
+        row.extend(reports.iter().map(|r| fmt_pct(r.stats.accuracy(), 2)));
         table.row(&row);
-        records.extend(cell_records);
     }
     let mut text = String::new();
     let _ = writeln!(
@@ -920,8 +879,8 @@ pub fn figure5(opts: &ExperimentOptions) -> ExperimentRun {
 pub fn figure8(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
     let configs = MachineConfig::figure8_suite();
-    let (grouped, records, probe_cells) = timing_cells(opts, &configs);
     let specs = suite();
+    let (grouped, records, probe_cells) = timing_cells(opts, &specs, &configs);
     let mut header: Vec<String> = vec!["Benchmark".into()];
     header.extend(configs.iter().map(|c| c.name.clone()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -970,8 +929,8 @@ pub fn ablation_l1size(opts: &ExperimentOptions) -> ExperimentRun {
     big.dcache.size_bytes = 128 * 1024;
     big.name = "(2+0)/128KB".into();
     let configs = [MachineConfig::baseline_2_0(), big];
-    let (grouped, records, probe_cells) = timing_cells(opts, &configs);
     let specs = suite();
+    let (grouped, records, probe_cells) = timing_cells(opts, &specs, &configs);
     let mut table = TableBuilder::new(&["Benchmark", "64KB cycles", "128KB cycles", "gain %"]);
     let mut total_gain = 0.0;
     for (spec, stats_row) in specs.iter().zip(&grouped) {
@@ -1015,8 +974,8 @@ pub fn ablation_lvc(opts: &ExperimentOptions) -> ExperimentRun {
             config
         })
         .collect();
-    let (grouped, records, probe_cells) = timing_cells(opts, &configs);
     let specs = suite();
+    let (grouped, records, probe_cells) = timing_cells(opts, &specs, &configs);
     let mut header = vec!["Benchmark".to_string()];
     header.extend(sizes.iter().map(|k| format!("{k}KB hit%")));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -1065,8 +1024,8 @@ pub fn ablation_ports(opts: &ExperimentOptions) -> ExperimentRun {
     configs.push(split_banked);
     configs.push(MachineConfig::decoupled(3, 3));
 
-    let (grouped, records, probe_cells) = timing_cells(opts, &configs);
     let specs = suite();
+    let (grouped, records, probe_cells) = timing_cells(opts, &specs, &configs);
     let mut header = vec!["Benchmark".to_string()];
     header.extend(configs.iter().map(|c| c.name.clone()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -1121,8 +1080,8 @@ pub fn ablation_recovery(opts: &ExperimentOptions) -> ExperimentRun {
             config
         })
         .collect();
-    let (grouped, records, probe_cells) = timing_cells(opts, &configs);
     let specs = suite();
+    let (grouped, records, probe_cells) = timing_cells(opts, &specs, &configs);
     let mut header = vec!["Benchmark".to_string(), "mispred/1K refs".into()];
     header.extend(variants.iter().map(|(n, _, _)| n.clone()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -1173,7 +1132,7 @@ pub fn ablation_twobit(opts: &ExperimentOptions) -> ExperimentRun {
             )
         })
         .collect();
-    let (grouped, records) = eval_cells(opts, &schemes);
+    let (grouped, records) = eval_cells(opts, UNOBSERVED, |()| schemes.clone());
     let mut table = TableBuilder::new(&["Benchmark", "1BIT", "2BIT", "1BIT-HYB", "2BIT-HYB"]);
     let mut wins = [0u32; 2];
     for (spec, reports) in specs.iter().zip(&grouped) {
@@ -1213,54 +1172,9 @@ pub fn probe(opts: &ExperimentOptions, name: &str) -> ExperimentRun {
         MachineConfig::conventional(16, 2),
         MachineConfig::decoupled(3, 3),
     ];
-    let mut records = Vec::new();
-    let results = match opts.trace {
-        TraceMode::Replay => {
-            let (cap, record) = capture_workload(opts, spec);
-            records.push(record);
-            opts.pool().map(configs.to_vec(), |_i, config| {
-                timed_record(spec.name, &config.name, |record| {
-                    record.phase = "replay".into();
-                    let (stats, rec) = run_timing(
-                        opts.probe,
-                        opts.shards,
-                        &cap.program,
-                        Some(&cap.trace),
-                        spec.name,
-                        &config,
-                    );
-                    timing_record(record, &stats);
-                    (
-                        stats,
-                        rec.map(|recorder| ProbeCell {
-                            workload: spec.name.to_string(),
-                            config: config.name.clone(),
-                            recorder,
-                        }),
-                    )
-                })
-            })
-        }
-        TraceMode::Live => opts.pool().map(configs.to_vec(), |_i, config| {
-            timed_record(spec.name, &config.name, |record| {
-                let program = spec.build(opts.scale);
-                let (stats, rec) = run_timing(opts.probe, 1, &program, None, spec.name, &config);
-                timing_record(record, &stats);
-                (
-                    stats,
-                    rec.map(|recorder| ProbeCell {
-                        workload: spec.name.to_string(),
-                        config: config.name.clone(),
-                        recorder,
-                    }),
-                )
-            })
-        }),
-    };
-    let mut probe_cells = Vec::new();
+    let (grouped, records, probe_cells) = timing_cells(opts, &[spec], &configs);
     let mut text = String::new();
-    for ((s, cell), record) in results {
-        probe_cells.extend(cell);
+    for s in &grouped[0] {
         let _ = writeln!(
             text,
             "{:8} cycles={} ipc={:.2} mem={} lvaq={} fwd(lsq/lvaq)={}/{} rob_stall={} q_stall={} vp={}@{:.2} l1={:.3} l2m={}",
@@ -1278,7 +1192,6 @@ pub fn probe(opts: &ExperimentOptions, name: &str) -> ExperimentRun {
             s.dcache.hit_rate(),
             s.l2.misses,
         );
-        records.push(record);
     }
     finish("probe", opts, records, text, start, probe_cells)
 }
@@ -1292,7 +1205,7 @@ pub fn probe(opts: &ExperimentOptions, name: &str) -> ExperimentRun {
 pub fn figure8_stalls(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
     let configs = MachineConfig::figure8_suite();
-    let (grouped, records, probe_cells) = timing_cells(&opts.with_probe(true), &configs);
+    let (grouped, records, probe_cells) = timing_cells(&opts.with_probe(true), &suite(), &configs);
     debug_assert_eq!(probe_cells.len(), grouped.len() * configs.len());
 
     // Fold the per-(workload × config) recorders into one recorder per

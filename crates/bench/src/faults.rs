@@ -213,11 +213,11 @@ pub fn fault_campaign_pooled(
         // every faulty replay keep using the plain capture and the
         // emitted document stays byte-identical to an unsharded run.
         let baseline = if opts.shards > 1 {
-            let snapshotted =
-                crate::capture_trace_snapshotted(&program, spec.name, opts.snapshot_interval);
+            let interval = Some(opts.snapshot_interval);
+            let (_, snapshotted) = crate::functional_pass(&program, spec.name, interval, |_| {});
             crate::shard::replay_sharded(
                 &program,
-                &snapshotted,
+                &snapshotted.expect("a capturing pass returns its trace"),
                 spec.name,
                 &config,
                 opts.shards,

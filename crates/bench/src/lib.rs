@@ -3,21 +3,18 @@
 //! One binary per table/figure of the paper (see `src/bin/`), backed by the
 //! shared runners in this library:
 //!
-//! * [`profile_suite_with`] / [`ProfileReport`] — one functional-simulation
-//!   pass per workload with every Section 3 profiler attached. Table 1, Table 2
-//!   and Figure 2 each run one pass per workload with only the profiler
-//!   they render.
-//! * [`evaluate`] — prediction-accuracy runs for arbitrary
-//!   [`EvalConfig`]s (drives Figure 4, Table 3, Figure 5 and the 2-bit
-//!   ablation).
-//! * [`capture_trace`] / [`evaluate_trace`] / [`timing_trace`] — the
-//!   execute-once/replay-many pipeline: each workload runs functionally
-//!   once per experiment and the config sweep replays its `.arltrace`
-//!   capture; a prediction sweep decodes it once and feeds every scheme
-//!   (`ARL_TRACE=live` restores per-cell re-execution; outputs are
+//! * The experiment entry points ([`table1`], [`figure8`], ...) — each is a
+//!   renderer over two shared functions: one functional pass per workload
+//!   (build the program, execute it once with an optional profiler riding
+//!   along, capturing its `.arltrace` only when the experiment replays),
+//!   and one cell runner per kind of sweep. Timing cells run a live
+//!   `Machine` or a trace `Replayer` through the same monomorphized loop;
+//!   prediction cells decode each trace once for every scheme
+//!   (`ARL_TRACE=live` re-executes every cell instead; outputs are
 //!   byte-identical either way).
-//! * [`Pool`] and the experiment entry points ([`figure8`], [`table1`],
-//!   ...) — every binary fans its (workload × config) cells across a
+//! * [`capture_trace`] / [`evaluate_trace`] / [`timing_trace`] — the
+//!   execute-once/replay-many building blocks for one workload.
+//! * [`Pool`] — every binary fans its (workload × config) cells across a
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
 //!   results in cell order, so output is byte-identical to a serial run.
 //! * [`SuiteReport`] — structured [`RunRecord`]s per cell (tagged with a
@@ -84,91 +81,67 @@ pub use runner::{
 
 use arl_asm::Program;
 use arl_core::{EvalConfig, Evaluator, PredictionStats};
-use arl_sim::{
-    Machine, Metrics, RegionBreakdown, RegionProfiler, SlidingWindowProfiler, TraceEntry,
-    TraceSource, WindowStats, WorkloadCharacter,
-};
+use arl_sim::{Machine, Metrics, TraceEntry, TraceSource};
 use arl_trace::{Replayer, Trace};
-use arl_workloads::{suite, Scale, WorkloadSpec};
 
 /// Hard cap on instructions per workload run — generous headroom over the
 /// suite's defaults; a workload hitting it indicates a bug.
 pub const INST_CAP: u64 = 2_000_000_000;
 
-/// Everything the Section 3 profilers collect for one workload.
-pub struct ProfileReport {
-    /// The workload that produced this report.
-    pub spec: WorkloadSpec,
-    /// The linked program (kept for hint construction).
-    pub program: Program,
-    /// Table 1 columns.
-    pub character: WorkloadCharacter,
-    /// Figure 2 data.
-    pub breakdown: RegionBreakdown,
-    /// The raw per-pc profiler (kept for profile-hint construction).
-    pub profiler: RegionProfiler,
-    /// Table 2 data, one entry per window size (32, 64).
-    pub windows: Vec<WindowStats>,
-    /// End-of-run machine counters (instructions, peak-RSS proxy).
-    pub metrics: Metrics,
-}
-
-/// Runs an already-built program through the functional simulator,
-/// feeding every retired instruction to `observe`, and returns its
-/// end-of-run counters.
+/// Executes `program` functionally once, feeding every retired instruction
+/// to `observe`, and returns its end-of-run counters. With
+/// `capture = Some(interval)` the pass also records the trace, with a
+/// snapshot record every `interval` retired instructions (0 = none, the
+/// snapshot-free container) so it can be replayed in shard segments.
 ///
 /// # Panics
 ///
 /// Panics if the program fails to execute or exceeds [`INST_CAP`] —
 /// workloads are deterministic programs, so any failure is a harness bug.
-pub(crate) fn execute_with(
+pub(crate) fn functional_pass(
     program: &Program,
     name: &str,
+    capture: Option<u64>,
     observe: impl FnMut(&TraceEntry),
-) -> Metrics {
-    let mut machine = Machine::new(program);
-    let outcome = machine
-        .run_with(INST_CAP, observe)
-        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+) -> (Metrics, Option<Trace>) {
+    let (metrics, trace) = match capture {
+        Some(interval) => {
+            let trace = arl_trace::capture_snapshotted_with(program, INST_CAP, interval, observe)
+                .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+            (trace.metrics(), Some(trace))
+        }
+        None => {
+            let mut machine = Machine::new(program);
+            machine
+                .run_with(INST_CAP, observe)
+                .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+            (machine.metrics(), None)
+        }
+    };
     assert!(
-        outcome.exited,
+        metrics.exited,
         "workload {name} exceeded the instruction cap"
     );
-    machine.metrics()
+    (metrics, trace)
 }
 
-/// Runs one workload through the functional simulator with all profilers
-/// attached.
+/// Captures a workload's full dynamic trace (one functional execution).
 ///
 /// # Panics
 ///
-/// Panics if the workload fails to execute.
-pub fn profile_workload(spec: WorkloadSpec, scale: Scale) -> ProfileReport {
-    let program = spec.build(scale);
-    let mut character = WorkloadCharacter::default();
-    let mut profiler = RegionProfiler::new();
-    let mut windows = SlidingWindowProfiler::new();
-    let metrics = execute_with(&program, spec.name, |e| {
-        character.observe(e);
-        profiler.observe(e);
-        windows.observe(e);
-    });
-    let breakdown = profiler.breakdown();
-    ProfileReport {
-        spec,
-        program,
-        character,
-        breakdown,
-        profiler,
-        windows: windows.stats(),
-        metrics,
-    }
+/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
+pub fn capture_trace(program: &Program, name: &str) -> Trace {
+    let (_, trace) = functional_pass(program, name, Some(0), |_| {});
+    trace.expect("a capturing pass returns its trace")
 }
 
-/// Profiles the whole 12-workload suite, one pool cell per workload.
-/// Results come back in suite order regardless of the worker count.
-pub fn profile_suite_with(pool: &Pool, scale: Scale) -> Vec<ProfileReport> {
-    pool.map(suite(), |_i, spec| profile_workload(spec, scale))
+/// Opens a replayer over `trace` for the program it was captured from.
+///
+/// # Panics
+///
+/// Panics if the trace does not belong to `program`.
+pub(crate) fn replayer<'a>(trace: &'a Trace, program: &'a Program, name: &str) -> Replayer<'a> {
+    Replayer::new(trace, program).unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"))
 }
 
 /// Result of one prediction-accuracy run.
@@ -181,76 +154,19 @@ pub struct EvalReport {
     pub metrics: Metrics,
 }
 
-/// Replays one workload through a predictor configuration.
-///
-/// # Panics
-///
-/// Panics if the workload fails to execute.
-pub fn evaluate(spec: WorkloadSpec, scale: Scale, config: EvalConfig) -> EvalReport {
-    let program = spec.build(scale);
-    evaluate_program(&program, spec.name, config)
-}
-
-/// Replays an already-built program through a predictor configuration.
+/// Executes an already-built program through a predictor configuration.
 ///
 /// # Panics
 ///
 /// Panics if the program fails to execute.
 pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> EvalReport {
     let mut evaluator = Evaluator::new(config);
-    let metrics = execute_with(program, name, |e| evaluator.observe(e));
+    let (metrics, _) = functional_pass(program, name, None, |e| evaluator.observe(e));
     EvalReport {
         stats: *evaluator.stats(),
         arpt_occupied: evaluator.arpt_occupied(),
         metrics,
     }
-}
-
-/// Captures a workload's full dynamic trace (one functional execution),
-/// optionally feeding every retired instruction to `visitor` so profilers
-/// ride along on the same pass.
-///
-/// # Panics
-///
-/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
-pub fn capture_trace_with<F: FnMut(&TraceEntry)>(
-    program: &Program,
-    name: &str,
-    visitor: F,
-) -> Trace {
-    let trace = arl_trace::capture_with(program, INST_CAP, visitor)
-        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-    assert!(
-        trace.metrics().exited,
-        "workload {name} exceeded the instruction cap"
-    );
-    trace
-}
-
-/// Captures a workload's full dynamic trace (one functional execution).
-///
-/// # Panics
-///
-/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
-pub fn capture_trace(program: &Program, name: &str) -> Trace {
-    capture_trace_with(program, name, |_| {})
-}
-
-/// [`capture_trace`] with a snapshot record every `interval` retired
-/// instructions (0 disables snapshots), so the capture can be replayed in
-/// shard segments (`ARL_SHARD`; see [`replay_sharded`]).
-///
-/// # Panics
-///
-/// Panics if the workload fails to execute or exceeds [`INST_CAP`].
-pub fn capture_trace_snapshotted(program: &Program, name: &str, interval: u64) -> Trace {
-    let trace = arl_trace::capture_snapshotted(program, INST_CAP, interval)
-        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-    assert!(
-        trace.metrics().exited,
-        "workload {name} exceeded the instruction cap"
-    );
-    trace
 }
 
 /// Replays a captured trace through a predictor configuration — the
@@ -286,8 +202,7 @@ pub(crate) fn evaluate_trace_all(
     name: &str,
     configs: impl IntoIterator<Item = EvalConfig>,
 ) -> Vec<EvalReport> {
-    let mut replayer = Replayer::new(trace, program)
-        .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
+    let mut replayer = replayer(trace, program, name);
     let mut evaluators: Vec<Evaluator> = configs.into_iter().map(Evaluator::new).collect();
     while let Some(entry) = replayer
         .next_entry()
@@ -321,9 +236,7 @@ pub fn timing_trace(
     name: &str,
     config: &arl_timing::MachineConfig,
 ) -> arl_timing::SimStats {
-    let mut replayer = Replayer::new(trace, program)
-        .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
-    arl_timing::TimingSim::run_source(&mut replayer, config)
+    arl_timing::TimingSim::run_source(&mut replayer(trace, program, name), config)
         .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
 }
 
@@ -340,9 +253,8 @@ pub fn timing_trace_probed(
     name: &str,
     config: &arl_timing::MachineConfig,
 ) -> (arl_timing::SimStats, arl_timing::Recorder) {
-    let mut replayer = Replayer::new(trace, program)
-        .unwrap_or_else(|e| panic!("workload {name} trace rejected: {e}"));
-    arl_timing::TimingSim::run_source_probed(&mut replayer, config, arl_timing::Recorder::new())
+    let recorder = arl_timing::Recorder::new();
+    arl_timing::TimingSim::run_source_probed(&mut replayer(trace, program, name), config, recorder)
         .unwrap_or_else(|e| panic!("workload {name} replay failed: {e}"))
 }
 
@@ -360,27 +272,34 @@ pub fn fmt_pct(x: f64, digits: usize) -> String {
 mod tests {
     use super::*;
     use arl_core::{Capacity, Context, PredictorKind};
-    use arl_workloads::workload;
+    use arl_sim::{RegionProfiler, SlidingWindowProfiler, WorkloadCharacter};
+    use arl_workloads::{workload, Scale};
 
     #[test]
     fn profile_and_evaluate_one_workload() {
-        let spec = workload("compress").unwrap();
-        let report = profile_workload(spec, Scale::tiny());
-        assert!(report.character.instructions > 10_000);
-        assert!(report.breakdown.static_total() > 0);
-        assert_eq!(report.windows.len(), 2);
-        let eval = evaluate(
-            spec,
-            Scale::tiny(),
-            EvalConfig {
-                kind: PredictorKind::OneBit,
-                context: Context::None,
-                capacity: Capacity::Unlimited,
-                hints: None,
-            },
-        );
-        assert!(eval.stats.accuracy() > 0.95);
-        assert!(eval.arpt_occupied.unwrap() > 0);
+        let program = workload("compress").unwrap().build(Scale::tiny());
+        let mut character = WorkloadCharacter::default();
+        let mut profiler = RegionProfiler::new();
+        let mut windows = SlidingWindowProfiler::new();
+        let mut evaluator = Evaluator::new(EvalConfig {
+            kind: PredictorKind::OneBit,
+            context: Context::None,
+            capacity: Capacity::Unlimited,
+            hints: None,
+        });
+        Machine::new(&program)
+            .run_with(INST_CAP, |e| {
+                character.observe(e);
+                profiler.observe(e);
+                windows.observe(e);
+                evaluator.observe(e);
+            })
+            .expect("compress runs");
+        assert!(character.instructions > 10_000);
+        assert!(profiler.breakdown().static_total() > 0);
+        assert_eq!(windows.stats().len(), 2);
+        assert!(evaluator.stats().accuracy() > 0.95);
+        assert!(evaluator.arpt_occupied().unwrap() > 0);
     }
 
     #[test]

@@ -192,9 +192,13 @@ impl Pool {
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
-        let n = items.len();
         let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
-        let run = |i: usize, item: I| -> Option<O> {
+        let jobs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let slots = self.schedule(jobs.len(), |i| {
+            // A missing item would mean the claim counter handed the same
+            // index out twice; skipping is strictly safer than panicking
+            // the worker.
+            let item = relock(&jobs[i]).take()?;
             match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
                 Ok(out) => Some(out),
                 Err(payload) => {
@@ -207,41 +211,7 @@ impl Pool {
                     None
                 }
             }
-        };
-        let slots: Vec<Option<O>> = if self.threads == 1 || n <= 1 {
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| run(i, item))
-                .collect()
-        } else {
-            let jobs: Vec<Mutex<Option<I>>> =
-                items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-            let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..self.threads.min(n) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // A missing item would mean the claim counter
-                        // handed the same index out twice; skipping is
-                        // strictly safer than panicking the worker.
-                        let Some(item) = relock(&jobs[i]).take() else {
-                            continue;
-                        };
-                        let out = run(i, item);
-                        *relock(&slots[i]) = out;
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
-                .collect()
-        };
+        });
         let mut failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
         if !failures.is_empty() {
             dedupe_failures(&mut failures);
@@ -301,16 +271,18 @@ impl Pool {
             }
             Err(last.unwrap_or_else(|| unreachable!("at least one attempt always runs")))
         };
-        let n = items.len();
+        self.schedule(items.len(), |i| supervise(i, &items[i]))
+    }
+
+    /// The claim loop both maps share: runs `job` on every index in
+    /// `0..n`, on up to `threads` scoped workers that claim indices from a
+    /// shared counter, and returns the outputs in index order. `job` must
+    /// not unwind; both callers catch panics inside it.
+    fn schedule<O: Send>(&self, n: usize, job: impl Fn(usize) -> O + Sync) -> Vec<O> {
         if self.threads == 1 || n <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| supervise(i, item))
-                .collect();
+            return (0..n).map(job).collect();
         }
-        let slots: Vec<Mutex<Option<Result<O, JobFailure>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(n) {
@@ -319,7 +291,7 @@ impl Pool {
                     if i >= n {
                         break;
                     }
-                    let out = supervise(i, &items[i]);
+                    let out = job(i);
                     *relock(&slots[i]) = Some(out);
                 });
             }
@@ -329,7 +301,7 @@ impl Pool {
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(|e| e.into_inner())
-                    .expect("supervise never unwinds, so every slot was filled")
+                    .expect("job never unwinds, so every slot was filled")
             })
             .collect()
     }

@@ -34,7 +34,7 @@ use arl_workloads::workload;
 
 use crate::knob::Knobs;
 use crate::runner::{end_main, scale_label, Checkpoint, RunIdentity};
-use crate::{capture_trace_snapshotted, timing_trace, ExperimentOptions};
+use crate::{functional_pass, timing_trace, ExperimentOptions};
 
 /// `BENCH_shard.json` schema identifier.
 pub const SHARD_SCHEMA: &str = "arl-shard/v1";
@@ -389,7 +389,8 @@ pub fn shard_bench_with(
 
     let program = spec.build(opts.scale);
     let capture_start = Instant::now();
-    let trace = capture_trace_snapshotted(&program, spec.name, interval);
+    let (_, trace) = functional_pass(&program, spec.name, Some(interval), |_| {});
+    let trace = trace.expect("a capturing pass returns its trace");
     let capture_wall = capture_start.elapsed().as_secs_f64();
 
     let mut ledger = match ledger_path {

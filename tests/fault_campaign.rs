@@ -6,10 +6,11 @@ use std::sync::Mutex;
 
 use arl::sim::functional_instructions_executed;
 use arl::timing::MachineConfig;
+use arl::trace::capture_snapshotted;
 use arl_bench::{
-    campaign_identity, capture_trace_snapshotted, fault_campaign_with, replay_sharded,
-    replay_sharded_supervised, stats_fingerprint, timing_trace, Checkpoint, ExperimentOptions,
-    RunIdentity, FAULTS_SCHEMA,
+    campaign_identity, fault_campaign_with, replay_sharded, replay_sharded_supervised,
+    stats_fingerprint, timing_trace, Checkpoint, ExperimentOptions, RunIdentity, FAULTS_SCHEMA,
+    INST_CAP,
 };
 use arl_faults::{Layer, LayerPlan};
 use arl_workloads::{workload, Scale};
@@ -122,7 +123,7 @@ fn sharded_kill_resume_is_exactly_once_and_bit_identical() {
     let program = workload("perl")
         .expect("perl workload")
         .build(Scale::tiny());
-    let trace = capture_trace_snapshotted(&program, "perl", 5_000);
+    let trace = capture_snapshotted(&program, INST_CAP, 5_000).expect("capture perl");
     assert!(trace.snapshot_count() >= 4, "need enough segments to shard");
     let config = MachineConfig::decoupled(3, 3);
 

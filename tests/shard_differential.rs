@@ -13,11 +13,10 @@ use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
 use arl::sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 use arl::stats::TableBuilder;
 use arl::timing::{MachineConfig, SimStats, TimingSim};
-use arl::trace::{Replayer, Trace};
+use arl::trace::{capture_snapshotted, Replayer, Trace};
 use arl::workloads::{workload, Scale};
 use arl_bench::{
-    capture_trace_snapshotted, evaluate_trace, replay_sharded, shard_plan, stats_fingerprint,
-    timing_trace_probed,
+    evaluate_trace, replay_sharded, shard_plan, stats_fingerprint, timing_trace_probed, INST_CAP,
 };
 
 /// Snapshot cadence for the differential traces. Every suite workload
@@ -37,7 +36,7 @@ const PARKING_AXIS: [&str; 3] = ["tomcatv", "gcc", "m88ksim"];
 fn snapshotted(name: &str) -> (arl::asm::Program, Trace) {
     let spec = workload(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let program = spec.build(Scale::tiny());
-    let trace = capture_trace_snapshotted(&program, name, INTERVAL);
+    let trace = capture_snapshotted(&program, INST_CAP, INTERVAL).expect("capture");
     assert!(
         trace.snapshot_count() >= 2,
         "{name}: need at least 2 snapshots to shard meaningfully, got {}",

@@ -134,8 +134,8 @@ fn window_doubling_doubles_the_means() {
 
 // ---------------------------------------------------------------------------
 // Golden shape-regression tests: the paper's headline curves, pinned at
-// tiny scale through the shared bench pipeline (2-worker pool, so the
-// parallel path is exercised too). These check *shapes* — orderings and
+// tiny scale on the bench crate's 2-worker pool (so the parallel path is
+// exercised too), driving the simulators directly. These check *shapes* — orderings and
 // floors that must survive any simulator change — not exact values.
 // ---------------------------------------------------------------------------
 
@@ -143,14 +143,21 @@ fn window_doubling_doubles_the_means() {
 fn golden_figure2_shape_single_region_above_90_percent() {
     // Figure 2: in every workload, >90% of static memory instructions
     // touch exactly one region class over the whole run.
-    let reports = arl_bench::profile_suite_with(&arl_bench::Pool::new(2), Scale::tiny());
-    assert_eq!(reports.len(), suite().len());
-    for report in &reports {
-        let single = 1.0 - report.breakdown.static_multi_region_fraction();
+    let breakdowns = arl_bench::Pool::new(2).map(suite(), |_i, spec| {
+        let program = spec.build(Scale::tiny());
+        let mut profiler = RegionProfiler::new();
+        Machine::new(&program)
+            .run_with(CAP, |e| profiler.observe(e))
+            .expect("runs");
+        (spec, profiler.breakdown())
+    });
+    assert_eq!(breakdowns.len(), suite().len());
+    for (spec, breakdown) in &breakdowns {
+        let single = 1.0 - breakdown.static_multi_region_fraction();
         assert!(
             single > 0.90,
             "{}: single-region share {:.2}% must stay above 90%",
-            report.spec.name,
+            spec.name,
             100.0 * single
         );
     }
@@ -162,7 +169,7 @@ fn golden_figure4_shape_hybrid_accuracy_floors() {
     // reports 99.89% (int) / 100.0% (FP) at full scale; tiny-scale runs
     // amplify cold misses, so the pinned floors are: >99.8% FP average,
     // >99% suite average, >96% for every individual workload.
-    use arl::core::{Capacity, Context, EvalConfig, PredictorKind};
+    use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
     let config = EvalConfig {
         kind: PredictorKind::OneBit,
         context: Context::HYBRID_8_24,
@@ -170,10 +177,12 @@ fn golden_figure4_shape_hybrid_accuracy_floors() {
         hints: None,
     };
     let accs = arl_bench::Pool::new(2).map(suite(), |_i, spec| {
-        let acc = arl_bench::evaluate(spec, Scale::tiny(), config.clone())
-            .stats
-            .accuracy();
-        (spec, acc)
+        let program = spec.build(Scale::tiny());
+        let mut evaluator = Evaluator::new(config.clone());
+        Machine::new(&program)
+            .run_with(CAP, |e| evaluator.observe(e))
+            .expect("runs");
+        (spec, evaluator.stats().accuracy())
     });
     let mut sums = [0.0f64; 2];
     let mut counts = [0u32; 2];

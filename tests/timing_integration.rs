@@ -214,3 +214,33 @@ fn misprediction_penalty_costs_cycles() {
         a.cycles
     );
 }
+
+#[test]
+fn probe_honours_the_memory_backend() {
+    // `ARL_BACKEND` applies to every experiment binary, `probe` included:
+    // each of its timing cells runs under the chosen backend, tagged
+    // `@<label>`, and the backend changes what the cells measure.
+    use arl::timing::BackendConfig;
+    use arl::workloads::Scale;
+    use arl_bench::{probe, ExperimentOptions};
+    let base = ExperimentOptions::new(Scale::tiny(), 1);
+    let backend = BackendConfig::StackedCache;
+    let plain = probe(&base, "compress");
+    let stacked = probe(&base.with_backend(backend), "compress");
+    let cells = |run: &arl_bench::ExperimentRun| {
+        run.report
+            .records
+            .iter()
+            .filter(|r| r.cycles.is_some())
+            .map(|r| (r.config.clone(), r.cycles))
+            .collect::<Vec<_>>()
+    };
+    let (plain, stacked) = (cells(&plain), cells(&stacked));
+    assert_eq!(plain.len(), 3, "one timing cell per machine configuration");
+    assert_eq!(plain.len(), stacked.len());
+    let suffix = format!("@{}", backend.label());
+    for ((base_name, base_cycles), (name, cycles)) in plain.iter().zip(&stacked) {
+        assert_eq!(*name, format!("{base_name}{suffix}"), "backend-tagged name");
+        assert_ne!(cycles, base_cycles, "{name}: the backend changes cycles");
+    }
+}
