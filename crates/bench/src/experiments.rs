@@ -305,7 +305,9 @@ fn workload_passes<P: Default, T: Send>(
                 Some(observe) => Some(functional_pass(&program, spec.name, capture, |e| {
                     observe(&mut profile, e)
                 })),
-                None if executes => Some(functional_pass(&program, spec.name, capture, |_| {})),
+                None if capture.is_some() => {
+                    Some(functional_pass(&program, spec.name, capture, |_| {}))
+                }
                 None => None,
             };
             let trace = run.and_then(|(metrics, trace)| {
