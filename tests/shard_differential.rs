@@ -6,14 +6,16 @@
 //!
 //! The shard runner chains segments through serialized machine-state
 //! blobs (`crates/timing/src/state.rs`); these tests are the proof that
-//! the mid-cycle cut and resume is unobservable, and that a blob from a
-//! different core or machine is refused loudly.
+//! the mid-cycle cut and resume is unobservable, that a blob from a
+//! different core or machine or a truncated one is refused loudly, and —
+//! against `tests/fixtures/state_blobs.digests` — that the blob bytes
+//! themselves do not drift.
 
 use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
 use arl::sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 use arl::stats::TableBuilder;
-use arl::timing::{MachineConfig, SimStats, TimingSim};
-use arl::trace::{capture_snapshotted, Replayer, Trace};
+use arl::timing::{BackendConfig, MachineConfig, SimStats, TimingSim};
+use arl::trace::{capture_snapshotted, fnv1a64, Replayer, Trace};
 use arl::workloads::{workload, Scale};
 use arl_bench::{
     evaluate_trace, replay_sharded, shard_plan, stats_fingerprint, timing_trace_probed, INST_CAP,
@@ -184,7 +186,6 @@ shard_differential! {
 /// must stay unobservable under every backend.
 #[test]
 fn stitched_equals_serial_per_backend() {
-    use arl::timing::BackendConfig;
     let name = "compress";
     let (program, trace) = snapshotted(name);
     for backend in BackendConfig::ALL {
@@ -207,29 +208,19 @@ fn stitched_equals_serial_per_backend() {
     }
 }
 
-/// FNV-1a 64 over `body` — the `"ARLS"` blob's trailing checksum.
-fn fnv1a64(body: &[u8]) -> u64 {
-    body.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Resumes the second half of `entries` on `config` from `blob` and
 /// returns the refusal message.
 fn refusal(entries: &[TraceEntry], config: &MachineConfig, blob: &[u8]) -> String {
     let mut rest = EntrySliceSource::new(&entries[entries.len() / 2..]);
     match TimingSim::run_segment(&mut rest, config, Some(blob), true) {
         Err(SourceError::Corrupt(msg)) => msg,
-        Err(e) => panic!("foreign blob refused with the wrong error kind: {e}"),
-        Ok(_) => panic!("foreign blob was accepted"),
+        Err(e) => panic!("resume blob refused with the wrong error kind: {e}"),
+        Ok(_) => panic!("resume blob was accepted"),
     }
 }
 
-/// A validly sealed resume blob that belongs to another core or another
-/// machine must be refused as corrupt, naming the reason — never resumed
-/// into silently wrong statistics.
-#[test]
-fn foreign_resume_blobs_are_refused_loudly() {
+/// `perl`'s full functional entry stream at `Scale::tiny()`.
+fn perl_entries() -> Vec<TraceEntry> {
     let program = workload("perl")
         .expect("perl is a suite workload")
         .build(Scale::tiny());
@@ -238,12 +229,33 @@ fn foreign_resume_blobs_are_refused_loudly() {
     while let Some(entry) = machine.next_entry().expect("functional execution") {
         entries.push(entry);
     }
-    let config = MachineConfig::decoupled(3, 3);
+    entries
+}
+
+/// The non-final blob `config` exports after the first half of `entries`.
+fn midpoint_blob(entries: &[TraceEntry], config: &MachineConfig) -> Vec<u8> {
     let mut head = EntrySliceSource::new(&entries[..entries.len() / 2]);
-    let blob = TimingSim::run_segment(&mut head, &config, None, false)
+    TimingSim::run_segment(&mut head, config, None, false)
         .expect("first segment runs")
         .state
-        .expect("a non-final segment exports its state");
+        .expect("a non-final segment exports its state")
+}
+
+/// `body` sealed with the blob's trailing FNV-1a-64 checksum.
+fn reseal(body: &[u8]) -> Vec<u8> {
+    let mut blob = body.to_vec();
+    blob.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    blob
+}
+
+/// A validly sealed resume blob that belongs to another core or another
+/// machine must be refused as corrupt, naming the reason — never resumed
+/// into silently wrong statistics.
+#[test]
+fn foreign_resume_blobs_are_refused_loudly() {
+    let entries = perl_entries();
+    let config = MachineConfig::decoupled(3, 3);
+    let blob = midpoint_blob(&entries, &config);
 
     // Byte 5 is the core tag (after the 4-byte magic and the version);
     // tag 1 is what a legacy-core checkpoint carried.
@@ -251,13 +263,99 @@ fn foreign_resume_blobs_are_refused_loudly() {
     assert_eq!(blob[5], 0, "the event core writes core tag 0");
     let mut foreign = blob[..blob.len() - 8].to_vec();
     foreign[5] = 1;
-    let checksum = fnv1a64(&foreign);
-    foreign.extend_from_slice(&checksum.to_le_bytes());
-    let msg = refusal(&entries, &config, &foreign);
+    let msg = refusal(&entries, &config, &reseal(&foreign));
     assert!(msg.contains("different core"), "{msg}");
 
     let msg = refusal(&entries, &MachineConfig::baseline_2_0(), &blob);
     assert!(msg.contains("configuration mismatch"), "{msg}");
+}
+
+/// A real mid-run blob cut short anywhere — at a stride across the whole
+/// body and at every offset of its last KiB, where the ROB records and
+/// the wheel's wake-ups sit — and resealed so the checksum passes must
+/// still be refused as corrupt: the field walk itself catches every
+/// truncation, without panicking and without resuming.
+#[test]
+fn truncated_real_blobs_are_refused_at_every_cut() {
+    let entries = perl_entries();
+    let config = MachineConfig::decoupled(3, 3);
+    let blob = midpoint_blob(&entries, &config);
+    let body = &blob[..blob.len() - 8];
+    let tail = body.len().saturating_sub(1024);
+    let stride = (body.len() / 257).max(1);
+    let cuts = (0..tail).step_by(stride).chain(tail..body.len());
+    for cut in cuts {
+        refusal(&entries, &config, &reseal(&body[..cut]));
+    }
+}
+
+const BLOB_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/state_blobs.digests"
+);
+
+/// The machines whose mid-run blobs are pinned: a conventional core, the
+/// paper's data-decoupled `(3+3)` with and without value prediction, every
+/// memory backend, and both non-true-port data-cache models.
+fn blob_configs() -> Vec<(String, MachineConfig)> {
+    let decoupled = MachineConfig::decoupled(3, 3);
+    let mut no_vp = decoupled.clone();
+    no_vp.value_prediction = false;
+    let mut banked = decoupled.clone();
+    banked.dcache = banked.dcache.with_banks(4);
+    let mut line_buffered = decoupled.clone();
+    line_buffered.dcache = line_buffered.dcache.with_line_buffer();
+    let mut configs = vec![
+        ("baseline_2_0".to_string(), MachineConfig::baseline_2_0()),
+        ("decoupled_3_3".to_string(), decoupled.clone()),
+        ("decoupled_3_3_no_vp".to_string(), no_vp),
+    ];
+    for backend in BackendConfig::ALL {
+        configs.push((
+            format!("backend_{}", backend.label()),
+            decoupled.clone().with_backend(backend),
+        ));
+    }
+    configs.push(("banked_dcache".to_string(), banked));
+    configs.push(("line_buffered_dcache".to_string(), line_buffered));
+    configs
+}
+
+/// `name digest` lines, one per pinned machine: FNV-1a-64 of the whole
+/// sealed blob `perl` exports at its midpoint.
+fn blob_digests() -> String {
+    let entries = perl_entries();
+    blob_configs()
+        .iter()
+        .map(|(name, config)| {
+            let blob = midpoint_blob(&entries, config);
+            format!("{name} {:016x}\n", fnv1a64(&blob))
+        })
+        .collect()
+}
+
+/// The `"ARLS"` bytes are a format: a refactor of the state codec must
+/// leave every blob byte-identical (regenerate with `--ignored` only for an
+/// intentional format change, which also bumps the blob version).
+#[test]
+fn state_blobs_match_the_pinned_digests() {
+    let pinned =
+        std::fs::read_to_string(BLOB_FIXTURE).expect("read fixture (regenerate with --ignored)");
+    let actual = blob_digests();
+    for (want, got) in pinned.lines().zip(actual.lines()) {
+        assert_eq!(got, want, "state blob drifted from the golden digest");
+    }
+    assert_eq!(
+        pinned.lines().count(),
+        actual.lines().count(),
+        "fixture lists every pinned machine"
+    );
+}
+
+#[test]
+#[ignore = "rewrites the golden fixture"]
+fn regenerate_state_blob_digests() {
+    std::fs::write(BLOB_FIXTURE, blob_digests()).expect("write fixture");
 }
 
 /// The reporting layer sees no difference either: a results table built
