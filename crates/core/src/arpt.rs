@@ -266,40 +266,17 @@ impl Arpt {
         self.updates = updates;
     }
 
-    /// Snapshot of a limited table's storage for checkpointing:
+    /// A limited table's storage, for checkpoint export and restore:
     /// `(counters, touched flags, occupied count)`. `None` for unlimited
     /// storage.
-    pub fn export_limited(&self) -> Option<(&[u8], &[bool], usize)> {
-        match &self.storage {
+    pub fn limited_mut(&mut self) -> Option<(&mut [u8], &mut [bool], &mut usize)> {
+        match &mut self.storage {
             Storage::Unlimited(_) => None,
             Storage::Limited {
                 table,
                 touched,
                 occupied,
-            } => Some((table, touched, *occupied)),
-        }
-    }
-
-    /// Restores a limited table from a checkpoint taken with
-    /// [`Arpt::export_limited`]. Returns `false` (leaving the table
-    /// untouched) when the storage is unlimited or the lengths do not
-    /// match this table's capacity.
-    pub fn import_limited(&mut self, table: &[u8], touched: &[bool], occupied: usize) -> bool {
-        match &mut self.storage {
-            Storage::Unlimited(_) => false,
-            Storage::Limited {
-                table: cur,
-                touched: cur_touched,
-                occupied: cur_occupied,
-            } => {
-                if table.len() != cur.len() || touched.len() != cur_touched.len() {
-                    return false;
-                }
-                cur.copy_from_slice(table);
-                cur_touched.copy_from_slice(touched);
-                *cur_occupied = occupied;
-                true
-            }
+            } => Some((table, touched, occupied)),
         }
     }
 

@@ -7,7 +7,7 @@ use arl_sim::SourceError;
 
 use crate::config::{BackendConfig, CacheConfig, MachineConfig, PortModel};
 use crate::fault::{FaultKind, TimingFault};
-use crate::state::{corrupt, StateReader, StateWriter};
+use crate::state::{corrupt, StateIo};
 
 /// Hit/miss counters for one cache.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
@@ -122,35 +122,17 @@ impl Cache {
         &self.config
     }
 
-    /// Serializes tags, LRU clocks and counters (sharded-replay support).
-    fn write_state(&self, w: &mut StateWriter) {
-        w.u64(self.use_clock);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u32(self.sets.len() as u32);
-        w.u32(self.config.assoc as u32);
-        for set in &self.sets {
-            for &(tag, last_use) in set {
-                w.u64(tag);
-                w.u64(last_use);
-            }
-        }
-    }
-
-    /// Restores tags, LRU clocks and counters; the geometry must match the
-    /// configuration this cache was built from.
-    fn read_state(&mut self, r: &mut StateReader) -> Result<(), SourceError> {
-        self.use_clock = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        if r.len32()? != self.sets.len() || r.len32()? != self.config.assoc {
-            return Err(corrupt("cache geometry mismatch"));
-        }
-        for set in &mut self.sets {
-            for way in set {
-                way.0 = r.u64()?;
-                way.1 = r.u64()?;
-            }
+    /// Walks tags, LRU clocks and counters (sharded-replay support); the
+    /// geometry must match the configuration this cache was built from.
+    fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.use_clock)?;
+        io.val(&mut self.stats.hits)?;
+        io.val(&mut self.stats.misses)?;
+        io.same(self.sets.len() as u32, "cache geometry mismatch")?;
+        io.same(self.config.assoc as u32, "cache geometry mismatch")?;
+        for way in self.sets.iter_mut().flatten() {
+            io.val(&mut way.0)?;
+            io.val(&mut way.1)?;
         }
         Ok(())
     }
@@ -232,28 +214,17 @@ impl BandwidthState {
         }
     }
 
-    /// Serializes the per-cycle and persistent bandwidth fields. The
-    /// per-cycle ones matter because a shard boundary cuts *mid-cycle*:
-    /// claims already made in the boundary cycle must survive the handoff.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.usize(self.used);
-        w.u64(self.banks_busy);
-        w.bool(self.array_used);
-        w.bool(self.buffer_used);
-        w.u64(self.buffered_line);
-        w.u64(self.conflicts);
-        w.usize(self.claims_this_cycle);
-    }
-
-    fn read_state(&mut self, r: &mut StateReader) -> Result<(), SourceError> {
-        self.used = r.usize()?;
-        self.banks_busy = r.u64()?;
-        self.array_used = r.bool()?;
-        self.buffer_used = r.bool()?;
-        self.buffered_line = r.u64()?;
-        self.conflicts = r.u64()?;
-        self.claims_this_cycle = r.usize()?;
-        Ok(())
+    /// Walks the per-cycle and persistent bandwidth fields. The per-cycle
+    /// ones matter because a shard boundary cuts *mid-cycle*: claims
+    /// already made in the boundary cycle must survive the handoff.
+    fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.used)?;
+        io.val(&mut self.banks_busy)?;
+        io.val(&mut self.array_used)?;
+        io.val(&mut self.buffer_used)?;
+        io.val(&mut self.buffered_line)?;
+        io.val(&mut self.conflicts)?;
+        io.val(&mut self.claims_this_cycle)
     }
 
     /// Claims the bandwidth for an access to `addr`.
@@ -354,19 +325,11 @@ impl RowStream {
         }
     }
 
-    fn write_state(&self, w: &mut StateWriter) {
-        w.u64(self.open_row);
-        w.u64(self.run);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-    }
-
-    fn read_state(&mut self, r: &mut StateReader) -> Result<(), SourceError> {
-        self.open_row = r.u64()?;
-        self.run = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        Ok(())
+    fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.open_row)?;
+        io.val(&mut self.run)?;
+        io.val(&mut self.stats.hits)?;
+        io.val(&mut self.stats.misses)
     }
 }
 
@@ -481,24 +444,12 @@ impl Backend {
         })
     }
 
-    /// Serializes the backend identity and device state. The identity tag
+    /// Walks the backend identity and device state. The identity tag
     /// comes first so a mismatched import fails with a clear error before
     /// any geometry-dependent field is touched.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.u8(self.kind.tag());
-        self.l2.write_state(w);
-        if let Some(cache) = &self.stacked {
-            cache.write_state(w);
-        }
-        if let Some(streams) = &self.streams {
-            for stream in streams {
-                stream.write_state(w);
-            }
-        }
-    }
-
-    fn read_state(&mut self, r: &mut StateReader) -> Result<(), SourceError> {
-        let tag = r.u8()?;
+    fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        let mut tag = self.kind.tag();
+        io.val(&mut tag)?;
         let exported = BackendConfig::from_tag(tag)
             .ok_or_else(|| corrupt(&format!("unknown memory backend tag {tag}")))?;
         if exported != self.kind {
@@ -508,14 +459,12 @@ impl Backend {
                 self.kind.label()
             )));
         }
-        self.l2.read_state(r)?;
+        self.l2.sync(io)?;
         if let Some(cache) = &mut self.stacked {
-            cache.read_state(r)?;
+            cache.sync(io)?;
         }
-        if let Some(streams) = &mut self.streams {
-            for stream in streams {
-                stream.read_state(r)?;
-            }
+        for stream in self.streams.iter_mut().flatten() {
+            stream.sync(io)?;
         }
         Ok(())
     }
@@ -882,71 +831,37 @@ impl MemSystem {
         )
     }
 
-    /// Serializes the complete hierarchy state for sharded replay: the
-    /// backend identity tag, clock, cache arrays, backend device state,
-    /// bandwidth accounting (including the boundary cycle's claims — the
-    /// cut is mid-cycle), MSHR release heaps in a canonical sorted form,
-    /// and fault attribution. `port_faults`, latencies and MSHR capacity
-    /// are configuration, rebuilt by [`MemSystem::new`]. The export is
-    /// per-backend because device state *is* timing state: resuming a
-    /// stacked-cache run without its fill map (or a burst run without its
-    /// open rows) would silently change every post-resume latency.
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
-        w.u64(self.now);
-        self.dcache.write_state(w);
-        match &self.lvc {
-            Some(lvc) => {
-                w.u8(1);
-                lvc.write_state(w);
-            }
-            None => w.u8(0),
-        }
-        self.backend.write_state(w);
-        self.dcache_bw.write_state(w);
-        match &self.lvc_bw {
-            Some(bw) => {
-                w.u8(1);
-                bw.write_state(w);
-            }
-            None => w.u8(0),
-        }
-        w.u64_list(&heap_sorted(&self.dcache_mshrs));
-        w.u64_list(&heap_sorted(&self.lvc_mshrs));
-        w.u64(self.steer_fallbacks);
-        w.u32(self.faults_triggered.len() as u32);
-        for &id in &self.faults_triggered {
-            w.u32(id);
-        }
-    }
-
-    /// Restores state serialized by [`MemSystem::write_state`] into a
-    /// hierarchy freshly built from the *same* configuration.
-    pub(crate) fn read_state(&mut self, r: &mut StateReader) -> Result<(), SourceError> {
-        self.now = r.u64()?;
-        self.dcache.read_state(r)?;
-        if r.bool()? != self.lvc.is_some() {
-            return Err(corrupt("LVC presence mismatch"));
-        }
+    /// Walks the complete hierarchy state for sharded replay: the backend
+    /// identity tag, clock, cache arrays, backend device state, bandwidth
+    /// accounting (including the boundary cycle's claims — the cut is
+    /// mid-cycle), MSHR release heaps in a canonical sorted form, and
+    /// fault attribution. `port_faults`, latencies and MSHR capacity are
+    /// configuration, rebuilt by [`MemSystem::new`]; import therefore
+    /// needs a hierarchy freshly built from the *same* configuration. The
+    /// state is per-backend because device state *is* timing state:
+    /// resuming a stacked-cache run without its fill map (or a burst run
+    /// without its open rows) would silently change every post-resume
+    /// latency.
+    pub(crate) fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.now)?;
+        self.dcache.sync(io)?;
+        io.same(self.lvc.is_some(), "LVC presence mismatch")?;
         if let Some(lvc) = &mut self.lvc {
-            lvc.read_state(r)?;
+            lvc.sync(io)?;
         }
-        self.backend.read_state(r)?;
-        self.dcache_bw.read_state(r)?;
-        if r.bool()? != self.lvc_bw.is_some() {
-            return Err(corrupt("LVC bandwidth presence mismatch"));
-        }
+        self.backend.sync(io)?;
+        self.dcache_bw.sync(io)?;
+        io.same(self.lvc_bw.is_some(), "LVC bandwidth presence mismatch")?;
         if let Some(bw) = &mut self.lvc_bw {
-            bw.read_state(r)?;
+            bw.sync(io)?;
         }
-        self.dcache_mshrs = r.u64_list()?.into_iter().map(Reverse).collect();
-        self.lvc_mshrs = r.u64_list()?.into_iter().map(Reverse).collect();
-        self.steer_fallbacks = r.u64()?;
-        let n = r.len32()?;
-        self.faults_triggered.clear();
-        for _ in 0..n {
-            self.faults_triggered.push(r.u32()?);
+        for heap in [&mut self.dcache_mshrs, &mut self.lvc_mshrs] {
+            let mut releases = heap_sorted(heap);
+            io.list(&mut releases)?;
+            *heap = releases.into_iter().map(Reverse).collect();
         }
-        Ok(())
+        io.val(&mut self.steer_fallbacks)?;
+        io.list(&mut self.faults_triggered)
     }
 }
 
@@ -961,6 +876,7 @@ fn heap_sorted(heap: &BinaryHeap<Reverse<u64>>) -> Vec<u64> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::state::{StateReader, StateWriter};
 
     fn small_cache(assoc: usize) -> Cache {
         Cache::new(CacheConfig {
@@ -1339,12 +1255,12 @@ mod tests {
                 m.access(Route::DataCache, 0x100_0000 + i * 128 * 1024);
             }
             let mut w = StateWriter::new();
-            m.write_state(&mut w);
+            m.sync(&mut w).unwrap();
             let blob = w.seal();
             let mut restored = MemSystem::new(&config);
             let mut r = StateReader::open(&blob).unwrap();
             restored
-                .read_state(&mut r)
+                .sync(&mut r)
                 .unwrap_or_else(|e| panic!("{}: state did not round-trip: {e}", backend.label()));
             r.finish().unwrap();
             assert_eq!(restored.l2_stats(), m.l2_stats(), "{}", backend.label());
@@ -1369,15 +1285,15 @@ mod tests {
 
     #[test]
     fn cross_backend_state_is_rejected_with_a_clear_error() {
-        let exporter = MemSystem::new(
+        let mut exporter = MemSystem::new(
             &MachineConfig::baseline_2_0().with_backend(BackendConfig::StackedCache),
         );
         let mut w = StateWriter::new();
-        exporter.write_state(&mut w);
+        exporter.sync(&mut w).unwrap();
         let blob = w.seal();
         let mut importer = MemSystem::new(&MachineConfig::baseline_2_0());
         let mut r = StateReader::open(&blob).unwrap();
-        let err = importer.read_state(&mut r).expect_err("must reject");
+        let err = importer.sync(&mut r).expect_err("must reject");
         let msg = err.to_string();
         assert!(
             msg.contains("stacked-cache") && msg.contains("baseline"),

@@ -52,8 +52,8 @@ use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
 use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
 use crate::state::{
-    corrupt, read_arpt, read_stats, route_from, route_tag, write_arpt, write_stats, MidCycle,
-    StateReader, StateWriter, CORE_EVENT, STATE_MAGIC, STATE_VERSION,
+    corrupt, route_from, route_tag, sync_arpt, sync_stats, MidCycle, Scalar, StateIo, StateReader,
+    StateWriter, CORE_EVENT, STATE_MAGIC, STATE_VERSION,
 };
 use crate::valuepred::StridePredictor;
 use crate::wheel::EventWheel;
@@ -283,6 +283,37 @@ impl Slot {
         park_linked: false,
         claimed: [NO_REG; 2],
     };
+
+    /// Walks the stored fields in blob order. `store_next`, the park
+    /// links, `order_epoch` and `stale` are derived, so import rebuilds
+    /// them instead. A parked load is stored as on the retry list: the
+    /// blob stays what a polling core writes, and the resumed core
+    /// re-examines the load next cycle (an early wake) and re-parks it.
+    fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.dispatch_cycle)?;
+        io.vals(&mut self.deps)?;
+        io.val(&mut self.data_dep)?;
+        io.tag(&mut self.fu, |fu| fu as u8, fu_from)?;
+        io.val(&mut self.latency)?;
+        io.val(&mut self.complete_at)?;
+        io.tag(&mut self.mem, phase_tag, phase_from)?;
+        io.val(&mut self.addr)?;
+        io.tag(&mut self.route, route_tag, route_from)?;
+        io.val(&mut self.mem_ready_at)?;
+        io.val(&mut self.agen_done_at)?;
+        io.val(&mut self.flags)?;
+        io.val(&mut self.arpt_key)?;
+        io.val(&mut self.earliest_try)?;
+        io.val(&mut self.unknown_deps)?;
+        io.val(&mut self.wake_head)?;
+        io.vals(&mut self.wake_next)?;
+        io.vals(&mut self.claimed)?;
+        io.val(&mut self.issue_q)?;
+        if self.mem_q == QUEUE_PARKED {
+            self.mem_q = QUEUE_RETRY;
+        }
+        io.val(&mut self.mem_q)
+    }
 }
 
 /// The in-flight window as a ring buffer of packed [`Slot`] records: slot
@@ -805,7 +836,7 @@ impl<P: Probe> TimingSim<P> {
     ) -> Result<SegmentRun<P>, SourceError> {
         let mut sim = TimingSim::new(config, probe);
         let mut carried = match resume {
-            Some(blob) => Some(sim.import_state(blob)?),
+            Some(blob) => Some(sim.restore(blob)?),
             None => None,
         };
         let mut pending: Option<TraceEntry> = None;
@@ -869,12 +900,18 @@ impl<P: Probe> TimingSim<P> {
                 // machine to the next shard, which resumes inside this
                 // very cycle with the next span's entries.
                 debug_assert!(pending.is_none(), "a dry source cannot leave an entry");
-                let state = sim.export_state(&mid);
+                // Export is the segment's last act: the walk normalises what
+                // it stores (a parked load becomes a retry, MSHR heaps are
+                // rebuilt), so nothing may run the machine afterwards.
                 let mut stats = sim.stats_view();
                 stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
+                let mut w = StateWriter::new();
+                if let Err(e) = sim.sync(&mut w, &mut mid) {
+                    panic!("export checks only the machine's own fields, yet failed: {e}");
+                }
                 return Ok(SegmentRun {
                     stats,
-                    state: Some(state),
+                    state: Some(w.seal()),
                     probe: sim.probe,
                 });
             }
@@ -967,149 +1004,93 @@ impl<P: Probe> TimingSim<P> {
 
     // ---- segment-boundary state (sharded replay) ----------------------------
 
-    /// Serializes the complete machine state at a mid-cycle segment
-    /// boundary into a sealed blob (see `crate::state` for the framing).
-    /// Everything a resumed [`TimingSim::run_segment_probed`] loop can
-    /// observe is captured: the ROB (every slot record), renamer, ordering
-    /// queues, write buffer, predictors, memory system, event wheel, the
-    /// appointment-book bookings (via each slot's `issue_q`/`mem_q` key),
-    /// and the [`MidCycle`] locals of the cut cycle itself.
-    fn export_state(&self, mid: &MidCycle) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.bytes(&STATE_MAGIC);
-        w.u8(STATE_VERSION);
-        w.u8(CORE_EVENT);
+    /// Walks the complete machine state at a mid-cycle segment boundary,
+    /// in blob order (see `crate::state` for the framing): everything a
+    /// resumed [`TimingSim::run_segment_probed`] loop can observe — the
+    /// ROB (every slot record), renamer, ordering queues, write buffer,
+    /// predictors, memory system, event wheel, the appointment-book
+    /// bookings (via each slot's `issue_q`/`mem_q` key), and the
+    /// [`MidCycle`] locals of the cut cycle itself.
+    ///
+    /// Returns the pending ARPT fault ids and the wheel's wake-ups, which
+    /// only import resolves (against the fault plan and the clock).
+    fn sync(
+        &mut self,
+        io: &mut impl StateIo,
+        mid: &mut MidCycle,
+    ) -> Result<(Vec<u32>, Vec<u64>), SourceError> {
+        io.same(u32::from_le_bytes(STATE_MAGIC), "bad magic")?;
+        io.same(STATE_VERSION, "unsupported version")?;
+        io.same(CORE_EVENT, "state was captured by a different core")?;
         let name = self.config.name.as_bytes();
-        w.u32(name.len() as u32);
-        w.bytes(name);
-        mid.write(&mut w);
+        io.same(name.len() as u32, "configuration mismatch")?;
+        for &b in name {
+            io.same(b, "configuration mismatch")?;
+        }
+        mid.sync(io)?;
         // Machine section: everything outside the ROB.
-        w.u64(self.cycle);
-        write_stats(&mut w, &self.stats);
-        for &p in &self.reg_producer {
-            w.u64(p);
+        io.val(&mut self.cycle)?;
+        sync_stats(io, &mut self.stats)?;
+        io.vals(&mut self.reg_producer)?;
+        io.vals(&mut self.fu_used)?;
+        io.val(&mut self.lsq_count)?;
+        io.val(&mut self.lvaq_count)?;
+        for stores in [&mut self.lsq_stores, &mut self.lvaq_stores] {
+            let n = io.count(stores.len(), u64::BYTES)?;
+            stores.resize(n, NO_SEQ);
+            io.vals(stores.make_contiguous())?;
         }
-        for &n in &self.fu_used {
-            w.usize(n);
+        let n = io.count(self.write_buffer.len(), u8::BYTES + u64::BYTES)?;
+        self.write_buffer.resize(n, (Route::DataCache, 0));
+        for (route, addr) in &mut self.write_buffer {
+            io.tag(route, route_tag, route_from)?;
+            io.val(addr)?;
         }
-        w.usize(self.lsq_count);
-        w.usize(self.lvaq_count);
-        w.u64_list(&self.lsq_stores.iter().copied().collect::<Vec<_>>());
-        w.u64_list(&self.lvaq_stores.iter().copied().collect::<Vec<_>>());
-        w.u32(self.write_buffer.len() as u32);
-        for &(route, addr) in &self.write_buffer {
-            w.u8(route_tag(route));
-            w.u64(addr);
+        let mut fault_ids: Vec<u32> = self.arpt_faults.iter().map(|f| f.id).collect();
+        io.list(&mut fault_ids)?;
+        io.same(self.vpred.is_some(), "value-predictor presence mismatch")?;
+        if let Some(vp) = &mut self.vpred {
+            vp.sync(io)?;
         }
-        w.u32(self.arpt_faults.len() as u32);
-        for f in &self.arpt_faults {
-            w.u32(f.id);
-        }
-        match &self.vpred {
-            Some(vp) => {
-                w.u8(1);
-                vp.write_state(&mut w);
-            }
-            None => w.u8(0),
-        }
-        write_arpt(&mut w, &self.arpt);
-        self.mem.write_state(&mut w);
+        sync_arpt(io, &mut self.arpt)?;
+        self.mem.sync(io)?;
         // ROB section: the slot records in sequence order plus the
         // wheel's pending wake-ups. The appointment books are *not* stored
         // — each slot's `issue_q`/`mem_q` key is the authoritative copy
         // (stale book entries are dropped on drain anyway), so import
         // re-books from the keys.
-        w.u64(self.rob.head_seq);
-        w.u64(self.next_seq);
-        w.u32(self.rob.len as u32);
-        for k in 0..self.rob.len {
-            let i = self.rob.phys(k);
-            w.u64(self.rob.slot[i].dispatch_cycle);
-            for &d in &self.rob.slot[i].deps {
-                w.u64(d);
-            }
-            w.u64(self.rob.slot[i].data_dep);
-            w.u8(self.rob.slot[i].fu as u8);
-            w.u64(self.rob.slot[i].latency);
-            w.u64(self.rob.slot[i].complete_at);
-            w.u8(phase_tag(self.rob.slot[i].mem));
-            w.u64(self.rob.slot[i].addr);
-            w.u8(route_tag(self.rob.slot[i].route));
-            w.u64(self.rob.slot[i].mem_ready_at);
-            w.u64(self.rob.slot[i].agen_done_at);
-            w.u8(self.rob.slot[i].flags);
-            w.u64(self.rob.slot[i].arpt_key);
-            w.u64(self.rob.slot[i].earliest_try);
-            w.u8(self.rob.slot[i].unknown_deps);
-            w.u64(self.rob.slot[i].wake_head);
-            for &x in &self.rob.slot[i].wake_next {
-                w.u64(x);
-            }
-            for &r in &self.rob.slot[i].claimed {
-                w.u8(r);
-            }
-            w.u64(self.rob.slot[i].issue_q);
-            // A parked load is exported as on the retry list: the blob
-            // stays what a polling core writes, and the resumed core
-            // re-examines it next cycle (an early wake) and re-parks it.
-            w.u64(match self.rob.slot[i].mem_q {
-                QUEUE_PARKED => QUEUE_RETRY,
-                q => q,
-            });
+        io.val(&mut self.rob.head_seq)?;
+        io.val(&mut self.next_seq)?;
+        let rob_len = io.count(self.rob.len, 1)?;
+        if rob_len > self.config.rob_size {
+            return Err(corrupt("ROB length exceeds capacity"));
         }
-        w.u64_list(&self.wheel.pending());
-        w.seal()
+        while self.rob.len < rob_len {
+            self.rob.push_back();
+        }
+        for k in 0..rob_len {
+            let i = self.rob.phys(k);
+            self.rob.slot[i].sync(io)?;
+        }
+        let mut wheel = self.wheel.pending();
+        io.list(&mut wheel)?;
+        Ok((fault_ids, wheel))
     }
 
-    /// Restores a blob produced by [`TimingSim::export_state`] into this
-    /// freshly constructed simulator and returns the carried [`MidCycle`].
+    /// Restores a blob a non-final segment exported into this freshly
+    /// constructed simulator and returns the carried [`MidCycle`].
     /// Decoding is strict: any mismatch against this simulator's
     /// configuration (name, core, ROB capacity, predictor presence, cache
     /// geometry, fault plan) or any internally inconsistent field (stale
     /// appointment, sequence-count mismatch, trailing bytes) is a
     /// [`SourceError::Corrupt`].
-    fn import_state(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
+    fn restore(&mut self, blob: &[u8]) -> Result<MidCycle, SourceError> {
         let mut r = StateReader::open(blob)?;
-        if r.bytes(4)? != STATE_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if r.u8()? != STATE_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-        if r.u8()? != CORE_EVENT {
-            return Err(corrupt("state was captured by a different core"));
-        }
-        let name_len = r.len32()?;
-        if r.bytes(name_len)? != self.config.name.as_bytes() {
-            return Err(corrupt("configuration mismatch"));
-        }
-        let mid = MidCycle::read(&mut r)?;
-        // Machine section.
-        self.cycle = r.u64()?;
-        read_stats(&mut r, &mut self.stats)?;
-        for p in &mut self.reg_producer {
-            *p = r.u64()?;
-        }
-        for n in &mut self.fu_used {
-            *n = r.usize()?;
-        }
-        self.lsq_count = r.usize()?;
-        self.lvaq_count = r.usize()?;
-        self.lsq_stores = r.u64_list()?.into();
-        self.lvaq_stores = r.u64_list()?.into();
-        self.write_buffer.clear();
-        for _ in 0..r.len32()? {
-            let route = route_from(r.u8()?)?;
-            let addr = r.u64()?;
-            self.write_buffer.push_back((route, addr));
-        }
+        let mut mid = MidCycle::default();
+        let (fault_ids, wheel) = self.sync(&mut r, &mut mid)?;
+        r.finish()?;
         // Pending ARPT faults are stored as ids and rebuilt from the
         // configuration's fault plan, preserving its order.
-        let n_faults = r.len32()?;
-        let mut fault_ids = Vec::with_capacity(n_faults.min(1024));
-        for _ in 0..n_faults {
-            fault_ids.push(r.u32()?);
-        }
         self.arpt_faults = self
             .config
             .faults
@@ -1117,60 +1098,16 @@ impl<P: Probe> TimingSim<P> {
             .filter(|f| !f.is_port_fault() && fault_ids.contains(&f.id))
             .copied()
             .collect();
-        if self.arpt_faults.len() != n_faults {
+        if self.arpt_faults.len() != fault_ids.len() {
             return Err(corrupt("pending fault not in the configuration"));
         }
-        if r.bool()? != self.vpred.is_some() {
-            return Err(corrupt("value-predictor presence mismatch"));
-        }
-        if let Some(vp) = &mut self.vpred {
-            vp.read_state(&mut r)?;
-        }
-        read_arpt(&mut r, &mut self.arpt)?;
-        self.mem.read_state(&mut r)?;
-        // Event-core section.
-        let head_seq = r.u64()?;
-        let next_seq = r.u64()?;
-        let rob_len = r.len32()?;
-        if rob_len > self.config.rob_size {
-            return Err(corrupt("ROB length exceeds capacity"));
-        }
-        let expect_next = head_seq
-            .checked_add(rob_len as u64)
+        let expect_next = self
+            .rob
+            .head_seq
+            .checked_add(self.rob.len as u64)
             .ok_or_else(|| corrupt("sequence overflow"))?;
-        if next_seq != expect_next {
+        if self.next_seq != expect_next {
             return Err(corrupt("sequence numbering is inconsistent"));
-        }
-        self.rob.head_seq = head_seq;
-        self.next_seq = next_seq;
-        for _ in 0..rob_len {
-            let i = self.rob.push_back();
-            self.rob.slot[i].dispatch_cycle = r.u64()?;
-            for d in &mut self.rob.slot[i].deps {
-                *d = r.u64()?;
-            }
-            self.rob.slot[i].data_dep = r.u64()?;
-            self.rob.slot[i].fu = fu_from(r.u8()?)?;
-            self.rob.slot[i].latency = r.u64()?;
-            self.rob.slot[i].complete_at = r.u64()?;
-            self.rob.slot[i].mem = phase_from(r.u8()?)?;
-            self.rob.slot[i].addr = r.u64()?;
-            self.rob.slot[i].route = route_from(r.u8()?)?;
-            self.rob.slot[i].mem_ready_at = r.u64()?;
-            self.rob.slot[i].agen_done_at = r.u64()?;
-            self.rob.slot[i].flags = r.u8()?;
-            self.rob.slot[i].arpt_key = r.u64()?;
-            self.rob.slot[i].earliest_try = r.u64()?;
-            self.rob.slot[i].unknown_deps = r.u8()?;
-            self.rob.slot[i].wake_head = r.u64()?;
-            for x in &mut self.rob.slot[i].wake_next {
-                *x = r.u64()?;
-            }
-            for c in &mut self.rob.slot[i].claimed {
-                *c = r.u8()?;
-            }
-            self.rob.slot[i].issue_q = r.u64()?;
-            self.rob.slot[i].mem_q = r.u64()?;
         }
         // Re-book the appointment books from each slot's authoritative
         // queue key. Every live booking is strictly future at a cut (every
@@ -1214,13 +1151,12 @@ impl<P: Probe> TimingSim<P> {
             }
         }
         self.wheel.advance_to(self.cycle);
-        for at in r.u64_list()? {
+        for at in wheel {
             if at <= self.cycle {
                 return Err(corrupt("stale wheel event"));
             }
             self.wheel.schedule(at);
         }
-        r.finish()?;
         Ok(mid)
     }
 

@@ -15,6 +15,12 @@
 //! function the `.arltrace` footer uses). Decoding is strict: a wrong
 //! magic/version/core/config, a truncated field, a stale appointment, or a
 //! checksum mismatch all surface as `SourceError::Corrupt`.
+//!
+//! Every state-carrying type names its fields once, in a `sync` walk over
+//! the [`StateIo`] seam: the writer serializes each field, the reader
+//! overwrites it, and must-match fields (geometry, presence, identity) are
+//! compared on the way. Checks that only make sense on import (stale
+//! appointments, sequence consistency, the fault plan) run after the walk.
 
 use arl_core::Arpt;
 use arl_sim::SourceError;
@@ -50,6 +56,108 @@ pub(crate) fn corrupt(msg: &str) -> SourceError {
     SourceError::Corrupt(format!("machine state: {msg}"))
 }
 
+/// A fixed-width little-endian field of the blob.
+pub(crate) trait Scalar: Copy + Default + PartialEq {
+    /// Encoded width in bytes (bounds a counted list's allocation).
+    const BYTES: usize;
+    fn put(self, buf: &mut Vec<u8>);
+    fn get(r: &mut StateReader) -> Result<Self, SourceError>;
+}
+
+macro_rules! le_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            fn put(self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut StateReader) -> Result<Self, SourceError> {
+                let mut b = [0u8; std::mem::size_of::<$t>()];
+                b.copy_from_slice(r.take(Self::BYTES)?);
+                Ok(<$t>::from_le_bytes(b))
+            }
+        }
+    )*};
+}
+
+le_scalar!(u8, u32, u64, i64);
+
+impl Scalar for bool {
+    const BYTES: usize = 1;
+    fn put(self, buf: &mut Vec<u8>) {
+        buf.push(self as u8);
+    }
+    fn get(r: &mut StateReader) -> Result<bool, SourceError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(corrupt("boolean out of range")),
+        }
+    }
+}
+
+/// Stored as a `u64`.
+impl Scalar for usize {
+    const BYTES: usize = 8;
+    fn put(self, buf: &mut Vec<u8>) {
+        (self as u64).put(buf);
+    }
+    fn get(r: &mut StateReader) -> Result<usize, SourceError> {
+        Ok(u64::get(r)? as usize)
+    }
+}
+
+/// The one seam every state-carrying type walks its fields through, in
+/// blob order, in a single `sync`: [`StateWriter`] appends each field's
+/// current value, [`StateReader`] overwrites it with the decoded one. A
+/// field added to the walk is therefore exported and imported alike.
+pub(crate) trait StateIo {
+    /// Writes `*v`, or replaces it with the next field.
+    fn val<T: Scalar>(&mut self, v: &mut T) -> Result<(), SourceError>;
+
+    /// A `u32` element count: writes `n`, or reads a count whose elements
+    /// of at least `elem_bytes` each fit in the bytes left, so a corrupt
+    /// count cannot drive a huge allocation.
+    fn count(&mut self, n: usize, elem_bytes: usize) -> Result<usize, SourceError>;
+
+    fn vals<T: Scalar>(&mut self, v: &mut [T]) -> Result<(), SourceError> {
+        v.iter_mut().try_for_each(|x| self.val(x))
+    }
+
+    /// A counted list; the reader resizes `v` to the stored count.
+    fn list<T: Scalar>(&mut self, v: &mut Vec<T>) -> Result<(), SourceError> {
+        let n = self.count(v.len(), T::BYTES)?;
+        v.resize(n, T::default());
+        self.vals(v)
+    }
+
+    /// A field that must equal this machine's `v` (geometry, presence,
+    /// identity): written as is, refused with `msg` when it reads back
+    /// different.
+    fn same<T: Scalar>(&mut self, v: T, msg: &str) -> Result<(), SourceError> {
+        let mut stored = v;
+        self.val(&mut stored)?;
+        if stored == v {
+            Ok(())
+        } else {
+            Err(corrupt(msg))
+        }
+    }
+
+    /// An enum stored as its one-byte tag.
+    fn tag<T: Copy>(
+        &mut self,
+        v: &mut T,
+        tag: fn(T) -> u8,
+        from: fn(u8) -> Result<T, SourceError>,
+    ) -> Result<(), SourceError> {
+        let mut t = tag(*v);
+        self.val(&mut t)?;
+        *v = from(t)?;
+        Ok(())
+    }
+}
+
 /// Append-only little-endian byte sink; `seal` appends the checksum.
 pub(crate) struct StateWriter {
     buf: Vec<u8>,
@@ -60,47 +168,23 @@ impl StateWriter {
         StateWriter { buf: Vec::new() }
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    /// `u32` count followed by the items.
-    pub(crate) fn u64_list(&mut self, v: &[u64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u64(x);
-        }
-    }
-
     /// Appends the FNV-1a-64 checksum and returns the finished blob.
     pub(crate) fn seal(mut self) -> Vec<u8> {
         let checksum = fnv1a64(&self.buf);
         self.buf.extend_from_slice(&checksum.to_le_bytes());
         self.buf
+    }
+}
+
+impl StateIo for StateWriter {
+    fn val<T: Scalar>(&mut self, v: &mut T) -> Result<(), SourceError> {
+        v.put(&mut self.buf);
+        Ok(())
+    }
+
+    fn count(&mut self, n: usize, _elem_bytes: usize) -> Result<usize, SourceError> {
+        (n as u32).put(&mut self.buf);
+        Ok(n)
     }
 }
 
@@ -141,65 +225,6 @@ impl<'a> StateReader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SourceError> {
-        self.take(n)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SourceError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, SourceError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(corrupt("boolean out of range")),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SourceError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SourceError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, SourceError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(i64::from_le_bytes(b))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, SourceError> {
-        Ok(self.u64()? as usize)
-    }
-
-    /// A `u32` element count (for a list that follows).
-    pub(crate) fn len32(&mut self) -> Result<usize, SourceError> {
-        Ok(self.u32()? as usize)
-    }
-
-    pub(crate) fn u64_list(&mut self) -> Result<Vec<u64>, SourceError> {
-        let n = self.len32()?;
-        // Bound the allocation by the bytes actually present.
-        let need = n
-            .checked_mul(8)
-            .ok_or_else(|| corrupt("list length overflow"))?;
-        if need > self.bytes.len() - self.pos {
-            return Err(corrupt("truncated list"));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-
     /// Every byte before the checksum must have been consumed.
     pub(crate) fn finish(self) -> Result<(), SourceError> {
         if self.pos != self.bytes.len() {
@@ -209,12 +234,30 @@ impl<'a> StateReader<'a> {
     }
 }
 
+impl StateIo for StateReader<'_> {
+    fn val<T: Scalar>(&mut self, v: &mut T) -> Result<(), SourceError> {
+        *v = T::get(self)?;
+        Ok(())
+    }
+
+    fn count(&mut self, _n: usize, elem_bytes: usize) -> Result<usize, SourceError> {
+        let n = u32::get(self)? as usize;
+        let need = n
+            .checked_mul(elem_bytes)
+            .ok_or_else(|| corrupt("list length overflow"))?;
+        if need > self.bytes.len() - self.pos {
+            return Err(corrupt("truncated list"));
+        }
+        Ok(n)
+    }
+}
+
 /// The per-cycle locals of a segment-boundary cut. A shard stops when its
 /// entry span dries *inside* the dispatch loop — commit, memory, stall
 /// attribution and issue have already run for that cycle — so the next
 /// shard must resume inside the same cycle with these values carried over
 /// rather than re-running the earlier stages.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct MidCycle {
     pub(crate) committed: usize,
     pub(crate) issued: usize,
@@ -230,42 +273,31 @@ pub(crate) struct MidCycle {
 }
 
 impl MidCycle {
-    pub(crate) fn write(&self, w: &mut StateWriter) {
-        w.usize(self.committed);
-        w.usize(self.issued);
-        w.usize(self.dispatched);
-        w.bool(self.mem_active);
-        w.u8(match self.stall {
-            None => 0,
-            Some(cause) => cause.index() as u8 + 1,
-        });
-        w.u64(self.rob_stalls_before);
-        w.u64(self.queue_stalls_before);
+    pub(crate) fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.committed)?;
+        io.val(&mut self.issued)?;
+        io.val(&mut self.dispatched)?;
+        io.val(&mut self.mem_active)?;
+        io.tag(&mut self.stall, stall_tag, stall_from)?;
+        io.val(&mut self.rob_stalls_before)?;
+        io.val(&mut self.queue_stalls_before)
     }
+}
 
-    pub(crate) fn read(r: &mut StateReader) -> Result<MidCycle, SourceError> {
-        let committed = r.usize()?;
-        let issued = r.usize()?;
-        let dispatched = r.usize()?;
-        let mem_active = r.bool()?;
-        let stall = match r.u8()? {
-            0 => None,
-            tag => Some(
-                StallCause::ALL
-                    .get(tag as usize - 1)
-                    .copied()
-                    .ok_or_else(|| corrupt("stall cause out of range"))?,
-            ),
-        };
-        Ok(MidCycle {
-            committed,
-            issued,
-            dispatched,
-            mem_active,
-            stall,
-            rob_stalls_before: r.u64()?,
-            queue_stalls_before: r.u64()?,
-        })
+fn stall_tag(stall: Option<StallCause>) -> u8 {
+    match stall {
+        None => 0,
+        Some(cause) => cause.index() as u8 + 1,
+    }
+}
+
+fn stall_from(tag: u8) -> Result<Option<StallCause>, SourceError> {
+    match tag {
+        0 => Ok(None),
+        tag => StallCause::ALL
+            .get(tag as usize - 1)
+            .map(|&cause| Some(cause))
+            .ok_or_else(|| corrupt("stall cause out of range")),
     }
 }
 
@@ -284,87 +316,39 @@ pub(crate) fn route_from(tag: u8) -> Result<Route, SourceError> {
     }
 }
 
-/// Serializes the *live* statistics counters. Fields derived at finish
-/// time (`cycles`, cache stats, value-prediction totals, `steer_fallbacks`,
+/// Walks the *live* statistics counters. Fields derived at finish time
+/// (`cycles`, cache stats, value-prediction totals, `steer_fallbacks`,
 /// `peak_rss_bytes`) are reconstructed from the imported machine state, so
 /// they are not stored; `config_name` is checked via the blob header.
-pub(crate) fn write_stats(w: &mut StateWriter, stats: &SimStats) {
-    w.u64(stats.instructions);
-    w.u64(stats.mem_refs);
-    w.u64(stats.lvaq_refs);
-    w.u64(stats.region_checks);
-    w.u64(stats.region_mispredicts);
-    w.u64(stats.recoveries);
-    w.u64(stats.lsq_forwards);
-    w.u64(stats.lvaq_forwards);
-    w.u64(stats.rob_stall_cycles);
-    w.u64(stats.queue_stall_cycles);
-    w.u32(stats.faults_applied.len() as u32);
-    for &id in &stats.faults_applied {
-        w.u32(id);
-    }
+pub(crate) fn sync_stats(io: &mut impl StateIo, stats: &mut SimStats) -> Result<(), SourceError> {
+    io.val(&mut stats.instructions)?;
+    io.val(&mut stats.mem_refs)?;
+    io.val(&mut stats.lvaq_refs)?;
+    io.val(&mut stats.region_checks)?;
+    io.val(&mut stats.region_mispredicts)?;
+    io.val(&mut stats.recoveries)?;
+    io.val(&mut stats.lsq_forwards)?;
+    io.val(&mut stats.lvaq_forwards)?;
+    io.val(&mut stats.rob_stall_cycles)?;
+    io.val(&mut stats.queue_stall_cycles)?;
+    io.list(&mut stats.faults_applied)
 }
 
-pub(crate) fn read_stats(r: &mut StateReader, stats: &mut SimStats) -> Result<(), SourceError> {
-    stats.instructions = r.u64()?;
-    stats.mem_refs = r.u64()?;
-    stats.lvaq_refs = r.u64()?;
-    stats.region_checks = r.u64()?;
-    stats.region_mispredicts = r.u64()?;
-    stats.recoveries = r.u64()?;
-    stats.lsq_forwards = r.u64()?;
-    stats.lvaq_forwards = r.u64()?;
-    stats.rob_stall_cycles = r.u64()?;
-    stats.queue_stall_cycles = r.u64()?;
-    let n = r.len32()?;
-    stats.faults_applied.clear();
-    for _ in 0..n {
-        stats.faults_applied.push(r.u32()?);
-    }
-    Ok(())
-}
-
-/// Serializes the ARPT: lookup/update counters plus — for the bounded
-/// table every machine config uses — the table bytes, touch map and
-/// occupancy.
-pub(crate) fn write_arpt(w: &mut StateWriter, arpt: &Arpt) {
-    w.u64(arpt.lookups());
-    w.u64(arpt.updates());
-    match arpt.export_limited() {
-        Some((table, touched, occupied)) => {
-            w.u8(1);
-            w.u32(table.len() as u32);
-            w.bytes(table);
-            w.u32(touched.len() as u32);
-            for &t in touched {
-                w.bool(t);
-            }
-            w.usize(occupied);
-        }
-        None => w.u8(0),
-    }
-}
-
-pub(crate) fn read_arpt(r: &mut StateReader, arpt: &mut Arpt) -> Result<(), SourceError> {
-    let lookups = r.u64()?;
-    let updates = r.u64()?;
+/// Walks the ARPT: lookup/update counters plus — for the bounded table
+/// every machine config uses — the table bytes, touch map and occupancy.
+pub(crate) fn sync_arpt(io: &mut impl StateIo, arpt: &mut Arpt) -> Result<(), SourceError> {
+    let (mut lookups, mut updates) = (arpt.lookups(), arpt.updates());
+    io.val(&mut lookups)?;
+    io.val(&mut updates)?;
     arpt.set_counters(lookups, updates);
-    let has_table = r.bool()?;
-    if has_table != arpt.export_limited().is_some() {
-        return Err(corrupt("ARPT capacity kind mismatch"));
-    }
-    if has_table {
-        let table_len = r.len32()?;
-        let table = r.bytes(table_len)?.to_vec();
-        let touched_len = r.len32()?;
-        let mut touched = Vec::with_capacity(touched_len.min(table_len.max(1)));
-        for _ in 0..touched_len {
-            touched.push(r.bool()?);
-        }
-        let occupied = r.usize()?;
-        if !arpt.import_limited(&table, &touched, occupied) {
-            return Err(corrupt("ARPT geometry mismatch"));
-        }
+    let limited = arpt.limited_mut();
+    io.same(limited.is_some(), "ARPT capacity kind mismatch")?;
+    if let Some((table, touched, occupied)) = limited {
+        io.same(table.len() as u32, "ARPT geometry mismatch")?;
+        io.vals(table)?;
+        io.same(touched.len() as u32, "ARPT geometry mismatch")?;
+        io.vals(touched)?;
+        io.val(occupied)?;
     }
     Ok(())
 }
@@ -374,34 +358,53 @@ pub(crate) fn read_arpt(r: &mut StateReader, arpt: &mut Arpt) -> Result<(), Sour
 mod tests {
     use super::*;
 
+    /// One field of each scalar kind plus a list, in a fixed order.
+    fn walk(
+        io: &mut impl StateIo,
+        fields: &mut (u8, bool, u32, u64, i64, usize, Vec<u64>),
+    ) -> Result<(), SourceError> {
+        io.val(&mut fields.0)?;
+        io.val(&mut fields.1)?;
+        io.val(&mut fields.2)?;
+        io.val(&mut fields.3)?;
+        io.val(&mut fields.4)?;
+        io.val(&mut fields.5)?;
+        io.list(&mut fields.6)
+    }
+
+    fn sealed(v: u64, list: &[u64]) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.val(&mut v.clone()).unwrap();
+        w.list(&mut list.to_vec()).unwrap();
+        w.seal()
+    }
+
     #[test]
     fn writer_reader_round_trip() {
+        let mut written = (7, true, 0xdead_beef, u64::MAX - 1, -42, 123, vec![1, 2, 3]);
         let mut w = StateWriter::new();
-        w.u8(7);
-        w.bool(true);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX - 1);
-        w.i64(-42);
-        w.usize(123);
-        w.u64_list(&[1, 2, 3]);
+        walk(&mut w, &mut written).unwrap();
+        let blob = w.seal();
+        let mut read = Default::default();
+        let mut r = StateReader::open(&blob).unwrap();
+        walk(&mut r, &mut read).unwrap();
+        r.finish().unwrap();
+        assert_eq!(read, written);
+    }
+
+    #[test]
+    fn same_refuses_a_different_value_with_its_message() {
+        let mut w = StateWriter::new();
+        w.same(4u32, "geometry").unwrap();
         let blob = w.seal();
         let mut r = StateReader::open(&blob).unwrap();
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.usize().unwrap(), 123);
-        assert_eq!(r.u64_list().unwrap(), vec![1, 2, 3]);
-        r.finish().unwrap();
+        let err = r.same(5u32, "geometry").expect_err("4 != 5");
+        assert!(err.to_string().contains("geometry"), "{err}");
     }
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let mut w = StateWriter::new();
-        w.u64(0x0123_4567_89ab_cdef);
-        w.u64_list(&[9, 8, 7]);
-        let blob = w.seal();
+        let blob = sealed(0x0123_4567_89ab_cdef, &[9, 8, 7]);
         for i in 0..blob.len() {
             let mut forged = blob.clone();
             forged[i] ^= 0x10;
@@ -414,9 +417,7 @@ mod tests {
 
     #[test]
     fn truncation_and_trailing_bytes_are_rejected() {
-        let mut w = StateWriter::new();
-        w.u64(5);
-        let blob = w.seal();
+        let blob = sealed(5, &[]);
         // Any prefix shorter than the full blob fails: either the checksum
         // no longer matches or the body is too short.
         for cut in 0..blob.len() {
@@ -430,7 +431,7 @@ mod tests {
     #[test]
     fn mid_cycle_round_trips() {
         for stall in [None, Some(StallCause::MemPort)] {
-            let mid = MidCycle {
+            let mut mid = MidCycle {
                 committed: 3,
                 issued: 5,
                 dispatched: 2,
@@ -440,10 +441,11 @@ mod tests {
                 queue_stalls_before: 13,
             };
             let mut w = StateWriter::new();
-            mid.write(&mut w);
+            mid.sync(&mut w).unwrap();
             let blob = w.seal();
             let mut r = StateReader::open(&blob).unwrap();
-            let back = MidCycle::read(&mut r).unwrap();
+            let mut back = MidCycle::default();
+            back.sync(&mut r).unwrap();
             r.finish().unwrap();
             assert_eq!(back.committed, mid.committed);
             assert_eq!(back.issued, mid.issued);

@@ -2,7 +2,7 @@
 
 use arl_sim::SourceError;
 
-use crate::state::{corrupt, StateReader, StateWriter};
+use crate::state::StateIo;
 
 /// One predictor entry.
 #[derive(Clone, Copy, Default, Debug)]
@@ -90,29 +90,19 @@ impl StridePredictor {
         }
     }
 
-    /// Serializes counters and every table entry (sharded-replay support).
-    pub(crate) fn write_state(&self, w: &mut StateWriter) {
-        w.u64(self.predictions);
-        w.u64(self.correct);
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.i64(e.last);
-            w.i64(e.stride);
-            w.u8(e.confidence);
-        }
-    }
-
-    /// Restores counters and table entries; the table size must match.
-    pub(crate) fn read_state(&mut self, r: &mut StateReader) -> Result<(), SourceError> {
-        self.predictions = r.u64()?;
-        self.correct = r.u64()?;
-        if r.len32()? != self.entries.len() {
-            return Err(corrupt("value-predictor table size mismatch"));
-        }
+    /// Walks counters and every table entry (sharded-replay support); the
+    /// table size must match.
+    pub(crate) fn sync(&mut self, io: &mut impl StateIo) -> Result<(), SourceError> {
+        io.val(&mut self.predictions)?;
+        io.val(&mut self.correct)?;
+        io.same(
+            self.entries.len() as u32,
+            "value-predictor table size mismatch",
+        )?;
         for e in &mut self.entries {
-            e.last = r.i64()?;
-            e.stride = r.i64()?;
-            e.confidence = r.u8()?;
+            io.val(&mut e.last)?;
+            io.val(&mut e.stride)?;
+            io.val(&mut e.confidence)?;
         }
         Ok(())
     }
