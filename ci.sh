@@ -69,19 +69,6 @@ ARL_SCALE=tiny ARL_FAULT=all:42:2 \
     cargo run --quiet --release -p arl-bench --bin fault_campaign > /dev/null
 diff "$smoke_dir/full/BENCH_faults.json" "$smoke_dir/resumed/BENCH_faults.json"
 
-echo "==> fault-campaign kill-resume gate under sharding (ARL_SHARD=2)"
-# The same interrupt/resume cycle with sharded baseline replays: the
-# shard knob must be identity-neutral — the merged document must still
-# be byte-identical to the *unsharded* uninterrupted run.
-mkdir -p "$smoke_dir/shfirst" "$smoke_dir/shresumed"
-ARL_SCALE=tiny ARL_FAULT=all:42:2 ARL_MAX_JOBS=1 ARL_SHARD=2 \
-    ARL_CHECKPOINT="$smoke_dir/sharded.ckpt" ARL_JSON="$smoke_dir/shfirst" \
-    cargo run --quiet --release -p arl-bench --bin fault_campaign > /dev/null
-ARL_SCALE=tiny ARL_FAULT=all:42:2 ARL_SHARD=2 \
-    ARL_CHECKPOINT="$smoke_dir/sharded.ckpt" ARL_JSON="$smoke_dir/shresumed" \
-    cargo run --quiet --release -p arl-bench --bin fault_campaign > /dev/null
-diff "$smoke_dir/full/BENCH_faults.json" "$smoke_dir/shresumed/BENCH_faults.json"
-
 echo "==> chaos smoke gate (2 seeded points: one SIGKILL, one torn write)"
 # Two points of the seeded rotation — point 0 SIGKILLs the child at a
 # durable op, point 1 tears a write short — then the harness proves loud

@@ -33,7 +33,6 @@ use crate::runner::{
     dedupe_failures, end_main, timed_record, JobFailure, Pool, RunRecord, SuiteFailures,
     SuiteReport, PROBE_SCHEMA,
 };
-use crate::shard::replay_sharded;
 use crate::{
     evaluate_program, evaluate_trace_all, fmt_millions, fmt_pct, functional_pass, replayer,
     EvalReport,
@@ -66,14 +65,6 @@ pub struct ExperimentOptions {
     /// `BENCH_<experiment>_probe.json` document (`ARL_PROBE=1`). Rendered
     /// tables and `SimStats` are byte-identical either way.
     pub probe: bool,
-    /// Shard jobs per timing replay cell (`ARL_SHARD`; default 1 =
-    /// unsharded). With more than one, captures embed snapshot records and
-    /// every timing replay runs as a chain of shard segments — rendered
-    /// tables and `SimStats` are byte-identical either way.
-    pub shards: usize,
-    /// Capture-time snapshot cadence in instructions
-    /// (`ARL_SNAPSHOT_INTERVAL`), used only when `shards > 1`.
-    pub snapshot_interval: u64,
     /// Memory backend applied to every timing config (`ARL_BACKEND`;
     /// default [`BackendConfig::Baseline`], which leaves configs — and
     /// therefore all tables and goldens — untouched). Non-baseline
@@ -90,8 +81,6 @@ impl ExperimentOptions {
             threads: threads.max(1),
             trace: TraceMode::Replay,
             probe: false,
-            shards: 1,
-            snapshot_interval: crate::shard::DEFAULT_SNAPSHOT_INTERVAL,
             backend: BackendConfig::Baseline,
         }
     }
@@ -110,15 +99,6 @@ impl ExperimentOptions {
         self
     }
 
-    /// Overrides sharding (tests drive sharded-vs-serial differential
-    /// comparisons with this). `interval` is the capture-time snapshot
-    /// cadence in instructions.
-    pub fn with_shards(mut self, shards: usize, interval: u64) -> ExperimentOptions {
-        self.shards = shards.max(1);
-        self.snapshot_interval = interval;
-        self
-    }
-
     /// Overrides the memory backend (tests drive per-backend differential
     /// comparisons with this).
     pub fn with_backend(mut self, backend: BackendConfig) -> ExperimentOptions {
@@ -130,16 +110,13 @@ impl ExperimentOptions {
         Pool::new(self.threads)
     }
 
-    /// What a workload's pass captures: nothing under [`TraceMode::Live`],
-    /// where every cell executes for itself; otherwise the trace its cells
-    /// replay, as `Some(snapshot interval)`. Only a trace that `timing`
-    /// cells will shard embeds snapshot records (interval 0 = none, the
-    /// byte-identical snapshot-free container).
-    fn capture(&self, timing: bool) -> Option<u64> {
+    /// Whether a workload's pass captures the trace its cells replay:
+    /// always, except under [`TraceMode::Live`], where every cell executes
+    /// for itself.
+    fn capture(&self) -> bool {
         match self.trace {
-            TraceMode::Live => None,
-            TraceMode::Replay if timing && self.shards > 1 => Some(self.snapshot_interval),
-            TraceMode::Replay => Some(0),
+            TraceMode::Live => false,
+            TraceMode::Replay => true,
         }
     }
 }
@@ -279,7 +256,8 @@ const UNOBSERVED: Option<fn(&mut (), &TraceEntry)> = None;
 ///
 /// A pass builds the program and executes it once, feeding every retired
 /// instruction to `observe` on a fresh `P`. `capture` (see
-/// [`ExperimentOptions::capture`]) also records the trace. A pass with
+/// [`ExperimentOptions::capture`]) also records the trace, without
+/// snapshot records. A pass with
 /// neither a capture nor an observer only builds the program: under
 /// [`TraceMode::Live`] its cells execute it themselves. Every pass that
 /// executed contributes one record, `"capture"` when it captured and
@@ -287,11 +265,12 @@ const UNOBSERVED: Option<fn(&mut (), &TraceEntry)> = None;
 fn workload_passes<P: Default, T: Send>(
     opts: &ExperimentOptions,
     specs: &[WorkloadSpec],
-    capture: Option<u64>,
+    capture: bool,
     observe: Option<impl Fn(&mut P, &TraceEntry) + Sync>,
     then: impl Fn(Pass, P) -> T + Sync,
 ) -> (Vec<T>, Vec<RunRecord>) {
-    let executes = capture.is_some() || observe.is_some();
+    let executes = capture || observe.is_some();
+    let capture = capture.then_some(0);
     let label = if capture.is_some() {
         "capture"
     } else {
@@ -384,9 +363,8 @@ fn run_timing<S: TraceSource>(
 }
 
 /// Runs one timing cell over `pass`: live execution when the pass captured
-/// nothing, else a replay of its trace — a chain of snapshot-bounded shard
-/// segments when `opts.shards > 1`. The stats are bit-identical across all
-/// three.
+/// nothing, else a replay of its trace. The stats are bit-identical either
+/// way.
 fn timing_cell(
     opts: &ExperimentOptions,
     pass: &Pass,
@@ -395,10 +373,6 @@ fn timing_cell(
     let (program, name) = (&pass.program, pass.spec.name);
     match &pass.trace {
         None => run_timing(opts.probe, &mut Machine::new(program), name, config),
-        Some(trace) if opts.shards > 1 => {
-            let run = replay_sharded(program, trace, name, config, opts.shards, opts.probe);
-            (run.stats, run.recorder)
-        }
         Some(trace) => run_timing(
             opts.probe,
             &mut replayer(trace, program, name),
@@ -429,7 +403,7 @@ fn timing_cells(
         .map(|c| c.clone().with_backend(opts.backend))
         .collect();
     let (passes, mut records) =
-        workload_passes(opts, specs, opts.capture(true), UNOBSERVED, |pass, ()| pass);
+        workload_passes(opts, specs, opts.capture(), UNOBSERVED, |pass, ()| pass);
     let cells: Vec<(usize, usize)> = (0..passes.len())
         .flat_map(|wi| (0..configs.len()).map(move |ci| (wi, ci)))
         .collect();
@@ -479,12 +453,8 @@ fn eval_cells<P: Default, L: AsRef<str>>(
     observe: Option<impl Fn(&mut P, &TraceEntry) + Sync>,
     schemes: impl Fn(P) -> Vec<(L, EvalConfig)> + Sync,
 ) -> (Vec<Vec<EvalReport>>, Vec<RunRecord>) {
-    let (cells, pass_records) = workload_passes(
-        opts,
-        &suite(),
-        opts.capture(false),
-        observe,
-        |pass, profile| {
+    let (cells, pass_records) =
+        workload_passes(opts, &suite(), opts.capture(), observe, |pass, profile| {
             let (program, name) = (&pass.program, pass.spec.name);
             let schemes = schemes(profile);
             match &pass.trace {
@@ -500,8 +470,7 @@ fn eval_cells<P: Default, L: AsRef<str>>(
                     })
                     .collect(),
             }
-        },
-    );
+        });
     // A live pass runs only to profile; the re-executed cells are the record.
     let mut records: Vec<RunRecord> = pass_records
         .into_iter()
@@ -526,7 +495,7 @@ fn eval_cells<P: Default, L: AsRef<str>>(
 pub fn table1(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
     let observe = Some(WorkloadCharacter::observe);
-    let (characters, records) = workload_passes(opts, &suite(), None, observe, |_, c| c);
+    let (characters, records) = workload_passes(opts, &suite(), false, observe, |_, c| c);
     let mut table = TableBuilder::new(&["Benchmark", "Inst. count", "Loads %", "Stores %", "Refs"]);
     for (spec, c) in suite().iter().zip(&characters) {
         table.row(&[
@@ -550,7 +519,7 @@ pub fn table1(opts: &ExperimentOptions) -> ExperimentRun {
 pub fn table2(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
     let observe = Some(SlidingWindowProfiler::observe);
-    let (windows, records) = workload_passes(opts, &suite(), None, observe, |_, p| p.stats());
+    let (windows, records) = workload_passes(opts, &suite(), false, observe, |_, p| p.stats());
     let specs = suite();
     let mut table = TableBuilder::new(&[
         "Benchmark",
@@ -617,7 +586,7 @@ pub fn figure2(opts: &ExperimentOptions) -> ExperimentRun {
     let start = Instant::now();
     let observe = Some(RegionProfiler::observe);
     let (breakdowns, records) =
-        workload_passes(opts, &suite(), None, observe, |_, p| p.breakdown());
+        workload_passes(opts, &suite(), false, observe, |_, p| p.breakdown());
     let mut header: Vec<String> = vec!["Benchmark".into(), "Static".into()];
     header.extend(RegionSet::CLASS_LABELS.iter().map(|l| format!("{l} %")));
     header.push("Multi(dyn) %".into());

@@ -145,10 +145,8 @@ fn plan_spec(plans: &[LayerPlan]) -> String {
 }
 
 /// The checkpoint-ledger fingerprint for a fault campaign: everything
-/// that shapes the recorded payloads. `ARL_SHARD` is deliberately
-/// excluded — sharded and unsharded baselines produce bit-identical
-/// stats (the shard differential suite proves it), so their ledgers are
-/// interchangeable. Threads are excluded for the same reason, and
+/// that shapes the recorded payloads. Threads are deliberately excluded —
+/// the payloads are bit-identical at any thread count — and
 /// `ARL_MAX_JOBS` is excluded because a job cap is an *interruption* of
 /// the same campaign, not a different campaign — a capped run must
 /// brand its ledger so the uncapped resume is accepted.
@@ -207,26 +205,7 @@ pub fn fault_campaign_pooled(
         let program = spec.build(opts.scale);
         let trace = capture_trace(&program, spec.name);
         let config = MachineConfig::decoupled(3, 3);
-        // With `ARL_SHARD` > 1 the baseline replay runs as a chain of
-        // shard segments over a snapshotted capture; its stats are
-        // bit-identical to the serial baseline, so fault planning and
-        // every faulty replay keep using the plain capture and the
-        // emitted document stays byte-identical to an unsharded run.
-        let baseline = if opts.shards > 1 {
-            let interval = Some(opts.snapshot_interval);
-            let (_, snapshotted) = crate::functional_pass(&program, spec.name, interval, |_| {});
-            crate::shard::replay_sharded(
-                &program,
-                &snapshotted.expect("a capturing pass returns its trace"),
-                spec.name,
-                &config,
-                opts.shards,
-                false,
-            )
-            .stats
-        } else {
-            timing_trace(&program, &trace, spec.name, &config)
-        };
+        let baseline = timing_trace(&program, &trace, spec.name, &config);
         let base_obs = observation(&baseline);
         let bytes = trace.as_bytes();
 
@@ -554,28 +533,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_baseline_keeps_the_document_byte_identical() {
-        // `ARL_SHARD=2` reroutes the baseline replay through chained
-        // shard segments; fault planning and faulty replays stay on the
-        // plain capture, so the whole document must not move a byte —
-        // this is what lets one ledger serve sharded and unsharded runs.
-        let serial = fault_campaign_with(&tiny_opts(), &plans(42, 1), Some(1), None);
-        let sharded_opts = tiny_opts().with_shards(2, 5_000);
-        let sharded = fault_campaign_with(&sharded_opts, &plans(42, 1), Some(1), None);
-        assert_eq!(serial.doc.render(), sharded.doc.render());
-        assert_eq!(serial.text, sharded.text);
-    }
-
-    #[test]
     fn campaign_identity_pins_plan_scale_and_workload_set() {
         let a = campaign_identity(&tiny_opts(), &plans(42, 2));
         let b = campaign_identity(&tiny_opts(), &plans(42, 2));
         assert_eq!(a, b);
         assert_ne!(a, campaign_identity(&tiny_opts(), &plans(43, 2)));
-        // Sharding and job caps are deliberately identity-neutral (see
-        // the doc): both are ways of *interrupting* the same campaign.
-        let sharded = tiny_opts().with_shards(2, 5_000);
-        assert_eq!(a, campaign_identity(&sharded, &plans(42, 2)));
         let rendered = a.render();
         assert!(rendered.contains("\"experiment\":\"faults\""), "{rendered}");
         assert!(rendered.contains("trace:42:2"), "{rendered}");

@@ -35,11 +35,10 @@ pub struct Knobs {
     pub trace: TraceMode,
     /// `ARL_PROBE`: attach the cycle-level probe to every timing cell.
     pub probe: bool,
-    /// `ARL_SHARD`: shard jobs per timing replay cell; `None` when unset
-    /// (each binary picks its own default).
-    pub shard: Option<usize>,
-    /// `ARL_SNAPSHOT_INTERVAL`: capture-time snapshot cadence in
-    /// instructions (0 disables).
+    /// `ARL_SHARD`: `bench_shard`'s shard-job count (default 3).
+    pub shard: usize,
+    /// `ARL_SNAPSHOT_INTERVAL`: `bench_shard`'s capture-time snapshot
+    /// cadence in instructions (0 disables).
     pub snapshot_interval: u64,
     /// `ARL_BACKEND`: the memory backend under every timing config.
     pub backend: BackendConfig,
@@ -113,13 +112,11 @@ impl Knobs {
         }
     }
 
-    /// The experiment options these knobs select (default scale 1,
-    /// unsharded).
+    /// The experiment options these knobs select (default scale 1).
     pub fn options(&self) -> ExperimentOptions {
         ExperimentOptions::new(self.scale.unwrap_or_default(), self.threads)
             .with_trace(self.trace)
             .with_probe(self.probe)
-            .with_shards(self.shard.unwrap_or(1), self.snapshot_interval)
             .with_backend(self.backend)
     }
 }
@@ -226,12 +223,10 @@ fn trace_from_value(value: Option<&str>) -> TraceMode {
     })
 }
 
-/// `ARL_SHARD`: a positive shard-job count (`0` clamps to 1).
-fn shard_from_value(value: Option<&str>) -> Option<usize> {
-    knob_parsed("ARL_SHARD", value, None, "the default", |v| {
-        let n = v.parse::<usize>().ok()?;
-        Some(Some(clamp_min("ARL_SHARD", n, 1)))
-    })
+/// `ARL_SHARD`: a positive shard-job count (default 3, since a one-job
+/// "sweep" would measure nothing; `0` clamps to 1).
+fn shard_from_value(value: Option<&str>) -> usize {
+    knob_u64("ARL_SHARD", value, 3, 1) as usize
 }
 
 /// `ARL_SNAPSHOT_INTERVAL`: instructions between capture-time snapshot
@@ -404,11 +399,11 @@ mod tests {
 
     #[test]
     fn shard_and_snapshot_parsers_handle_edge_cases() {
-        assert_eq!(shard_from_value(None), None);
-        assert_eq!(shard_from_value(Some("4")), Some(4));
-        assert_eq!(shard_from_value(Some(" 2 ")), Some(2));
-        assert_eq!(shard_from_value(Some("0")), Some(1));
-        assert_eq!(shard_from_value(Some("many")), None);
+        assert_eq!(shard_from_value(None), 3, "unset takes the default");
+        assert_eq!(shard_from_value(Some("4")), 4);
+        assert_eq!(shard_from_value(Some(" 2 ")), 2);
+        assert_eq!(shard_from_value(Some("0")), 1, "zero clamps to one job");
+        assert_eq!(shard_from_value(Some("many")), 3, "typos fall back");
         assert_eq!(
             snapshot_interval_from_value(None),
             DEFAULT_SNAPSHOT_INTERVAL

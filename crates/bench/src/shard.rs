@@ -1,5 +1,4 @@
-//! Snapshot-sharded trace replay (`bench_shard` binary and the
-//! `ARL_SHARD` experiment knob).
+//! Snapshot-sharded trace replay (the `bench_shard` binary).
 //!
 //! A v2 `.arltrace` captured with snapshots has `S + 1` independent
 //! segments. This module groups those segments into `M` contiguous
@@ -18,8 +17,10 @@
 //! interrupted cell resumes from the last recorded shard instead of cycle
 //! zero — [`replay_sharded_supervised`] is exactly-once over shard jobs.
 //!
-//! Knobs: `ARL_SHARD` (shard jobs per cell, default 1 = unsharded),
-//! `ARL_SNAPSHOT_INTERVAL` (capture-time snapshot cadence in
+//! Sharding buys resume only through that ledger, so only `bench_shard`
+//! shards; the experiment binaries always replay each cell serially.
+//! Knobs (read by `bench_shard` alone): `ARL_SHARD` (shard jobs, default
+//! 3), `ARL_SNAPSHOT_INTERVAL` (capture-time snapshot cadence in
 //! instructions, default [`DEFAULT_SNAPSHOT_INTERVAL`]; 0 disables).
 
 use std::fmt::Write as _;
@@ -28,7 +29,7 @@ use std::time::Instant;
 
 use arl_asm::Program;
 use arl_stats::Json;
-use arl_timing::{MachineConfig, Recorder, SimStats, TimingSim};
+use arl_timing::{MachineConfig, NullProbe, Probe, Recorder, SegmentRun, SimStats, TimingSim};
 use arl_trace::{Replayer, Trace};
 use arl_workloads::workload;
 
@@ -69,12 +70,7 @@ pub fn shard_plan(segments: u64, shards: usize) -> Vec<(u64, u64)> {
 /// fingerprint equal iff their stats are field-for-field identical, so
 /// the `BENCH_shard.json` document can prove bit-identity in one number.
 pub fn stats_fingerprint(stats: &SimStats) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{stats:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    arl_trace::fnv1a64(format!("{stats:?}").as_bytes())
 }
 
 fn to_hex(bytes: &[u8]) -> String {
@@ -94,16 +90,9 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-/// One shard job's result before probe-genericity is erased.
-struct SpanRun {
-    stats: SimStats,
-    state: Option<Vec<u8>>,
-    recorder: Option<Recorder>,
-}
-
 /// Replays boundaries `[span.0, span.1)` as one shard job.
 #[allow(clippy::too_many_arguments)]
-fn replay_span(
+fn replay_span<P: Probe>(
     program: &Program,
     trace: &Trace,
     name: &str,
@@ -111,37 +100,16 @@ fn replay_span(
     span: (u64, u64),
     resume: Option<&[u8]>,
     final_shard: bool,
-    probe: bool,
-) -> SpanRun {
+    probe: P,
+) -> SegmentRun<P> {
     let mut replayer = Replayer::open_span(trace, program, span.0, span.1).unwrap_or_else(|e| {
         panic!(
             "workload {name} shard span [{}, {}) rejected: {e}",
             span.0, span.1
         )
     });
-    if probe {
-        let run = TimingSim::run_segment_probed(
-            &mut replayer,
-            config,
-            resume,
-            final_shard,
-            Recorder::new(),
-        )
-        .unwrap_or_else(|e| panic!("workload {name} shard replay failed: {e}"));
-        SpanRun {
-            stats: run.stats,
-            state: run.state,
-            recorder: Some(run.probe),
-        }
-    } else {
-        let run = TimingSim::run_segment(&mut replayer, config, resume, final_shard)
-            .unwrap_or_else(|e| panic!("workload {name} shard replay failed: {e}"));
-        SpanRun {
-            stats: run.stats,
-            state: run.state,
-            recorder: None,
-        }
-    }
+    TimingSim::run_segment_probed(&mut replayer, config, resume, final_shard, probe)
+        .unwrap_or_else(|e| panic!("workload {name} shard replay failed: {e}"))
 }
 
 /// The stitched result of a sharded replay.
@@ -177,9 +145,30 @@ pub fn replay_sharded(
     shards: usize,
     probe: bool,
 ) -> ShardedReplay {
+    if probe {
+        let mut merged = Recorder::new();
+        let mut run = replay_chain(program, trace, name, config, shards, |r: Recorder| {
+            merged.merge(&r)
+        });
+        run.recorder = Some(merged);
+        run
+    } else {
+        replay_chain(program, trace, name, config, shards, |_: NullProbe| {})
+    }
+}
+
+/// [`replay_sharded`] with a fresh `P` per shard job, each handed to
+/// `absorb` in shard order.
+fn replay_chain<P: Probe + Default>(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    config: &MachineConfig,
+    shards: usize,
+    mut absorb: impl FnMut(P),
+) -> ShardedReplay {
     let plan = shard_plan(trace.snapshot_count() + 1, shards);
     let mut state: Option<Vec<u8>> = None;
-    let mut merged = probe.then(Recorder::new);
     let mut stats: Option<SimStats> = None;
     let mut walls = Vec::with_capacity(plan.len());
     for (i, &span) in plan.iter().enumerate() {
@@ -193,19 +182,17 @@ pub fn replay_sharded(
             span,
             state.as_deref(),
             final_shard,
-            probe,
+            P::default(),
         );
         walls.push(start.elapsed().as_secs_f64());
-        if let (Some(m), Some(r)) = (&mut merged, &run.recorder) {
-            m.merge(r);
-        }
+        absorb(run.probe);
         state = run.state;
         stats = Some(run.stats);
     }
     let executed = plan.len();
     ShardedReplay {
         stats: stats.unwrap_or_else(|| panic!("workload {name}: empty shard plan")),
-        recorder: merged,
+        recorder: None,
         plan,
         executed,
         skipped: 0,
@@ -297,7 +284,7 @@ pub fn replay_sharded_supervised(
             span,
             state.as_deref(),
             final_shard,
-            false,
+            NullProbe,
         );
         walls.push(start.elapsed().as_secs_f64());
         executed += 1;
@@ -547,9 +534,8 @@ pub fn shard_bench_with(
 /// The workload `bench_shard` measures: `gcc`, the longest in the suite.
 const SHARD_WORKLOAD: &str = "gcc";
 
-/// The `bench_shard` binary's `main`: reads the [`Knobs`] (`ARL_SHARD`
-/// defaults to 3 here — a serial "sweep" would measure nothing;
-/// `ARL_CHECKPOINT` enables the kill-resume measurement), prints the
+/// The `bench_shard` binary's `main`: reads the [`Knobs`]
+/// (`ARL_CHECKPOINT` enables the kill-resume measurement), prints the
 /// comparison, emits `BENCH_shard.json` under `ARL_JSON`, and exits
 /// non-zero if stitched and serial diverge.
 pub fn run_shard_main() {
@@ -560,7 +546,7 @@ pub fn run_shard_main() {
     let run = match shard_bench_with(
         &knobs.options(),
         SHARD_WORKLOAD,
-        knobs.shard.unwrap_or(3),
+        knobs.shard,
         knobs.snapshot_interval,
         knobs.checkpoint.as_deref(),
         knobs.checkpoint_force,
