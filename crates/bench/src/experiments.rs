@@ -114,10 +114,7 @@ impl ExperimentOptions {
     /// always, except under [`TraceMode::Live`], where every cell executes
     /// for itself.
     fn capture(&self) -> bool {
-        match self.trace {
-            TraceMode::Live => false,
-            TraceMode::Replay => true,
-        }
+        self.trace == TraceMode::Replay
     }
 }
 

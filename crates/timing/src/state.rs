@@ -120,6 +120,7 @@ pub(crate) trait StateIo {
     /// count cannot drive a huge allocation.
     fn count(&mut self, n: usize, elem_bytes: usize) -> Result<usize, SourceError>;
 
+    /// Every element of a fixed-length slice, in order.
     fn vals<T: Scalar>(&mut self, v: &mut [T]) -> Result<(), SourceError> {
         v.iter_mut().try_for_each(|x| self.val(x))
     }
@@ -372,9 +373,9 @@ mod tests {
         io.list(&mut fields.6)
     }
 
-    fn sealed(v: u64, list: &[u64]) -> Vec<u8> {
+    fn sealed(mut v: u64, list: &[u64]) -> Vec<u8> {
         let mut w = StateWriter::new();
-        w.val(&mut v.clone()).unwrap();
+        w.val(&mut v).unwrap();
         w.list(&mut list.to_vec()).unwrap();
         w.seal()
     }
