@@ -394,16 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn same_refuses_a_different_value_with_its_message() {
-        let mut w = StateWriter::new();
-        w.same(4u32, "geometry").unwrap();
-        let blob = w.seal();
-        let mut r = StateReader::open(&blob).unwrap();
-        let err = r.same(5u32, "geometry").expect_err("4 != 5");
-        assert!(err.to_string().contains("geometry"), "{err}");
-    }
-
-    #[test]
     fn every_single_byte_flip_is_rejected() {
         let blob = sealed(0x0123_4567_89ab_cdef, &[9, 8, 7]);
         for i in 0..blob.len() {
