@@ -373,6 +373,7 @@ impl Program {
     }
 
     /// The instruction at `pc`, if it lies in text.
+    #[inline]
     pub fn inst_at(&self, pc: u64) -> Option<&Inst> {
         let base = self.layout.text_base();
         if pc < base || !(pc - base).is_multiple_of(INST_BYTES) {

@@ -332,7 +332,7 @@ pub struct ShardBenchRun {
 /// The ledger fingerprint for one shard benchmark: the workload, config,
 /// scale, snapshot cadence, shard-job count, and — because recorded
 /// shard-state blobs are only meaningful for the exact capture they were
-/// replayed from — the FNV-1a64 checksum of the trace container.
+/// replayed from — the sealed checksum of the trace container.
 pub fn shard_identity(
     workload: &str,
     config_name: &str,
@@ -388,7 +388,7 @@ pub fn shard_bench_with(
                 &scale,
                 interval,
                 shards,
-                arl_trace::fnv1a64(trace.as_bytes()),
+                trace.checksum(),
             );
             Some(Checkpoint::open(path, &identity, force)?)
         }

@@ -346,6 +346,7 @@ pub struct MemOpInfo {
 
 impl Inst {
     /// Addressing-mode information if this is a memory instruction.
+    #[inline]
     pub fn mem_op(&self) -> Option<MemOpInfo> {
         match *self {
             Inst::Load {
@@ -502,6 +503,7 @@ impl Inst {
     }
 
     /// General-purpose register written by the instruction, if any.
+    #[inline]
     pub fn gpr_dest(&self) -> Option<Gpr> {
         let rd = match *self {
             Inst::Alu { rd, .. }

@@ -1,9 +1,35 @@
 //! Sparse paged memory image.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Bytes per page of the sparse image.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Hasher for the page map. Keys are page numbers, which a single
+/// Fibonacci multiply mixes well enough; SipHash would dominate every
+/// functional load and store. Nothing iterates the map, so the order it
+/// yields cannot reach any output.
+#[derive(Clone, Copy, Default)]
+struct PageHash(u64);
+
+impl Hasher for PageHash {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// A sparse, demand-allocated memory image covering the full simulated
 /// address space.
@@ -13,7 +39,7 @@ pub const PAGE_SIZE: u64 = 4096;
 /// accesses are handled (byte at a time on the slow path).
 #[derive(Clone, Default, Debug)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHash>>,
 }
 
 impl MemImage {

@@ -78,6 +78,7 @@ impl Layout {
     ///
     /// Data references only ever see [`Region::Data`], [`Region::Heap`] or
     /// [`Region::Stack`]; instruction fetch sees [`Region::Text`].
+    #[inline]
     pub const fn classify(&self, addr: u64) -> Region {
         if addr >= self.stack_base {
             Region::Stack

@@ -451,12 +451,15 @@ impl<'p> Machine<'p> {
     ) -> Result<RunOutcome, ExecError> {
         let mut retired = 0;
         while retired < max_insts {
-            match self.step()? {
-                Some(entry) => {
+            // Borrow the entry inside the step result: moving it out (as
+            // `?` does) copies 96 bytes per instruction.
+            match self.step() {
+                Ok(Some(ref entry)) => {
                     retired += 1;
-                    visitor(&entry);
+                    visitor(entry);
                 }
-                None => break,
+                Ok(None) => break,
+                Err(e) => return Err(e),
             }
         }
         crate::count_functional_instructions(retired);

@@ -11,8 +11,8 @@
 //! DESIGN.md documents the layout and the bit-identity argument.
 //!
 //! The blob is little-endian, framed by a 4-byte magic, a version byte and
-//! a core tag, and sealed with a trailing FNV-1a-64 checksum (the same
-//! function the `.arltrace` footer uses). Decoding is strict: a wrong
+//! a core tag, and sealed with a trailing bytewise FNV-1a-64 checksum (the
+//! same function as `arl_trace::fnv1a64`). Decoding is strict: a wrong
 //! magic/version/core/config, a truncated field, a stale appointment, or a
 //! checksum mismatch all surface as `SourceError::Corrupt`.
 //!
@@ -41,7 +41,7 @@ pub(crate) const STATE_VERSION: u8 = 3;
 /// legacy-core checkpoints carried.
 pub(crate) const CORE_EVENT: u8 = 0;
 
-/// FNV-1a 64-bit (same parameters as the `.arltrace` footer checksum).
+/// Bytewise FNV-1a 64-bit (the same function as `arl_trace::fnv1a64`).
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

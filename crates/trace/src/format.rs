@@ -1,12 +1,12 @@
 //! The `.arltrace` container: header, delta+varint event stream, snapshot
-//! section, footer, trailing FNV-1a checksum.
+//! section, footer, trailing word-wise FNV-1a checksum.
 //!
-//! # Layout (version 2)
+//! # Layout (version 4)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic "ARLT"
-//! 4       1     format version (2)
+//! 4       1     format version (4)
 //! 5       8     program entry pc, u64 LE
 //! 13      …     event stream (one record per retired instruction)
 //! …       64×S  snapshot records (S = snapshot count)
@@ -15,8 +15,19 @@
 //! len-25  8     resident pages at end of run, u64 LE
 //! len-17  8     values printed by the program, u64 LE
 //! len-9   1     exited flag (0 or 1)
-//! len-8   8     FNV-1a 64 checksum of bytes[0..len-8], u64 LE
+//! len-8   8     container checksum of bytes[0..len-8], u64 LE
 //! ```
+//!
+//! The container checksum is FNV-1a 64 over `bytes[0..len-8]` read as
+//! little-endian `u64` words from offset 0, `h = (h ^ word) * PRIME`
+//! with the FNV-1a 64 offset basis and prime; the final 0–7 bytes are
+//! folded in one at a time, `h = (h ^ byte) * PRIME`. Like bytewise
+//! FNV-1a it detects any single-byte corruption with certainty (the
+//! argument is in `codec.rs`), at one multiply per eight bytes. Version 2
+//! sealed the same layout with bytewise FNV-1a; version 3 was a retired
+//! compiled-model format, skipped so its files cannot be mistaken for
+//! version 4. Every other version, 1–3 included, is refused with an
+//! error naming it.
 //!
 //! # Snapshot records
 //!
@@ -70,12 +81,12 @@ use arl_isa::INST_BYTES;
 use arl_mem::PAGE_SIZE;
 use arl_sim::{Metrics, SourceError, TraceEntry};
 
-use crate::codec::{fnv1a64, read_varint, unzigzag, write_varint, zigzag};
+use crate::codec::{container_checksum, fnv1a64, read_varint, unzigzag, write_varint, zigzag};
 
 /// `"ARLT"`.
 pub const MAGIC: [u8; 4] = *b"ARLT";
 /// The format version written and accepted; any other version is refused.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 4;
 
 pub(crate) const HEADER_LEN: usize = 13;
 pub(crate) const FOOTER_LEN: usize = 25;
@@ -110,6 +121,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Projects a full [`TraceEntry`] down to its encoded fields.
+    #[inline]
     pub fn from_entry(e: &TraceEntry) -> TraceEvent {
         TraceEvent {
             pc: e.pc,
@@ -208,6 +220,7 @@ impl SnapshotRecord {
 ///
 /// Returns `None` on malformed bytes (truncated/overlong varint, reserved
 /// flag bits) — callers wrap that into [`SourceError::Corrupt`].
+#[inline(always)]
 pub(crate) fn decode_event(
     bytes: &[u8],
     pos: &mut usize,
@@ -295,6 +308,7 @@ impl TraceWriter {
     }
 
     /// Appends one event.
+    #[inline(always)]
     pub fn push(&mut self, e: &TraceEvent) {
         let mut flags = 0u8;
         if e.mem_addr.is_some() {
@@ -377,7 +391,7 @@ impl TraceWriter {
         self.buf
             .extend_from_slice(&(metrics.output_values as u64).to_le_bytes());
         self.buf.push(metrics.exited as u8);
-        let checksum = fnv1a64(&self.buf);
+        let checksum = container_checksum(&self.buf);
         self.buf.extend_from_slice(&checksum.to_le_bytes());
         Trace { bytes: self.buf }
     }
@@ -489,7 +503,7 @@ impl Trace {
         }
         let body_len = bytes.len() - CHECKSUM_LEN;
         let stored = read_u64_le(&bytes, body_len);
-        let computed = fnv1a64(&bytes[..body_len]);
+        let computed = container_checksum(&bytes[..body_len]);
         if stored != computed {
             return Err(SourceError::Corrupt(format!(
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
@@ -542,7 +556,7 @@ impl Trace {
         read_u64_le(&self.bytes, self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN)
     }
 
-    /// The sealed FNV-1a checksum.
+    /// The sealed container checksum.
     pub fn checksum(&self) -> u64 {
         read_u64_le(&self.bytes, self.bytes.len() - CHECKSUM_LEN)
     }
@@ -692,6 +706,50 @@ mod tests {
     }
 
     #[test]
+    fn one_and_two_byte_varint_boundaries_round_trip_through_decode_event() {
+        // Address and value deltas of +64 and −64 zigzag to the varints
+        // 0x80 (two bytes, the first multi-byte value) and 0x7f (one byte,
+        // the last single-byte value).
+        let at = |addr: u64, value: i64| TraceEvent {
+            pc: 0,
+            next_pc: 8,
+            taken: false,
+            mem_addr: Some(addr),
+            value: Some(value),
+        };
+        let events = [at(64, 64), at(0, 0)];
+        let mut w = TraceWriter::new(0);
+        for e in &events {
+            w.push(e);
+        }
+        let t = w.finish(&Metrics::default());
+        let body = t.body();
+        let flags = FLAG_MEM | FLAG_VALUE;
+        // The second record breaks from the first's next_pc back to 0.
+        let back = zigzag(-8) as u8;
+        assert_eq!(
+            body,
+            [
+                flags,
+                0x80,
+                0x01,
+                0x80,
+                0x01,
+                flags | FLAG_PC_BREAK,
+                back,
+                0x7f,
+                0x7f
+            ]
+        );
+        let mut state = DeltaState::new(0);
+        let mut pos = 0;
+        for e in &events {
+            assert_eq!(decode_event(body, &mut pos, &mut state), Some(*e));
+        }
+        assert_eq!(pos, body.len());
+    }
+
+    #[test]
     fn snapshot_record_round_trips_and_rejects_flips() {
         let record = SnapshotRecord {
             inst_index: 1 << 40,
@@ -724,7 +782,7 @@ mod tests {
         let trailer = good.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN;
         let reseal = |mut bytes: Vec<u8>| {
             let body_len = bytes.len() - CHECKSUM_LEN;
-            let checksum = fnv1a64(&bytes[..body_len]);
+            let checksum = container_checksum(&bytes[..body_len]);
             bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
             bytes
         };

@@ -10,9 +10,11 @@
 //!
 //! * [`capture`] / [`capture_with`] execute a program functionally once
 //!   (optionally feeding profilers along the way) and return a [`Trace`];
-//! * [`Trace`] is the validated `.arltrace` container — delta+varint
-//!   encoded events framed by a header and an FNV-1a-checksummed footer
-//!   (see [`format`](self) docs for the byte layout);
+//! * [`Trace`] is the validated `.arltrace` container (format version 4)
+//!   — delta+varint encoded events framed by a header and a footer, sealed
+//!   with [`container_checksum`], a word-wise FNV-1a that detects any
+//!   single-byte corruption with certainty (see [`format`](self) docs for
+//!   the byte layout);
 //! * [`Replayer`] implements `arl-sim`'s `TraceSource`, reconstructing a
 //!   bit-identical `TraceEntry` stream from the trace plus the program
 //!   image — predictors (`arl-core`) and the cycle-level pipeline
@@ -42,6 +44,6 @@ mod codec;
 mod format;
 mod replay;
 
-pub use codec::fnv1a64;
+pub use codec::{container_checksum, fnv1a64};
 pub use format::{SnapshotRecord, Trace, TraceEvent, TraceWriter, MAGIC, VERSION};
 pub use replay::{capture, capture_snapshotted, capture_snapshotted_with, capture_with, Replayer};

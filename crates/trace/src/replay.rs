@@ -194,15 +194,17 @@ impl<'a> Replayer<'a> {
 }
 
 impl TraceSource for Replayer<'_> {
+    #[inline(always)]
     fn next_entry(&mut self) -> Result<Option<TraceEntry>, SourceError> {
         if self.remaining == 0 {
             return Ok(None);
         }
         let event = decode_event(self.body, &mut self.pos, &mut self.state)
-            .ok_or_else(|| SourceError::Corrupt("malformed event record".into()))?;
-        let inst = *self.program.inst_at(event.pc).ok_or_else(|| {
-            SourceError::Corrupt(format!("pc {:#x} is outside the text segment", event.pc))
-        })?;
+            .ok_or_else(|| refuse(Refusal::Malformed))?;
+        let inst = *self
+            .program
+            .inst_at(event.pc)
+            .ok_or_else(|| refuse(Refusal::OutsideText(event.pc)))?;
         // The flags must agree with the instruction the pc resolves to —
         // a mismatch means the trace was captured from a different build
         // of the program.
@@ -214,10 +216,7 @@ impl TraceSource for Replayer<'_> {
                 // Reject here so downstream profilers see only well-formed
                 // entries instead of aborting a sweep mid-run.
                 if region == Region::Text {
-                    return Err(SourceError::Corrupt(format!(
-                        "data access at pc {:#x} decodes to text address {addr:#x}",
-                        event.pc
-                    )));
+                    return Err(refuse(Refusal::TextAddress(event.pc, addr)));
                 }
                 Some(MemAccess {
                     addr,
@@ -227,28 +226,16 @@ impl TraceSource for Replayer<'_> {
                 })
             }
             (None, None) => None,
-            _ => {
-                return Err(SourceError::Corrupt(format!(
-                    "memory flag disagrees with instruction at pc {:#x}",
-                    event.pc
-                )))
-            }
+            _ => return Err(refuse(Refusal::MemFlag(event.pc))),
         };
         let gpr_write = match (inst.gpr_dest(), event.value) {
             (Some(rd), Some(v)) => Some((rd, v)),
             (None, None) => None,
-            _ => {
-                return Err(SourceError::Corrupt(format!(
-                    "value flag disagrees with instruction at pc {:#x}",
-                    event.pc
-                )))
-            }
+            _ => return Err(refuse(Refusal::ValueFlag(event.pc))),
         };
-        if event.taken && !matches!(inst, Inst::Branch { .. }) {
-            return Err(SourceError::Corrupt(format!(
-                "taken flag on non-branch at pc {:#x}",
-                event.pc
-            )));
+        let is_branch = matches!(inst, Inst::Branch { .. });
+        if event.taken && !is_branch {
+            return Err(refuse(Refusal::TakenFlag(event.pc)));
         }
         let entry = TraceEntry {
             pc: event.pc,
@@ -261,7 +248,7 @@ impl TraceSource for Replayer<'_> {
             ra: self.ra,
         };
         // Advance the replayed contexts exactly as the executor does.
-        if matches!(inst, Inst::Branch { .. }) {
+        if is_branch {
             self.ghr = (self.ghr << 1) | event.taken as u64;
         }
         if let Some((Gpr::RA, v)) = gpr_write {
@@ -274,6 +261,33 @@ impl TraceSource for Replayer<'_> {
     fn metrics(&self) -> Metrics {
         self.metrics
     }
+}
+
+/// Why [`Replayer::next_entry`] refused a record, with the record's pc.
+/// The message is rendered only on the cold path, which keeps the
+/// per-entry decode small enough to inline into the caller's loop.
+enum Refusal {
+    Malformed,
+    OutsideText(u64),
+    TextAddress(u64, u64),
+    MemFlag(u64),
+    ValueFlag(u64),
+    TakenFlag(u64),
+}
+
+#[cold]
+#[inline(never)]
+fn refuse(why: Refusal) -> SourceError {
+    SourceError::Corrupt(match why {
+        Refusal::Malformed => "malformed event record".into(),
+        Refusal::OutsideText(pc) => format!("pc {pc:#x} is outside the text segment"),
+        Refusal::TextAddress(pc, addr) => {
+            format!("data access at pc {pc:#x} decodes to text address {addr:#x}")
+        }
+        Refusal::MemFlag(pc) => format!("memory flag disagrees with instruction at pc {pc:#x}"),
+        Refusal::ValueFlag(pc) => format!("value flag disagrees with instruction at pc {pc:#x}"),
+        Refusal::TakenFlag(pc) => format!("taken flag on non-branch at pc {pc:#x}"),
+    })
 }
 
 #[cfg(test)]
@@ -403,6 +417,51 @@ mod tests {
         assert!(r.next_entry().is_err());
     }
 
+    /// Seals `body` as a container of `count` events for `program`.
+    fn raw_trace(program: &Program, body: &[u8], count: u64) -> Trace {
+        let mut bytes = crate::MAGIC.to_vec();
+        bytes.push(crate::VERSION);
+        bytes.extend_from_slice(&program.entry_pc().to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes.extend_from_slice(&[0; 16]); // no snapshots
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&[0; 17]); // pages, values, exited
+        let checksum = crate::container_checksum(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        Trace::from_bytes(bytes).expect("structurally valid container")
+    }
+
+    fn first_error(trace: &Trace, program: &Program) -> SourceError {
+        let mut r = Replayer::new(trace, program).expect("entry pc matches");
+        loop {
+            match r.next_entry() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("malformed body replayed cleanly"),
+                Err(e) => break e,
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_refused_as_corrupt() {
+        let (_trace, program) = flag_bytes();
+        let pc_break = crate::format::FLAG_PC_BREAK;
+        // A pc delta cut right after its continuation byte.
+        let cut = raw_trace(&program, &[pc_break, 0x80], 1);
+        // A 10-byte pc delta carrying more than 64 payload bits, with a
+        // well-formed record after it.
+        let mut overlong = vec![pc_break];
+        overlong.extend_from_slice(&[0xff; 9]);
+        overlong.extend_from_slice(&[0x02, 0x00]);
+        let overlong = raw_trace(&program, &overlong, 2);
+        for trace in [cut, overlong] {
+            match first_error(&trace, &program) {
+                SourceError::Corrupt(msg) => assert_eq!(msg, "malformed event record"),
+                other => panic!("wrong error variant: {other}"),
+            }
+        }
+    }
+
     #[test]
     fn load_decoding_to_a_text_address_is_rejected() {
         // The genuine stream up to the program's first load, with that
@@ -427,14 +486,7 @@ mod tests {
             .expect("run");
         let load_pc = load_pc.expect("go loads within 10,000 instructions");
         let forged = writer.finish(&Metrics::default());
-        let mut r = Replayer::new(&forged, &program).expect("entry pc matches");
-        let err = loop {
-            match r.next_entry() {
-                Ok(Some(_)) => {}
-                Ok(None) => panic!("a load from the text segment replayed cleanly"),
-                Err(e) => break e,
-            }
-        };
+        let err = first_error(&forged, &program);
         match err {
             SourceError::Corrupt(msg) => assert_eq!(
                 msg,

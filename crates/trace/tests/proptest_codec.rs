@@ -8,7 +8,7 @@
 
 use arl_mem::PAGE_SIZE;
 use arl_sim::Metrics;
-use arl_trace::{fnv1a64, Trace, TraceEvent};
+use arl_trace::{container_checksum, Trace, TraceEvent};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -124,7 +124,7 @@ proptest! {
         let forged = body_len as u64 + excess;
         bytes[footer..footer + 8].copy_from_slice(&forged.to_le_bytes());
         let seal_at = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..seal_at]);
+        let checksum = container_checksum(&bytes[..seal_at]);
         bytes[seal_at..].copy_from_slice(&checksum.to_le_bytes());
 
         // The container checksum is consistent, yet adoption must still
@@ -145,7 +145,7 @@ proptest! {
         let exited_at = bytes.len() - 9;
         bytes[exited_at] = forged;
         let seal_at = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..seal_at]);
+        let checksum = container_checksum(&bytes[..seal_at]);
         bytes[seal_at..].copy_from_slice(&checksum.to_le_bytes());
 
         prop_assert!(Trace::from_bytes(bytes).is_err());

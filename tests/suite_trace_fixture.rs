@@ -6,7 +6,7 @@
 //! snapshot every [`SNAPSHOT_INTERVAL`] instructions. Any drift in the
 //! functional simulator, the delta/varint codec, the snapshot records, or
 //! the container layout shows up here as a byte diff — and the pinned
-//! FNV-1a checksum additionally locks the on-disk artifact itself against
+//! container checksum additionally locks the on-disk artifact itself against
 //! silent edits.
 //!
 //! Regenerate the fixture after an *intentional* format or simulator
@@ -29,10 +29,11 @@ const FIXTURE: &str = concat!(
 /// yields 7 interior snapshot records.
 const SNAPSHOT_INTERVAL: u64 = 10_000;
 
-/// FNV-1a64 of the full fixture minus its own trailing checksum — the
-/// value `Trace::checksum` reports. Pinned so simulator or codec drift
-/// cannot hide behind a regenerated file.
-const PINNED_CHECKSUM: u64 = 0xa723_f6e5_3962_f00e;
+/// Container checksum (word-wise FNV-1a 64, `arl_trace::container_checksum`)
+/// of the full fixture minus its own trailing checksum — the value
+/// `Trace::checksum` reports. Pinned so simulator or codec drift cannot
+/// hide behind a regenerated file.
+const PINNED_CHECKSUM: u64 = 0x5840_2143_48c4_b1c5;
 
 const PINNED_EVENTS: u64 = 71_251;
 

@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arl::sim::{Metrics, SourceError};
 use arl::trace::{
-    capture_snapshotted, fnv1a64, Replayer, SnapshotRecord, Trace, TraceEvent, VERSION,
+    capture_snapshotted, container_checksum, Replayer, SnapshotRecord, Trace, TraceEvent, VERSION,
 };
 use arl::workloads::{workload, Scale};
 use proptest::prelude::*;
@@ -135,17 +135,17 @@ fn small_snapshotted() -> (arl::asm::Program, Trace) {
 /// produce. Everything these tests reject is rejected *structurally*.
 fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
     let at = bytes.len() - CHECKSUM_LEN;
-    let sum = fnv1a64(&bytes[..at]);
+    let sum = container_checksum(&bytes[..at]);
     bytes[at..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }
 
-/// Byte offset of the snapshot trailer (interval, count) in a v2 trace.
+/// Byte offset of the snapshot trailer (interval, count) in a v4 trace.
 fn trailer_at(bytes: &[u8]) -> usize {
     bytes.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN
 }
 
-/// Byte offset of snapshot record `i` in a v2 trace.
+/// Byte offset of snapshot record `i` in a v4 trace.
 fn record_at(bytes: &[u8], i: usize) -> usize {
     let count = u64::from_le_bytes(
         bytes[trailer_at(bytes) + 8..trailer_at(bytes) + 16]
@@ -300,14 +300,15 @@ fn resealed_record_forgeries_are_rejected_in_o1() {
     assert_eq!(adopted.snapshot(4).expect("slot 4 intact"), neighbor);
 }
 
-/// Only version 2 decodes. The v2 fixture with its version byte
-/// rewritten to 1 (the pre-snapshot format) or 3 (the retired
-/// compiled-model format), and its checksum re-sealed so only the version
-/// check can fire, is refused with an error naming that version.
+/// Only version 4 decodes. The v4 fixture with its version byte
+/// rewritten to 1 (the pre-snapshot format), 2 (the bytewise-checksum
+/// format) or 3 (the retired compiled-model format), and its checksum
+/// re-sealed so only the version check can fire, is refused with an error
+/// naming that version.
 #[test]
-fn v1_and_v3_containers_are_refused_naming_their_version() {
+fn v1_v2_and_v3_containers_are_refused_naming_their_version() {
     assert!(Trace::from_bytes(FIXTURE.to_vec()).is_ok());
-    for version in [1u8, 3] {
+    for version in [1u8, 2, 3] {
         let mut forged = FIXTURE.to_vec();
         forged[4] = version;
         match Trace::from_bytes(reseal(forged)) {
