@@ -6,14 +6,18 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Bytes per page of the sparse image.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Hasher for the page map. Keys are page numbers, which a single
-/// Fibonacci multiply mixes well enough; SipHash would dominate every
-/// functional load and store. Nothing iterates the map, so the order it
-/// yields cannot reach any output.
-#[derive(Clone, Copy, Default)]
-struct PageHash(u64);
+/// Multiplicative (Fibonacci) hasher for `u64` keys derived from
+/// simulated addresses, such as page numbers and cache-block addresses:
+/// one multiply mixes them well enough, where SipHash would dominate the
+/// lookups on the simulators' per-instruction paths. The keys come from
+/// the simulated program, so no outside input can choose colliding ones.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct FibHash(u64);
 
-impl Hasher for PageHash {
+/// Builds [`FibHash`]ers: the `HashMap` hasher parameter.
+pub type BuildFibHash = BuildHasherDefault<FibHash>;
+
+impl Hasher for FibHash {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -39,7 +43,8 @@ impl Hasher for PageHash {
 /// accesses are handled (byte at a time on the slow path).
 #[derive(Clone, Default, Debug)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHash>>,
+    /// Nothing iterates the pages, so the hasher cannot reach any output.
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildFibHash>,
 }
 
 impl MemImage {
