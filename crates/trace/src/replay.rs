@@ -194,6 +194,9 @@ impl<'a> Replayer<'a> {
 }
 
 impl TraceSource for Replayer<'_> {
+    // Always inlined, so the caller builds the entry in place: returned
+    // through memory, the caller's wide reloads of its field-by-field
+    // stores miss store forwarding and stall on every entry.
     #[inline(always)]
     fn next_entry(&mut self) -> Result<Option<TraceEntry>, SourceError> {
         if self.remaining == 0 {
