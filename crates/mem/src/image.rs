@@ -6,18 +6,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Bytes per page of the sparse image.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Multiplicative (Fibonacci) hasher for `u64` keys derived from
-/// simulated addresses, such as page numbers and cache-block addresses:
-/// one multiply mixes them well enough, where SipHash would dominate the
-/// lookups on the simulators' per-instruction paths. The keys come from
-/// the simulated program, so no outside input can choose colliding ones.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct FibHash(u64);
+/// Hasher for the page map, the same multiplicative hash as the timing
+/// crate's store-index `BlockHash`. Keys are page numbers of the simulated
+/// program's own addresses, so no outside input can choose colliding ones,
+/// and one multiply mixes them well enough; SipHash would dominate every
+/// functional load and store.
+#[derive(Clone, Copy, Default)]
+struct PageHash(u64);
 
-/// Builds [`FibHash`]ers: the `HashMap` hasher parameter.
-pub type BuildFibHash = BuildHasherDefault<FibHash>;
-
-impl Hasher for FibHash {
+impl Hasher for PageHash {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -44,7 +41,7 @@ impl Hasher for FibHash {
 #[derive(Clone, Default, Debug)]
 pub struct MemImage {
     /// Nothing iterates the pages, so the hasher cannot reach any output.
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildFibHash>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHash>>,
 }
 
 impl MemImage {

@@ -34,7 +34,7 @@ mod region;
 mod tlb;
 
 pub use alloc::{AllocError, HeapAllocator};
-pub use image::{BuildFibHash, FibHash, MemImage, PAGE_SIZE};
+pub use image::{MemImage, PAGE_SIZE};
 pub use layout::Layout;
 pub use region::{Region, RegionSet};
 pub use tlb::StackBitTlb;

@@ -44,7 +44,6 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use arl_asm::Program;
 use arl_core::{static_hint, Arpt, StaticHint};
 use arl_isa::{AluOp, FAluOp, Inst};
-use arl_mem::BuildFibHash;
 use arl_sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 
 use crate::cache::{MemSystem, Route};
@@ -528,6 +527,43 @@ enum LoadBlock {
     Bandwidth,
 }
 
+/// Hasher for the store index's block map. Keys are cache-block addresses
+/// (tagged with the route bit), already well mixed by a single Fibonacci
+/// multiply; SipHash would dominate the lookup cost on the memory-stage
+/// hot path.
+#[derive(Clone, Copy, Default)]
+struct BlockHash(u64);
+
+impl std::hash::Hasher for BlockHash {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+struct BlockHashBuilder;
+
+impl std::hash::BuildHasher for BlockHashBuilder {
+    type Hasher = BlockHash;
+
+    #[inline]
+    fn build_hasher(&self) -> BlockHash {
+        BlockHash(0)
+    }
+}
+
 /// The store index's map key: the 8-byte-aligned block address with the
 /// route packed into the (always-zero) low bit, so the two ordering
 /// domains never alias.
@@ -601,7 +637,7 @@ pub struct TimingSim<P: Probe = NullProbe> {
     /// the stores that share its block instead of every older store.
     /// Rebuilt (not serialized) on state import; [`Self::load_block_cause`]
     /// keeps the original full scan as the probe-side living spec.
-    store_blocks: HashMap<u64, u64, BuildFibHash>,
+    store_blocks: HashMap<u64, u64, BlockHashBuilder>,
     lsq_count: usize,
     lvaq_count: usize,
     /// Per-register producer tracking (32 GPR + 32 FPR); `NO_SEQ` = none.
@@ -713,7 +749,7 @@ impl<P: Probe> TimingSim<P> {
             lsq_stores: VecDeque::new(),
             lvaq_stores: VecDeque::new(),
             dc_unknown: Vec::new(),
-            store_blocks: HashMap::default(),
+            store_blocks: HashMap::with_hasher(BlockHashBuilder),
             lsq_count: 0,
             lvaq_count: 0,
             reg_producer: [NO_SEQ; 64],
