@@ -98,15 +98,15 @@ pub(crate) const SNAP_TRAILER_LEN: usize = 16;
 /// Smallest possible container (empty body, zero snapshots).
 pub(crate) const MIN_LEN: usize = HEADER_LEN + SNAP_TRAILER_LEN + FOOTER_LEN + CHECKSUM_LEN;
 
-/// Address space reserved for a container buffer before it is filled.
-/// Untouched pages cost no memory, and a block this large is mapped
-/// directly by the allocator (glibc maps anything from 32 MiB up), so a
-/// growing trace never copies and a dropped one returns its memory at
-/// once. Smaller blocks come from the heap, where traces of different
-/// sizes leave freed holes that stay resident: capturing, writing and
-/// reading the 12-workload suite a dozen times over grew peak RSS from
-/// 64 to 115 MB that way.
-const RESERVE: usize = 64 << 20;
+/// Smallest buffer [`Trace::read_from`] reads into. Untouched pages cost
+/// no memory, and a block this large is mapped directly by the allocator
+/// (glibc maps anything from 32 MiB up), so dropping the trace returns its
+/// memory at once. An exact-size buffer comes from the heap instead,
+/// where reads of different sizes leave freed holes that stay resident:
+/// capturing, writing and reading the 12-workload suite a dozen times over
+/// grew peak RSS from 64 to 115 MB that way. The price is that every read
+/// faults in fresh pages.
+const READ_RESERVE: usize = 64 << 20;
 
 pub(crate) const FLAG_MEM: u8 = 1 << 0;
 pub(crate) const FLAG_VALUE: u8 = 1 << 1;
@@ -308,7 +308,7 @@ impl TraceWriter {
     /// by [`record`](TraceWriter::record), which sees the replayed
     /// contexts; the raw [`push`](TraceWriter::push) path never snapshots.
     pub fn with_snapshots(entry_pc: u64, interval: u64) -> TraceWriter {
-        let mut buf = Vec::with_capacity(RESERVE);
+        let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
         buf.extend_from_slice(&entry_pc.to_le_bytes());
@@ -555,7 +555,7 @@ impl Trace {
         let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
         let mut bytes = Vec::new();
         bytes
-            .try_reserve_exact(len.max(RESERVE))
+            .try_reserve_exact(len.max(READ_RESERVE))
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::OutOfMemory, e))?;
         file.read_to_end(&mut bytes)?;
         Trace::from_bytes(bytes)
