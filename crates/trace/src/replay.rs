@@ -203,11 +203,10 @@ impl TraceSource for Replayer<'_> {
             return Ok(None);
         }
         let event = decode_event(self.body, &mut self.pos, &mut self.state)
-            .ok_or_else(|| refuse(Refusal::Malformed))?;
-        let inst = *self
-            .program
-            .inst_at(event.pc)
-            .ok_or_else(|| refuse(Refusal::OutsideText(event.pc)))?;
+            .ok_or_else(|| SourceError::Corrupt("malformed event record".into()))?;
+        let inst = *self.program.inst_at(event.pc).ok_or_else(|| {
+            SourceError::Corrupt(format!("pc {:#x} is outside the text segment", event.pc))
+        })?;
         // The flags must agree with the instruction the pc resolves to —
         // a mismatch means the trace was captured from a different build
         // of the program.
@@ -219,7 +218,10 @@ impl TraceSource for Replayer<'_> {
                 // Reject here so downstream profilers see only well-formed
                 // entries instead of aborting a sweep mid-run.
                 if region == Region::Text {
-                    return Err(refuse(Refusal::TextAddress(event.pc, addr)));
+                    return Err(SourceError::Corrupt(format!(
+                        "data access at pc {:#x} decodes to text address {addr:#x}",
+                        event.pc
+                    )));
                 }
                 Some(MemAccess {
                     addr,
@@ -229,16 +231,28 @@ impl TraceSource for Replayer<'_> {
                 })
             }
             (None, None) => None,
-            _ => return Err(refuse(Refusal::MemFlag(event.pc))),
+            _ => {
+                return Err(SourceError::Corrupt(format!(
+                    "memory flag disagrees with instruction at pc {:#x}",
+                    event.pc
+                )))
+            }
         };
         let gpr_write = match (inst.gpr_dest(), event.value) {
             (Some(rd), Some(v)) => Some((rd, v)),
             (None, None) => None,
-            _ => return Err(refuse(Refusal::ValueFlag(event.pc))),
+            _ => {
+                return Err(SourceError::Corrupt(format!(
+                    "value flag disagrees with instruction at pc {:#x}",
+                    event.pc
+                )))
+            }
         };
-        let is_branch = matches!(inst, Inst::Branch { .. });
-        if event.taken && !is_branch {
-            return Err(refuse(Refusal::TakenFlag(event.pc)));
+        if event.taken && !matches!(inst, Inst::Branch { .. }) {
+            return Err(SourceError::Corrupt(format!(
+                "taken flag on non-branch at pc {:#x}",
+                event.pc
+            )));
         }
         let entry = TraceEntry {
             pc: event.pc,
@@ -251,7 +265,7 @@ impl TraceSource for Replayer<'_> {
             ra: self.ra,
         };
         // Advance the replayed contexts exactly as the executor does.
-        if is_branch {
+        if matches!(inst, Inst::Branch { .. }) {
             self.ghr = (self.ghr << 1) | event.taken as u64;
         }
         if let Some((Gpr::RA, v)) = gpr_write {
@@ -264,33 +278,6 @@ impl TraceSource for Replayer<'_> {
     fn metrics(&self) -> Metrics {
         self.metrics
     }
-}
-
-/// Why [`Replayer::next_entry`] refused a record, with the record's pc.
-/// The message is rendered only on the cold path, which keeps the
-/// per-entry decode small enough to inline into the caller's loop.
-enum Refusal {
-    Malformed,
-    OutsideText(u64),
-    TextAddress(u64, u64),
-    MemFlag(u64),
-    ValueFlag(u64),
-    TakenFlag(u64),
-}
-
-#[cold]
-#[inline(never)]
-fn refuse(why: Refusal) -> SourceError {
-    SourceError::Corrupt(match why {
-        Refusal::Malformed => "malformed event record".into(),
-        Refusal::OutsideText(pc) => format!("pc {pc:#x} is outside the text segment"),
-        Refusal::TextAddress(pc, addr) => {
-            format!("data access at pc {pc:#x} decodes to text address {addr:#x}")
-        }
-        Refusal::MemFlag(pc) => format!("memory flag disagrees with instruction at pc {pc:#x}"),
-        Refusal::ValueFlag(pc) => format!("value flag disagrees with instruction at pc {pc:#x}"),
-        Refusal::TakenFlag(pc) => format!("taken flag on non-branch at pc {pc:#x}"),
-    })
 }
 
 #[cfg(test)]
