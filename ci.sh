@@ -21,6 +21,13 @@ if grep -rnE 'env::var|var_os|vars_os' crates/bench/src | grep -v '^crates/bench
     exit 1
 fi
 
+echo "==> ARL_* knobs in the source match README.md's knob list"
+# A knob the code reads but README.md does not document, or a documented
+# knob nothing reads any more, fails the gate; the diff names it.
+diff <(grep -rhoE '"ARL_[A-Z_]+"' crates/*/src | tr -d '"' | sort -u) \
+    <(grep -oE '`ARL_[A-Z_]+' README.md | tr -d '`' | sort -u) \
+    || { echo "ARL_* names differ: < source literals, > README.md" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 

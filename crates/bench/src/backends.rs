@@ -114,7 +114,7 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
     let pool = Pool::new(opts.threads);
 
     // One functional execution per workload; every cell replays it.
-    let captured = pool.map(WORKLOADS.to_vec(), |_i, name| {
+    let captured = pool.map(&WORKLOADS, |&name| {
         let spec =
             workload(name).unwrap_or_else(|| panic!("backend sweep workload {name} missing"));
         let program = spec.build(opts.scale);
@@ -130,10 +130,10 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
             }
         }
     }
-    let cells = pool.map(jobs, |_i, (wi, backend, machine)| {
+    let cells = pool.map(&jobs, |&(wi, backend, ref machine)| {
         let (name, program, trace) = &captured[wi];
         let base_name = machine.name.clone();
-        let config = machine.with_backend(backend);
+        let config = machine.clone().with_backend(backend);
         let (stats, recorder) = timing_trace_probed(program, trace, name, &config);
         let conserved = recorder.cycles() == stats.cycles
             && recorder.useful_cycles() + recorder.total_stall_cycles() == stats.cycles;

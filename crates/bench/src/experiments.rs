@@ -30,8 +30,7 @@ use arl_workloads::{suite, workload, Scale, WorkloadSpec};
 
 use crate::knob::Knobs;
 use crate::runner::{
-    dedupe_failures, end_main, timed_record, JobFailure, Pool, RunRecord, SuiteFailures,
-    SuiteReport, PROBE_SCHEMA,
+    end_main, timed_record, JobFailure, Pool, RunRecord, SuiteFailures, SuiteReport, PROBE_SCHEMA,
 };
 use crate::{
     evaluate_program, evaluate_trace_all, fmt_millions, fmt_pct, functional_pass, replayer,
@@ -129,10 +128,9 @@ pub struct ExperimentRun {
     pub probe: Option<Json>,
 }
 
-/// One stderr line per failed job id — even when an experiment collected
-/// a record per attempt — closed by a count line naming `outcome`.
-fn failure_lines(mut failures: Vec<JobFailure>, outcome: &str) -> Vec<String> {
-    dedupe_failures(&mut failures);
+/// One stderr line per failed job, closed by a count line naming
+/// `outcome`.
+fn failure_lines(failures: &[JobFailure], outcome: &str) -> Vec<String> {
     let mut lines: Vec<String> = failures.iter().map(JobFailure::summary).collect();
     if !failures.is_empty() {
         lines.push(format!("{} job(s) failed; {outcome}", failures.len()));
@@ -155,7 +153,7 @@ pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {
         Ok(run) => run,
         Err(payload) => match payload.downcast::<SuiteFailures>() {
             Ok(failures) => {
-                let lines = failure_lines(failures.0, "no output written");
+                let lines = failure_lines(&failures.0, "no output written");
                 return end_main(&knobs, "", &[], &lines);
             }
             Err(payload) => std::panic::resume_unwind(payload),
@@ -167,7 +165,7 @@ pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {
         docs.push((format!("BENCH_{name}_probe.json"), doc));
     }
     let failures = failure_lines(
-        run.report.errors.clone(),
+        &run.report.errors,
         "see the errors array in the JSON output",
     );
     end_main(&knobs, &run.text, &docs, &failures);
@@ -273,7 +271,7 @@ fn workload_passes<P: Default, T: Send>(
     } else {
         "profile"
     };
-    let jobs = opts.pool().map(specs.to_vec(), |_i, spec| {
+    let jobs = opts.pool().map(specs, |&spec| {
         let mut profile = P::default();
         let (pass, record) = timed_record(spec.name, label, |record| {
             let program = spec.build(opts.scale);
@@ -404,7 +402,7 @@ fn timing_cells(
     let cells: Vec<(usize, usize)> = (0..passes.len())
         .flat_map(|wi| (0..configs.len()).map(move |ci| (wi, ci)))
         .collect();
-    let results = opts.pool().map(cells, |_i, (wi, ci)| {
+    let results = opts.pool().map(&cells, |&(wi, ci)| {
         let (pass, config) = (&passes[wi], &configs[ci]);
         timed_record(pass.spec.name, &config.name, |record| {
             if pass.trace.is_some() {

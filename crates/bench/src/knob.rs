@@ -15,7 +15,6 @@
 use std::ffi::OsString;
 use std::fmt::Display;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use arl_timing::BackendConfig;
 use arl_workloads::Scale;
@@ -42,10 +41,6 @@ pub struct Knobs {
     pub snapshot_interval: u64,
     /// `ARL_BACKEND`: the memory backend under every timing config.
     pub backend: BackendConfig,
-    /// `ARL_DEADLINE`: per-job deadline of supervised jobs.
-    pub deadline: Option<Duration>,
-    /// `ARL_RETRIES`: bounded re-attempts of supervised jobs.
-    pub retries: u32,
     /// `ARL_JSON`: where [`crate::emit`] writes documents; `None` writes
     /// nothing.
     pub json: Option<PathBuf>,
@@ -88,8 +83,6 @@ impl Knobs {
                 text("ARL_SNAPSHOT_INTERVAL").as_deref(),
             ),
             backend: backend_from_value(text("ARL_BACKEND").as_deref()),
-            deadline: deadline_from_value(text("ARL_DEADLINE").as_deref()),
-            retries: retries_from_value(text("ARL_RETRIES").as_deref()),
             json: path("ARL_JSON"),
             checkpoint: path("ARL_CHECKPOINT"),
             checkpoint_force: flag(
@@ -169,15 +162,6 @@ fn knob_u64(name: &str, value: Option<&str>, default: u64, min: u64) -> u64 {
     clamp_min(name, n, min)
 }
 
-/// [`knob_parsed`] for float knobs, rejecting non-finite values and
-/// clamping parsed values below `min` (with a warning).
-fn knob_f64(name: &str, value: Option<&str>, default: f64, min: f64) -> f64 {
-    let n = knob_parsed(name, value, default, &default.to_string(), |v| {
-        v.parse::<f64>().ok().filter(|x| x.is_finite())
-    });
-    clamp_min(name, n, min)
-}
-
 /// The one bool rule: `1`/`true`/`on`/`yes` enable, `0`/`false`/`off`/
 /// `no` and the empty string disable (any case), and anything else warns
 /// and stays disabled — so no typo ever arms a flag.
@@ -248,18 +232,6 @@ fn backend_from_value(value: Option<&str>) -> BackendConfig {
     )
 }
 
-/// `ARL_DEADLINE`: positive seconds (fractions allowed); unset or zero
-/// means no deadline.
-fn deadline_from_value(value: Option<&str>) -> Option<Duration> {
-    let secs = knob_f64("ARL_DEADLINE", value, 0.0, 0.0);
-    (secs > 0.0).then(|| Duration::from_secs_f64(secs))
-}
-
-/// `ARL_RETRIES`: a non-negative re-attempt count; unset means none.
-fn retries_from_value(value: Option<&str>) -> u32 {
-    knob_parsed("ARL_RETRIES", value, 0, "no retries", |v| v.parse().ok())
-}
-
 /// `ARL_MAX_JOBS`: a positive job cap; unset means every job.
 fn max_jobs_from_value(value: Option<&str>) -> Option<usize> {
     knob_parsed("ARL_MAX_JOBS", value, None, "every job", |v| {
@@ -310,16 +282,6 @@ mod tests {
             4,
             "negatives are invalid, not clamped"
         );
-    }
-
-    #[test]
-    fn knob_f64_clamps_and_rejects_nonfinite() {
-        assert_eq!(knob_f64("K", None, 0.8, 0.0), 0.8);
-        assert_eq!(knob_f64("K", Some("1.5"), 0.8, 0.0), 1.5);
-        assert_eq!(knob_f64("K", Some("-2"), 0.8, 0.0), 0.0, "clamped to min");
-        assert_eq!(knob_f64("K", Some("nan"), 0.8, 0.0), 0.8, "NaN falls back");
-        assert_eq!(knob_f64("K", Some("inf"), 0.8, 0.0), 0.8, "inf falls back");
-        assert_eq!(knob_f64("K", Some("x"), 0.8, 0.0), 0.8);
     }
 
     #[test]
@@ -436,20 +398,6 @@ mod tests {
         for backend in BackendConfig::ALL {
             assert_eq!(backend_from_value(Some(backend.label())), backend);
         }
-    }
-
-    #[test]
-    fn supervision_parsers_handle_edge_cases() {
-        assert_eq!(deadline_from_value(None), None);
-        assert_eq!(
-            deadline_from_value(Some("2.5")),
-            Some(Duration::from_secs_f64(2.5))
-        );
-        assert_eq!(deadline_from_value(Some("0")), None);
-        assert_eq!(deadline_from_value(Some("soon")), None);
-        assert_eq!(retries_from_value(None), 0);
-        assert_eq!(retries_from_value(Some(" 3 ")), 3);
-        assert_eq!(retries_from_value(Some("many")), 0);
     }
 
     #[test]

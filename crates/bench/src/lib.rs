@@ -17,6 +17,10 @@
 //! * [`Pool`] — every binary fans its (workload × config) cells across a
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
 //!   results in cell order, so output is byte-identical to a serial run.
+//!   A panicking cell never stops the others: once every cell has run,
+//!   a table/figure binary ([`run_main`]) prints one stderr line per
+//!   failed cell, writes no output and exits 1; the fault campaign
+//!   instead folds each failed job into its document's `errors` array.
 //! * [`SuiteReport`] — structured [`RunRecord`]s per cell (tagged with a
 //!   capture/replay/execute `phase`), written by [`emit`] as
 //!   `BENCH_<experiment>.json` when `ARL_JSON` is set.
@@ -64,8 +68,7 @@ pub use speed::{
 };
 
 pub use faults::{
-    campaign_identity, fault_campaign_pooled, fault_campaign_with, run_faults_main,
-    FaultCampaignRun, FAULTS_SCHEMA,
+    campaign_identity, fault_campaign_with, run_faults_main, FaultCampaignRun, FAULTS_SCHEMA,
 };
 
 pub use experiments::{
@@ -74,9 +77,8 @@ pub use experiments::{
     ExperimentOptions, ExperimentRun, TraceMode,
 };
 pub use runner::{
-    dedupe_failures, emit, timed_record, Checkpoint, FailureKind, JobFailure, LedgerView, Pool,
-    RunIdentity, RunRecord, SuiteFailures, SuiteReport, CHECKPOINT_SCHEMA, JSON_SCHEMA,
-    PROBE_SCHEMA,
+    emit, timed_record, Checkpoint, JobFailure, LedgerView, Pool, RunIdentity, RunRecord,
+    SuiteFailures, SuiteReport, CHECKPOINT_SCHEMA, JSON_SCHEMA, PROBE_SCHEMA,
 };
 
 use arl_asm::Program;

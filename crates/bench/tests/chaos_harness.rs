@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("arl-chaosh-{tag}-{}", std::process::id()));
@@ -22,6 +22,15 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// scale with a single worker thread, returning (exit code or None on
 /// signal, stderr).
 fn run(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> (Option<i32>, String) {
+    let out = output(exe, dir, envs);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// [`run`], returning the whole process output.
+fn output(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(exe);
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("ARL_") {
@@ -33,11 +42,7 @@ fn run(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> (Option<i32>, String) {
     for (key, value) in envs {
         cmd.env(key, value);
     }
-    let out = cmd.output().expect("spawn binary");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    cmd.output().expect("spawn binary")
 }
 
 /// A resume under a different fault plan must be refused with exit 2,
@@ -123,6 +128,72 @@ fn unopenable_checkpoint_is_a_hard_error_in_both_supervisors() {
             assert!(stderr.contains("cannot open ARL_CHECKPOINT"), "{stderr}");
         }
     }
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A campaign job that panics — here its ledger append hits an injected
+/// out-of-space error — fails alone: the other job still runs, stdout
+/// names the failure on an `ERROR:` line, `BENCH_faults.json` carries one
+/// `{"index","message"}` record per failed job, and the binary exits 1
+/// (a failed run), not 2 (an unusable configuration).
+#[test]
+fn fault_campaign_reports_a_failed_job_and_exits_one() {
+    let dir = temp_dir("jobfail");
+    let ckpt = dir.join("ledger.ckpt");
+    let io_log = dir.join("io.log");
+    let exe = env!("CARGO_BIN_EXE_fault_campaign");
+    let base = [
+        ("ARL_FAULT", "all:42:1"),
+        ("ARL_MAX_JOBS", "2"),
+        ("ARL_CHECKPOINT", ckpt.to_str().unwrap()),
+    ];
+
+    // Calibrate: the ledger's first append is its header, the second is
+    // job 0's completion record.
+    let mut traced = base.to_vec();
+    traced.push(("ARL_IO_TRACE", io_log.to_str().unwrap()));
+    let (code, stderr) = run(exe, &dir, &traced);
+    assert_eq!(code, Some(0), "calibration run must pass:\n{stderr}");
+    let ops = arl_sink::parse_io_trace(&std::fs::read_to_string(&io_log).unwrap());
+    let job0_append = ops
+        .iter()
+        .filter(|op| op.kind == arl_sink::OpKind::Append)
+        .nth(1)
+        .expect("header and job 0 appends")
+        .op;
+
+    std::fs::remove_file(&ckpt).unwrap();
+    let fault = format!("enospc@{job0_append}:0");
+    let mut faulted = base.to_vec();
+    faulted.push(("ARL_IO_FAULT", &fault));
+    let out = output(exe, &dir, &faulted);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(stdout.contains("ERROR: job 0 failed: "), "{stdout}");
+    assert_eq!(stdout.matches("ERROR:").count(), 1, "{stdout}");
+
+    let doc = std::fs::read_to_string(dir.join("BENCH_faults.json")).expect("faults doc");
+    let doc = arl_stats::Json::parse(&doc).expect("valid json");
+    let errors = doc.get("errors").unwrap().as_array().unwrap();
+    assert_eq!(errors.len(), 1);
+    let message = errors[0].get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("failed to checkpoint"), "{message}");
+    assert_eq!(
+        errors[0],
+        arl_stats::Json::obj([
+            ("index", arl_stats::Json::from(0u64)),
+            ("message", arl_stats::Json::from(message)),
+        ])
+    );
+    // Job 1 still ran: its three faults (one per layer) are recorded.
+    let records = doc.get("records").unwrap().as_array().unwrap();
+    assert_eq!(records.len(), 3);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -143,7 +143,7 @@ fn window_doubling_doubles_the_means() {
 fn golden_figure2_shape_single_region_above_90_percent() {
     // Figure 2: in every workload, >90% of static memory instructions
     // touch exactly one region class over the whole run.
-    let breakdowns = arl_bench::Pool::new(2).map(suite(), |_i, spec| {
+    let breakdowns = arl_bench::Pool::new(2).map(&suite(), |&spec| {
         let program = spec.build(Scale::tiny());
         let mut profiler = RegionProfiler::new();
         Machine::new(&program)
@@ -176,7 +176,7 @@ fn golden_figure4_shape_hybrid_accuracy_floors() {
         capacity: Capacity::Unlimited,
         hints: None,
     };
-    let accs = arl_bench::Pool::new(2).map(suite(), |_i, spec| {
+    let accs = arl_bench::Pool::new(2).map(&suite(), |&spec| {
         let program = spec.build(Scale::tiny());
         let mut evaluator = Evaluator::new(config.clone());
         Machine::new(&program)
@@ -229,9 +229,9 @@ fn golden_figure8_shape_config_ordering() {
         .iter()
         .flat_map(|spec| configs.iter().map(move |c| (*spec, c.clone())))
         .collect();
-    let stats = arl_bench::Pool::new(2).map(cells, |_i, (spec, config)| {
+    let stats = arl_bench::Pool::new(2).map(&cells, |(spec, config)| {
         let program = spec.build(Scale::tiny());
-        (spec, TimingSim::run_program(&program, &config))
+        (*spec, TimingSim::run_program(&program, config))
     });
     let (mut sum_decoupled, mut sum_ideal) = (0.0f64, 0.0f64);
     for chunk in stats.chunks(configs.len()) {
