@@ -132,6 +132,22 @@ fn unopenable_checkpoint_is_a_hard_error_in_both_supervisors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A malformed `ARL_FAULT` plan is an unusable configuration: the fault
+/// campaign exits 2 and names the knob before running any job.
+#[test]
+fn malformed_fault_plan_exits_two_naming_the_knob() {
+    let dir = temp_dir("badplan");
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_fault_campaign"),
+        &dir,
+        &[("ARL_FAULT", "bogus:1")],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("invalid ARL_FAULT"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A campaign job that panics — here its ledger append hits an injected
 /// out-of-space error — fails alone: the other job still runs, stdout
 /// names the failure on an `ERROR:` line, `BENCH_faults.json` carries one
