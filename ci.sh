@@ -13,10 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> env reads only in crates/bench/src/knob.rs"
-# Every bench knob is read once, into one Knobs value; any other module
+echo "==> env reads only in crates/bench/src/knob.rs (and arl-sink's I/O hooks)"
+# Every knob is read once, into one Knobs value; any other module
 # reading the environment would bypass its warn-and-fallback contract.
-if grep -rnE 'env::var|var_os|vars_os' crates/bench/src | grep -v '^crates/bench/src/knob\.rs:'; then
+# The one exception is crates/sink/src/lib.rs: ARL_IO_FAULT/ARL_IO_TRACE
+# arm a process-global I/O gate that arl-trace also writes through.
+if grep -rnE 'env::var|var_os|vars_os' crates/*/src \
+    | grep -vE '^crates/(bench/src/knob|sink/src/lib)\.rs:'; then
     echo "environment read outside crates/bench/src/knob.rs (above)" >&2
     exit 1
 fi
@@ -92,12 +95,12 @@ grep -q '"fatal":0' "$smoke_dir/chaos/BENCH_chaos.json"
 grep -q '"recovered":1' "$smoke_dir/chaos/BENCH_chaos.json"
 grep -q '"all_identical":true' "$smoke_dir/chaos/BENCH_chaos.json"
 
-echo "==> snapshot-shard smoke gate (ARL_SHARD=3, stitched vs serial)"
+echo "==> snapshot-shard smoke gate (three shard jobs, stitched vs serial)"
 # One workload, three chained shard jobs over trace snapshots, plus an
 # interrupt/resume cycle against a ledger: the stitched stats must be
 # bit-identical to the serial replay (the binary exits non-zero and the
 # JSON records identical:false on any divergence).
-ARL_SCALE=tiny ARL_SHARD=3 ARL_SNAPSHOT_INTERVAL=5000 \
+ARL_SCALE=tiny ARL_SNAPSHOT_INTERVAL=5000 \
     ARL_CHECKPOINT="$smoke_dir/shard.ckpt" ARL_JSON="$smoke_dir" \
     cargo run --quiet --release -p arl-bench --bin bench_shard
 test -s "$smoke_dir/BENCH_shard.json"

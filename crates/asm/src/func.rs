@@ -6,7 +6,8 @@ use arl_mem::Layout;
 use crate::types::{FrameSlot, GlobalRef, Label, Provenance};
 
 /// An instruction that may still contain symbolic references, resolved at
-/// link time.
+/// link time. Every entry links to exactly one instruction word, so an
+/// entry's pc is its function's base plus its index times the word size.
 #[derive(Clone, Debug)]
 pub(crate) enum AsmInst {
     /// Fully resolved instruction.
@@ -22,19 +23,6 @@ pub(crate) enum AsmInst {
     Jump { label: Label },
     /// Call to a named function.
     Call { func: String },
-    /// Load the address of a named function (for indirect calls). Expands to
-    /// `lui`+`ori`, so it occupies **two** instruction slots at link time.
-    LaFunc { rd: Gpr, func: String },
-}
-
-impl AsmInst {
-    /// Number of instruction words this entry expands to.
-    pub(crate) fn expanded_len(&self) -> u64 {
-        match self {
-            AsmInst::LaFunc { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// Builds one function: a straight-line list of instructions with symbolic
@@ -256,11 +244,6 @@ impl FunctionBuilder {
         self.alui(AluOp::Xor, rd, rs, imm);
     }
 
-    /// `rd = (rs < imm) as i64`
-    pub fn slti(&mut self, rd: Gpr, rs: Gpr, imm: i16) {
-        self.alui(AluOp::Slt, rd, rs, imm);
-    }
-
     /// `rd = rs << imm`
     pub fn slli(&mut self, rd: Gpr, rs: Gpr, imm: i16) {
         self.alui(AluOp::Sll, rd, rs, imm);
@@ -379,29 +362,6 @@ impl FunctionBuilder {
         );
     }
 
-    /// Loads a 32-bit word (sign-extended) from a frame slot.
-    pub fn load_local_w(&mut self, rd: Gpr, slot: FrameSlot, off: i16) {
-        self.load(
-            Width::Word,
-            true,
-            rd,
-            Gpr::FP,
-            slot.offset + off,
-            Provenance::LocalVar,
-        );
-    }
-
-    /// Stores a 32-bit word to a frame slot.
-    pub fn store_local_w(&mut self, rs: Gpr, slot: FrameSlot, off: i16) {
-        self.store(
-            Width::Word,
-            rs,
-            Gpr::FP,
-            slot.offset + off,
-            Provenance::LocalVar,
-        );
-    }
-
     /// Loads a 64-bit word from a global scalar. Uses `$gp`-relative
     /// addressing when the displacement fits, revealing the region to the
     /// static heuristics; falls back to an absolute address in `$at`.
@@ -443,16 +403,6 @@ impl FunctionBuilder {
     /// Stores a 64-bit word through a pointer register.
     pub fn store_ptr(&mut self, rs: Gpr, ptr: Gpr, off: i16, prov: Provenance) {
         self.store(Width::Double, rs, ptr, off, prov);
-    }
-
-    /// Loads a 32-bit word (sign-extended) through a pointer register.
-    pub fn load_ptr_w(&mut self, rd: Gpr, ptr: Gpr, off: i16, prov: Provenance) {
-        self.load(Width::Word, true, rd, ptr, off, prov);
-    }
-
-    /// Stores a 32-bit word through a pointer register.
-    pub fn store_ptr_w(&mut self, rs: Gpr, ptr: Gpr, off: i16, prov: Provenance) {
-        self.store(Width::Word, rs, ptr, off, prov);
     }
 
     /// Loads a byte (zero-extended) through a pointer register.
@@ -596,24 +546,6 @@ impl FunctionBuilder {
         );
     }
 
-    /// Loads the address of a named function into `rd` (two instruction
-    /// words at link time); pair with [`Self::call_reg`].
-    pub fn la_func(&mut self, rd: Gpr, func: &str) {
-        self.push(
-            AsmInst::LaFunc {
-                rd,
-                func: func.to_string(),
-            },
-            Provenance::Mixed,
-        );
-    }
-
-    /// Indirect call through `rs` (`jalr`).
-    pub fn call_reg(&mut self, rs: Gpr) {
-        self.makes_calls = true;
-        self.push_inst(Inst::Jalr { rd: Gpr::RA, rs });
-    }
-
     /// Returns from the function (jumps to the shared epilogue).
     pub fn ret(&mut self) {
         let exit = self.exit_label;
@@ -649,12 +581,6 @@ impl FunctionBuilder {
             self.mov(Gpr::A0, rs);
         }
         self.syscall(Syscall::PrintInt);
-    }
-
-    /// Terminates the program with exit code 0.
-    pub fn exit0(&mut self) {
-        self.li(Gpr::A0, 0);
-        self.syscall(Syscall::Exit);
     }
 
     // ---- finalization (link time) ------------------------------------------

@@ -30,11 +30,9 @@
 //! ```
 
 mod func;
-mod object;
 mod program;
 mod types;
 
 pub use func::FunctionBuilder;
-pub use object::ObjectError;
 pub use program::{LinkError, Program, ProgramBuilder};
 pub use types::{FrameSlot, GlobalRef, Label, Provenance};

@@ -168,7 +168,7 @@ impl ProgramBuilder {
             }
             symbols.insert(f.name().to_string(), pc);
             let (insts, prov, labels) = f.finalize();
-            let words: u64 = insts.iter().map(AsmInst::expanded_len).sum();
+            let words = insts.len() as u64;
             finalized.push((f.name().to_string(), pc, insts, prov, labels));
             pc += words * INST_BYTES;
         }
@@ -226,77 +226,38 @@ impl ProgramBuilder {
 
         // Functions.
         for (name, base_pc, asm, prov, labels) in &finalized {
-            // Precompute each AsmInst's pc (LaFunc expands to 2 words).
-            let mut pcs = Vec::with_capacity(asm.len());
-            let mut cur = *base_pc;
-            for a in asm {
-                pcs.push(cur);
-                cur += a.expanded_len() * INST_BYTES;
-            }
             let label_pc = |idx: usize| -> Result<u64, LinkError> {
                 let inst_idx = labels
                     .get(idx)
                     .copied()
                     .flatten()
                     .ok_or_else(|| LinkError::UnboundLabel { func: name.clone() })?;
-                Ok(if inst_idx == asm.len() {
-                    cur
-                } else {
-                    pcs[inst_idx]
-                })
+                Ok(base_pc + inst_idx as u64 * INST_BYTES)
             };
             for (a, p) in asm.iter().zip(prov) {
-                match a {
-                    AsmInst::Inst(i) => {
-                        insts.push(*i);
-                        prov_out.push(*p);
-                    }
+                insts.push(match a {
+                    AsmInst::Inst(i) => *i,
                     AsmInst::Branch {
                         cond,
                         rs,
                         rt,
                         label,
-                    } => {
-                        insts.push(Inst::Branch {
-                            cond: *cond,
-                            rs: *rs,
-                            rt: *rt,
-                            target: label_pc(label.0)?,
-                        });
-                        prov_out.push(*p);
-                    }
-                    AsmInst::Jump { label } => {
-                        insts.push(Inst::Jump {
-                            target: label_pc(label.0)?,
-                        });
-                        prov_out.push(*p);
-                    }
-                    AsmInst::Call { func } => {
-                        let target = *symbols
+                    } => Inst::Branch {
+                        cond: *cond,
+                        rs: *rs,
+                        rt: *rt,
+                        target: label_pc(label.0)?,
+                    },
+                    AsmInst::Jump { label } => Inst::Jump {
+                        target: label_pc(label.0)?,
+                    },
+                    AsmInst::Call { func } => Inst::Jal {
+                        target: *symbols
                             .get(func)
-                            .ok_or_else(|| LinkError::UnknownFunction { name: func.clone() })?;
-                        insts.push(Inst::Jal { target });
-                        prov_out.push(*p);
-                    }
-                    AsmInst::LaFunc { rd, func } => {
-                        let target = *symbols
-                            .get(func)
-                            .ok_or_else(|| LinkError::UnknownFunction { name: func.clone() })?
-                            as u32;
-                        insts.push(Inst::Lui {
-                            rd: *rd,
-                            imm: (target >> 16) as u16,
-                        });
-                        insts.push(Inst::AluI {
-                            op: AluOp::Or,
-                            rd: *rd,
-                            rs: *rd,
-                            imm: (target & 0xffff) as u16 as i16,
-                        });
-                        prov_out.push(*p);
-                        prov_out.push(*p);
-                    }
-                }
+                            .ok_or_else(|| LinkError::UnknownFunction { name: func.clone() })?,
+                    },
+                });
+                prov_out.push(*p);
             }
         }
 
@@ -324,34 +285,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Reassembles a program from its constituent parts (used by the
-    /// object-image loader).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prov` and `insts` differ in length.
-    pub(crate) fn from_parts(
-        insts: Vec<Inst>,
-        prov: Vec<Provenance>,
-        data: Vec<u8>,
-        entry_pc: u64,
-        symbols: HashMap<String, u64>,
-    ) -> Program {
-        assert_eq!(
-            insts.len(),
-            prov.len(),
-            "one provenance tag per instruction"
-        );
-        Program {
-            layout: Layout::default(),
-            insts,
-            prov,
-            data,
-            entry_pc,
-            symbols,
-        }
-    }
-
     /// The layout the program was linked against.
     pub fn layout(&self) -> &Layout {
         &self.layout
@@ -576,29 +509,6 @@ mod tests {
         // (StaticVar), epilogue reloads (LocalVar).
         assert!(tags.contains(&Provenance::StaticVar));
         assert!(tags.iter().filter(|&&t| t == Provenance::LocalVar).count() >= 4);
-    }
-
-    #[test]
-    fn la_func_expands_to_two_words() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = trivial_main();
-        f.la_func(Gpr::T9, "aux");
-        f.call_reg(Gpr::T9);
-        let mut aux = FunctionBuilder::new("aux");
-        aux.nop();
-        pb.add_function(f);
-        pb.add_function(aux);
-        let p = pb.link("main").unwrap();
-        let aux_pc = p.symbol("aux").unwrap();
-        // Somewhere in main there is lui t9 / ori t9 forming aux_pc.
-        let lui = p
-            .iter_text()
-            .find_map(|(_, i)| match i {
-                Inst::Lui { rd, imm } if *rd == Gpr::T9 => Some(*imm),
-                _ => None,
-            })
-            .expect("lui t9 present");
-        assert_eq!((lui as u64) << 16 | (aux_pc & 0xffff), aux_pc);
     }
 
     #[test]

@@ -77,14 +77,6 @@ pub enum Provenance {
     Mixed,
 }
 
-impl Provenance {
-    /// Whether Figure 6's algorithm resolves this provenance to a definite
-    /// region (stack or non-stack) rather than `MT_UNKNOWN`.
-    pub fn is_classifiable(self) -> bool {
-        !matches!(self, Provenance::FunctionParam | Provenance::Mixed)
-    }
-}
-
 impl fmt::Display for Provenance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -96,20 +88,5 @@ impl fmt::Display for Provenance {
             Provenance::Mixed => "mixed",
         };
         f.write_str(s)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classifiability() {
-        assert!(Provenance::LocalVar.is_classifiable());
-        assert!(Provenance::StaticVar.is_classifiable());
-        assert!(Provenance::HeapBlock.is_classifiable());
-        assert!(Provenance::PointsToStack.is_classifiable());
-        assert!(!Provenance::FunctionParam.is_classifiable());
-        assert!(!Provenance::Mixed.is_classifiable());
     }
 }

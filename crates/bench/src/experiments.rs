@@ -128,24 +128,13 @@ pub struct ExperimentRun {
     pub probe: Option<Json>,
 }
 
-/// One stderr line per failed job, closed by a count line naming
-/// `outcome`.
-fn failure_lines(failures: &[JobFailure], outcome: &str) -> Vec<String> {
-    let mut lines: Vec<String> = failures.iter().map(JobFailure::summary).collect();
-    if !failures.is_empty() {
-        lines.push(format!("{} job(s) failed; {outcome}", failures.len()));
-    }
-    lines
-}
-
 /// Runs an experiment with the environment's [`Knobs`], prints its text,
 /// and emits `BENCH_<experiment>.json` (plus the `ARL_PROBE` document)
 /// under `ARL_JSON`. The shared `main` of every table/figure binary.
 ///
 /// Failed jobs never abort the suite silently: a [`SuiteFailures`] panic
-/// from the pool (every surviving cell already ran) and any error records
-/// the experiment collected itself both end in a one-line-per-job stderr
-/// summary and a non-zero exit.
+/// from the pool (every surviving cell already ran) ends in a
+/// one-line-per-job stderr summary, no output and a non-zero exit.
 pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {
     let knobs = Knobs::from_env();
     let opts = knobs.options();
@@ -153,7 +142,11 @@ pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {
         Ok(run) => run,
         Err(payload) => match payload.downcast::<SuiteFailures>() {
             Ok(failures) => {
-                let lines = failure_lines(&failures.0, "no output written");
+                let mut lines: Vec<String> = failures.0.iter().map(JobFailure::summary).collect();
+                lines.push(format!(
+                    "{} job(s) failed; no output written",
+                    failures.0.len()
+                ));
                 return end_main(&knobs, "", &[], &lines);
             }
             Err(payload) => std::panic::resume_unwind(payload),
@@ -164,11 +157,7 @@ pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {
     if let Some(doc) = run.probe {
         docs.push((format!("BENCH_{name}_probe.json"), doc));
     }
-    let failures = failure_lines(
-        &run.report.errors,
-        "see the errors array in the JSON output",
-    );
-    end_main(&knobs, &run.text, &docs, &failures);
+    end_main(&knobs, &run.text, &docs, &[]);
 }
 
 /// One probed timing cell, in cell order: which (workload × config) pair

@@ -31,9 +31,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use arl_faults::{
-    apply_trace_fault, classify_timing, classify_trace, describe_timing_fault, plan_arpt_fault,
-    plan_port_fault, plan_trace_fault, FaultOutcome, Layer, LayerPlan, RunSignature,
-    TimingObservation,
+    apply_trace_fault, classify_timing, classify_trace, describe_timing_fault, parse_plan,
+    plan_arpt_fault, plan_port_fault, plan_trace_fault, FaultOutcome, Layer, LayerPlan,
+    RunSignature, TimingObservation, DEFAULT_COUNT, DEFAULT_SEED,
 };
 use arl_stats::{Json, TableBuilder};
 use arl_timing::{MachineConfig, SimStats, TimingFault};
@@ -409,7 +409,8 @@ pub fn fault_campaign_with(
 pub fn run_faults_main() {
     let knobs = Knobs::from_env();
     let opts = knobs.options();
-    let plans = match arl_faults::plan_from_env() {
+    let default_plan = format!("all:{DEFAULT_SEED}:{DEFAULT_COUNT}");
+    let plans = match parse_plan(knobs.fault.as_deref().unwrap_or(&default_plan)) {
         Ok(plans) => plans,
         Err(e) => {
             eprintln!("[arl-bench] invalid ARL_FAULT: {e}");

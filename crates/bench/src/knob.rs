@@ -7,10 +7,13 @@
 //! clamped with a warning, and an unparsable value warns and falls back
 //! to the default — a typo must never silently select the wrong
 //! behaviour. Flags share one bool rule ([`flag`]) and paths one path
-//! rule (unset or empty means none).
+//! rule (unset or empty means none). `ARL_FAULT` is the one exception:
+//! its raw value is kept, and the fault campaign refuses a malformed plan
+//! with exit 2, because a typo would silently run a different campaign.
 //!
-//! `ARL_FAULT`, `ARL_IO_FAULT` and `ARL_IO_TRACE` are read by the lower
-//! `arl-faults`/`arl-sink` crates, as hooks for child processes.
+//! `ARL_IO_FAULT` and `ARL_IO_TRACE` are read by `arl-sink`, as hooks for
+//! child processes: they arm a process-global I/O gate that `arl-trace`
+//! writes through too.
 
 use std::ffi::OsString;
 use std::fmt::Display;
@@ -34,8 +37,6 @@ pub struct Knobs {
     pub trace: TraceMode,
     /// `ARL_PROBE`: attach the cycle-level probe to every timing cell.
     pub probe: bool,
-    /// `ARL_SHARD`: `bench_shard`'s shard-job count (default 3).
-    pub shard: usize,
     /// `ARL_SNAPSHOT_INTERVAL`: `bench_shard`'s capture-time snapshot
     /// cadence in instructions (0 disables).
     pub snapshot_interval: u64,
@@ -48,6 +49,9 @@ pub struct Knobs {
     pub checkpoint: Option<PathBuf>,
     /// `ARL_CHECKPOINT_FORCE`: resume a ledger of a different run identity.
     pub checkpoint_force: bool,
+    /// `ARL_FAULT`: the fault campaign's plan, unparsed; `None` when unset
+    /// (the campaign's default plan).
+    pub fault: Option<String>,
     /// `ARL_MAX_JOBS`: truncate the fault campaign to its first N jobs.
     pub max_jobs: Option<usize>,
     /// `ARL_CHAOS_POINTS`: seeded fault points of the chaos campaign.
@@ -58,8 +62,6 @@ pub struct Knobs {
     pub chaos_dir: Option<PathBuf>,
     /// `ARL_SPEED_WORKLOADS`: `bench_speed` workload subset.
     pub speed_workloads: Option<Vec<String>>,
-    /// `ARL_SPEED_REPS`: `bench_speed` best-of count.
-    pub speed_reps: u32,
     /// `ARL_SPEED_BASELINE`: the committed speed baseline to gate against.
     pub speed_baseline: Option<PathBuf>,
 }
@@ -78,7 +80,6 @@ impl Knobs {
             threads: threads_from_value(text("ARL_THREADS").as_deref()),
             trace: trace_from_value(text("ARL_TRACE").as_deref()),
             probe: flag("ARL_PROBE", text("ARL_PROBE").as_deref()),
-            shard: shard_from_value(text("ARL_SHARD").as_deref()),
             snapshot_interval: snapshot_interval_from_value(
                 text("ARL_SNAPSHOT_INTERVAL").as_deref(),
             ),
@@ -89,6 +90,7 @@ impl Knobs {
                 "ARL_CHECKPOINT_FORCE",
                 text("ARL_CHECKPOINT_FORCE").as_deref(),
             ),
+            fault: text("ARL_FAULT"),
             max_jobs: max_jobs_from_value(text("ARL_MAX_JOBS").as_deref()),
             chaos_points: knob_u64(
                 "ARL_CHAOS_POINTS",
@@ -99,8 +101,6 @@ impl Knobs {
             chaos_child: path("ARL_CHAOS_CHILD"),
             chaos_dir: path("ARL_CHAOS_DIR"),
             speed_workloads: speed_workloads_from_value(text("ARL_SPEED_WORKLOADS").as_deref()),
-            speed_reps: knob_u64("ARL_SPEED_REPS", text("ARL_SPEED_REPS").as_deref(), 2, 1)
-                .min(1_000) as u32,
             speed_baseline: path("ARL_SPEED_BASELINE"),
         }
     }
@@ -205,12 +205,6 @@ fn trace_from_value(value: Option<&str>) -> TraceMode {
         "live" | "off" | "0" => Some(TraceMode::Live),
         _ => None,
     })
-}
-
-/// `ARL_SHARD`: a positive shard-job count (default 3, since a one-job
-/// "sweep" would measure nothing; `0` clamps to 1).
-fn shard_from_value(value: Option<&str>) -> usize {
-    knob_u64("ARL_SHARD", value, 3, 1) as usize
 }
 
 /// `ARL_SNAPSHOT_INTERVAL`: instructions between capture-time snapshot
@@ -360,12 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_snapshot_parsers_handle_edge_cases() {
-        assert_eq!(shard_from_value(None), 3, "unset takes the default");
-        assert_eq!(shard_from_value(Some("4")), 4);
-        assert_eq!(shard_from_value(Some(" 2 ")), 2);
-        assert_eq!(shard_from_value(Some("0")), 1, "zero clamps to one job");
-        assert_eq!(shard_from_value(Some("many")), 3, "typos fall back");
+    fn snapshot_parser_handles_edge_cases() {
         assert_eq!(
             snapshot_interval_from_value(None),
             DEFAULT_SNAPSHOT_INTERVAL

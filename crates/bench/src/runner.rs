@@ -258,8 +258,10 @@ pub struct SuiteReport {
     pub wall_seconds: f64,
     /// Per-cell records, in cell order.
     pub records: Vec<RunRecord>,
-    /// Jobs that panicked, one record per failed job. Only serialized
-    /// when non-empty, so fault-free documents never carry the field.
+    /// Always empty, and not serialized: a failed cell ends the run
+    /// through [`Pool::map`]'s [`SuiteFailures`] panic before any report
+    /// exists. Kept because the repository benchmark
+    /// (`benchmark/src/workloads.rs`) reads it.
     pub errors: Vec<JobFailure>,
 }
 
@@ -343,11 +345,9 @@ impl SuiteReport {
             .sum()
     }
 
-    /// The full `BENCH_*.json` document. The `errors` array (failed jobs)
-    /// only appears when at least one job failed, keeping clean-run
-    /// documents byte-identical to the pre-supervision schema.
+    /// The full `BENCH_*.json` document.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
+        Json::obj([
             ("schema", Json::from(JSON_SCHEMA)),
             ("experiment", Json::from(self.experiment.as_str())),
             ("scale", Json::from(self.scale.as_str())),
@@ -359,14 +359,7 @@ impl SuiteReport {
                 "records",
                 Json::Arr(self.records.iter().map(RunRecord::to_json).collect()),
             ),
-        ];
-        if !self.errors.is_empty() {
-            pairs.push((
-                "errors",
-                Json::Arr(self.errors.iter().map(JobFailure::to_json).collect()),
-            ));
-        }
-        Json::obj(pairs)
+        ])
     }
 }
 
@@ -932,20 +925,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn report_errors_only_serialize_when_present() {
-        let mut report = SuiteReport::new("unit", Scale::tiny(), 1);
-        assert_eq!(report.to_json().get("errors"), None);
-        report.errors.push(JobFailure {
-            index: 4,
-            message: "boom".into(),
-        });
-        let errors = report.to_json();
-        let errors = errors.get("errors").unwrap().as_array().unwrap();
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].render(), r#"{"index":4,"message":"boom"}"#);
     }
 
     fn ckpt_dir(tag: &str) -> PathBuf {

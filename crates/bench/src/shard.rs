@@ -19,9 +19,9 @@
 //!
 //! Sharding buys resume only through that ledger, so only `bench_shard`
 //! shards; the experiment binaries always replay each cell serially.
-//! Knobs (read by `bench_shard` alone): `ARL_SHARD` (shard jobs, default
-//! 3), `ARL_SNAPSHOT_INTERVAL` (capture-time snapshot cadence in
-//! instructions, default [`DEFAULT_SNAPSHOT_INTERVAL`]; 0 disables).
+//! `bench_shard` replays its workload as [`SHARDS`] chained jobs. Its one
+//! knob, `ARL_SNAPSHOT_INTERVAL`, sets the capture-time snapshot cadence
+//! in instructions (default [`DEFAULT_SNAPSHOT_INTERVAL`]; 0 disables).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -534,6 +534,10 @@ pub fn shard_bench_with(
 /// The workload `bench_shard` measures: `gcc`, the longest in the suite.
 const SHARD_WORKLOAD: &str = "gcc";
 
+/// The shard jobs `bench_shard` chains: more than one, or the sweep would
+/// measure nothing.
+const SHARDS: usize = 3;
+
 /// The `bench_shard` binary's `main`: reads the [`Knobs`]
 /// (`ARL_CHECKPOINT` enables the kill-resume measurement), prints the
 /// comparison, emits `BENCH_shard.json` under `ARL_JSON`, and exits
@@ -546,7 +550,7 @@ pub fn run_shard_main() {
     let run = match shard_bench_with(
         &knobs.options(),
         SHARD_WORKLOAD,
-        knobs.shard,
+        SHARDS,
         knobs.snapshot_interval,
         knobs.checkpoint.as_deref(),
         knobs.checkpoint_force,

@@ -18,9 +18,10 @@
 //! [`TraceEntry`] slice, so the measurement times the *simulator*, not
 //! trace decode. The reps alternate the two cores so both share the same
 //! window of host load. Knobs (all warn-and-fallback via [`Knobs`]):
-//! `ARL_SPEED_WORKLOADS` (comma list filter), `ARL_SPEED_REPS` (best-of,
-//! default 2), `ARL_SPEED_BASELINE` (path to a committed baseline to gate
-//! against), plus the usual `ARL_SCALE`/`ARL_JSON`.
+//! `ARL_SPEED_WORKLOADS` (comma list filter), `ARL_SPEED_BASELINE` (path
+//! to a committed baseline to gate against), plus the usual
+//! `ARL_SCALE`/`ARL_JSON`. Each core's rate is the best of [`SPEED_REPS`]
+//! reps.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -165,16 +166,19 @@ fn reference_trace(entries: &[TraceEntry], config: &MachineConfig) -> SimStats {
         .0
 }
 
-/// Times `reps` rounds of `entries` through the event core and the legacy
+/// How many rounds [`time_cores`] times each core; the best one counts.
+const SPEED_REPS: u32 = 2;
+
+/// Times [`SPEED_REPS`] rounds of `entries` through the event core and the legacy
 /// reference core, alternating them (event, legacy, event, legacy, ...)
 /// so a spell of host contention slows both cores alike instead of
 /// skewing their ratio. Returns each core's best throughput and its
 /// (rep-invariant) stats, event core first.
-fn time_cores(entries: &[TraceEntry], config: &MachineConfig, reps: u32) -> [(f64, SimStats); 2] {
+fn time_cores(entries: &[TraceEntry], config: &MachineConfig) -> [(f64, SimStats); 2] {
     let cores: [fn(&[TraceEntry], &MachineConfig) -> SimStats; 2] =
         [TimingSim::run_trace, reference_trace];
     let mut best: [(f64, SimStats); 2] = Default::default();
-    for _ in 0..reps {
+    for _ in 0..SPEED_REPS {
         for (run, (best_ips, stats)) in cores.iter().zip(&mut best) {
             let start = Instant::now();
             let run = run(entries, config);
@@ -187,7 +191,7 @@ fn time_cores(entries: &[TraceEntry], config: &MachineConfig, reps: u32) -> [(f6
 }
 
 /// Runs the benchmark over the suite, or over the workloads `filter`
-/// names, timing each core best-of-`reps`.
+/// names, timing each core best-of-`SPEED_REPS`.
 ///
 /// # Panics
 ///
@@ -195,7 +199,7 @@ fn time_cores(entries: &[TraceEntry], config: &MachineConfig, reps: u32) -> [(f6
 /// an unknown workload, or if the two cores' stats diverge (which would
 /// mean the event core is broken — the differential suite covers this,
 /// but a free check here keeps the committed baseline honest).
-pub fn run_speed_suite(scale: Scale, filter: Option<&[String]>, reps: u32) -> SpeedReport {
+pub fn run_speed_suite(scale: Scale, filter: Option<&[String]>) -> SpeedReport {
     let config = MachineConfig::decoupled(3, 3);
     let mut rows = Vec::new();
     let mut matched = 0usize;
@@ -219,7 +223,7 @@ pub fn run_speed_suite(scale: Scale, filter: Option<&[String]>, reps: u32) -> Sp
             entries.push(entry);
         }
 
-        let [(event_ips, stats), (legacy_ips, legacy_stats)] = time_cores(&entries, &config, reps);
+        let [(event_ips, stats), (legacy_ips, legacy_stats)] = time_cores(&entries, &config);
         assert_eq!(
             stats, legacy_stats,
             "{}: event and legacy cores diverged",
@@ -315,7 +319,6 @@ pub fn run_speed_main() {
     let report = run_speed_suite(
         knobs.scale.unwrap_or_default(),
         knobs.speed_workloads.as_deref(),
-        knobs.speed_reps,
     );
     let mut text = format!(
         "{:<10} {:>12} {:>14} {:>14} {:>9}\n",

@@ -112,12 +112,13 @@ fn unopenable_checkpoint_is_a_hard_error_in_both_supervisors() {
     for (exe, extra) in [
         (
             env!("CARGO_BIN_EXE_fault_campaign"),
-            ("ARL_FAULT", "all:42:1"),
+            &[("ARL_FAULT", "all:42:1")][..],
         ),
-        (env!("CARGO_BIN_EXE_bench_shard"), ("ARL_SHARD", "2")),
+        (env!("CARGO_BIN_EXE_bench_shard"), &[][..]),
     ] {
         for bad in [&missing, &garbage] {
-            let envs = [extra, ("ARL_CHECKPOINT", bad.to_str().unwrap())];
+            let mut envs = extra.to_vec();
+            envs.push(("ARL_CHECKPOINT", bad.to_str().unwrap()));
             let (code, stderr) = run(exe, &dir, &envs);
             assert_eq!(
                 code,

@@ -20,8 +20,9 @@
 //!    1-bit last-region or 2-bit hysteresis state.
 //!
 //! [`Evaluator`] measures the pipeline's classification accuracy over a
-//! functional trace (Figures 4 and 5, Table 3); [`QueueChoice`] is the
-//! steering decision the timing simulator acts on.
+//! functional trace (Figures 4 and 5, Table 3). The timing simulator
+//! (`arl-timing`) steers each access by its prediction and verifies it
+//! against the access's own region once its address is known.
 //!
 //! ```
 //! use arl_core::{Arpt, Capacity, Context, CounterScheme};
@@ -39,11 +40,9 @@ mod context;
 mod eval;
 mod heuristic;
 pub mod hints;
-mod steer;
 
 pub use arpt::{Arpt, Capacity, CounterScheme};
 pub use context::Context;
 pub use eval::{EvalConfig, Evaluator, PredictionStats, PredictorKind, Source};
 pub use heuristic::{static_hint, StaticHint};
 pub use hints::{classify_mem, HintTable, MemHint};
-pub use steer::QueueChoice;

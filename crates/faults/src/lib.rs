@@ -12,7 +12,7 @@
 //!    the same campaign.
 //! 2. **Plan syntax**: the `ARL_FAULT` environment variable
 //!    (`<layer>:<seed>[:<count>]`, comma-separated; `all` expands to
-//!    every layer) parsed by [`parse_plan`] / [`plan_from_env`].
+//!    every layer) parsed by [`parse_plan`].
 //! 3. **Classification**: each injected fault's observed effect mapped to
 //!    a [`FaultOutcome`] — masked, detected, recovered, fatal, or silent.
 //!    *Silent* (the run completed with a functionally different result
@@ -240,26 +240,6 @@ pub fn parse_plan(value: &str) -> Result<Vec<LayerPlan>, PlanError> {
         plans.extend(layers.iter().map(|&layer| LayerPlan { layer, seed, count }));
     }
     Ok(plans)
-}
-
-/// Reads `ARL_FAULT`; unset defaults to `all:DEFAULT_SEED:DEFAULT_COUNT`.
-///
-/// # Errors
-///
-/// Returns the [`PlanError`] from [`parse_plan`] when the value is set
-/// but malformed.
-pub fn plan_from_env() -> Result<Vec<LayerPlan>, PlanError> {
-    match std::env::var("ARL_FAULT") {
-        Ok(value) => parse_plan(&value),
-        Err(_) => Ok(Layer::ALL
-            .iter()
-            .map(|&layer| LayerPlan {
-                layer,
-                seed: DEFAULT_SEED,
-                count: DEFAULT_COUNT,
-            })
-            .collect()),
-    }
 }
 
 // ---- trace-layer faults -----------------------------------------------------

@@ -403,23 +403,6 @@ impl Inst {
         self.mem_op().map(|m| !m.is_load).unwrap_or(false)
     }
 
-    /// Whether this instruction can redirect control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. }
-                | Inst::Jump { .. }
-                | Inst::Jal { .. }
-                | Inst::Jr { .. }
-                | Inst::Jalr { .. }
-        )
-    }
-
-    /// Whether this instruction is a call (writes the link register).
-    pub fn is_call(&self) -> bool {
-        matches!(self, Inst::Jal { .. } | Inst::Jalr { .. })
-    }
-
     /// General-purpose registers read by the instruction.
     pub fn gpr_sources(&self) -> Vec<Gpr> {
         let mut v = Vec::with_capacity(2);

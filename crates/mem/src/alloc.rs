@@ -168,19 +168,6 @@ impl HeapAllocator {
         self.in_use
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether `addr` falls inside a live allocation.
-    pub fn is_allocated(&self, addr: u64) -> bool {
-        self.live
-            .range(..=addr)
-            .next_back()
-            .is_some_and(|(&base, &size)| addr < base + size)
-    }
-
     /// The heap base this allocator serves.
     pub fn heap_base(&self) -> u64 {
         self.heap_base
@@ -262,10 +249,7 @@ mod tests {
         assert_eq!(a.bytes_in_use(), 0);
         let p = a.malloc(100).unwrap();
         assert_eq!(a.bytes_in_use(), HeapAllocator::round_up(100));
-        assert_eq!(a.live_blocks(), 1);
-        assert!(a.is_allocated(p + 5));
         a.free(p).unwrap();
         assert_eq!(a.bytes_in_use(), 0);
-        assert!(!a.is_allocated(p));
     }
 }

@@ -158,11 +158,6 @@ impl MemImage {
             self.write_u8(addr + i as u64, *b);
         }
     }
-
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -204,10 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn write_bytes_and_read_bytes() {
+    fn write_bytes_lands_byte_by_byte() {
         let mut m = MemImage::new();
         m.write_bytes(10, &[1, 2, 3, 4]);
-        assert_eq!(m.read_bytes(9, 6), vec![0, 1, 2, 3, 4, 0]);
+        let bytes: Vec<u8> = (9..15).map(|addr| m.read_u8(addr)).collect();
+        assert_eq!(bytes, vec![0, 1, 2, 3, 4, 0]);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! * [`MemImage`] — sparse paged memory with typed accessors.
 //! * [`HeapAllocator`] — first-fit `malloc`/`free` with coalescing, backing
 //!   the `Malloc` syscall.
-//! * [`StackBitTlb`] — the per-page stack-bit structure the data-decoupled
-//!   pipeline consults to verify region predictions.
 //!
 //! ```
 //! use arl_mem::{Layout, Region};
@@ -31,10 +29,8 @@ mod alloc;
 mod image;
 mod layout;
 mod region;
-mod tlb;
 
 pub use alloc::{AllocError, HeapAllocator};
 pub use image::{MemImage, PAGE_SIZE};
 pub use layout::Layout;
 pub use region::{Region, RegionSet};
-pub use tlb::StackBitTlb;

@@ -110,12 +110,6 @@ impl RegionSet {
         self.0.count_ones() as usize
     }
 
-    /// Whether the instruction accessed exactly one region — the
-    /// access-region-locality property.
-    pub fn is_single_region(self) -> bool {
-        self.len() == 1
-    }
-
     /// Whether any contained region is the stack.
     pub fn touches_stack(self) -> bool {
         self.contains(Region::Stack)
@@ -209,10 +203,9 @@ mod tests {
     #[test]
     fn single_region_detection() {
         let mut s = RegionSet::only(Region::Heap);
-        assert!(s.is_single_region());
+        assert_eq!(s.len(), 1);
         assert_eq!(s.label(), "H");
         s.insert(Region::Stack);
-        assert!(!s.is_single_region());
         assert_eq!(s.label(), "H/S");
         assert_eq!(s.len(), 2);
     }

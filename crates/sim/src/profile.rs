@@ -99,11 +99,6 @@ impl RegionProfiler {
         self.per_pc.len()
     }
 
-    /// The region set a given static instruction has touched so far.
-    pub fn regions_of(&self, pc: u64) -> Option<RegionSet> {
-        self.per_pc.get(&pc).map(|&(set, _)| set)
-    }
-
     /// Iterates `(pc, region-set, dynamic-count)` for every static memory
     /// instruction — the per-instruction ground truth the compiler-hint
     /// evaluation uses as its profile input.
@@ -268,12 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn regions_of_reports_accumulated_set() {
+    fn profiler_accumulates_each_pcs_region_set() {
         let mut p = RegionProfiler::new();
         p.observe(&entry(8, Some(Region::Data), true));
         p.observe(&entry(8, Some(Region::Stack), true));
-        let set = p.regions_of(8).unwrap();
-        assert_eq!(set.label(), "D/S");
-        assert_eq!(p.regions_of(999), None);
+        let seen: Vec<(u64, &str, u64)> =
+            p.iter().map(|(pc, set, n)| (pc, set.label(), n)).collect();
+        assert_eq!(seen, vec![(8, "D/S", 2)]);
     }
 }

@@ -200,9 +200,9 @@ impl BandwidthState {
     }
 
     /// Whether an access to `addr` can start this cycle.
-    fn available(&self, addr: u64, ports: usize) -> bool {
+    fn available(&self, addr: u64) -> bool {
         match self.model {
-            PortModel::TruePorts(_) => self.used < ports,
+            PortModel::TruePorts(ports) => self.used < ports,
             PortModel::Banked { .. } => self.banks_busy & (1 << self.bank_of(addr)) == 0,
             PortModel::LineBuffered => {
                 if addr / self.line_bytes == self.buffered_line {
@@ -363,7 +363,6 @@ impl Backend {
                     assoc: STACKED_CACHE_ASSOC,
                     line_bytes: config.l2.line_bytes,
                     hit_latency: STACKED_LATENCY,
-                    ports: usize::MAX,
                     port_model: PortModel::TruePorts(usize::MAX),
                 }))
             }
@@ -682,13 +681,14 @@ impl MemSystem {
             return false;
         }
         match self.effective_route(route) {
-            Route::DataCache => self.dcache_bw.available(addr, self.dcache.config().ports),
+            Route::DataCache => self.dcache_bw.available(addr),
             // `effective_route` only answers `Lvc` when the machine has
             // one; the data-cache arm is an unreachable safety net.
-            Route::Lvc => match (self.lvc.as_ref(), self.lvc_bw.as_ref()) {
-                (Some(lvc), Some(bw)) => bw.available(addr, lvc.config().ports),
-                _ => self.dcache_bw.available(addr, self.dcache.config().ports),
-            },
+            Route::Lvc => self
+                .lvc_bw
+                .as_ref()
+                .unwrap_or(&self.dcache_bw)
+                .available(addr),
         }
     }
 
@@ -884,7 +884,6 @@ mod tests {
             assoc,
             line_bytes: 32,
             hit_latency: 1,
-            ports: 1,
             port_model: PortModel::TruePorts(1),
         })
     }
@@ -1042,7 +1041,6 @@ mod tests {
     fn mshrs_bound_outstanding_misses() {
         let mut config = MachineConfig::baseline_2_0();
         config.mshrs = 1;
-        config.dcache.ports = 4;
         config.dcache.port_model = PortModel::TruePorts(4);
         let mut m = MemSystem::new(&config);
         m.new_cycle();
@@ -1307,7 +1305,6 @@ mod tests {
         // the hierarchy clamps to 4 and behaves like a valid 4-bank cache.
         let mut config = MachineConfig::baseline_2_0();
         config.dcache.port_model = PortModel::Banked { banks: 6 };
-        config.dcache.ports = 6;
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         m.access(Route::DataCache, 0);
@@ -1321,7 +1318,6 @@ mod tests {
         // 80 banks would shift a u64 by >= 64: clamped to 64, no overflow.
         let mut wide = MachineConfig::baseline_2_0();
         wide.dcache.port_model = PortModel::Banked { banks: 80 };
-        wide.dcache.ports = 80;
         let mut m = MemSystem::new(&wide);
         m.new_cycle();
         for i in 0..64u64 {

@@ -30,17 +30,6 @@ pub enum PortModel {
     LineBuffered,
 }
 
-impl PortModel {
-    /// Peak accesses that can start in one cycle under this model.
-    pub fn peak_bandwidth(&self) -> usize {
-        match *self {
-            PortModel::TruePorts(n) => n,
-            PortModel::Banked { banks } => banks,
-            PortModel::LineBuffered => 2, // array port + buffer hit
-        }
-    }
-}
-
 /// Geometry and timing of one cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheConfig {
@@ -52,10 +41,8 @@ pub struct CacheConfig {
     pub line_bytes: u64,
     /// Hit latency in cycles.
     pub hit_latency: u64,
-    /// Number of accesses that may *start* per cycle (under
-    /// [`PortModel::TruePorts`]; see `port_model`).
-    pub ports: usize,
-    /// How the bandwidth is implemented.
+    /// How the bandwidth is implemented, including the port count of
+    /// [`PortModel::TruePorts`].
     pub port_model: PortModel,
 }
 
@@ -68,7 +55,6 @@ impl CacheConfig {
             assoc: 2,
             line_bytes: 32,
             hit_latency,
-            ports,
             port_model: PortModel::TruePorts(ports),
         }
     }
@@ -80,7 +66,6 @@ impl CacheConfig {
             assoc: 4,
             line_bytes: 32,
             hit_latency: 12,
-            ports: usize::MAX,
             port_model: PortModel::TruePorts(usize::MAX),
         }
     }
@@ -92,7 +77,6 @@ impl CacheConfig {
             assoc: 1,
             line_bytes: 32,
             hit_latency: 1,
-            ports,
             port_model: PortModel::TruePorts(ports),
         }
     }
@@ -101,7 +85,6 @@ impl CacheConfig {
     pub fn with_banks(mut self, banks: usize) -> CacheConfig {
         assert!(banks.is_power_of_two(), "bank count must be a power of two");
         self.port_model = PortModel::Banked { banks };
-        self.ports = banks;
         self
     }
 
@@ -129,15 +112,11 @@ impl CacheConfig {
                      (must be a power of two, at most 64)"
                 );
                 self.port_model = PortModel::Banked { banks: clamped };
-                self.ports = clamped;
             }
         }
-        if self.ports == 0 {
+        if self.port_model == PortModel::TruePorts(0) {
             eprintln!("[arl-timing] clamping {what} port count 0 to 1");
-            self.ports = 1;
-            if self.port_model == PortModel::TruePorts(0) {
-                self.port_model = PortModel::TruePorts(1);
-            }
+            self.port_model = PortModel::TruePorts(1);
         }
         self
     }
@@ -146,7 +125,6 @@ impl CacheConfig {
     /// (Wilson et al.).
     pub fn with_line_buffer(mut self) -> CacheConfig {
         self.port_model = PortModel::LineBuffered;
-        self.ports = 1;
         self
     }
 }
@@ -450,14 +428,11 @@ mod tests {
 
         let mut aliasing = CacheConfig::l1_data(2, 2);
         aliasing.port_model = PortModel::Banked { banks: 6 };
-        aliasing.ports = 6;
         let fixed = aliasing.sanitized("dcache");
         assert_eq!(fixed.port_model, PortModel::Banked { banks: 4 });
-        assert_eq!(fixed.ports, 4);
 
         let mut wide = CacheConfig::l1_data(2, 2);
         wide.port_model = PortModel::Banked { banks: 128 };
-        wide.ports = 128;
         assert_eq!(
             wide.sanitized("dcache").port_model,
             PortModel::Banked { banks: 64 }
@@ -465,16 +440,11 @@ mod tests {
 
         let mut zero_banks = CacheConfig::l1_data(2, 2);
         zero_banks.port_model = PortModel::Banked { banks: 0 };
-        zero_banks.ports = 0;
         let fixed = zero_banks.sanitized("lvc");
         assert_eq!(fixed.port_model, PortModel::Banked { banks: 1 });
-        assert_eq!(fixed.ports, 1);
 
-        let mut portless = CacheConfig::l1_data(2, 2);
-        portless.ports = 0;
-        portless.port_model = PortModel::TruePorts(0);
+        let portless = CacheConfig::l1_data(0, 2);
         let fixed = portless.sanitized("dcache");
-        assert_eq!(fixed.ports, 1);
         assert_eq!(fixed.port_model, PortModel::TruePorts(1));
     }
 

@@ -264,26 +264,6 @@ fn golden_figure8_shape_config_ordering() {
 }
 
 #[test]
-fn object_images_execute_identically() {
-    // Build → save → reload → run: the reloaded binary must behave
-    // byte-for-byte like the original (the paper's "existing binaries"
-    // story).
-    for name in ["li", "compress"] {
-        let spec = arl::workloads::workload(name).unwrap();
-        let original = spec.build(Scale::tiny());
-        let bytes = original.to_object_bytes();
-        let reloaded = arl::asm::Program::from_object_bytes(&bytes).expect("valid image");
-        let mut a = Machine::new(&original);
-        let mut b = Machine::new(&reloaded);
-        let oa = a.run(CAP).unwrap();
-        let ob = b.run(CAP).unwrap();
-        assert!(oa.exited && ob.exited);
-        assert_eq!(oa.retired, ob.retired, "{name}: same instruction count");
-        assert_eq!(a.output(), b.output(), "{name}: same output");
-    }
-}
-
-#[test]
 fn table2_shape_heap_is_burstier_than_data_and_stack() {
     // Table 2's qualitative claim: heap accesses arrive in bursts, while
     // data-segment accesses are spread smoothly across windows. Pin the
