@@ -665,6 +665,188 @@ mod tests {
         assert_eq!(add.gpr_sources(), vec![Gpr::T2]);
     }
 
+    fn gprs(inst: Inst) -> Vec<Gpr> {
+        let mut out = [Gpr::ZERO; 2];
+        let n = inst.gpr_sources_into(&mut out);
+        out[..n].to_vec()
+    }
+
+    fn fprs(inst: Inst) -> Vec<Fpr> {
+        let mut out = [Fpr::F0; 2];
+        let n = inst.fpr_sources_into(&mut out);
+        out[..n].to_vec()
+    }
+
+    /// Both timing cores take their dependencies from these two calls, so
+    /// the event == legacy differential cannot see a wrong source list:
+    /// pin every variant's GPR and FPR sources here.
+    #[test]
+    fn sources_of_every_variant() {
+        use Gpr as G;
+        let (f1, f2, f3) = (Fpr::F1, Fpr::F2, Fpr::F3);
+        let cases: Vec<(Inst, Vec<Gpr>, Vec<Fpr>)> = vec![
+            (
+                Inst::Alu {
+                    op: AluOp::Mul,
+                    rd: G::T0,
+                    rs: G::T1,
+                    rt: G::T2,
+                },
+                vec![G::T1, G::T2],
+                vec![],
+            ),
+            (
+                Inst::AluI {
+                    op: AluOp::Add,
+                    rd: G::T0,
+                    rs: G::SP,
+                    imm: -8,
+                },
+                vec![G::SP],
+                vec![],
+            ),
+            (Inst::Lui { rd: G::T0, imm: 7 }, vec![], vec![]),
+            (
+                Inst::Load {
+                    width: Width::Word,
+                    signed: true,
+                    rd: G::T0,
+                    base: G::GP,
+                    offset: 4,
+                },
+                vec![G::GP],
+                vec![],
+            ),
+            // A store reads its data register before its base.
+            (
+                Inst::Store {
+                    width: Width::Byte,
+                    rs: G::T3,
+                    base: G::FP,
+                    offset: 0,
+                },
+                vec![G::T3, G::FP],
+                vec![],
+            ),
+            (
+                Inst::FLoad {
+                    fd: f1,
+                    base: G::T4,
+                    offset: 8,
+                },
+                vec![G::T4],
+                vec![],
+            ),
+            (
+                Inst::FStore {
+                    fs: f3,
+                    base: G::SP,
+                    offset: 8,
+                },
+                vec![G::SP],
+                vec![f3],
+            ),
+            (
+                Inst::FCmp {
+                    op: FCmpOp::Le,
+                    rd: G::T0,
+                    fs: f1,
+                    ft: f2,
+                },
+                vec![],
+                vec![f1, f2],
+            ),
+            (Inst::CvtIf { fd: f1, rs: G::T5 }, vec![G::T5], vec![]),
+            (Inst::CvtFi { rd: G::T0, fs: f2 }, vec![], vec![f2]),
+            (
+                Inst::Branch {
+                    cond: BranchCond::Ne,
+                    rs: G::S0,
+                    rt: G::S1,
+                    target: 0x40,
+                },
+                vec![G::S0, G::S1],
+                vec![],
+            ),
+            (Inst::Jump { target: 0x40 }, vec![], vec![]),
+            (Inst::Jal { target: 0x40 }, vec![], vec![]),
+            (Inst::Jr { rs: G::RA }, vec![G::RA], vec![]),
+            (
+                Inst::Jalr {
+                    rd: G::RA,
+                    rs: G::T9,
+                },
+                vec![G::T9],
+                vec![],
+            ),
+            (Inst::Nop, vec![], vec![]),
+            // `$zero` is never a dependency, in any operand position.
+            (
+                Inst::Alu {
+                    op: AluOp::Add,
+                    rd: G::T0,
+                    rs: G::ZERO,
+                    rt: G::T2,
+                },
+                vec![G::T2],
+                vec![],
+            ),
+            (
+                Inst::Store {
+                    width: Width::Double,
+                    rs: G::ZERO,
+                    base: G::SP,
+                    offset: 0,
+                },
+                vec![G::SP],
+                vec![],
+            ),
+            (
+                Inst::Load {
+                    width: Width::Double,
+                    signed: false,
+                    rd: G::T0,
+                    base: G::ZERO,
+                    offset: 0,
+                },
+                vec![],
+                vec![],
+            ),
+            (
+                Inst::Branch {
+                    cond: BranchCond::Eq,
+                    rs: G::ZERO,
+                    rt: G::ZERO,
+                    target: 0,
+                },
+                vec![],
+                vec![],
+            ),
+            (Inst::Jr { rs: G::ZERO }, vec![], vec![]),
+        ];
+        let syscalls = Syscall::ALL
+            .iter()
+            .map(|&call| (Inst::Sys { call }, vec![G::A0], vec![]));
+        let falus = FAluOp::ALL.iter().map(|&op| {
+            let unary = matches!(op, FAluOp::Neg | FAluOp::Abs | FAluOp::Sqrt);
+            let fpr = if unary { vec![f1] } else { vec![f1, f2] };
+            (
+                Inst::FAlu {
+                    op,
+                    fd: Fpr::F0,
+                    fs: f1,
+                    ft: f2,
+                },
+                vec![],
+                fpr,
+            )
+        });
+        for (inst, gpr, fpr) in cases.into_iter().chain(syscalls).chain(falus) {
+            assert_eq!(gprs(inst), gpr, "GPR sources of {inst}");
+            assert_eq!(fprs(inst), fpr, "FPR sources of {inst}");
+        }
+    }
+
     #[test]
     fn dest_of_zero_register_is_none() {
         let add = Inst::AluI {
