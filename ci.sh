@@ -124,8 +124,8 @@ echo "==> replay-speed regression gate (subset vs committed BENCH_speed.json)"
 # ratio (both cores see the same load and it cancels); a retry absorbs a
 # load spike landing inside one core's timing window but not the
 # other's. The run asserts both cores' SimStats equal before recording a
-# row, so the JSON must say so: schema v3, every row identical:true,
-# none identical:false.
+# row, so the JSON must say so: schema v3, best of 3 reps like the
+# baseline, every row identical:true, none identical:false.
 speed_ok=0
 for attempt in 1 2 3; do
     if ARL_SPEED_WORKLOADS=compress,go,tomcatv \
@@ -139,6 +139,7 @@ done
 test "$speed_ok" = 1
 test -s "$smoke_dir/BENCH_speed.json"
 grep -q '"schema":"arl-speed/v3"' "$smoke_dir/BENCH_speed.json"
+grep -q '"reps":3' "$smoke_dir/BENCH_speed.json"
 grep -q '"identical":true' "$smoke_dir/BENCH_speed.json"
 ! grep -q '"identical":false' "$smoke_dir/BENCH_speed.json"
 

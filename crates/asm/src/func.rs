@@ -235,7 +235,7 @@ impl FunctionBuilder {
     }
 
     /// `rd = rs | imm` (imm zero-extended)
-    pub fn ori(&mut self, rd: Gpr, rs: Gpr, imm: i16) {
+    pub(crate) fn ori(&mut self, rd: Gpr, rs: Gpr, imm: i16) {
         self.alui(AluOp::Or, rd, rs, imm);
     }
 

@@ -26,7 +26,7 @@
 //! f.print_int(Gpr::A0);
 //! pb.add_function(f);
 //! let program = pb.link("main").expect("link");
-//! assert!(program.text_len() > 0);
+//! assert!(program.inst_at(program.entry_pc()).is_some());
 //! ```
 
 mod func;
@@ -35,4 +35,5 @@ mod types;
 
 pub use func::FunctionBuilder;
 pub use program::{LinkError, Program, ProgramBuilder};
+
 pub use types::{FrameSlot, GlobalRef, Label, Provenance};

@@ -133,11 +133,6 @@ impl ProgramBuilder {
         self.global_bytes(name, &bytes)
     }
 
-    /// Looks up a previously declared global by name.
-    pub fn global(&self, name: &str) -> Option<GlobalRef> {
-        self.globals.get(name).copied()
-    }
-
     /// Adds a finished function.
     pub fn add_function(&mut self, func: FunctionBuilder) {
         self.functions.push(func);
@@ -290,19 +285,9 @@ impl Program {
         &self.layout
     }
 
-    /// The symbol table (function name → pc).
-    pub fn symbols(&self) -> &HashMap<String, u64> {
-        &self.symbols
-    }
-
     /// The pc execution starts at (the `_start` stub).
     pub fn entry_pc(&self) -> u64 {
         self.entry_pc
-    }
-
-    /// Number of instructions in the text segment.
-    pub fn text_len(&self) -> usize {
-        self.insts.len()
     }
 
     /// The instruction at `pc`, if it lies in text.
@@ -315,29 +300,13 @@ impl Program {
         self.insts.get(((pc - base) / INST_BYTES) as usize)
     }
 
-    /// The compiler-knowledge tag for the memory instruction at `pc`;
-    /// `None` if `pc` is not a memory instruction.
-    pub fn provenance_at(&self, pc: u64) -> Option<Provenance> {
-        let inst = self.inst_at(pc)?;
-        if !inst.is_mem() {
-            return None;
-        }
-        let idx = ((pc - self.layout.text_base()) / INST_BYTES) as usize;
-        self.prov.get(idx).copied()
-    }
-
     /// Initial contents of the data segment.
     pub fn data_image(&self) -> &[u8] {
         &self.data
     }
 
-    /// The address of a linked function.
-    pub fn symbol(&self, name: &str) -> Option<u64> {
-        self.symbols.get(name).copied()
-    }
-
     /// Iterates `(pc, inst)` over the whole text segment.
-    pub fn iter_text(&self) -> impl Iterator<Item = (u64, &Inst)> {
+    pub(crate) fn iter_text(&self) -> impl Iterator<Item = (u64, &Inst)> {
         let base = self.layout.text_base();
         self.insts
             .iter()
@@ -394,7 +363,7 @@ mod tests {
         pb.add_function(trivial_main());
         let p = pb.link("main").unwrap();
         assert_eq!(p.entry_pc(), p.layout().text_base());
-        let main_pc = p.symbol("main").unwrap();
+        let main_pc = p.symbols["main"];
         assert_eq!(main_pc, p.layout().text_base() + 8 * INST_BYTES);
         // The stub's jal targets main.
         let jal_pc = p.layout().text_base() + 5 * INST_BYTES;
@@ -480,7 +449,7 @@ mod tests {
         let c = pb.global_f64s("c", &[1.5]);
         assert!(a.offset() + a.size() <= b.offset());
         assert!(b.offset() + b.size() <= c.offset());
-        assert_eq!(pb.global("b"), Some(b));
+        assert_eq!(pb.globals.get("b").copied(), Some(b));
         pb.add_function(trivial_main());
         let p = pb.link("main").unwrap();
         // Initialized data visible in the image.

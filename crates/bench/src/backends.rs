@@ -22,7 +22,7 @@ use crate::runner::{end_main, scale_label, Pool};
 use crate::{capture_trace, timing_trace_probed, ExperimentOptions};
 
 /// `BENCH_backends.json` schema identifier.
-pub const BACKENDS_SCHEMA: &str = "arl-backends/v1";
+pub(crate) const BACKENDS_SCHEMA: &str = "arl-backends/v1";
 
 /// Workload subset for the backend sweep: an integer benchmark dominated
 /// by heap pointer-chasing (`go`), one with high-locality streams
@@ -41,7 +41,7 @@ fn machines() -> [MachineConfig; 2] {
 /// A finished backend sweep: rendered text, the JSON document, and
 /// whether any cell violated stall conservation.
 #[derive(Clone, Debug)]
-pub struct BackendsBenchRun {
+pub(crate) struct BackendsBenchRun {
     /// The exact bytes the binary prints to stdout.
     pub text: String,
     /// The `BENCH_backends.json` payload.
@@ -109,7 +109,7 @@ fn cell_json(cell: &Cell) -> Json {
 ///
 /// Panics if a sweep workload is missing from the suite or fails to
 /// execute/replay.
-pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
+pub(crate) fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
     let start = Instant::now();
     let pool = Pool::new(opts.threads);
 
@@ -235,8 +235,8 @@ pub fn backends_bench(opts: &ExperimentOptions) -> BackendsBenchRun {
     BackendsBenchRun { text, doc, failed }
 }
 
-/// The `bench_backends` binary's `main`: runs [`backends_bench`] with
-/// the environment's [`Knobs`], prints the report, emits
+/// The `bench_backends` binary's `main`: runs `backends_bench` with
+/// the environment's `Knobs`, prints the report, emits
 /// `BENCH_backends.json` under `ARL_JSON`, and exits non-zero if any cell
 /// violates stall conservation.
 pub fn run_backends_main() {
@@ -254,7 +254,6 @@ pub fn run_backends_main() {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use arl_workloads::Scale;

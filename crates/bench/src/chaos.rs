@@ -54,7 +54,7 @@ use crate::runner::{end_main, Checkpoint};
 use crate::ExperimentOptions;
 
 /// `BENCH_chaos.json` schema identifier.
-pub const CHAOS_SCHEMA: &str = "arl-chaos/v1";
+pub(crate) const CHAOS_SCHEMA: &str = "arl-chaos/v1";
 
 /// The fault plan every child sweep runs under. One fault per layer
 /// keeps a child run short while still exercising ledger payloads of
@@ -68,7 +68,7 @@ const SEED: u64 = 42;
 const JOBS: usize = 3;
 
 /// Configuration for one chaos campaign.
-pub struct ChaosOptions {
+pub(crate) struct ChaosOptions {
     /// Seeded kill/fault points to run (`ARL_CHAOS_POINTS`).
     pub points: u32,
     /// The scale every child runs at (`ARL_SCALE`, default tiny — chaos
@@ -76,7 +76,7 @@ pub struct ChaosOptions {
     pub scale: Scale,
     /// Path to the `fault_campaign` binary (`ARL_CHAOS_CHILD`), or
     /// `None` to use the sibling of the current executable.
-    pub child: Option<PathBuf>,
+    pub(crate) child: Option<PathBuf>,
     /// Work directory (`ARL_CHAOS_DIR`), or `None` for a fresh temp dir.
     pub dir: Option<PathBuf>,
 }
@@ -95,7 +95,7 @@ impl ChaosOptions {
 
 /// A finished chaos campaign: rendered text, the `arl-chaos/v1`
 /// document, and whether anything demands a non-zero exit.
-pub struct ChaosRun {
+pub(crate) struct ChaosRun {
     /// The exact bytes the binary prints to stdout.
     pub text: String,
     /// The `BENCH_chaos.json` payload.
@@ -204,7 +204,7 @@ fn survivors(ledger: &Path) -> usize {
 /// work directory, a reference run that will not complete cleanly.
 /// *Fault* failures (silent outcomes, divergent merges) are reported in
 /// the returned [`ChaosRun::failed`], not as errors.
-pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
+pub(crate) fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
     let exe = locate_child(opts)?;
     let root = opts
         .dir
@@ -459,7 +459,7 @@ pub fn chaos_campaign(opts: &ChaosOptions) -> std::io::Result<ChaosRun> {
     Ok(ChaosRun { text, doc, failed })
 }
 
-/// The `bench_chaos` binary's `main`: reads the [`Knobs`], runs the
+/// The `bench_chaos` binary's `main`: reads the `Knobs`, runs the
 /// campaign, prints the table, emits `BENCH_chaos.json` under `ARL_JSON`,
 /// and exits non-zero on any silent/fatal outcome, divergent merge, or
 /// fingerprint-guard miss.

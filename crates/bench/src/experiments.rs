@@ -128,11 +128,11 @@ pub struct ExperimentRun {
     pub probe: Option<Json>,
 }
 
-/// Runs an experiment with the environment's [`Knobs`], prints its text,
+/// Runs an experiment with the environment's `Knobs`, prints its text,
 /// and emits `BENCH_<experiment>.json` (plus the `ARL_PROBE` document)
 /// under `ARL_JSON`. The shared `main` of every table/figure binary.
 ///
-/// Failed jobs never abort the suite silently: a [`SuiteFailures`] panic
+/// Failed jobs never abort the suite silently: a `SuiteFailures` panic
 /// from the pool (every surviving cell already ran) ends in a
 /// one-line-per-job stderr summary, no output and a non-zero exit.
 pub fn run_main(experiment: impl FnOnce(&ExperimentOptions) -> ExperimentRun) {

@@ -401,7 +401,7 @@ pub fn fault_campaign_with(
 }
 
 /// The `fault_campaign` binary's `main`: reads `ARL_FAULT` and the
-/// [`Knobs`] (`ARL_SCALE`, `ARL_THREADS`, `ARL_MAX_JOBS`,
+/// `Knobs` (`ARL_SCALE`, `ARL_THREADS`, `ARL_MAX_JOBS`,
 /// `ARL_CHECKPOINT`, ...); prints the campaign table and one `ERROR:`
 /// line per failed job; emits `BENCH_faults.json` under `ARL_JSON`;
 /// exits 1 when any fault was fatal or silent or any job panicked, and 2

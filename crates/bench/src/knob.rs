@@ -27,7 +27,7 @@ use crate::shard::DEFAULT_SNAPSHOT_INTERVAL;
 
 /// Every `ARL_*` knob the bench binaries honour, parsed.
 #[derive(Debug)]
-pub struct Knobs {
+pub(crate) struct Knobs {
     /// `ARL_SCALE`: `tiny` or an integer multiplier; `None` when unset
     /// (each binary picks its own default).
     pub scale: Option<Scale>,
@@ -48,27 +48,27 @@ pub struct Knobs {
     /// `ARL_CHECKPOINT`: the completion ledger.
     pub checkpoint: Option<PathBuf>,
     /// `ARL_CHECKPOINT_FORCE`: resume a ledger of a different run identity.
-    pub checkpoint_force: bool,
+    pub(crate) checkpoint_force: bool,
     /// `ARL_FAULT`: the fault campaign's plan, unparsed; `None` when unset
     /// (the campaign's default plan).
     pub fault: Option<String>,
     /// `ARL_MAX_JOBS`: truncate the fault campaign to its first N jobs.
-    pub max_jobs: Option<usize>,
+    pub(crate) max_jobs: Option<usize>,
     /// `ARL_CHAOS_POINTS`: seeded fault points of the chaos campaign.
-    pub chaos_points: u32,
+    pub(crate) chaos_points: u32,
     /// `ARL_CHAOS_CHILD`: path to the `fault_campaign` binary.
-    pub chaos_child: Option<PathBuf>,
+    pub(crate) chaos_child: Option<PathBuf>,
     /// `ARL_CHAOS_DIR`: the chaos campaign's work directory.
-    pub chaos_dir: Option<PathBuf>,
+    pub(crate) chaos_dir: Option<PathBuf>,
     /// `ARL_SPEED_WORKLOADS`: `bench_speed` workload subset.
-    pub speed_workloads: Option<Vec<String>>,
+    pub(crate) speed_workloads: Option<Vec<String>>,
     /// `ARL_SPEED_BASELINE`: the committed speed baseline to gate against.
-    pub speed_baseline: Option<PathBuf>,
+    pub(crate) speed_baseline: Option<PathBuf>,
 }
 
 impl Knobs {
     /// Reads and parses every knob (warnings go to stderr).
-    pub fn from_env() -> Knobs {
+    pub(crate) fn from_env() -> Knobs {
         let text = |name: &str| std::env::var(name).ok();
         let path = |name: &str| {
             std::env::var_os(name)
@@ -106,7 +106,7 @@ impl Knobs {
     }
 
     /// The experiment options these knobs select (default scale 1).
-    pub fn options(&self) -> ExperimentOptions {
+    pub(crate) fn options(&self) -> ExperimentOptions {
         ExperimentOptions::new(self.scale.unwrap_or_default(), self.threads)
             .with_trace(self.trace)
             .with_probe(self.probe)
@@ -246,7 +246,6 @@ fn speed_workloads_from_value(value: Option<&str>) -> Option<Vec<String>> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

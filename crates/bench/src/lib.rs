@@ -12,8 +12,8 @@
 //!   prediction cells decode each trace once for every scheme
 //!   (`ARL_TRACE=live` re-executes every cell instead; outputs are
 //!   byte-identical either way).
-//! * [`capture_trace`] / [`evaluate_trace`] / [`timing_trace`] — the
-//!   execute-once/replay-many building blocks for one workload.
+//! * [`capture_trace`] / [`timing_trace`] — the execute-once/replay-many
+//!   building blocks for one workload.
 //! * [`Pool`] — every binary fans its (workload × config) cells across a
 //!   scoped thread pool (`ARL_THREADS`; default all cores) and folds
 //!   results in cell order, so output is byte-identical to a serial run.
@@ -24,13 +24,13 @@
 //! * [`SuiteReport`] — structured [`RunRecord`]s per cell (tagged with a
 //!   capture/replay/execute `phase`), written by [`emit`] as
 //!   `BENCH_<experiment>.json` when `ARL_JSON` is set.
-//! * [`Knobs`] — every `ARL_*` knob (`ARL_SCALE`, an integer iteration
+//! * `Knobs` — every `ARL_*` knob (`ARL_SCALE`, an integer iteration
 //!   multiplier or `tiny` for smoke runs; `ARL_THREADS`; ...), read once
 //!   per binary with one warn-and-fallback contract.
 //! * [`timing_trace_probed`] / [`figure8_stalls`] — the opt-in
 //!   cycle-level observability layer: `ARL_PROBE=1` attaches an
 //!   `arl-timing` `Recorder` to every timing cell and additionally writes
-//!   `BENCH_<experiment>_probe.json` (schema [`PROBE_SCHEMA`]) without
+//!   `BENCH_<experiment>_probe.json` (schema `PROBE_SCHEMA`) without
 //!   perturbing any table or record.
 //!
 //! Run, e.g.:
@@ -50,36 +50,25 @@ mod runner;
 mod shard;
 mod speed;
 
-pub use backends::{backends_bench, run_backends_main, BackendsBenchRun, BACKENDS_SCHEMA};
-
-pub use chaos::{chaos_campaign, run_chaos_main, ChaosOptions, ChaosRun, CHAOS_SCHEMA};
-
-pub use knob::Knobs;
-
-pub use shard::{
-    replay_sharded, replay_sharded_supervised, run_shard_main, shard_bench_with, shard_identity,
-    shard_plan, stats_fingerprint, ShardBenchRun, ShardedReplay, DEFAULT_SNAPSHOT_INTERVAL,
-    SHARD_SCHEMA,
-};
-
-pub use speed::{
-    regressions_vs_baseline, run_speed_main, run_speed_suite, SpeedReport, SpeedRow,
-    MIN_SPEEDUP_RATIO, SPEED_SCHEMA,
-};
-
-pub use faults::{
-    campaign_identity, fault_campaign_with, run_faults_main, FaultCampaignRun, FAULTS_SCHEMA,
-};
-
+pub use backends::run_backends_main;
+pub use chaos::run_chaos_main;
 pub use experiments::{
     ablation_l1size, ablation_lvc, ablation_ports, ablation_recovery, ablation_twobit, figure2,
     figure4, figure5, figure8, figure8_stalls, probe, run_main, table1, table2, table3, table4,
     ExperimentOptions, ExperimentRun, TraceMode,
 };
-pub use runner::{
-    emit, timed_record, Checkpoint, JobFailure, LedgerView, Pool, RunIdentity, RunRecord,
-    SuiteFailures, SuiteReport, CHECKPOINT_SCHEMA, JSON_SCHEMA, PROBE_SCHEMA,
+pub use faults::{
+    campaign_identity, fault_campaign_with, run_faults_main, FaultCampaignRun, FAULTS_SCHEMA,
 };
+pub use runner::{
+    emit, Checkpoint, JobFailure, LedgerView, Pool, RunIdentity, RunRecord, SuiteReport,
+    JSON_SCHEMA,
+};
+pub use shard::{
+    replay_sharded, replay_sharded_supervised, run_shard_main, shard_plan, stats_fingerprint,
+    ShardedReplay,
+};
+pub use speed::run_speed_main;
 
 use arl_asm::Program;
 use arl_core::{EvalConfig, Evaluator, PredictionStats};
@@ -147,7 +136,7 @@ pub(crate) fn replayer<'a>(trace: &'a Trace, program: &'a Program, name: &str) -
 }
 
 /// Result of one prediction-accuracy run.
-pub struct EvalReport {
+pub(crate) struct EvalReport {
     /// Accuracy and per-source tallies.
     pub stats: PredictionStats,
     /// ARPT entries occupied, when an ARPT was configured.
@@ -161,7 +150,7 @@ pub struct EvalReport {
 /// # Panics
 ///
 /// Panics if the program fails to execute.
-pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> EvalReport {
+pub(crate) fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> EvalReport {
     let mut evaluator = Evaluator::new(config);
     let (metrics, _) = functional_pass(program, name, None, |e| evaluator.observe(e));
     EvalReport {
@@ -171,28 +160,10 @@ pub fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> Ev
     }
 }
 
-/// Replays a captured trace through a predictor configuration — the
-/// trace-driven twin of [`evaluate_program`], with zero functional
-/// re-execution. The replayed entry stream is bit-identical to live
-/// execution, so the resulting [`EvalReport`] is too.
-///
-/// # Panics
-///
-/// Panics if the trace does not replay cleanly against `program`.
-pub fn evaluate_trace(
-    program: &Program,
-    trace: &Trace,
-    name: &str,
-    config: EvalConfig,
-) -> EvalReport {
-    let mut reports = evaluate_trace_all(program, trace, name, [config]);
-    reports.pop().expect("one report per configuration")
-}
-
 /// Replays a captured trace once through every predictor configuration in
 /// `configs`: a single decode feeds all the evaluators, so a sweep of N
 /// schemes decodes the trace once instead of N times. Reports come back in
-/// `configs` order, each bit-identical to [`evaluate_trace`] with that
+/// `configs` order, each bit-identical to [`evaluate_program`] with that
 /// configuration alone.
 ///
 /// # Panics
@@ -261,12 +232,12 @@ pub fn timing_trace_probed(
 }
 
 /// Formats a count in millions with one decimal (Table 1 style).
-pub fn fmt_millions(n: u64) -> String {
+pub(crate) fn fmt_millions(n: u64) -> String {
     format!("{:.1}M", n as f64 / 1e6)
 }
 
 /// Formats a fraction as a percentage with `digits` decimals.
-pub fn fmt_pct(x: f64, digits: usize) -> String {
+pub(crate) fn fmt_pct(x: f64, digits: usize) -> String {
     format!("{:.digits$}%", 100.0 * x)
 }
 

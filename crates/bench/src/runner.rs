@@ -32,7 +32,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One job that panicked under [`Pool::try_map`].
+/// One job that panicked under `Pool::try_map`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct JobFailure {
     /// Job index in the input order.
@@ -51,7 +51,7 @@ impl JobFailure {
     }
 
     /// One-line stderr summary.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!("job {} failed: {}", self.index, self.message)
     }
 }
@@ -60,7 +60,7 @@ impl JobFailure {
 /// when at least one of them panicked: the completed cells are not lost
 /// to the first failure, and `run_main` turns this into per-job stderr
 /// lines plus a non-zero exit instead of a raw panic trace.
-pub struct SuiteFailures(pub Vec<JobFailure>);
+pub(crate) struct SuiteFailures(pub Vec<JobFailure>);
 
 impl std::fmt::Debug for SuiteFailures {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -84,8 +84,8 @@ const UNPOISONED: &str = "no job panics while a slot is locked";
 /// that panics would panic again and is never re-run.
 ///
 /// A panicking job is caught and every other job still runs; the failure
-/// surfaces as an `Err` in its slot ([`Pool::try_map`]) or, once all jobs
-/// are done, as a [`SuiteFailures`] panic ([`Pool::map`]).
+/// surfaces as an `Err` in its slot (`Pool::try_map`) or, once all jobs
+/// are done, as a `SuiteFailures` panic ([`Pool::map`]).
 pub struct Pool {
     threads: usize,
 }
@@ -105,7 +105,7 @@ impl Pool {
     ///
     /// If any job panics, the panic is caught, **every other job still
     /// runs to completion**, and this panics afterwards with a
-    /// [`SuiteFailures`] payload listing each failed job (`run_main`
+    /// `SuiteFailures` payload listing each failed job (`run_main`
     /// catches it and exits non-zero with a per-job summary).
     pub fn map<I: Sync, O: Send>(&self, items: &[I], f: impl Fn(&I) -> O + Sync) -> Vec<O> {
         let mut outputs = Vec::with_capacity(items.len());
@@ -128,7 +128,7 @@ impl Pool {
     ///
     /// One claim loop runs on up to `threads` scoped workers (inline when
     /// one would do), each worker claiming the next unclaimed index.
-    pub fn try_map<I: Sync, O: Send>(
+    pub(crate) fn try_map<I: Sync, O: Send>(
         &self,
         items: &[I],
         f: impl Fn(&I) -> O + Sync,
@@ -233,7 +233,7 @@ impl RunRecord {
 
 /// Times one cell body and stamps the elapsed wall clock into the record
 /// it returns.
-pub fn timed_record<T>(
+pub(crate) fn timed_record<T>(
     workload: &str,
     config: &str,
     body: impl FnOnce(&mut RunRecord) -> T,
@@ -259,7 +259,7 @@ pub struct SuiteReport {
     /// Per-cell records, in cell order.
     pub records: Vec<RunRecord>,
     /// Always empty, and not serialized: a failed cell ends the run
-    /// through [`Pool::map`]'s [`SuiteFailures`] panic before any report
+    /// through [`Pool::map`]'s `SuiteFailures` panic before any report
     /// exists. Kept because the repository benchmark
     /// (`benchmark/src/workloads.rs`) reads it.
     pub errors: Vec<JobFailure>,
@@ -271,7 +271,7 @@ pub struct SuiteReport {
 pub const JSON_SCHEMA: &str = "arl-bench/v2";
 
 /// `BENCH_*_probe.json` schema identifier (the `ARL_PROBE=1` payload).
-pub const PROBE_SCHEMA: &str = "arl-probe/v1";
+pub(crate) const PROBE_SCHEMA: &str = "arl-probe/v1";
 
 /// Writes `doc` as `file_name` under the `ARL_JSON` value `json`: inside
 /// the directory it names (an existing directory, or any path ending in
@@ -364,7 +364,7 @@ impl SuiteReport {
 }
 
 /// Ledger format tag; the first token of every v2 checkpoint header.
-pub const CHECKPOINT_SCHEMA: &str = "arl-ckpt/v2";
+pub(crate) const CHECKPOINT_SCHEMA: &str = "arl-ckpt/v2";
 
 /// Identity fingerprint of the sweep that owns a checkpoint ledger.
 ///
@@ -777,7 +777,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// I/O errors from the rewrite or from reopening the handle.
-    pub fn compact(&mut self) -> std::io::Result<()> {
+    pub(crate) fn compact(&mut self) -> std::io::Result<()> {
         let mut text = format!("{}\n", self.header);
         for (seq, key) in self.order.iter().enumerate() {
             let Some(payload) = self.done.get(key) else {

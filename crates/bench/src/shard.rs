@@ -38,12 +38,12 @@ use crate::runner::{end_main, scale_label, Checkpoint, RunIdentity};
 use crate::{functional_pass, timing_trace, ExperimentOptions};
 
 /// `BENCH_shard.json` schema identifier.
-pub const SHARD_SCHEMA: &str = "arl-shard/v1";
+pub(crate) const SHARD_SCHEMA: &str = "arl-shard/v1";
 
 /// Default `ARL_SNAPSHOT_INTERVAL`: one snapshot per million retired
 /// instructions — coarse enough to stay invisible in container size,
 /// fine enough that default-scale workloads shard into several segments.
-pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 1_000_000;
+pub(crate) const DEFAULT_SNAPSHOT_INTERVAL: u64 = 1_000_000;
 
 /// Groups `segments` trace segments into at most `shards` contiguous,
 /// balanced shard jobs. Returns `(start, end)` *boundary* pairs in
@@ -128,7 +128,7 @@ pub struct ShardedReplay {
     /// Shard jobs served from the checkpoint ledger instead of replayed.
     pub skipped: usize,
     /// Wall seconds per executed shard job, in execution order.
-    pub shard_walls: Vec<f64>,
+    pub(crate) shard_walls: Vec<f64>,
 }
 
 /// Replays `trace` as `shards` chained shard jobs, stitching the result.
@@ -320,7 +320,7 @@ pub fn replay_sharded_supervised(
 
 /// A finished shard benchmark: rendered text, the `arl-shard/v1`
 /// document, and whether stitched and serial results diverged.
-pub struct ShardBenchRun {
+pub(crate) struct ShardBenchRun {
     /// The exact bytes the binary prints to stdout.
     pub text: String,
     /// The `BENCH_shard.json` payload.
@@ -333,7 +333,7 @@ pub struct ShardBenchRun {
 /// scale, snapshot cadence, shard-job count, and — because recorded
 /// shard-state blobs are only meaningful for the exact capture they were
 /// replayed from — the sealed checksum of the trace container.
-pub fn shard_identity(
+pub(crate) fn shard_identity(
     workload: &str,
     config_name: &str,
     scale: &str,
@@ -361,7 +361,7 @@ pub fn shard_identity(
 /// # Errors
 ///
 /// Ledger I/O failures or an identity mismatch ([`Checkpoint::open`]).
-pub fn shard_bench_with(
+pub(crate) fn shard_bench_with(
     opts: &ExperimentOptions,
     workload_name: &str,
     shards: usize,
@@ -538,7 +538,7 @@ const SHARD_WORKLOAD: &str = "gcc";
 /// measure nothing.
 const SHARDS: usize = 3;
 
-/// The `bench_shard` binary's `main`: reads the [`Knobs`]
+/// The `bench_shard` binary's `main`: reads the `Knobs`
 /// (`ARL_CHECKPOINT` enables the kill-resume measurement), prints the
 /// comparison, emits `BENCH_shard.json` under `ARL_JSON`, and exits
 /// non-zero if stitched and serial diverge.
@@ -573,7 +573,6 @@ pub fn run_shard_main() {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

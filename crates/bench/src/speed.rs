@@ -41,10 +41,10 @@ use crate::INST_CAP;
 /// v3 (this version) times one event-vs-legacy pair per workload and
 /// records `identical` per row; v2 additionally timed traces carrying
 /// precomputed per-instruction model hints.
-pub const SPEED_SCHEMA: &str = "arl-speed/v3";
+pub(crate) const SPEED_SCHEMA: &str = "arl-speed/v3";
 
 /// One workload's measurement.
-pub struct SpeedRow {
+pub(crate) struct SpeedRow {
     /// Workload name.
     pub workload: String,
     /// Instructions replayed per timed run.
@@ -52,9 +52,9 @@ pub struct SpeedRow {
     /// Simulated cycles (identical on both cores, asserted).
     pub cycles: u64,
     /// Best-of-reps event-core throughput — the cell the gate tracks.
-    pub event_ips: f64,
+    pub(crate) event_ips: f64,
     /// Best-of-reps legacy-core throughput, the speedup's denominator.
-    pub legacy_ips: f64,
+    pub(crate) legacy_ips: f64,
     /// Both cores produced bit-identical `SimStats` (asserted at
     /// measurement time; recorded so the artifact carries the proof).
     pub identical: bool,
@@ -62,7 +62,7 @@ pub struct SpeedRow {
 
 impl SpeedRow {
     /// Event over legacy throughput.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         self.event_ips / self.legacy_ips
     }
 
@@ -80,7 +80,7 @@ impl SpeedRow {
 }
 
 /// The full benchmark result.
-pub struct SpeedReport {
+pub(crate) struct SpeedReport {
     /// Scale label the suite ran at.
     pub scale: Scale,
     /// Name of the machine config measured.
@@ -101,7 +101,7 @@ fn geomean(values: impl Iterator<Item = f64>) -> Option<f64> {
 
 impl SpeedReport {
     /// Suite-aggregate event throughput (total instructions / total time).
-    pub fn suite_event_ips(&self) -> f64 {
+    pub(crate) fn suite_event_ips(&self) -> f64 {
         let inst: u64 = self.rows.iter().map(|r| r.instructions).sum();
         let secs: f64 = self
             .rows
@@ -112,7 +112,7 @@ impl SpeedReport {
     }
 
     /// Suite-aggregate legacy throughput.
-    pub fn suite_legacy_ips(&self) -> f64 {
+    pub(crate) fn suite_legacy_ips(&self) -> f64 {
         let inst: u64 = self.rows.iter().map(|r| r.instructions).sum();
         let secs: f64 = self
             .rows
@@ -123,18 +123,18 @@ impl SpeedReport {
     }
 
     /// Suite-aggregate speedup (aggregate-throughput ratio).
-    pub fn suite_speedup(&self) -> f64 {
+    pub(crate) fn suite_speedup(&self) -> f64 {
         self.suite_event_ips() / self.suite_legacy_ips()
     }
 
     /// Suite geometric-mean speedup (every workload weighted equally —
     /// the acceptance number); `None` for an empty report.
-    pub fn suite_speedup_geomean(&self) -> Option<f64> {
+    pub(crate) fn suite_speedup_geomean(&self) -> Option<f64> {
         geomean(self.rows.iter().map(SpeedRow::speedup))
     }
 
     /// The `BENCH_speed.json` document.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut suite_pairs = vec![
             ("event_ips".to_string(), Json::from(self.suite_event_ips())),
             (
@@ -150,6 +150,7 @@ impl SpeedReport {
             ("schema", Json::from(SPEED_SCHEMA)),
             ("scale", Json::from(scale_label(self.scale))),
             ("config", Json::from(self.config_name.as_str())),
+            ("reps", Json::from(u64::from(SPEED_REPS))),
             (
                 "rows",
                 Json::Arr(self.rows.iter().map(SpeedRow::to_json).collect()),
@@ -167,7 +168,9 @@ fn reference_trace(entries: &[TraceEntry], config: &MachineConfig) -> SimStats {
 }
 
 /// How many rounds [`time_cores`] times each core; the best one counts.
-const SPEED_REPS: u32 = 2;
+/// The document records it as `reps`, so a regenerated baseline is timed
+/// the way the committed one was.
+const SPEED_REPS: u32 = 3;
 
 /// Times [`SPEED_REPS`] rounds of `entries` through the event core and the legacy
 /// reference core, alternating them (event, legacy, event, legacy, ...)
@@ -199,7 +202,7 @@ fn time_cores(entries: &[TraceEntry], config: &MachineConfig) -> [(f64, SimStats
 /// an unknown workload, or if the two cores' stats diverge (which would
 /// mean the event core is broken — the differential suite covers this,
 /// but a free check here keeps the committed baseline honest).
-pub fn run_speed_suite(scale: Scale, filter: Option<&[String]>) -> SpeedReport {
+pub(crate) fn run_speed_suite(scale: Scale, filter: Option<&[String]>) -> SpeedReport {
     let config = MachineConfig::decoupled(3, 3);
     let mut rows = Vec::new();
     let mut matched = 0usize;
@@ -254,7 +257,7 @@ pub fn run_speed_suite(scale: Scale, filter: Option<&[String]>) -> SpeedReport {
 
 /// The speed gate's floor: each workload's speedup must reach this share
 /// of the baseline's.
-pub const MIN_SPEEDUP_RATIO: f64 = 0.85;
+pub(crate) const MIN_SPEEDUP_RATIO: f64 = 0.85;
 
 /// Gates `report` against the committed baseline at `path`. Returns the
 /// offending rows.
@@ -263,7 +266,10 @@ pub const MIN_SPEEDUP_RATIO: f64 = 0.85;
 /// × the baseline speedup. Both cores share whatever load the machine is
 /// under, so the ratio cancels it — absolute throughput on a shared box
 /// swings ±30% with background load and would gate on the weather.
-pub fn regressions_vs_baseline(report: &SpeedReport, path: &Path) -> Result<Vec<String>, String> {
+pub(crate) fn regressions_vs_baseline(
+    report: &SpeedReport,
+    path: &Path,
+) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path);
     let path = path.display();
     let text = text.map_err(|e| format!("cannot read baseline {path}: {e}"))?;
@@ -310,9 +316,9 @@ pub fn regressions_vs_baseline(report: &SpeedReport, path: &Path) -> Result<Vec<
 }
 
 /// The `bench_speed` binary's `main`: times the suite with the
-/// environment's [`Knobs`], prints the table, emits `BENCH_speed.json`
+/// environment's `Knobs`, prints the table, emits `BENCH_speed.json`
 /// under `ARL_JSON`, and — with `ARL_SPEED_BASELINE` set — exits non-zero
-/// if any workload's speedup falls below [`MIN_SPEEDUP_RATIO`] of the
+/// if any workload's speedup falls below `MIN_SPEEDUP_RATIO` of the
 /// baseline's.
 pub fn run_speed_main() {
     let knobs = Knobs::from_env();
@@ -456,6 +462,31 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The committed baseline predates the `reps` field; the gate reads
+    /// only `schema` and each row's `speedup`, so it must keep passing a
+    /// run that matches the baseline's own speedups.
+    #[test]
+    fn committed_baseline_without_reps_is_accepted() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_speed.json");
+        let text = std::fs::read_to_string(&path).expect("committed baseline");
+        assert!(!text.contains("\"reps\""), "baseline gained a reps field");
+        let rows = Json::parse(&text).expect("baseline is JSON");
+        let rows = rows.get("rows").and_then(Json::as_array).expect("rows");
+        let run = report(
+            rows.iter()
+                .map(|r| {
+                    let speedup = r.get("speedup").and_then(Json::as_f64).expect("speedup");
+                    let name = r.get("workload").and_then(Json::as_str).expect("workload");
+                    row(name, speedup, 1.0)
+                })
+                .collect(),
+        );
+        assert_eq!(
+            regressions_vs_baseline(&run, &path).expect("gate runs"),
+            Vec::<String>::new()
+        );
+    }
+
     #[test]
     fn speedup_and_geomean() {
         let r = row("go", 8_000_000.0, 2_000_000.0);
@@ -468,6 +499,7 @@ mod tests {
         assert!((geo - 6.0).abs() < 1e-9, "geomean(4,9) = 6, got {geo}");
         let rendered = rep.to_json().render();
         assert!(rendered.contains("\"schema\":\"arl-speed/v3\""));
+        assert!(rendered.contains("\"reps\":3"));
         assert!(rendered.contains("\"identical\":true"));
         assert!(rendered.contains("\"speedup_geomean\""));
     }

@@ -246,7 +246,6 @@ mod tests {
     use super::*;
     use arl_isa::{Gpr, Inst, Width};
     use arl_sim::MemAccess;
-    use std::collections::HashMap;
 
     fn mem_entry(pc: u64, base: Gpr, region: Region, ghr: u64, ra: u64) -> TraceEntry {
         TraceEntry {
@@ -315,10 +314,11 @@ mod tests {
 
     #[test]
     fn hints_bypass_the_arpt() {
-        let mut tags = HashMap::new();
-        tags.insert(8u64, MemHint::Stack);
+        // A profile that saw pc 8 touch only the stack tags it Stack.
+        let mut profile = arl_sim::RegionProfiler::new();
+        profile.observe(&mem_entry(8, Gpr::A0, Region::Stack, 0, 0));
         let mut config = cfg(PredictorKind::OneBit);
-        config.hints = Some(HintTable::from_map(tags));
+        config.hints = Some(HintTable::from_profile(&profile));
         let mut e = Evaluator::new(config);
         for _ in 0..10 {
             e.observe(&mem_entry(8, Gpr::A0, Region::Stack, 0, 0));

@@ -20,18 +20,6 @@ pub enum StaticHint {
     Dynamic,
 }
 
-impl StaticHint {
-    /// Whether the addressing mode revealed the region (rules 1–3).
-    pub fn reveals(self) -> bool {
-        self != StaticHint::Dynamic
-    }
-
-    /// The predicted "is stack" bit; rule 4 defaults to non-stack.
-    pub fn predicts_stack(self) -> bool {
-        self == StaticHint::Stack
-    }
-}
-
 /// Applies the paper's four static-prediction rules to a memory
 /// instruction's addressing information.
 pub fn static_hint(mem: &MemOpInfo) -> StaticHint {
@@ -65,13 +53,5 @@ mod tests {
         assert_eq!(static_hint(&mem(Gpr::GP)), StaticHint::NonStack);
         assert_eq!(static_hint(&mem(Gpr::T0)), StaticHint::Dynamic);
         assert_eq!(static_hint(&mem(Gpr::A0)), StaticHint::Dynamic);
-    }
-
-    #[test]
-    fn dynamic_defaults_to_non_stack() {
-        assert!(!StaticHint::Dynamic.predicts_stack());
-        assert!(!StaticHint::Dynamic.reveals());
-        assert!(StaticHint::Stack.predicts_stack());
-        assert!(StaticHint::Stack.reveals());
     }
 }

@@ -7,7 +7,7 @@
 //! Two hint sources are provided, matching the paper:
 //!
 //! * [`HintTable::from_program`] — the Figure 6 static analysis
-//!   ([`classify_mem`]), computed over the storage-class knowledge
+//!   (`classify_mem`), computed over the storage-class knowledge
 //!   ([`Provenance`]) the program builder records (the builder plays the
 //!   role of the compiler front end).
 //! * [`HintTable::from_profile`] — profile-derived tags, the paper's upper
@@ -35,7 +35,7 @@ pub enum MemHint {
 
 impl MemHint {
     /// Whether the tag is definite (bypasses the predictor).
-    pub fn is_definite(self) -> bool {
+    pub(crate) fn is_definite(self) -> bool {
         self != MemHint::Unknown
     }
 }
@@ -50,7 +50,7 @@ impl MemHint {
 ///   function param → UNKNOWN; mixed → UNKNOWN;
 ///   all point to stack → STACK; all point to non-stack → NONSTACK.
 /// ```
-pub fn classify_mem(prov: Provenance) -> MemHint {
+pub(crate) fn classify_mem(prov: Provenance) -> MemHint {
     match prov {
         Provenance::LocalVar | Provenance::PointsToStack => MemHint::Stack,
         Provenance::StaticVar | Provenance::HeapBlock => MemHint::NonStack,
@@ -65,7 +65,7 @@ pub struct HintTable {
 }
 
 impl HintTable {
-    /// Builds hints by running [`classify_mem`] over every static memory
+    /// Builds hints by running `classify_mem` over every static memory
     /// instruction of a linked program (the realizable compiler analysis).
     pub fn from_program(program: &Program) -> HintTable {
         let tags = program
@@ -85,15 +85,10 @@ impl HintTable {
         HintTable { tags }
     }
 
-    /// Builds hints from explicit per-pc tags (tests, external tooling).
-    pub fn from_map(tags: HashMap<u64, MemHint>) -> HintTable {
-        HintTable { tags }
-    }
-
     /// The tag a region set collapses to: definite when the instruction
     /// stayed on one side of the stack / non-stack divide (`D`, `H` and
     /// `D/H` are all non-stack; only sets touching both sides are unknown).
-    pub fn tag_for(set: RegionSet) -> MemHint {
+    pub(crate) fn tag_for(set: RegionSet) -> MemHint {
         match (set.touches_stack(), set.touches_non_stack()) {
             (true, false) => MemHint::Stack,
             (false, true) => MemHint::NonStack,
@@ -102,7 +97,7 @@ impl HintTable {
     }
 
     /// The hint for the instruction at `pc` (`Unknown` when untagged).
-    pub fn hint(&self, pc: u64) -> MemHint {
+    pub(crate) fn hint(&self, pc: u64) -> MemHint {
         self.tags.get(&pc).copied().unwrap_or(MemHint::Unknown)
     }
 

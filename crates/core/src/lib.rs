@@ -43,6 +43,6 @@ pub mod hints;
 
 pub use arpt::{Arpt, Capacity, CounterScheme};
 pub use context::Context;
-pub use eval::{EvalConfig, Evaluator, PredictionStats, PredictorKind, Source};
+pub use eval::{EvalConfig, Evaluator, PredictionStats, PredictorKind, Source, SourceStats};
 pub use heuristic::{static_hint, StaticHint};
-pub use hints::{classify_mem, HintTable, MemHint};
+pub use hints::{HintTable, MemHint};

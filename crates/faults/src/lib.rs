@@ -7,7 +7,7 @@
 //!    fault — a trace-byte corruption/truncation ([`TraceFault`]) or a
 //!    materialized timing-layer fault ([`arl_timing::TimingFault`]:
 //!    ARPT soft errors, port blackouts, latency spikes). Planning is a
-//!    pure function of its inputs (a [`SplitMix64`] stream seeded from
+//!    pure function of its inputs (a `SplitMix64` stream seeded from
 //!    them); no wall clock, no global RNG — the same seed always yields
 //!    the same campaign.
 //! 2. **Plan syntax**: the `ARL_FAULT` environment variable
@@ -24,16 +24,16 @@ use arl_timing::{FaultKind, Route, TimingFault};
 /// Sebastiano Vigna's SplitMix64: a tiny, high-quality, seedable stream.
 /// Deterministic by construction — the only entropy is the caller's seed.
 #[derive(Clone, Debug)]
-pub struct SplitMix64(u64);
+pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {
     /// A stream seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
+    pub(crate) fn new(seed: u64) -> SplitMix64 {
         SplitMix64(seed)
     }
 
     /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -42,7 +42,7 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `[0, n)` (`0` when `n == 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
         } else {

@@ -21,24 +21,24 @@ use crate::inst::{AluOp, BranchCond, FAluOp, FCmpOp, Inst, Syscall, Width};
 use crate::reg::{Fpr, Gpr};
 
 mod op {
-    pub const NOP: u8 = 0;
-    pub const ALU: u8 = 1;
-    pub const ALUI: u8 = 2;
-    pub const LUI: u8 = 3;
-    pub const LOAD: u8 = 4;
-    pub const STORE: u8 = 5;
-    pub const FLOAD: u8 = 6;
-    pub const FSTORE: u8 = 7;
-    pub const FALU: u8 = 8;
-    pub const FCMP: u8 = 9;
-    pub const CVT_IF: u8 = 10;
-    pub const CVT_FI: u8 = 11;
-    pub const BRANCH: u8 = 12;
-    pub const JUMP: u8 = 13;
-    pub const JAL: u8 = 14;
-    pub const JR: u8 = 15;
-    pub const JALR: u8 = 16;
-    pub const SYS: u8 = 17;
+    pub(crate) const NOP: u8 = 0;
+    pub(super) const ALU: u8 = 1;
+    pub(crate) const ALUI: u8 = 2;
+    pub(crate) const LUI: u8 = 3;
+    pub(crate) const LOAD: u8 = 4;
+    pub(crate) const STORE: u8 = 5;
+    pub(crate) const FLOAD: u8 = 6;
+    pub(crate) const FSTORE: u8 = 7;
+    pub(crate) const FALU: u8 = 8;
+    pub(crate) const FCMP: u8 = 9;
+    pub(crate) const CVT_IF: u8 = 10;
+    pub(crate) const CVT_FI: u8 = 11;
+    pub(crate) const BRANCH: u8 = 12;
+    pub(crate) const JUMP: u8 = 13;
+    pub(crate) const JAL: u8 = 14;
+    pub(crate) const JR: u8 = 15;
+    pub(crate) const JALR: u8 = 16;
+    pub(crate) const SYS: u8 = 17;
 }
 
 /// An instruction word that could not be decoded.

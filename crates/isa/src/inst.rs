@@ -59,7 +59,7 @@ impl AluOp {
     ];
 
     /// Mnemonic stem (`"add"`, `"slt"`, ...).
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         match self {
             AluOp::Add => "add",
             AluOp::Sub => "sub",
@@ -75,11 +75,6 @@ impl AluOp {
             AluOp::Slt => "slt",
             AluOp::Sltu => "sltu",
         }
-    }
-
-    /// Whether the operation uses the long-latency multiply/divide unit.
-    pub const fn is_long_latency(self) -> bool {
-        matches!(self, AluOp::Mul | AluOp::Div | AluOp::Rem)
     }
 }
 
@@ -110,7 +105,7 @@ impl FAluOp {
     ];
 
     /// Mnemonic stem.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         match self {
             FAluOp::Add => "add.d",
             FAluOp::Sub => "sub.d",
@@ -120,11 +115,6 @@ impl FAluOp {
             FAluOp::Abs => "abs.d",
             FAluOp::Sqrt => "sqrt.d",
         }
-    }
-
-    /// Whether the operation uses the long-latency FP multiply/divide unit.
-    pub const fn is_long_latency(self) -> bool {
-        matches!(self, FAluOp::Mul | FAluOp::Div | FAluOp::Sqrt)
     }
 }
 
@@ -140,7 +130,7 @@ impl FCmpOp {
     pub(crate) const ALL: [FCmpOp; 3] = [FCmpOp::Lt, FCmpOp::Le, FCmpOp::Eq];
 
     /// Mnemonic stem.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         match self {
             FCmpOp::Lt => "c.lt.d",
             FCmpOp::Le => "c.le.d",
@@ -171,7 +161,7 @@ impl BranchCond {
     ];
 
     /// Mnemonic (`"beq"`, ...).
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         match self {
             BranchCond::Eq => "beq",
             BranchCond::Ne => "bne",
@@ -403,46 +393,7 @@ impl Inst {
         self.mem_op().map(|m| !m.is_load).unwrap_or(false)
     }
 
-    /// General-purpose registers read by the instruction.
-    pub fn gpr_sources(&self) -> Vec<Gpr> {
-        let mut v = Vec::with_capacity(2);
-        match *self {
-            Inst::Alu { rs, rt, .. } => {
-                v.push(rs);
-                v.push(rt);
-            }
-            Inst::AluI { rs, .. } => v.push(rs),
-            Inst::Lui { .. } => {}
-            Inst::Load { base, .. } | Inst::FLoad { base, .. } => v.push(base),
-            Inst::Store { rs, base, .. } => {
-                v.push(rs);
-                v.push(base);
-            }
-            Inst::FStore { base, .. } => v.push(base),
-            Inst::FAlu { .. } => {}
-            Inst::FCmp { .. } => {}
-            Inst::CvtIf { rs, .. } => v.push(rs),
-            Inst::CvtFi { .. } => {}
-            Inst::Branch { rs, rt, .. } => {
-                v.push(rs);
-                v.push(rt);
-            }
-            Inst::Jump { .. } | Inst::Jal { .. } => {}
-            Inst::Jr { rs } | Inst::Jalr { rs, .. } => v.push(rs),
-            Inst::Sys { call } => match call {
-                Syscall::Exit
-                | Syscall::Malloc
-                | Syscall::Free
-                | Syscall::PrintInt
-                | Syscall::PrintChar => v.push(Gpr::A0),
-            },
-            Inst::Nop => {}
-        }
-        v.retain(|r| *r != Gpr::ZERO);
-        v
-    }
-
-    /// [`Inst::gpr_sources`] without the heap allocation: writes the (at
+    /// General-purpose registers read by the instruction: writes the (at
     /// most two) source registers into `out` and returns how many, with
     /// `Gpr::ZERO` already filtered out.
     pub fn gpr_sources_into(&self, out: &mut [Gpr; 2]) -> usize {
@@ -505,21 +456,7 @@ impl Inst {
         (rd != Gpr::ZERO).then_some(rd)
     }
 
-    /// Floating-point registers read by the instruction.
-    pub fn fpr_sources(&self) -> Vec<Fpr> {
-        match *self {
-            Inst::FStore { fs, .. } => vec![fs],
-            Inst::FAlu { op, fs, ft, .. } => match op {
-                FAluOp::Neg | FAluOp::Abs | FAluOp::Sqrt => vec![fs],
-                _ => vec![fs, ft],
-            },
-            Inst::FCmp { fs, ft, .. } => vec![fs, ft],
-            Inst::CvtFi { fs, .. } => vec![fs],
-            _ => Vec::new(),
-        }
-    }
-
-    /// [`Inst::fpr_sources`] without the heap allocation: writes the (at
+    /// Floating-point registers read by the instruction: writes the (at
     /// most two) source registers into `out` and returns how many.
     pub fn fpr_sources_into(&self, out: &mut [Fpr; 2]) -> usize {
         match *self {
@@ -662,7 +599,7 @@ mod tests {
             rs: Gpr::ZERO,
             rt: Gpr::T2,
         };
-        assert_eq!(add.gpr_sources(), vec![Gpr::T2]);
+        assert_eq!(gprs(add), vec![Gpr::T2]);
     }
 
     fn gprs(inst: Inst) -> Vec<Gpr> {
@@ -888,14 +825,14 @@ mod tests {
             fs: Fpr::F1,
             ft: Fpr::F2,
         };
-        assert_eq!(neg.fpr_sources(), vec![Fpr::F1]);
+        assert_eq!(fprs(neg), vec![Fpr::F1]);
         let add = Inst::FAlu {
             op: FAluOp::Add,
             fd: Fpr::F0,
             fs: Fpr::F1,
             ft: Fpr::F2,
         };
-        assert_eq!(add.fpr_sources(), vec![Fpr::F1, Fpr::F2]);
+        assert_eq!(fprs(add), vec![Fpr::F1, Fpr::F2]);
     }
 
     #[test]

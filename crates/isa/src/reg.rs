@@ -17,9 +17,8 @@ impl Gpr {
     pub const ZERO: Gpr = Gpr(0);
     /// Assembler temporary.
     pub const AT: Gpr = Gpr(1);
-    /// Function result registers.
+    /// Function result register.
     pub const V0: Gpr = Gpr(2);
-    pub const V1: Gpr = Gpr(3);
     /// Argument registers.
     pub const A0: Gpr = Gpr(4);
     pub const A1: Gpr = Gpr(5);
@@ -46,9 +45,6 @@ impl Gpr {
     /// More caller-saved temporaries.
     pub const T8: Gpr = Gpr(24);
     pub const T9: Gpr = Gpr(25);
-    /// Reserved for the run-time system (unused by generated code).
-    pub const K0: Gpr = Gpr(26);
-    pub const K1: Gpr = Gpr(27);
     /// Global pointer: base register for data-segment accesses.
     pub const GP: Gpr = Gpr(28);
     /// Stack pointer.
@@ -57,9 +53,6 @@ impl Gpr {
     pub const FP: Gpr = Gpr(30);
     /// Return address (link register).
     pub const RA: Gpr = Gpr(31);
-
-    /// Number of general-purpose registers.
-    pub const COUNT: usize = 32;
 
     /// Creates a register from its index.
     ///
@@ -74,12 +67,6 @@ impl Gpr {
     /// The register's index, `0..32`.
     pub const fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Whether this register is one whose use as a base address reveals the
-    /// access region statically (`$zero`, `$gp`, `$sp`, `$fp`).
-    pub const fn reveals_region(self) -> bool {
-        matches!(self, Gpr::ZERO | Gpr::GP | Gpr::SP | Gpr::FP)
     }
 
     /// Iterator over all 32 registers in index order.
@@ -129,10 +116,6 @@ impl Fpr {
     pub const F9: Fpr = Fpr(9);
     pub const F10: Fpr = Fpr(10);
     pub const F11: Fpr = Fpr(11);
-    pub const F12: Fpr = Fpr(12);
-
-    /// Number of floating-point registers.
-    pub const COUNT: usize = 32;
 
     /// Creates a register from its index.
     ///
@@ -178,12 +161,6 @@ mod tests {
         assert_eq!(Gpr::SP.index(), 29);
         assert_eq!(Gpr::FP.index(), 30);
         assert_eq!(Gpr::RA.index(), 31);
-    }
-
-    #[test]
-    fn reveals_region_only_for_special_bases() {
-        let revealing: Vec<Gpr> = Gpr::all().filter(|r| r.reveals_region()).collect();
-        assert_eq!(revealing, vec![Gpr::ZERO, Gpr::GP, Gpr::SP, Gpr::FP]);
     }
 
     #[test]

@@ -45,7 +45,6 @@ impl Error for AllocError {}
 /// by the program. Addresses are 16-byte aligned.
 #[derive(Clone, Debug)]
 pub struct HeapAllocator {
-    heap_base: u64,
     heap_limit: u64,
     /// Top of the bump region; everything above is virgin.
     brk: u64,
@@ -55,8 +54,6 @@ pub struct HeapAllocator {
     live: BTreeMap<u64, u64>,
     /// Total bytes currently allocated.
     in_use: u64,
-    /// High-water mark of `brk`.
-    peak_brk: u64,
 }
 
 const ALIGN: u64 = 16;
@@ -65,13 +62,11 @@ impl HeapAllocator {
     /// Creates an allocator for the heap segment of `layout`.
     pub fn new(layout: &Layout) -> HeapAllocator {
         HeapAllocator {
-            heap_base: layout.heap_base(),
             heap_limit: layout.heap_limit(),
             brk: layout.heap_base(),
             free: BTreeMap::new(),
             live: BTreeMap::new(),
             in_use: 0,
-            peak_brk: layout.heap_base(),
         }
     }
 
@@ -108,7 +103,6 @@ impl HeapAllocator {
                 return Err(AllocError::OutOfMemory { requested: size });
             }
             self.brk = new_brk;
-            self.peak_brk = self.peak_brk.max(new_brk);
             addr
         };
         self.live.insert(addr, size);
@@ -151,27 +145,6 @@ impl HeapAllocator {
         }
         Ok(())
     }
-
-    /// Current break (exclusive upper bound of any address malloc has
-    /// handed out so far).
-    pub fn brk(&self) -> u64 {
-        self.brk
-    }
-
-    /// Highest break ever reached.
-    pub fn peak_brk(&self) -> u64 {
-        self.peak_brk
-    }
-
-    /// Bytes currently allocated.
-    pub fn bytes_in_use(&self) -> u64 {
-        self.in_use
-    }
-
-    /// The heap base this allocator serves.
-    pub fn heap_base(&self) -> u64 {
-        self.heap_base
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +161,7 @@ mod tests {
         let mut a = alloc();
         let p = a.malloc(10).unwrap();
         assert_eq!(p % ALIGN, 0);
-        assert!(p >= a.heap_base());
+        assert!(p >= Layout::default().heap_base());
         let q = a.malloc(10).unwrap();
         assert!(q >= p + 16, "blocks must not overlap");
     }
@@ -230,26 +203,64 @@ mod tests {
     fn freeing_top_block_lowers_brk() {
         let mut a = alloc();
         let p = a.malloc(128).unwrap();
-        let before = a.brk();
+        let before = a.brk;
         a.free(p).unwrap();
-        assert!(a.brk() < before);
-        assert_eq!(a.brk(), p);
+        assert!(a.brk < before);
+        assert_eq!(a.brk, p);
     }
 
     #[test]
     fn out_of_memory_is_reported() {
         let mut a = alloc();
-        let whole = a.heap_limit - a.heap_base;
+        let whole = a.heap_limit - Layout::default().heap_base();
         assert!(a.malloc(whole + ALIGN).is_err());
     }
 
     #[test]
     fn accounting_tracks_usage() {
         let mut a = alloc();
-        assert_eq!(a.bytes_in_use(), 0);
+        assert_eq!(a.in_use, 0);
         let p = a.malloc(100).unwrap();
-        assert_eq!(a.bytes_in_use(), HeapAllocator::round_up(100));
+        assert_eq!(a.in_use, HeapAllocator::round_up(100));
         a.free(p).unwrap();
-        assert_eq!(a.bytes_in_use(), 0);
+        assert_eq!(a.in_use, 0);
+    }
+
+    #[cfg(feature = "proptest-tests")]
+    proptest::proptest! {
+        /// A random mix of mallocs and frees never yields overlapping live
+        /// blocks, and every block stays inside the heap segment.
+        #[test]
+        fn allocator_blocks_never_overlap(
+            ops in proptest::collection::vec((proptest::prelude::any::<bool>(), 1u64..4096), 1..64),
+        ) {
+            let layout = Layout::default();
+            let mut a = HeapAllocator::new(&layout);
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            for (do_free, size) in ops {
+                if do_free && !live.is_empty() {
+                    let (addr, _) = live.swap_remove(0);
+                    a.free(addr).unwrap();
+                } else {
+                    let addr = a.malloc(size).unwrap();
+                    proptest::prop_assert!(addr >= layout.heap_base());
+                    proptest::prop_assert!(addr + size <= layout.heap_limit());
+                    for &(other, other_size) in &live {
+                        let disjoint = addr + size <= other || other + other_size <= addr;
+                        proptest::prop_assert!(
+                            disjoint,
+                            "{addr:#x}+{size} overlaps {other:#x}+{other_size}"
+                        );
+                    }
+                    live.push((addr, size));
+                }
+            }
+            // Free everything; usage must return to zero and brk to base.
+            for (addr, _) in live {
+                a.free(addr).unwrap();
+            }
+            proptest::prop_assert_eq!(a.in_use, 0);
+            proptest::prop_assert_eq!(a.brk, layout.heap_base());
+        }
     }
 }

@@ -55,7 +55,7 @@ impl Layout {
     }
 
     /// Base of the heap segment (lowest address `malloc` can return).
-    pub const fn heap_base(&self) -> u64 {
+    pub(crate) const fn heap_base(&self) -> u64 {
         self.heap_base
     }
 
@@ -70,7 +70,7 @@ impl Layout {
     }
 
     /// Exclusive upper bound of the heap segment.
-    pub const fn heap_limit(&self) -> u64 {
+    pub(crate) const fn heap_limit(&self) -> u64 {
         self.stack_base
     }
 

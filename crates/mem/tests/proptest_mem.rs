@@ -3,7 +3,7 @@
 #![cfg(feature = "proptest-tests")]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use arl_mem::{HeapAllocator, Layout, MemImage, Region};
+use arl_mem::{Layout, MemImage, Region};
 use proptest::prelude::*;
 
 proptest! {
@@ -38,35 +38,5 @@ proptest! {
         let mut m = MemImage::new();
         m.write_u64(addr, v);
         prop_assert_eq!(m.read_u64(addr), v);
-    }
-
-    /// Allocator: a random mix of mallocs and frees never yields overlapping
-    /// live blocks, and every block stays inside the heap segment.
-    #[test]
-    fn allocator_blocks_never_overlap(ops in proptest::collection::vec((any::<bool>(), 1u64..4096), 1..64)) {
-        let layout = Layout::default();
-        let mut a = HeapAllocator::new(&layout);
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        for (do_free, size) in ops {
-            if do_free && !live.is_empty() {
-                let (addr, _) = live.swap_remove(0);
-                a.free(addr).unwrap();
-            } else {
-                let addr = a.malloc(size).unwrap();
-                prop_assert!(addr >= layout.heap_base());
-                prop_assert!(addr + size <= layout.heap_limit());
-                for &(other, other_size) in &live {
-                    let disjoint = addr + size <= other || other + other_size <= addr;
-                    prop_assert!(disjoint, "{addr:#x}+{size} overlaps {other:#x}+{other_size}");
-                }
-                live.push((addr, size));
-            }
-        }
-        // Free everything; usage must return to zero and brk to base.
-        for (addr, _) in live {
-            a.free(addr).unwrap();
-        }
-        prop_assert_eq!(a.bytes_in_use(), 0);
-        prop_assert_eq!(a.brk(), layout.heap_base());
     }
 }

@@ -119,11 +119,6 @@ impl<'p> Machine<'p> {
         self.exited
     }
 
-    /// Instructions retired so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
-    }
-
     /// Values printed by `PrintInt`/`PrintChar` so far.
     pub fn output(&self) -> &[i64] {
         &self.output

@@ -14,7 +14,7 @@
 //!   dynamic share of multi-region instructions.
 //! * [`SlidingWindowProfiler`] reproduces Table 2's per-region
 //!   mean/standard-deviation window statistics.
-//! * [`characterize`] reproduces Table 1's instruction-mix columns.
+//! * [`WorkloadCharacter`] reproduces Table 1's instruction-mix columns.
 //!
 //! ```
 //! use arl_asm::{FunctionBuilder, ProgramBuilder};
@@ -42,7 +42,7 @@ mod window;
 
 pub use exec::{ExecError, Machine, RunOutcome};
 pub use metrics::Metrics;
-pub use profile::{characterize, RegionBreakdown, RegionProfiler, WorkloadCharacter};
+pub use profile::{RegionBreakdown, RegionProfiler, WorkloadCharacter};
 pub use trace::{EntrySliceSource, MemAccess, SourceError, TraceEntry, TraceSource};
 pub use window::{SlidingWindowProfiler, WindowStats};
 

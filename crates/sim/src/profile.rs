@@ -94,11 +94,6 @@ impl RegionProfiler {
         }
     }
 
-    /// Number of distinct static memory instructions seen.
-    pub fn static_instructions(&self) -> usize {
-        self.per_pc.len()
-    }
-
     /// Iterates `(pc, region-set, dynamic-count)` for every static memory
     /// instruction — the per-instruction ground truth the compiler-hint
     /// evaluation uses as its profile input.
@@ -179,15 +174,6 @@ impl WorkloadCharacter {
     }
 }
 
-/// One-shot characterization of a trace stream (Table 1 columns).
-pub fn characterize<'a, I: IntoIterator<Item = &'a TraceEntry>>(entries: I) -> WorkloadCharacter {
-    let mut c = WorkloadCharacter::default();
-    for e in entries {
-        c.observe(e);
-    }
-    c
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -234,7 +220,7 @@ mod tests {
         p.observe(&entry(16, Some(Region::Heap), true));
         p.observe(&entry(24, None, false)); // non-mem, ignored
         let b = p.breakdown();
-        assert_eq!(p.static_instructions(), 2);
+        assert_eq!(p.iter().count(), 2);
         assert_eq!(b.static_counts[2], 1); // "S"
         assert_eq!(b.static_counts[3], 1); // "D/H"
         assert_eq!(b.dynamic_counts[2], 3);
@@ -252,7 +238,10 @@ mod tests {
             entry(24, None, false),
             entry(32, Some(Region::Heap), true),
         ];
-        let c = characterize(&entries);
+        let mut c = WorkloadCharacter::default();
+        for e in &entries {
+            c.observe(e);
+        }
         assert_eq!(c.instructions, 4);
         assert_eq!(c.loads, 2);
         assert_eq!(c.stores, 1);

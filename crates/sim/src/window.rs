@@ -25,7 +25,7 @@ pub struct WindowStats {
     /// `[data, heap, stack]` moments of the per-cycle in-window counts.
     pub per_region: [Moments; 3],
     /// `[data, heap, stack]` exact count distributions.
-    pub distributions: [Histogram; 3],
+    pub(crate) distributions: [Histogram; 3],
 }
 
 impl WindowStats {
@@ -61,7 +61,7 @@ impl WindowStats {
     /// # Panics
     ///
     /// Panics on [`Region::Text`], which has no data-access statistics.
-    pub fn distribution(&self, region: Region) -> &Histogram {
+    pub(crate) fn distribution(&self, region: Region) -> &Histogram {
         &self.distributions[Self::index(region)]
     }
 

@@ -86,7 +86,7 @@ impl PlannedIoFault {
 }
 
 /// Parses a comma-separated `ARL_IO_FAULT` plan (see crate docs).
-pub fn parse_io_plan(value: &str) -> Result<Vec<PlannedIoFault>, String> {
+pub(crate) fn parse_io_plan(value: &str) -> Result<Vec<PlannedIoFault>, String> {
     let mut plan = Vec::new();
     for raw in value.split(',') {
         let spec = raw.trim();
@@ -143,19 +143,6 @@ static PLAN: Mutex<PlanState> = Mutex::new(PlanState {
     plan: Vec::new(),
 });
 static OPS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of durable operations this process has issued so far.
-pub fn ops_used() -> u64 {
-    OPS.load(Ordering::SeqCst)
-}
-
-/// Installs a fault plan directly, overriding any `ARL_IO_FAULT` value.
-/// Meant for in-process tests; supervisors configure children via env.
-pub fn install_io_plan(plan: Vec<PlannedIoFault>) {
-    let mut state = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    state.armed = true;
-    state.plan = plan;
-}
 
 fn fault_for(op: u64) -> Option<IoFault> {
     let mut state = PLAN.lock().unwrap_or_else(|e| e.into_inner());
@@ -346,7 +333,7 @@ fn sync_parent_dir(path: &Path) {
 }
 
 /// Deterministic sibling temp path for an atomic publication of `path`.
-pub fn temp_path_for(path: &Path) -> PathBuf {
+pub(crate) fn temp_path_for(path: &Path) -> PathBuf {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -403,6 +390,18 @@ mod tests {
     /// Fault-plan state and the op counter are process-global; serialize
     /// the tests that arm plans so indices stay predictable.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Number of durable operations this process has issued so far.
+    fn ops_used() -> u64 {
+        OPS.load(Ordering::SeqCst)
+    }
+
+    /// Installs a fault plan directly, overriding any `ARL_IO_FAULT` value.
+    fn install_io_plan(plan: Vec<PlannedIoFault>) {
+        let mut state = PLAN.lock().unwrap_or_else(|e| e.into_inner());
+        state.armed = true;
+        state.plan = plan;
+    }
 
     fn temp_file(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("arl-sink-test-{}", std::process::id()));

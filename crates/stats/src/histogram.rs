@@ -89,7 +89,7 @@ impl Histogram {
     }
 
     /// The largest value observed, or `None` when empty.
-    pub fn max_value(&self) -> Option<usize> {
+    pub(crate) fn max_value(&self) -> Option<usize> {
         if self.bins.is_empty() {
             None
         } else {

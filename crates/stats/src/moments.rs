@@ -50,7 +50,7 @@ impl Moments {
     }
 
     /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

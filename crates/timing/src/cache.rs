@@ -77,7 +77,7 @@ impl Cache {
 
     /// Accesses `addr`: returns `true` on hit. On miss the line is filled
     /// (lock-up-free: the fill itself costs no extra port time here; the
-    /// latency is charged by [`MemSystem`]).
+    /// latency is charged by `MemSystem`).
     pub fn access(&mut self, addr: u64) -> bool {
         self.use_clock += 1;
         let clock = self.use_clock;
@@ -482,7 +482,7 @@ fn route_index(route: Route) -> usize {
 /// shared L2, and main memory, with per-cycle bandwidth accounting and
 /// bounded MSHRs for the first-level structures.
 #[derive(Clone, Debug)]
-pub struct MemSystem {
+pub(crate) struct MemSystem {
     dcache: Cache,
     lvc: Option<Cache>,
     backend: Backend,
@@ -509,7 +509,7 @@ impl MemSystem {
     /// Builds the hierarchy described by `config`. Degenerate port/bank
     /// counts are clamped with a warning ([`CacheConfig::sanitized`])
     /// rather than silently aliasing banks.
-    pub fn new(config: &MachineConfig) -> MemSystem {
+    pub(crate) fn new(config: &MachineConfig) -> MemSystem {
         let dcache_cfg = config.dcache.sanitized("dcache");
         let lvc_cfg = config.lvc.map(|c| c.sanitized("lvc"));
         MemSystem {
@@ -544,7 +544,7 @@ impl MemSystem {
 
     /// Starts a new cycle: all per-cycle bandwidth becomes free and
     /// completed misses release their MSHRs.
-    pub fn new_cycle(&mut self) {
+    pub(crate) fn new_cycle(&mut self) {
         self.now += 1;
         let now = self.now;
         self.dcache_bw.new_cycle();
@@ -617,7 +617,7 @@ impl MemSystem {
 
     /// Ids of injected port faults whose active window was entered during
     /// the run (attribution for the fault campaign).
-    pub fn faults_triggered(&self) -> &[u32] {
+    pub(crate) fn faults_triggered(&self) -> &[u32] {
         &self.faults_triggered
     }
 
@@ -626,7 +626,7 @@ impl MemSystem {
     /// release (miss return), or a fault window opening or closing. The
     /// event-driven core may fast-forward a provably idle span up to (but
     /// not past) this cycle; `None` means nothing is scheduled.
-    pub fn next_event_after(&self, now: u64) -> Option<u64> {
+    pub(crate) fn next_event_after(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut consider = |at: u64| {
             if at > now {
@@ -665,7 +665,7 @@ impl MemSystem {
     /// step. Only valid across spans with no accesses and no fault-window
     /// boundaries (the event-driven core guarantees both): bandwidth state
     /// is already idle, so only the clock and elapsed MSHR releases move.
-    pub fn fast_forward(&mut self, to: u64) {
+    pub(crate) fn fast_forward(&mut self, to: u64) {
         debug_assert!(to >= self.now, "memory time never moves backwards");
         self.now = to;
         release_due(&mut self.dcache_mshrs, to);
@@ -676,7 +676,7 @@ impl MemSystem {
     /// (bandwidth only; MSHR availability is checked at access time, since
     /// it only matters for misses). [`Route::Lvc`] on a machine without an
     /// LVC is answered for the data cache, which serves such accesses.
-    pub fn port_available(&self, route: Route, addr: u64) -> bool {
+    pub(crate) fn port_available(&self, route: Route, addr: u64) -> bool {
         if !self.port_faults.is_empty() && self.blacked_out(self.effective_route(route)) {
             return false;
         }
@@ -696,7 +696,7 @@ impl MemSystem {
     /// this cycle: it would miss and every MSHR is occupied. Read-only (no
     /// LRU update, no bandwidth claim) — used by the stall-attribution
     /// probe.
-    pub fn mshr_would_block(&self, route: Route, addr: u64) -> bool {
+    pub(crate) fn mshr_would_block(&self, route: Route, addr: u64) -> bool {
         let (cache, mshrs) = match self.effective_route(route) {
             Route::DataCache => (&self.dcache, &self.dcache_mshrs),
             Route::Lvc => match self.lvc.as_ref() {
@@ -717,7 +717,7 @@ impl MemSystem {
     ///
     /// Callers must check [`Self::port_available`] first; debug builds
     /// assert it (the release hot loop skips the duplicate probe).
-    pub fn access(&mut self, route: Route, addr: u64) -> Option<u64> {
+    pub(crate) fn access(&mut self, route: Route, addr: u64) -> Option<u64> {
         debug_assert!(
             self.port_available(route, addr),
             "no bandwidth on {route:?}"
@@ -784,47 +784,36 @@ impl MemSystem {
     }
 
     /// L1 data-cache statistics.
-    pub fn dcache_stats(&self) -> CacheStats {
+    pub(crate) fn dcache_stats(&self) -> CacheStats {
         self.dcache.stats()
     }
 
     /// LVC statistics, if present.
-    pub fn lvc_stats(&self) -> Option<CacheStats> {
+    pub(crate) fn lvc_stats(&self) -> Option<CacheStats> {
         self.lvc.as_ref().map(Cache::stats)
     }
 
     /// L2 statistics.
-    pub fn l2_stats(&self) -> CacheStats {
+    pub(crate) fn l2_stats(&self) -> CacheStats {
         self.backend.l2_stats()
     }
 
     /// Hit/miss counters of the configured backend device (stacked cache
     /// fills, or burst row hits vs row opens); `None` when the backend
     /// keeps no such state (baseline, stacked flat memory).
-    pub fn stacked_stats(&self) -> Option<CacheStats> {
+    pub(crate) fn stacked_stats(&self) -> Option<CacheStats> {
         self.backend.stacked_stats()
     }
 
-    /// The memory backend this hierarchy was built with.
-    pub fn backend_kind(&self) -> BackendConfig {
-        self.backend.kind
-    }
-
-    /// Bandwidth-denied access starts on the data cache (bank conflicts,
-    /// MSHR exhaustion).
-    pub fn dcache_conflicts(&self) -> u64 {
-        self.dcache_bw.conflicts
-    }
-
     /// LVC-routed accesses served by the data cache because no LVC exists.
-    pub fn steer_fallbacks(&self) -> u64 {
+    pub(crate) fn steer_fallbacks(&self) -> u64 {
         self.steer_fallbacks
     }
 
     /// Bandwidth claims made so far this cycle, as `(dcache, lvc)`; the LVC
     /// count is 0 on a machine without one. Feeds the per-port utilization
     /// histograms of the observability probe.
-    pub fn claims_this_cycle(&self) -> (usize, usize) {
+    pub(crate) fn claims_this_cycle(&self) -> (usize, usize) {
         (
             self.dcache_bw.claims_this_cycle,
             self.lvc_bw.as_ref().map_or(0, |bw| bw.claims_this_cycle),
@@ -1140,7 +1129,7 @@ mod tests {
     fn baseline_backend_matches_the_paper_chain() {
         let config = MachineConfig::baseline_2_0().with_backend(BackendConfig::Baseline);
         let mut m = MemSystem::new(&config);
-        assert_eq!(m.backend_kind(), BackendConfig::Baseline);
+        assert_eq!(m.backend.kind, BackendConfig::Baseline);
         m.new_cycle();
         assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2 + 12 + 50));
         assert!(m.stacked_stats().is_none());

@@ -49,7 +49,7 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// Table 4's L1 data cache: 64 KB, 2-way, 32 B lines, 2-cycle hit,
     /// ideal multi-porting (the paper's assumption).
-    pub fn l1_data(ports: usize, hit_latency: u64) -> CacheConfig {
+    pub(crate) fn l1_data(ports: usize, hit_latency: u64) -> CacheConfig {
         CacheConfig {
             size_bytes: 64 * 1024,
             assoc: 2,
@@ -95,7 +95,7 @@ impl CacheConfig {
     /// or not a power of two would silently alias banks; a zero port count
     /// would deny every access forever. Every constructor in this module
     /// produces valid values, so sanitizing them is a no-op.
-    pub fn sanitized(mut self, what: &str) -> CacheConfig {
+    pub(crate) fn sanitized(mut self, what: &str) -> CacheConfig {
         if let PortModel::Banked { banks } = self.port_model {
             let clamped = if banks == 0 {
                 1
@@ -236,7 +236,7 @@ pub struct MachineConfig {
     /// Load Store Queue entries.
     pub lsq_size: usize,
     /// Local Variable Access Queue entries (used when `lvc` is set).
-    pub lvaq_size: usize,
+    pub(crate) lvaq_size: usize,
     /// Integer ALUs.
     pub int_alus: usize,
     /// FP ALUs.

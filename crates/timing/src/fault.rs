@@ -69,7 +69,7 @@ pub enum FaultKind {
 impl TimingFault {
     /// Whether this fault targets the memory-port layer (and is therefore
     /// owned by the [`crate::MemSystem`] rather than the pipeline).
-    pub fn is_port_fault(&self) -> bool {
+    pub(crate) fn is_port_fault(&self) -> bool {
         matches!(
             self.kind,
             FaultKind::PortBlackout { .. } | FaultKind::LatencySpike { .. }

@@ -55,14 +55,12 @@ mod state;
 mod valuepred;
 mod wheel;
 
-pub use cache::{Cache, CacheStats, MemSystem, Route};
+pub use cache::{Cache, CacheStats, Route};
 pub use config::{BackendConfig, CacheConfig, MachineConfig, PortModel, RecoveryMode};
 pub use fault::{FaultKind, TimingFault};
 pub use metrics::SimStats;
 pub use pipeline::{SegmentRun, TimingSim};
 pub use probe::{CycleObs, NullProbe, Probe, Recorder, StallCause};
-pub use valuepred::StridePredictor;
-pub use wheel::EventWheel;
 
 /// The reference implementation: the pre-event-wheel core that ticks
 /// every cycle. [`TimingSim`] is the one production timing loop; this

@@ -34,11 +34,11 @@ pub struct SimStats {
     pub queue_stall_cycles: u64,
     /// LVC-routed accesses served by the data cache because the machine
     /// has no LVC (dispatch steering on a conventional config).
-    pub steer_fallbacks: u64,
+    pub(crate) steer_fallbacks: u64,
     /// Confident value predictions.
     pub value_predictions: u64,
     /// Correct confident value predictions.
-    pub value_pred_correct: u64,
+    pub(crate) value_pred_correct: u64,
     /// Peak-RSS proxy for the simulated program: bytes resident in the
     /// functional machine's sparse memory image at the end of the run.
     /// Captured traces carry the value in their footer, so replayed runs

@@ -708,22 +708,6 @@ impl TimingSim {
     pub fn run_trace(entries: &[TraceEntry], config: &MachineConfig) -> SimStats {
         TimingSim::run_trace_probed(entries, config, NullProbe).0
     }
-
-    /// Replays one shard segment without a probe; see
-    /// [`TimingSim::run_segment_probed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates source errors and rejects corrupt or mismatched resume
-    /// state as [`SourceError::Corrupt`].
-    pub fn run_segment<S: TraceSource>(
-        source: &mut S,
-        config: &MachineConfig,
-        resume: Option<&[u8]>,
-        final_segment: bool,
-    ) -> Result<SegmentRun, SourceError> {
-        TimingSim::run_segment_probed(source, config, resume, final_segment, NullProbe)
-    }
 }
 
 impl<P: Probe> TimingSim<P> {
@@ -778,11 +762,7 @@ impl<P: Probe> TimingSim<P> {
     ///
     /// Panics if the program fails functionally — workloads are
     /// deterministic, so that is a harness bug, not a timing condition.
-    pub fn run_program_probed(
-        program: &Program,
-        config: &MachineConfig,
-        probe: P,
-    ) -> (SimStats, P) {
+    fn run_program_probed(program: &Program, config: &MachineConfig, probe: P) -> (SimStats, P) {
         let mut machine = Machine::new(program);
         TimingSim::run_source_probed(&mut machine, config, probe)
             .unwrap_or_else(|e| panic!("functional execution failed: {e}"))
@@ -963,12 +943,8 @@ impl<P: Probe> TimingSim<P> {
         })
     }
 
-    /// [`TimingSim::run_trace`] with an attached probe (useful for tests).
-    pub fn run_trace_probed(
-        entries: &[TraceEntry],
-        config: &MachineConfig,
-        probe: P,
-    ) -> (SimStats, P) {
+    /// [`TimingSim::run_trace`] with an attached probe.
+    fn run_trace_probed(entries: &[TraceEntry], config: &MachineConfig, probe: P) -> (SimStats, P) {
         let mut source = EntrySliceSource::new(entries);
         TimingSim::run_source_probed(&mut source, config, probe)
             .unwrap_or_else(|e| panic!("slice sources cannot fail: {e}"))

@@ -21,12 +21,15 @@
 //! holds for every run — asserted by the integration tests.
 //!
 //! ```
+//! use arl_sim::EntrySliceSource;
 //! use arl_timing::{MachineConfig, Recorder, StallCause, TimingSim};
 //!
-//! let (stats, rec) =
-//!     TimingSim::run_trace_probed(&[], &MachineConfig::baseline_2_0(), Recorder::new());
+//! let mut source = EntrySliceSource::new(&[]);
+//! let config = MachineConfig::baseline_2_0();
+//! let (stats, rec) = TimingSim::run_source_probed(&mut source, &config, Recorder::new())?;
 //! let attributed: u64 = StallCause::ALL.iter().map(|&c| rec.stall_cycles(c)).sum();
 //! assert_eq!(rec.useful_cycles() + attributed, stats.cycles);
+//! # Ok::<(), arl_sim::SourceError>(())
 //! ```
 
 use arl_stats::{Histogram, Json};
@@ -193,41 +196,6 @@ impl Recorder {
         self.stalls.iter().sum()
     }
 
-    /// ROB-occupancy histogram (one sample per cycle).
-    pub fn rob_occupancy(&self) -> &Histogram {
-        &self.rob_occupancy
-    }
-
-    /// Issue-width-utilization histogram (instructions issued per cycle).
-    pub fn issue_util(&self) -> &Histogram {
-        &self.issue_util
-    }
-
-    /// Commit-width-utilization histogram (instructions retired per cycle).
-    pub fn commit_util(&self) -> &Histogram {
-        &self.commit_util
-    }
-
-    /// LSQ-depth histogram (one sample per cycle).
-    pub fn lsq_depth(&self) -> &Histogram {
-        &self.lsq_depth
-    }
-
-    /// LVAQ-depth histogram (one sample per cycle).
-    pub fn lvaq_depth(&self) -> &Histogram {
-        &self.lvaq_depth
-    }
-
-    /// Data-cache claims-per-cycle histogram.
-    pub fn dcache_claims(&self) -> &Histogram {
-        &self.dcache_claims
-    }
-
-    /// LVC claims-per-cycle histogram.
-    pub fn lvc_claims(&self) -> &Histogram {
-        &self.lvc_claims
-    }
-
     /// Folds another recorder into this one (aggregation across workloads).
     pub fn merge(&mut self, other: &Recorder) {
         self.cycles += other.cycles;
@@ -332,7 +300,7 @@ mod tests {
         assert_eq!(rec.total_stall_cycles(), 1);
         assert_eq!(rec.stall_cycles(StallCause::MemLatency), 1);
         assert_eq!(rec.useful_cycles() + rec.total_stall_cycles(), rec.cycles());
-        assert_eq!(rec.rob_occupancy().total(), 2);
+        assert_eq!(rec.rob_occupancy.total(), 2);
     }
 
     #[test]
@@ -355,7 +323,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.cycles(), 3);
         assert_eq!(a.stall_cycles(StallCause::FuFull), 3);
-        assert_eq!(a.issue_util().total(), 3);
+        assert_eq!(a.issue_util.total(), 3);
     }
 
     #[test]

@@ -17,7 +17,7 @@ struct Entry {
 /// pc. Only confident predictions are acted upon (the paper follows
 /// Lipasti et al.'s confidence/prediction/verification structure).
 #[derive(Clone, Debug)]
-pub struct StridePredictor {
+pub(crate) struct StridePredictor {
     entries: Vec<Entry>,
     mask: u64,
     predictions: u64,
@@ -26,7 +26,7 @@ pub struct StridePredictor {
 
 impl StridePredictor {
     /// Creates a predictor with `2^log2_entries` entries.
-    pub fn new(log2_entries: u32) -> StridePredictor {
+    pub(crate) fn new(log2_entries: u32) -> StridePredictor {
         let n = 1usize << log2_entries;
         StridePredictor {
             entries: vec![Entry::default(); n],
@@ -37,7 +37,7 @@ impl StridePredictor {
     }
 
     /// The Table 4 configuration: 16K entries.
-    pub fn table4() -> StridePredictor {
+    pub(crate) fn table4() -> StridePredictor {
         StridePredictor::new(14)
     }
 
@@ -45,15 +45,9 @@ impl StridePredictor {
         ((pc >> 3) & self.mask) as usize
     }
 
-    /// Returns the predicted value if the entry is confident.
-    pub fn predict(&self, pc: u64) -> Option<i64> {
-        let e = &self.entries[self.index(pc)];
-        (e.confidence >= 2).then(|| e.last.wrapping_add(e.stride))
-    }
-
     /// Verifies a prior prediction against the actual value and trains the
     /// entry; returns whether a confident prediction was made *and* correct.
-    pub fn update(&mut self, pc: u64, actual: i64) -> bool {
+    pub(crate) fn update(&mut self, pc: u64, actual: i64) -> bool {
         let idx = self.index(pc);
         let e = &mut self.entries[idx];
         let predicted = (e.confidence >= 2).then(|| e.last.wrapping_add(e.stride));
@@ -77,12 +71,12 @@ impl StridePredictor {
     }
 
     /// Confident predictions made so far.
-    pub fn predictions(&self) -> u64 {
+    pub(crate) fn predictions(&self) -> u64 {
         self.predictions
     }
 
     /// Fraction of confident predictions that were correct.
-    pub fn accuracy(&self) -> f64 {
+    pub(crate) fn accuracy(&self) -> f64 {
         if self.predictions == 0 {
             1.0
         } else {
@@ -111,6 +105,14 @@ impl StridePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StridePredictor {
+        /// The value `update` would verify against, if the entry is confident.
+        fn predict(&self, pc: u64) -> Option<i64> {
+            let e = &self.entries[self.index(pc)];
+            (e.confidence >= 2).then(|| e.last.wrapping_add(e.stride))
+        }
+    }
 
     #[test]
     fn learns_a_stride() {

@@ -10,7 +10,7 @@
 //! bulk.
 //!
 //! Correctness rests on two invariants, both enforced here and checked by
-//! the property suite (`tests/proptest_wheel.rs`):
+//! the property tests below:
 //!
 //! 1. **Never skip past a pending event.** [`EventWheel::upcoming`] returns
 //!    the exact minimum of every scheduled cycle still in the future, so a
@@ -48,7 +48,7 @@ const WINDOW: usize = 256;
 /// dedupe for free, and nothing needs clearing as the horizon moves.
 /// Events farther out go to a (rarely used) min-heap.
 #[derive(Clone, Debug)]
-pub struct EventWheel {
+pub(crate) struct EventWheel {
     /// `ring[c % WINDOW] == c` ⇔ a wake-up is scheduled at cycle `c`, for
     /// `c` in `(horizon, horizon + WINDOW]`. Other values are stale.
     ring: Box<[u64]>,
@@ -70,14 +70,14 @@ impl Default for EventWheel {
 
 impl EventWheel {
     /// Creates an empty wheel at horizon 0.
-    pub fn new() -> EventWheel {
+    pub(crate) fn new() -> EventWheel {
         EventWheel::default()
     }
 
     /// Schedules a wake-up at cycle `at`. Events at or before the horizon
     /// (already due) and the `u64::MAX` "no cycle" sentinel are discarded.
     #[inline]
-    pub fn schedule(&mut self, at: u64) {
+    pub(crate) fn schedule(&mut self, at: u64) {
         if at > self.horizon && at != NO_CYCLE {
             if at - self.horizon <= WINDOW as u64 {
                 self.ring[at as usize & (WINDOW - 1)] = at;
@@ -90,7 +90,7 @@ impl EventWheel {
     /// Advances the horizon to `now`, retiring every event at or before
     /// it. The horizon never moves backwards.
     #[inline]
-    pub fn advance_to(&mut self, now: u64) {
+    pub(crate) fn advance_to(&mut self, now: u64) {
         if now > self.horizon {
             self.horizon = now;
         }
@@ -108,7 +108,7 @@ impl EventWheel {
     /// The earliest scheduled cycle strictly after the horizon, or `None`
     /// when nothing is pending. Scans the ring window (only ever called on
     /// provably idle cycles, once per fast-forwarded span).
-    pub fn upcoming(&self) -> Option<u64> {
+    pub(crate) fn upcoming(&self) -> Option<u64> {
         let ring_min = (self.horizon + 1..=self.horizon + WINDOW as u64)
             .find(|&c| self.ring[c as usize & (WINDOW - 1)] == c);
         let over_min = self.overflow.peek().map(|&Reverse(at)| at);
@@ -118,17 +118,12 @@ impl EventWheel {
         }
     }
 
-    /// The current horizon (last cycle passed to [`EventWheel::advance_to`]).
-    pub fn horizon(&self) -> u64 {
-        self.horizon
-    }
-
     /// Every pending wake-up cycle — ring matches plus overflow contents
     /// (overflow duplicates included) — sorted ascending. Serialization
     /// support for sharded replay: re-[`EventWheel::schedule`]-ing the list
     /// on a fresh wheel advanced to the same horizon reconstructs an
     /// equivalent wheel.
-    pub fn pending(&self) -> Vec<u64> {
+    pub(crate) fn pending(&self) -> Vec<u64> {
         let mut v: Vec<u64> = (self.horizon + 1..=self.horizon + WINDOW as u64)
             .filter(|&c| self.ring[c as usize & (WINDOW - 1)] == c)
             .collect();
@@ -136,25 +131,26 @@ impl EventWheel {
         v.sort_unstable();
         v
     }
-
-    /// Number of distinct pending wake-up cycles (the ring dedupes
-    /// same-cycle schedules; overflow entries may still hold duplicates).
-    pub fn len(&self) -> usize {
-        let ring = (self.horizon + 1..=self.horizon + WINDOW as u64)
-            .filter(|&c| self.ring[c as usize & (WINDOW - 1)] == c)
-            .count();
-        ring + self.overflow.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventWheel {
+        /// Number of distinct pending wake-up cycles (the ring dedupes
+        /// same-cycle schedules; overflow entries may still hold duplicates).
+        fn len(&self) -> usize {
+            let ring = (self.horizon + 1..=self.horizon + WINDOW as u64)
+                .filter(|&c| self.ring[c as usize & (WINDOW - 1)] == c)
+                .count();
+            ring + self.overflow.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     #[test]
     fn returns_exact_minimum_of_future_events() {
@@ -199,7 +195,7 @@ mod tests {
         let mut w = EventWheel::new();
         w.advance_to(10);
         w.advance_to(3);
-        assert_eq!(w.horizon(), 10);
+        assert_eq!(w.horizon, 10);
         w.schedule(5);
         assert!(w.is_empty(), "events behind the horizon are dropped");
     }
@@ -232,5 +228,103 @@ mod tests {
         assert_eq!(w.upcoming(), Some(5000));
         w.advance_to(5000);
         assert!(w.is_empty());
+    }
+
+    #[cfg(feature = "proptest-tests")]
+    mod props {
+        use super::*;
+        use proptest::strategy::Strategy;
+
+        /// One random wheel interaction.
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            /// Schedule an event at an absolute cycle.
+            Schedule(u64),
+            /// Advance the horizon forward by this many cycles.
+            Advance(u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            proptest::prop_oneof![
+                (0u64..500).prop_map(Op::Schedule),
+                (0u64..40).prop_map(Op::Advance),
+            ]
+        }
+
+        /// Reference model: a plain sorted multiset of scheduled cycles plus the
+        /// same horizon rule, kept deliberately naive.
+        #[derive(Default)]
+        struct ModelWheel {
+            pending: Vec<u64>,
+            horizon: u64,
+        }
+
+        impl ModelWheel {
+            fn schedule(&mut self, at: u64) {
+                if at > self.horizon && at != u64::MAX {
+                    self.pending.push(at);
+                }
+            }
+
+            fn advance_to(&mut self, now: u64) {
+                if now > self.horizon {
+                    self.horizon = now;
+                }
+                self.pending.retain(|&at| at > self.horizon);
+            }
+
+            fn upcoming(&self) -> Option<u64> {
+                self.pending.iter().copied().min()
+            }
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The wheel tracks the reference model exactly: after any operation
+        /// sequence, `upcoming()` is the true minimum pending future event —
+        /// so fast-forwarding to `upcoming()` can never skip past an event.
+        #[test]
+        fn wheel_never_loses_or_reorders_events(ops in proptest::collection::vec(op(), 1..80)) {
+            let mut wheel = EventWheel::new();
+            let mut model = ModelWheel::default();
+            for o in ops {
+                match o {
+                    Op::Schedule(at) => {
+                        wheel.schedule(at);
+                        model.schedule(at);
+                    }
+                    Op::Advance(delta) => {
+                        let now = model.horizon.saturating_add(delta);
+                        wheel.advance_to(now);
+                        model.advance_to(now);
+                    }
+                }
+                proptest::prop_assert_eq!(wheel.upcoming(), model.upcoming());
+                proptest::prop_assert_eq!(wheel.horizon, model.horizon);
+                if let Some(next) = wheel.upcoming() {
+                    proptest::prop_assert!(next > wheel.horizon, "event at or before the horizon");
+                }
+            }
+        }
+
+        /// Events scheduled at or before the horizon are dropped and can never
+        /// surface later, even after further advances.
+        #[test]
+        fn wheel_never_schedules_into_the_past(
+            horizon in 1u64..1000,
+            offsets in proptest::collection::vec(0u64..50, 1..20),
+        ) {
+            let mut wheel = EventWheel::new();
+            wheel.advance_to(horizon);
+            for off in offsets {
+                wheel.schedule(horizon - off.min(horizon));
+            }
+            proptest::prop_assert_eq!(wheel.upcoming(), None);
+            wheel.advance_to(horizon + 1_000);
+            proptest::prop_assert_eq!(wheel.upcoming(), None);
+            proptest::prop_assert!(wheel.is_empty());
+        }
+        }
     }
 }

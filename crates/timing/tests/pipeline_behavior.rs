@@ -209,7 +209,7 @@ fn instructions_match_functional_run() {
     let outcome = m.run(10_000_000).unwrap();
     assert!(outcome.exited);
     let stats = TimingSim::run_program(&p, &MachineConfig::baseline_2_0());
-    assert_eq!(stats.instructions, m.retired());
+    assert_eq!(stats.instructions, m.metrics().instructions);
 }
 
 #[test]

@@ -103,7 +103,7 @@ fn ports_are_monotone_in_aggregate() {
         let mut prev = u64::MAX;
         for (i, ports) in [1usize, 2, 4, 16].into_iter().enumerate() {
             let stats = TimingSim::run_program(p, &MachineConfig::conventional(ports, 2));
-            assert_eq!(stats.instructions, machine.retired());
+            assert_eq!(stats.instructions, machine.metrics().instructions);
             assert!(
                 stats.cycles as f64 <= prev as f64 * 1.40,
                 "{ports} ports catastrophically slower: {} > {}",

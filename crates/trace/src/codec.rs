@@ -47,7 +47,7 @@ fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Appends `v` as an LEB128 varint (1–10 bytes).
-pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -64,7 +64,7 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// Returns `None` on a truncated or overlong (more than 64 payload bits)
 /// encoding.
 #[inline]
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     // Most deltas fit in one byte: take them without entering the loop.
     let &byte = bytes.get(*pos)?;
     if byte & 0x80 == 0 {
@@ -96,12 +96,12 @@ fn read_varint_multi(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 
 /// Zigzag-maps a signed delta onto an unsigned varint-friendly value
 /// (small magnitudes of either sign encode in few bytes).
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

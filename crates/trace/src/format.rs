@@ -86,7 +86,7 @@ use arl_sim::{Metrics, SourceError, TraceEntry};
 use crate::codec::{container_checksum, fnv1a64, read_varint, unzigzag, write_varint, zigzag};
 
 /// `"ARLT"`.
-pub const MAGIC: [u8; 4] = *b"ARLT";
+pub(crate) const MAGIC: [u8; 4] = *b"ARLT";
 /// The format version written and accepted; any other version is refused.
 pub const VERSION: u8 = 4;
 
@@ -134,7 +134,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Projects a full [`TraceEntry`] down to its encoded fields.
     #[inline]
-    pub fn from_entry(e: &TraceEntry) -> TraceEvent {
+    pub(crate) fn from_entry(e: &TraceEntry) -> TraceEvent {
         TraceEvent {
             pc: e.pc,
             next_pc: e.next_pc,
@@ -287,7 +287,7 @@ pub(crate) fn decode_event(
 /// Incremental trace encoder. Feed it every retired instruction in order,
 /// then [`finish`](TraceWriter::finish) with the run's final [`Metrics`].
 #[derive(Clone, Debug)]
-pub struct TraceWriter {
+pub(crate) struct TraceWriter {
     buf: Vec<u8>,
     state: DeltaState,
     count: u64,
@@ -299,7 +299,7 @@ pub struct TraceWriter {
 
 impl TraceWriter {
     /// Starts a trace for a program whose first retired pc is `entry_pc`.
-    pub fn new(entry_pc: u64) -> TraceWriter {
+    pub(crate) fn new(entry_pc: u64) -> TraceWriter {
         TraceWriter::with_snapshots(entry_pc, 0)
     }
 
@@ -307,7 +307,7 @@ impl TraceWriter {
     /// every `interval` events (0 disables snapshots). Snapshots are taken
     /// by [`record`](TraceWriter::record), which sees the replayed
     /// contexts; the raw [`push`](TraceWriter::push) path never snapshots.
-    pub fn with_snapshots(entry_pc: u64, interval: u64) -> TraceWriter {
+    pub(crate) fn with_snapshots(entry_pc: u64, interval: u64) -> TraceWriter {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
@@ -324,7 +324,7 @@ impl TraceWriter {
     /// Appends one event. Always inlined, so [`record`](TraceWriter::record)
     /// encodes straight from the entry without staging a [`TraceEvent`].
     #[inline(always)]
-    pub fn push(&mut self, e: &TraceEvent) {
+    pub(crate) fn push(&mut self, e: &TraceEvent) {
         let mut flags = 0u8;
         if e.mem_addr.is_some() {
             flags |= FLAG_MEM;
@@ -373,7 +373,7 @@ impl TraceWriter {
     /// the configured interval. The entry's sampled contexts (`ghr`,
     /// `ra`) *are* the replayer state about to deliver this event, so the
     /// snapshot is exactly what a segment replayer must resume with.
-    pub fn record(&mut self, e: &TraceEntry) {
+    pub(crate) fn record(&mut self, e: &TraceEntry) {
         if self.interval > 0 && self.count > 0 && self.count.is_multiple_of(self.interval) {
             let record = SnapshotRecord {
                 inst_index: self.count,
@@ -389,13 +389,8 @@ impl TraceWriter {
         self.push(&TraceEvent::from_entry(e));
     }
 
-    /// Events pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Seals the trace: snapshot section, footer, checksum.
-    pub fn finish(mut self, metrics: &Metrics) -> Trace {
+    pub(crate) fn finish(mut self, metrics: &Metrics) -> Trace {
         let snapshot_count = (self.snapshots.len() / SnapshotRecord::LEN) as u64;
         self.buf.extend_from_slice(&self.snapshots);
         self.buf.extend_from_slice(&self.interval.to_le_bytes());
@@ -560,11 +555,6 @@ impl Trace {
         file.read_to_end(&mut bytes)?;
         Trace::from_bytes(bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Consumes the trace, yielding the serialized container.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
     }
 
     /// The pc of the first retired instruction.

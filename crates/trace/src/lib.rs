@@ -8,8 +8,9 @@
 //! all of that wall-clock. This crate captures the stream once into a
 //! compact binary trace and replays it as many times as needed:
 //!
-//! * [`capture`] / [`capture_with`] execute a program functionally once
-//!   (optionally feeding profilers along the way) and return a [`Trace`];
+//! * [`capture`] / [`capture_snapshotted_with`] execute a program
+//!   functionally once (the latter feeding profilers along the way and
+//!   embedding snapshot records) and return a [`Trace`];
 //! * [`Trace`] is the validated `.arltrace` container (format version 4)
 //!   — delta+varint encoded events framed by a header and a footer, sealed
 //!   with [`container_checksum`], a word-wise FNV-1a that detects any
@@ -45,5 +46,5 @@ mod format;
 mod replay;
 
 pub use codec::{container_checksum, fnv1a64};
-pub use format::{SnapshotRecord, Trace, TraceEvent, TraceWriter, MAGIC, VERSION};
-pub use replay::{capture, capture_snapshotted, capture_snapshotted_with, capture_with, Replayer};
+pub use format::{SnapshotRecord, Trace, TraceEvent, VERSION};
+pub use replay::{capture, capture_snapshotted_with, Replayer};

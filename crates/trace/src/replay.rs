@@ -14,42 +14,15 @@ use crate::format::{decode_event, DeltaState, Trace, TraceWriter};
 ///
 /// Propagates the first [`ExecError`] from execution.
 pub fn capture(program: &Program, max_insts: u64) -> Result<Trace, ExecError> {
-    capture_with(program, max_insts, |_| {})
-}
-
-/// Like [`capture`], additionally passing every retired instruction to
-/// `visitor` — so profilers can ride along on the single functional
-/// execution instead of forcing a second one.
-///
-/// # Errors
-///
-/// Propagates the first [`ExecError`] from execution.
-pub fn capture_with<F: FnMut(&TraceEntry)>(
-    program: &Program,
-    max_insts: u64,
-    visitor: F,
-) -> Result<Trace, ExecError> {
-    capture_snapshotted_with(program, max_insts, 0, visitor)
+    capture_snapshotted_with(program, max_insts, 0, |_| {})
 }
 
 /// Like [`capture`], additionally embedding a snapshot record every
 /// `interval` retired instructions (0 disables snapshots), so the trace
 /// can later be replayed in independent segments via
-/// [`Replayer::open_span`].
-///
-/// # Errors
-///
-/// Propagates the first [`ExecError`] from execution.
-pub fn capture_snapshotted(
-    program: &Program,
-    max_insts: u64,
-    interval: u64,
-) -> Result<Trace, ExecError> {
-    capture_snapshotted_with(program, max_insts, interval, |_| {})
-}
-
-/// [`capture_snapshotted`] with a ride-along visitor (see
-/// [`capture_with`]).
+/// [`Replayer::open_span`], and passing every retired instruction to
+/// `visitor` — so profilers can ride along on the single functional
+/// execution instead of forcing a second one.
 ///
 /// # Errors
 ///
@@ -346,7 +319,7 @@ mod tests {
     fn segment_replay_concatenates_to_the_full_stream() {
         let spec = workload("compress").expect("compress workload");
         let program = spec.build(arl_workloads::Scale::tiny());
-        let trace = capture_snapshotted(&program, 50_000, 1_000).expect("capture");
+        let trace = capture_snapshotted_with(&program, 50_000, 1_000, |_| {}).expect("capture");
         assert!(trace.snapshot_count() >= 2, "workload too short to shard");
         assert_eq!(trace.snapshot_interval(), 1_000);
 
@@ -381,7 +354,7 @@ mod tests {
         let spec = workload("go").expect("go workload");
         let program = spec.build(arl_workloads::Scale::tiny());
         let mut seen = 0u64;
-        let trace = capture_with(&program, 10_000, |_| seen += 1).expect("capture");
+        let trace = capture_snapshotted_with(&program, 10_000, 0, |_| seen += 1).expect("capture");
         assert_eq!(seen, trace.event_count());
         assert!(seen > 0);
     }
@@ -409,7 +382,7 @@ mod tests {
 
     /// Seals `body` as a container of `count` events for `program`.
     fn raw_trace(program: &Program, body: &[u8], count: u64) -> Trace {
-        let mut bytes = crate::MAGIC.to_vec();
+        let mut bytes = crate::format::MAGIC.to_vec();
         bytes.push(crate::VERSION);
         bytes.extend_from_slice(&program.entry_pc().to_le_bytes());
         bytes.extend_from_slice(body);

@@ -83,7 +83,7 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let trace = Trace::from_events(entry_pc, &evs, &Metrics::default());
-        let mut bytes = trace.into_bytes();
+        let mut bytes = trace.as_bytes().to_vec();
         let at = (pick % bytes.len() as u64) as usize;
         bytes[at] ^= flip;
         prop_assert!(
@@ -99,7 +99,7 @@ proptest! {
         cut in 1usize..64,
     ) {
         let trace = Trace::from_events(entry_pc, &evs, &Metrics::default());
-        let bytes = trace.into_bytes();
+        let bytes = trace.as_bytes().to_vec();
         let keep = bytes.len().saturating_sub(cut);
         prop_assert!(Trace::from_bytes(bytes[..keep].to_vec()).is_err());
     }
@@ -116,7 +116,7 @@ proptest! {
         excess in 1u64..1 << 40,
     ) {
         let trace = Trace::from_events(entry_pc, &evs, &Metrics::default());
-        let mut bytes = trace.into_bytes();
+        let mut bytes = trace.as_bytes().to_vec();
         // Container layout: 13-byte header, body, 25-byte footer (leading
         // with the u64 LE event count), 8-byte checksum.
         let body_len = bytes.len() - 13 - 33;
@@ -141,7 +141,7 @@ proptest! {
         forged in 2u8..=255,
     ) {
         let trace = Trace::from_events(entry_pc, &evs, &Metrics::default());
-        let mut bytes = trace.into_bytes();
+        let mut bytes = trace.as_bytes().to_vec();
         let exited_at = bytes.len() - 9;
         bytes[exited_at] = forged;
         let seal_at = bytes.len() - 8;

@@ -32,7 +32,7 @@
 //! let workloads = suite();
 //! assert_eq!(workloads.len(), 12);
 //! let program = workloads[0].build(Scale::tiny());
-//! assert!(program.text_len() > 0);
+//! assert!(program.inst_at(program.entry_pc()).is_some());
 //! ```
 
 mod common;

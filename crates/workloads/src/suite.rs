@@ -30,7 +30,7 @@ impl Scale {
 
     /// Scales a default iteration count: multiplied by the factor, or
     /// divided by 8 (min 1) for [`Scale::tiny`].
-    pub fn apply(&self, default_iters: i64) -> i64 {
+    pub(crate) fn apply(&self, default_iters: i64) -> i64 {
         if self.0 == 0 {
             (default_iters / 8).max(1)
         } else {

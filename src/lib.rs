@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`isa`] | `arl-isa` | registers, instructions, encoding |
-//! | [`mem`] | `arl-mem` | layout, regions, memory image, allocator, TLB |
+//! | [`mem`] | `arl-mem` | layout, regions, memory image, allocator |
 //! | [`asm`] | `arl-asm` | program builder & linker |
 //! | [`sim`] | `arl-sim` | functional simulator & profilers |
 //! | [`trace`] | `arl-trace` | binary trace capture & replay |

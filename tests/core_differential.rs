@@ -36,7 +36,9 @@ fn assert_cores_agree(
     config: &MachineConfig,
     label: &str,
 ) -> arl::timing::SimStats {
-    let (event_stats, event_rec) = TimingSim::run_trace_probed(entries, config, Recorder::new());
+    let (event_stats, event_rec) =
+        TimingSim::run_source_probed(&mut EntrySliceSource::new(entries), config, Recorder::new())
+            .unwrap_or_else(|e| panic!("{label}: slice sources cannot fail: {e}"));
     let (legacy_stats, legacy_rec) =
         reference::run_probed(&mut EntrySliceSource::new(entries), config, Recorder::new())
             .unwrap_or_else(|e| panic!("{label}: slice sources cannot fail: {e}"));

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use arl::sim::functional_instructions_executed;
 use arl::timing::MachineConfig;
-use arl::trace::capture_snapshotted;
+use arl::trace::capture_snapshotted_with;
 use arl_bench::{
     campaign_identity, fault_campaign_with, replay_sharded, replay_sharded_supervised,
     stats_fingerprint, timing_trace, Checkpoint, ExperimentOptions, RunIdentity, FAULTS_SCHEMA,
@@ -123,7 +123,7 @@ fn sharded_kill_resume_is_exactly_once_and_bit_identical() {
     let program = workload("perl")
         .expect("perl workload")
         .build(Scale::tiny());
-    let trace = capture_snapshotted(&program, INST_CAP, 5_000).expect("capture perl");
+    let trace = capture_snapshotted_with(&program, INST_CAP, 5_000, |_| {}).expect("capture perl");
     assert!(trace.snapshot_count() >= 4, "need enough segments to shard");
     let config = MachineConfig::decoupled(3, 3);
 

@@ -14,12 +14,10 @@
 use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
 use arl::sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 use arl::stats::TableBuilder;
-use arl::timing::{BackendConfig, MachineConfig, SimStats, TimingSim};
-use arl::trace::{capture_snapshotted, fnv1a64, Replayer, Trace};
+use arl::timing::{BackendConfig, MachineConfig, NullProbe, SimStats, TimingSim};
+use arl::trace::{capture_snapshotted_with, fnv1a64, Replayer, Trace};
 use arl::workloads::{workload, Scale};
-use arl_bench::{
-    evaluate_trace, replay_sharded, shard_plan, stats_fingerprint, timing_trace_probed, INST_CAP,
-};
+use arl_bench::{replay_sharded, shard_plan, stats_fingerprint, timing_trace_probed, INST_CAP};
 
 /// Snapshot cadence for the differential traces. Every suite workload
 /// retires at least ~71k instructions at `Scale::tiny()`, so this yields
@@ -38,7 +36,7 @@ const PARKING_AXIS: [&str; 3] = ["tomcatv", "gcc", "m88ksim"];
 fn snapshotted(name: &str) -> (arl::asm::Program, Trace) {
     let spec = workload(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let program = spec.build(Scale::tiny());
-    let trace = capture_snapshotted(&program, INST_CAP, INTERVAL).expect("capture");
+    let trace = capture_snapshotted_with(&program, INST_CAP, INTERVAL, |_| {}).expect("capture");
     assert!(
         trace.snapshot_count() >= 2,
         "{name}: need at least 2 snapshots to shard meaningfully, got {}",
@@ -126,7 +124,13 @@ fn assert_prediction_stitches(name: &str, program: &arl::asm::Program, trace: &T
         capacity: Capacity::Entries(1 << 12),
         hints: None,
     };
-    let serial = evaluate_trace(program, trace, name, config.clone()).stats;
+    let mut serial = Evaluator::new(config.clone());
+    let mut replayer = Replayer::new(trace, program)
+        .unwrap_or_else(|e| panic!("{name}: serial replay rejected: {e}"));
+    serial
+        .consume(&mut replayer)
+        .unwrap_or_else(|e| panic!("{name}: serial evaluation failed: {e}"));
+    let serial = *serial.stats();
     let boundaries = trace.snapshot_count() + 1;
     for shards in SHARD_COUNTS {
         let mut evaluator = Evaluator::new(config.clone());
@@ -212,7 +216,7 @@ fn stitched_equals_serial_per_backend() {
 /// returns the refusal message.
 fn refusal(entries: &[TraceEntry], config: &MachineConfig, blob: &[u8]) -> String {
     let mut rest = EntrySliceSource::new(&entries[entries.len() / 2..]);
-    match TimingSim::run_segment(&mut rest, config, Some(blob), true) {
+    match TimingSim::run_segment_probed(&mut rest, config, Some(blob), true, NullProbe) {
         Err(SourceError::Corrupt(msg)) => msg,
         Err(e) => panic!("resume blob refused with the wrong error kind: {e}"),
         Ok(_) => panic!("resume blob was accepted"),
@@ -235,7 +239,7 @@ fn perl_entries() -> Vec<TraceEntry> {
 /// The non-final blob `config` exports after the first half of `entries`.
 fn midpoint_blob(entries: &[TraceEntry], config: &MachineConfig) -> Vec<u8> {
     let mut head = EntrySliceSource::new(&entries[..entries.len() / 2]);
-    TimingSim::run_segment(&mut head, config, None, false)
+    TimingSim::run_segment_probed(&mut head, config, None, false, NullProbe)
         .expect("first segment runs")
         .state
         .expect("a non-final segment exports its state")

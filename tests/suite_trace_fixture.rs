@@ -17,7 +17,7 @@
 //! ```
 
 use arl::sim::TraceSource;
-use arl::trace::{capture_snapshotted, Replayer, Trace, VERSION};
+use arl::trace::{capture_snapshotted_with, Replayer, Trace, VERSION};
 use arl::workloads::{workload, Scale};
 
 const FIXTURE: &str = concat!(
@@ -40,7 +40,7 @@ const PINNED_EVENTS: u64 = 71_251;
 fn capture_fixture_workload() -> Trace {
     let spec = workload("perl").expect("perl workload");
     let program = spec.build(Scale::tiny());
-    capture_snapshotted(&program, 200_000_000, SNAPSHOT_INTERVAL).expect("capture")
+    capture_snapshotted_with(&program, 200_000_000, SNAPSHOT_INTERVAL, |_| {}).expect("capture")
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn committed_instructions_match_the_functional_run() {
             let stats = TimingSim::run_program(&program, &config);
             assert_eq!(
                 stats.instructions,
-                m.retired(),
+                m.metrics().instructions,
                 "{name} on {}: timing commits exactly the functional stream",
                 config.name
             );
@@ -165,11 +165,14 @@ fn stall_attribution_accounts_for_every_cycle() {
     // committed) or attributed to exactly one stall cause — so the
     // recorder's tallies must reproduce the cycle count of the stats it
     // rode along with, on every (workload × config) cell.
+    use arl::stats::Json;
     use arl::timing::{Recorder, StallCause};
     for name in ["vortex", "swim"] {
         let program = workload(name).unwrap().build(Scale::tiny());
         for config in MachineConfig::figure8_suite() {
-            let (stats, rec) = TimingSim::run_program_probed(&program, &config, Recorder::new());
+            let (stats, rec) =
+                TimingSim::run_source_probed(&mut Machine::new(&program), &config, Recorder::new())
+                    .unwrap_or_else(|e| panic!("{name}: functional execution failed: {e}"));
             assert_eq!(
                 rec.cycles(),
                 stats.cycles,
@@ -185,8 +188,11 @@ fn stall_attribution_accounts_for_every_cycle() {
                 config.name
             );
             assert_eq!(
-                rec.commit_util().total(),
-                stats.cycles,
+                rec.to_json()
+                    .get("commit_util")
+                    .and_then(|h| h.get("total"))
+                    .and_then(Json::as_u64),
+                Some(stats.cycles),
                 "{name} on {}: one histogram sample per cycle",
                 config.name
             );

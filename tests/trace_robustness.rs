@@ -12,7 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arl::sim::{Metrics, SourceError};
 use arl::trace::{
-    capture_snapshotted, container_checksum, Replayer, SnapshotRecord, Trace, TraceEvent, VERSION,
+    capture_snapshotted_with, container_checksum, Replayer, SnapshotRecord, Trace, TraceEvent,
+    VERSION,
 };
 use arl::workloads::{workload, Scale};
 use proptest::prelude::*;
@@ -52,7 +53,9 @@ fn small_trace_bytes() -> Vec<u8> {
         output_values: 2,
         exited: true,
     };
-    Trace::from_events(0x10_000, &events, &metrics).into_bytes()
+    Trace::from_events(0x10_000, &events, &metrics)
+        .as_bytes()
+        .to_vec()
 }
 
 /// The golden fixture, truncated at every byte offset from 0 to len-1,
@@ -124,7 +127,8 @@ const SNAP_INTERVAL: u64 = 250;
 
 fn small_snapshotted() -> (arl::asm::Program, Trace) {
     let program = workload("go").expect("go workload").build(Scale::tiny());
-    let trace = capture_snapshotted(&program, SNAP_EVENTS, SNAP_INTERVAL).expect("capture");
+    let trace =
+        capture_snapshotted_with(&program, SNAP_EVENTS, SNAP_INTERVAL, |_| {}).expect("capture");
     assert_eq!(trace.event_count(), SNAP_EVENTS);
     assert_eq!(trace.snapshot_count(), (SNAP_EVENTS - 1) / SNAP_INTERVAL);
     (program, trace)
@@ -160,7 +164,7 @@ fn record_at(bytes: &[u8], i: usize) -> usize {
 #[test]
 fn snapshotted_trace_truncation_at_every_offset_is_rejected() {
     let (_, trace) = small_snapshotted();
-    let bytes = trace.into_bytes();
+    let bytes = trace.as_bytes().to_vec();
     assert!(Trace::from_bytes(bytes.clone()).is_ok());
     for len in 0..bytes.len() {
         expect_corrupt(
@@ -177,7 +181,7 @@ fn snapshotted_trace_truncation_at_every_offset_is_rejected() {
 fn snapshotted_trace_single_byte_flips_are_rejected() {
     let (_, trace) = small_snapshotted();
     let count = trace.snapshot_count() as usize;
-    let bytes = trace.into_bytes();
+    let bytes = trace.as_bytes().to_vec();
     for at in 0..bytes.len() {
         for mask in [0x01u8, 0x80, 0xFF] {
             let mut corrupt = bytes.clone();
@@ -202,7 +206,7 @@ fn snapshotted_trace_single_byte_flips_are_rejected() {
 fn resealed_trailer_forgeries_are_rejected_structurally() {
     let (_, trace) = small_snapshotted();
     let count = trace.snapshot_count();
-    let bytes = trace.into_bytes();
+    let bytes = trace.as_bytes().to_vec();
     let trailer = trailer_at(&bytes);
     let forge = |interval: u64, count: u64| {
         let mut forged = bytes.clone();
@@ -232,7 +236,7 @@ fn resealed_trailer_forgeries_are_rejected_structurally() {
 fn resealed_undercount_fails_every_snapshot_access() {
     let (program, trace) = small_snapshotted();
     let count = trace.snapshot_count();
-    let bytes = trace.into_bytes();
+    let bytes = trace.as_bytes().to_vec();
     let trailer = trailer_at(&bytes);
     let mut forged = bytes;
     forged[trailer + 8..trailer + 16].copy_from_slice(&(count - 1).to_le_bytes());
