@@ -24,7 +24,7 @@ use arl_sim::RegionProfiler;
 /// A per-instruction compiler tag: `MT_STACK`, `MT_NONSTACK`, or
 /// `MT_UNKNOWN` in the paper's Figure 6 vocabulary.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum MemHint {
+pub(crate) enum MemHint {
     /// The instruction always accesses the stack.
     Stack,
     /// The instruction never accesses the stack.

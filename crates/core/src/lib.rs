@@ -8,7 +8,7 @@
 //!
 //! The prediction pipeline, in the paper's priority order:
 //!
-//! 1. **Compiler hints** ([`hints`]) — when available, a stack/non-stack tag
+//! 1. **Compiler hints** ([`HintTable`]) — when available, a stack/non-stack tag
 //!    derived from the Figure 6 `classify_mem` analysis (or from a profile)
 //!    bypasses prediction entirely.
 //! 2. **Static addressing-mode heuristics** ([`static_hint`]) — `$zero`
@@ -39,10 +39,10 @@ mod arpt;
 mod context;
 mod eval;
 mod heuristic;
-pub mod hints;
+mod hints;
 
 pub use arpt::{Arpt, Capacity, CounterScheme};
 pub use context::Context;
 pub use eval::{EvalConfig, Evaluator, PredictionStats, PredictorKind, Source, SourceStats};
 pub use heuristic::{static_hint, StaticHint};
-pub use hints::{HintTable, MemHint};
+pub use hints::HintTable;
