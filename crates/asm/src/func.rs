@@ -88,7 +88,7 @@ impl FunctionBuilder {
     }
 
     /// The function's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -209,16 +209,6 @@ impl FunctionBuilder {
         self.alu(AluOp::Xor, rd, rs, rt);
     }
 
-    /// `rd = rs << rt`
-    pub fn sll(&mut self, rd: Gpr, rs: Gpr, rt: Gpr) {
-        self.alu(AluOp::Sll, rd, rs, rt);
-    }
-
-    /// `rd = rs >> rt` (logical)
-    pub fn srl(&mut self, rd: Gpr, rs: Gpr, rt: Gpr) {
-        self.alu(AluOp::Srl, rd, rs, rt);
-    }
-
     /// `rd = (rs < rt) as i64` (signed)
     pub fn slt(&mut self, rd: Gpr, rs: Gpr, rt: Gpr) {
         self.alu(AluOp::Slt, rd, rs, rt);
@@ -284,11 +274,6 @@ impl FunctionBuilder {
         if v & 0xffff != 0 {
             self.ori(rd, rd, (v & 0xffff) as u16 as i16);
         }
-    }
-
-    /// `nop`
-    pub fn nop(&mut self) {
-        self.push_inst(Inst::Nop);
     }
 
     // ---- memory ----------------------------------------------------------
@@ -560,7 +545,7 @@ impl FunctionBuilder {
     }
 
     /// `$v0 = malloc($a0)`; `$a0` must already hold the size.
-    pub fn malloc(&mut self) {
+    pub(crate) fn malloc(&mut self) {
         self.syscall(Syscall::Malloc);
     }
 
@@ -765,16 +750,16 @@ mod tests {
         let b = f.local(12);
         let c = f.local(8);
         assert_eq!(a.offset(), 0);
-        assert_eq!(a.size(), 8);
+        assert_eq!(a.size, 8);
         assert_eq!(b.offset(), 8);
-        assert_eq!(b.size(), 16);
+        assert_eq!(b.size, 16);
         assert_eq!(c.offset(), 24);
     }
 
     #[test]
     fn finalize_wraps_body_with_prologue_epilogue() {
         let mut f = FunctionBuilder::new("f");
-        f.nop();
+        f.push_inst(Inst::Nop);
         let (insts, prov, _) = f.finalize();
         assert_eq!(insts.len(), prov.len());
         // 4 prologue + body(1) + epilogue(ld fp, ld ra, addi sp, jr).
@@ -786,7 +771,7 @@ mod tests {
     fn ret_targets_epilogue() {
         let mut f = FunctionBuilder::new("f");
         f.ret();
-        f.nop();
+        f.push_inst(Inst::Nop);
         let (insts, _, labels) = f.finalize();
         // Exit label must point at the epilogue start (after prologue+body).
         let epilogue_start = labels[0].expect("exit label bound");

@@ -70,11 +70,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// The layout programs will be linked against.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
     fn align_data(&mut self, align: usize) {
         while !self.data.len().is_multiple_of(align) {
             self.data.push(0);
@@ -447,13 +442,13 @@ mod tests {
         let a = pb.global_zeroed("a", 100);
         let b = pb.global_words("b", &[1, 2, 3]);
         let c = pb.global_f64s("c", &[1.5]);
-        assert!(a.offset() + a.size() <= b.offset());
-        assert!(b.offset() + b.size() <= c.offset());
+        assert!(a.offset + a.size() <= b.offset);
+        assert!(b.offset + b.size() <= c.offset);
         assert_eq!(pb.globals.get("b").copied(), Some(b));
         pb.add_function(trivial_main());
         let p = pb.link("main").unwrap();
         // Initialized data visible in the image.
-        let off = b.offset() as usize;
+        let off = b.offset as usize;
         assert_eq!(
             i64::from_le_bytes(p.data_image()[off..off + 8].try_into().unwrap()),
             1

@@ -22,11 +22,6 @@ impl FrameSlot {
     pub fn offset(&self) -> i16 {
         self.offset
     }
-
-    /// Size of the slot in bytes.
-    pub fn size(&self) -> u32 {
-        self.size
-    }
 }
 
 /// A named object in the data segment, created by
@@ -39,11 +34,6 @@ pub struct GlobalRef {
 }
 
 impl GlobalRef {
-    /// Byte offset of the object from the data-segment base.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
     /// Size of the object in bytes.
     pub fn size(&self) -> u64 {
         self.size

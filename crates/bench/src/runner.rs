@@ -43,7 +43,7 @@ pub struct JobFailure {
 
 impl JobFailure {
     /// The `errors` array element for `BENCH_*.json` documents.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("index", Json::from(self.index)),
             ("message", Json::from(self.message.as_str())),
@@ -202,7 +202,7 @@ pub struct RunRecord {
 impl RunRecord {
     /// A record with everything optional unset; cells fill in what they
     /// measured.
-    pub fn new(workload: &str, config: &str) -> RunRecord {
+    pub(crate) fn new(workload: &str, config: &str) -> RunRecord {
         RunRecord {
             workload: workload.to_string(),
             config: config.to_string(),
@@ -315,7 +315,7 @@ pub(crate) fn end_main(knobs: &Knobs, text: &str, docs: &[(String, Json)], failu
 impl SuiteReport {
     /// An empty report for `experiment` (records are appended by the
     /// experiment driver).
-    pub fn new(experiment: &str, scale: Scale, threads: usize) -> SuiteReport {
+    pub(crate) fn new(experiment: &str, scale: Scale, threads: usize) -> SuiteReport {
         SuiteReport {
             experiment: experiment.to_string(),
             scale: scale_label(scale),
@@ -328,7 +328,7 @@ impl SuiteReport {
 
     /// Summed cell wall-clock spent functionally executing workloads
     /// (the `"execute"` and `"capture"` phases).
-    pub fn capture_seconds(&self) -> f64 {
+    pub(crate) fn capture_seconds(&self) -> f64 {
         self.records
             .iter()
             .filter(|r| r.phase != "replay")
@@ -337,7 +337,7 @@ impl SuiteReport {
     }
 
     /// Summed cell wall-clock spent replaying captured traces.
-    pub fn replay_seconds(&self) -> f64 {
+    pub(crate) fn replay_seconds(&self) -> f64 {
         self.records
             .iter()
             .filter(|r| r.phase == "replay")
@@ -529,7 +529,7 @@ pub struct LedgerView {
 
 impl LedgerView {
     /// Distinct completed keys (what a resume would skip).
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         let mut keys: Vec<&str> = self.entries.iter().map(|(k, _)| k.as_str()).collect();
         keys.sort_unstable();
         keys.dedup();

@@ -82,16 +82,6 @@ impl Arpt {
         }
     }
 
-    /// The paper's Table 4 configuration: 32K 1-bit entries, 8-bit GBH + 7-bit
-    /// CID hybrid context.
-    pub fn table4() -> Arpt {
-        Arpt::new(
-            CounterScheme::OneBit,
-            Context::HYBRID_8_7,
-            Capacity::Entries(1 << 15),
-        )
-    }
-
     /// The table key for the instruction at `pc` under run-time context
     /// `(ghr, ra)`: the word-pc XOR the configured [`Context`] value. This is
     /// the pure, capacity-independent part of the index computation, so a
@@ -242,14 +232,6 @@ impl Arpt {
         }
     }
 
-    /// Table capacity in entries (`None` when unlimited).
-    pub fn capacity(&self) -> Option<usize> {
-        match &self.storage {
-            Storage::Unlimited(_) => None,
-            Storage::Limited { table, .. } => Some(table.len()),
-        }
-    }
-
     /// Counted fetch-stage lookups.
     pub fn lookups(&self) -> u64 {
         self.lookups
@@ -278,16 +260,6 @@ impl Arpt {
                 occupied,
             } => Some((table, touched, occupied)),
         }
-    }
-
-    /// The configured context scheme.
-    pub fn context(&self) -> Context {
-        self.context
-    }
-
-    /// The configured counter scheme.
-    pub fn scheme(&self) -> CounterScheme {
-        self.scheme
     }
 }
 
@@ -359,7 +331,7 @@ mod tests {
             a.update(0x40_0000 + i * INST_BYTES, 0, 0, true);
         }
         assert!(a.occupied_entries() <= 4, "at most `capacity` entries");
-        assert_eq!(a.capacity(), Some(4));
+        assert!(matches!(&a.storage, Storage::Limited { table, .. } if table.len() == 4));
         // Every one of the 16 pcs now predicts stack through shared entries.
         for i in 0..16u64 {
             assert!(a.predict(0x40_0000 + i * INST_BYTES, 0, 0));
@@ -455,13 +427,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_capacity_panics() {
         let _ = Arpt::new(CounterScheme::OneBit, Context::None, Capacity::Entries(100));
-    }
-
-    #[test]
-    fn table4_configuration() {
-        let a = Arpt::table4();
-        assert_eq!(a.capacity(), Some(1 << 15));
-        assert_eq!(a.scheme(), CounterScheme::OneBit);
-        assert_eq!(a.context(), Context::HYBRID_8_7);
     }
 }

@@ -67,16 +67,6 @@ impl Context {
             }
         }
     }
-
-    /// Short label used in reports (`"1BIT-GBH"`-style suffixes).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Context::None => "",
-            Context::Gbh { .. } => "GBH",
-            Context::Cid { .. } => "CID",
-            Context::Hybrid { .. } => "HYBRID",
-        }
-    }
 }
 
 #[cfg(test)]

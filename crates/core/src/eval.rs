@@ -233,11 +233,6 @@ impl Evaluator {
     pub fn arpt_occupied(&self) -> Option<usize> {
         self.arpt.as_ref().map(Arpt::occupied_entries)
     }
-
-    /// The evaluated configuration.
-    pub fn config(&self) -> &EvalConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]

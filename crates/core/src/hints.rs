@@ -105,16 +105,6 @@ impl HintTable {
     pub fn definite_count(&self) -> usize {
         self.tags.values().filter(|t| t.is_definite()).count()
     }
-
-    /// Number of tags of any kind.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +145,7 @@ mod tests {
     #[test]
     fn unseen_pc_is_unknown() {
         let h = HintTable::default();
-        assert!(h.is_empty());
+        assert!(h.tags.is_empty());
         assert_eq!(h.hint(0x40_0000), MemHint::Unknown);
         assert_eq!(h.definite_count(), 0);
     }
@@ -175,7 +165,7 @@ mod tests {
         let p = pb.link("main").unwrap();
         let hints = HintTable::from_program(&p);
         let mem_count = p.static_mem_instructions().count();
-        assert_eq!(hints.len(), mem_count);
+        assert_eq!(hints.tags.len(), mem_count);
         // The param deref is the only unknown among the body accesses;
         // prologue/epilogue spills are all definite stack tags.
         assert_eq!(hints.definite_count(), mem_count - 1);

@@ -48,13 +48,6 @@ pub struct DecodeError {
     reason: &'static str,
 }
 
-impl DecodeError {
-    /// The undecodable word.
-    pub fn word(&self) -> u64 {
-        self.word
-    }
-}
-
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "cannot decode {:#018x}: {}", self.word, self.reason)
@@ -427,7 +420,7 @@ mod tests {
     fn unknown_opcode_is_rejected() {
         let err = decode(0xff00_0000_0000_0000).unwrap_err();
         assert!(err.to_string().contains("unknown opcode"));
-        assert_eq!(err.word(), 0xff00_0000_0000_0000);
+        assert_eq!(err.word, 0xff00_0000_0000_0000);
     }
 
     #[test]

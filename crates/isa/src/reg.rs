@@ -69,11 +69,6 @@ impl Gpr {
         self.0 as usize
     }
 
-    /// Iterator over all 32 registers in index order.
-    pub fn all() -> impl Iterator<Item = Gpr> {
-        (0..32).map(Gpr)
-    }
-
     const NAMES: [&'static str; 32] = [
         "zero", "at", "v0", "v1", "a0", "a1", "a2", "a3", "t0", "t1", "t2", "t3", "t4", "t5", "t6",
         "t7", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "t8", "t9", "k0", "k1", "gp", "sp",
@@ -81,7 +76,7 @@ impl Gpr {
     ];
 
     /// The conventional assembler name (`"sp"`, `"t0"`, ...).
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         Self::NAMES[self.0 as usize]
     }
 }
@@ -131,11 +126,6 @@ impl Fpr {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Iterator over all 32 registers in index order.
-    pub fn all() -> impl Iterator<Item = Fpr> {
-        (0..32).map(Fpr)
-    }
 }
 
 impl fmt::Debug for Fpr {
@@ -165,7 +155,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<&str> = Gpr::all().map(|r| r.name()).collect();
+        let mut names: Vec<&str> = (0..32).map(|i| Gpr(i).name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 32);

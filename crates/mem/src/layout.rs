@@ -34,7 +34,7 @@ pub struct Layout {
 
 impl Layout {
     /// Creates the standard layout pictured above.
-    pub const fn new() -> Layout {
+    pub(crate) const fn new() -> Layout {
         Layout {
             text_base: 0x0040_0000,
             data_base: 0x1000_0000,

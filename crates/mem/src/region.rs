@@ -32,11 +32,6 @@ impl Region {
             Region::Stack => "S",
         }
     }
-
-    /// The stack / non-stack dichotomy the ARPT predicts.
-    pub const fn is_stack(self) -> bool {
-        matches!(self, Region::Stack)
-    }
 }
 
 impl fmt::Display for Region {
@@ -96,18 +91,8 @@ impl RegionSet {
     }
 
     /// Whether the set contains `region`.
-    pub fn contains(self, region: Region) -> bool {
+    pub(crate) fn contains(self, region: Region) -> bool {
         self.0 & Self::bit(region) != 0
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of distinct regions in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
     }
 
     /// Whether any contained region is the stack.
@@ -144,13 +129,6 @@ impl RegionSet {
         RegionSet::CLASS_LABELS
             .iter()
             .position(|&l| l == self.label())
-    }
-
-    /// Iterator over the contained regions in D, H, S order.
-    pub fn iter(self) -> impl Iterator<Item = Region> {
-        Region::DATA_REGIONS
-            .into_iter()
-            .filter(move |&r| self.contains(r))
     }
 }
 
@@ -203,11 +181,11 @@ mod tests {
     #[test]
     fn single_region_detection() {
         let mut s = RegionSet::only(Region::Heap);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.0.count_ones(), 1);
         assert_eq!(s.label(), "H");
         s.insert(Region::Stack);
         assert_eq!(s.label(), "H/S");
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.0.count_ones(), 2);
     }
 
     #[test]
@@ -233,12 +211,5 @@ mod tests {
     #[should_panic(expected = "text is not a data access region")]
     fn text_is_rejected() {
         let _ = RegionSet::only(Region::Text);
-    }
-
-    #[test]
-    fn iter_in_order() {
-        let s: RegionSet = [Region::Stack, Region::Data].into_iter().collect();
-        let v: Vec<Region> = s.iter().collect();
-        assert_eq!(v, vec![Region::Data, Region::Stack]);
     }
 }

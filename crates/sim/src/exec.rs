@@ -63,7 +63,7 @@ pub struct RunOutcome {
 /// The functional machine: architectural registers, memory, heap, and the
 /// run-time contexts the predictors consume.
 ///
-/// Executes one instruction per [`Machine::step`], emitting a
+/// Executes one instruction per `step`, emitting a
 /// [`TraceEntry`]. This is the paper's profiling simulator and, because the
 /// timing model assumes a perfect front end, also the instruction feed for
 /// the cycle-level simulator in `arl-timing`.
@@ -104,34 +104,9 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The program being executed.
-    pub fn program(&self) -> &'p Program {
-        self.program
-    }
-
-    /// Current pc.
-    pub fn pc(&self) -> u64 {
-        self.pc
-    }
-
-    /// Whether the program has exited.
-    pub fn exited(&self) -> bool {
-        self.exited
-    }
-
     /// Values printed by `PrintInt`/`PrintChar` so far.
     pub fn output(&self) -> &[i64] {
         &self.output
-    }
-
-    /// Reads a GPR (for tests and debugging).
-    pub fn gpr(&self, r: Gpr) -> i64 {
-        self.gpr[r.index()]
-    }
-
-    /// Reads an architectural memory location (for tests and debugging).
-    pub fn mem(&self) -> &MemImage {
-        &self.mem
     }
 
     /// Snapshot of the run's counters (see [`crate::Metrics`]).
@@ -229,7 +204,7 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// See [`ExecError`].
-    pub fn step(&mut self) -> Result<Option<TraceEntry>, ExecError> {
+    pub(crate) fn step(&mut self) -> Result<Option<TraceEntry>, ExecError> {
         if self.exited {
             return Ok(None);
         }
@@ -641,7 +616,7 @@ mod tests {
         let p = pb.link("main").unwrap();
         let mut m = Machine::new(&p);
         m.run(1_000).unwrap();
-        assert!(m.exited());
+        assert!(m.exited);
         assert!(m.step().unwrap().is_none());
     }
 

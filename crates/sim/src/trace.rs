@@ -63,19 +63,9 @@ pub struct TraceEntry {
 }
 
 impl TraceEntry {
-    /// Whether this entry is a memory reference.
-    pub fn is_mem(&self) -> bool {
-        self.mem.is_some()
-    }
-
     /// Whether this entry is a load.
     pub fn is_load(&self) -> bool {
         self.mem.map(|m| m.is_load).unwrap_or(false)
-    }
-
-    /// Whether this entry is a store.
-    pub fn is_store(&self) -> bool {
-        self.mem.map(|m| !m.is_load).unwrap_or(false)
     }
 }
 

@@ -43,16 +43,6 @@ impl BarChart {
         self
     }
 
-    /// Number of bars (separators excluded).
-    pub fn len(&self) -> usize {
-        self.bars.iter().filter(|(_, v)| !v.is_nan()).count()
-    }
-
-    /// Whether the chart has no bars.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Renders the chart; bars scale to the maximum value.
     pub fn render(&self) -> String {
         let max = self
@@ -109,7 +99,6 @@ mod tests {
     fn gap_produces_blank_line() {
         let mut c = BarChart::new("t", 10);
         c.bar("a", 1.0).gap().bar("b", 2.0);
-        assert_eq!(c.len(), 2);
         assert_eq!(c.render().lines().count(), 4);
     }
 

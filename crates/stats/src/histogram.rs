@@ -77,7 +77,7 @@ impl Histogram {
     }
 
     /// Population standard deviation of the observations (0 when empty).
-    pub fn population_stddev(&self) -> f64 {
+    pub(crate) fn population_stddev(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -98,7 +98,7 @@ impl Histogram {
     }
 
     /// Iterates `(value, count)` pairs for non-empty bins.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.bins
             .iter()
             .enumerate()

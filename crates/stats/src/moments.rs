@@ -9,8 +9,6 @@ pub struct Moments {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Moments {
@@ -20,8 +18,6 @@ impl Moments {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -31,8 +27,6 @@ impl Moments {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -61,42 +55,6 @@ impl Moments {
     /// Population standard deviation — the paper's Table 2 burstiness metric.
     pub fn population_stddev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// The paper's "strictly bursty" predicate: mean < standard deviation.
@@ -133,8 +91,6 @@ mod tests {
         assert_eq!(m.count(), 8);
         assert!((m.mean() - 5.0).abs() < 1e-12);
         assert!((m.population_stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), 2.0);
-        assert_eq!(m.max(), 9.0);
     }
 
     #[test]
@@ -143,19 +99,6 @@ mod tests {
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.population_stddev(), 0.0);
         assert_eq!(m.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole: Moments = xs.iter().copied().collect();
-        let left: Moments = xs[..37].iter().copied().collect();
-        let mut merged = left;
-        let right: Moments = xs[37..].iter().copied().collect();
-        merged.merge(&right);
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.population_stddev() - whole.population_stddev()).abs() < 1e-9);
     }
 
     #[test]

@@ -58,16 +58,6 @@ impl TableBuilder {
         self
     }
 
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a header rule.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -136,8 +126,7 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = TableBuilder::new(&["x"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
+        assert!(t.rows.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 }

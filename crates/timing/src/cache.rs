@@ -40,7 +40,7 @@ impl CacheStats {
 /// A lock-up-free set-associative cache (tags only; data never matters to
 /// timing) with true-LRU replacement.
 #[derive(Clone, Debug)]
-pub struct Cache {
+pub(crate) struct Cache {
     config: CacheConfig,
     /// `sets[set][way] = (tag, last_use)`; `u64::MAX` tag = invalid.
     sets: Vec<Vec<(u64, u64)>>,
@@ -55,7 +55,7 @@ impl Cache {
     ///
     /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
     /// line size).
-    pub fn new(config: CacheConfig) -> Cache {
+    pub(crate) fn new(config: CacheConfig) -> Cache {
         assert!(config.line_bytes.is_power_of_two(), "line size must be 2^k");
         assert!(config.assoc > 0 && config.size_bytes > 0);
         let lines = config.size_bytes / config.line_bytes;
@@ -78,7 +78,7 @@ impl Cache {
     /// Accesses `addr`: returns `true` on hit. On miss the line is filled
     /// (lock-up-free: the fill itself costs no extra port time here; the
     /// latency is charged by `MemSystem`).
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.use_clock += 1;
         let clock = self.use_clock;
         let (set_idx, tag) = self.set_and_tag(addr);
@@ -107,18 +107,18 @@ impl Cache {
 
     /// Probes without updating LRU or filling (for MSHR pre-checks, tests
     /// and diagnostics).
-    pub fn probe(&self, addr: u64) -> bool {
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
         self.sets[set_idx].iter().any(|(t, _)| *t == tag)
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.config
     }
 

@@ -60,7 +60,7 @@ impl CacheConfig {
     }
 
     /// Table 4's L2 cache: 512 KB, 4-way, 12-cycle access.
-    pub fn l2() -> CacheConfig {
+    pub(crate) fn l2() -> CacheConfig {
         CacheConfig {
             size_bytes: 512 * 1024,
             assoc: 4,

@@ -55,7 +55,7 @@ mod state;
 mod valuepred;
 mod wheel;
 
-pub use cache::{Cache, CacheStats, Route};
+pub use cache::{CacheStats, Route};
 pub use config::{BackendConfig, CacheConfig, MachineConfig, PortModel, RecoveryMode};
 pub use fault::{FaultKind, TimingFault};
 pub use metrics::SimStats;

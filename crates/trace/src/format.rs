@@ -601,7 +601,7 @@ impl Trace {
     }
 
     /// The snapshot interval the trace was captured with (0 = none).
-    pub fn snapshot_interval(&self) -> u64 {
+    pub(crate) fn snapshot_interval(&self) -> u64 {
         read_u64_le(&self.bytes, self.trailer())
     }
 

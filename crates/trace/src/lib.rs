@@ -35,7 +35,7 @@
 //! let mut replayer = arl_trace::Replayer::new(&trace, &program)?;
 //! let mut mem_refs = 0u64;
 //! while let Some(entry) = replayer.next_entry()? {
-//!     mem_refs += entry.is_mem() as u64;
+//!     mem_refs += entry.mem.is_some() as u64;
 //! }
 //! assert_eq!(trace.metrics().instructions, trace.event_count());
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -159,11 +159,6 @@ impl<'a> Replayer<'a> {
             ra,
         })
     }
-
-    /// Entries left to deliver.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
 }
 
 impl TraceSource for Replayer<'_> {
