@@ -686,7 +686,8 @@ impl TimingSim {
     /// Panics if the program fails functionally — workloads are
     /// deterministic, so that is a harness bug, not a timing condition.
     pub fn run_program(program: &Program, config: &MachineConfig) -> SimStats {
-        TimingSim::run_program_probed(program, config, NullProbe).0
+        TimingSim::run_source(&mut Machine::new(program), config)
+            .unwrap_or_else(|e| panic!("functional execution failed: {e}"))
     }
 
     /// Runs any [`TraceSource`] — a live [`Machine`] or a trace replayer —
@@ -753,19 +754,6 @@ impl<P: Probe> TimingSim<P> {
             config: config.clone(),
             probe,
         }
-    }
-
-    /// [`TimingSim::run_program`] with an attached probe; returns the probe
-    /// alongside the statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program fails functionally — workloads are
-    /// deterministic, so that is a harness bug, not a timing condition.
-    fn run_program_probed(program: &Program, config: &MachineConfig, probe: P) -> (SimStats, P) {
-        let mut machine = Machine::new(program);
-        TimingSim::run_source_probed(&mut machine, config, probe)
-            .unwrap_or_else(|e| panic!("functional execution failed: {e}"))
     }
 
     /// [`TimingSim::run_source`] with an attached probe: the probe observes
