@@ -36,9 +36,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Clone, PartialEq, Debug)]
 pub struct JobFailure {
     /// Job index in the input order.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The panic message.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl JobFailure {
@@ -255,7 +255,7 @@ pub struct SuiteReport {
     /// Worker threads used.
     pub threads: usize,
     /// Whole-experiment wall-clock seconds.
-    pub wall_seconds: f64,
+    pub(crate) wall_seconds: f64,
     /// Per-cell records, in cell order.
     pub records: Vec<RunRecord>,
     /// Always empty, and not serialized: a failed cell ends the run
@@ -519,8 +519,6 @@ fn parse_ledger(text: &str) -> Result<ParsedLedger, LedgerDamage> {
 /// written). Lets a supervisor count surviving entries in a ledger it
 /// does not own — e.g. the chaos harness auditing a killed child.
 pub struct LedgerView {
-    /// Identity JSON from the header.
-    pub identity: String,
     /// `(key, payload)` in record order, duplicates included.
     pub entries: Vec<(String, String)>,
     /// Whether a torn or corrupt tail follows the valid prefix.
@@ -709,7 +707,6 @@ impl Checkpoint {
         let text = String::from_utf8_lossy(&std::fs::read(path)?).into_owned();
         match parse_ledger(&text) {
             Ok(parsed) => Ok(LedgerView {
-                identity: parsed.identity,
                 entries: parsed.entries,
                 torn_tail: parsed.dropped_tail,
             }),
@@ -1062,7 +1059,6 @@ mod tests {
         let view = Checkpoint::inspect(&path).unwrap();
         assert_eq!(view.live(), 3);
         assert!(!view.torn_tail);
-        assert_eq!(view.identity, identity.render());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -108,7 +108,7 @@ pub struct PredictionStats {
     /// Dynamic memory references observed.
     pub total: u64,
     /// Correctly classified references.
-    pub correct: u64,
+    pub(crate) correct: u64,
     per_source: [SourceStats; 4],
 }
 

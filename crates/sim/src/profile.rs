@@ -123,9 +123,9 @@ pub struct WorkloadCharacter {
     /// Total dynamic instructions retired.
     pub instructions: u64,
     /// Dynamic loads.
-    pub loads: u64,
+    pub(crate) loads: u64,
     /// Dynamic stores.
-    pub stores: u64,
+    pub(crate) stores: u64,
     /// Dynamic references per region `[data, heap, stack]`.
     pub per_region: [u64; 3],
 }

@@ -23,7 +23,7 @@ pub struct WindowStats {
     /// The window size in instructions.
     pub window: usize,
     /// `[data, heap, stack]` moments of the per-cycle in-window counts.
-    pub per_region: [Moments; 3],
+    pub(crate) per_region: [Moments; 3],
     /// `[data, heap, stack]` exact count distributions.
     pub(crate) distributions: [Histogram; 3],
 }

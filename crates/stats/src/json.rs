@@ -228,9 +228,9 @@ impl<T: Into<Json>> From<Option<T>> for Json {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Byte offset in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
 }
 
 impl fmt::Display for JsonError {

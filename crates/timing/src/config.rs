@@ -274,7 +274,7 @@ pub struct MachineConfig {
     /// fault campaign materializes seeded plans into this list).
     pub faults: Vec<TimingFault>,
     /// What serves references beyond the first-level structures.
-    pub backend: BackendConfig,
+    pub(crate) backend: BackendConfig,
 }
 
 impl MachineConfig {
