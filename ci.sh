@@ -95,16 +95,23 @@ grep -q '"fatal":0' "$smoke_dir/chaos/BENCH_chaos.json"
 grep -q '"recovered":1' "$smoke_dir/chaos/BENCH_chaos.json"
 grep -q '"all_identical":true' "$smoke_dir/chaos/BENCH_chaos.json"
 
-echo "==> snapshot-shard smoke gate (three shard jobs, stitched vs serial)"
-# One workload, three chained shard jobs over trace snapshots, plus an
-# interrupt/resume cycle against a ledger: the stitched stats must be
-# bit-identical to the serial replay (the binary exits non-zero and the
-# JSON records identical:false on any divergence).
-ARL_SCALE=tiny ARL_SNAPSHOT_INTERVAL=5000 \
+echo "==> shard smoke gate (three shard jobs, stitched vs serial)"
+# One workload, three chained shard jobs over balanced instruction
+# ranges, plus an interrupt/resume cycle against a ledger: the stitched
+# and resumed stats must be bit-identical to the serial replay (the
+# binary exits non-zero and the JSON records identical:false on any
+# divergence), and the resume must serve 2 of the 3 shards from the
+# ledger.
+ARL_SCALE=tiny \
     ARL_CHECKPOINT="$smoke_dir/shard.ckpt" ARL_JSON="$smoke_dir" \
     cargo run --quiet --release -p arl-bench --bin bench_shard
 test -s "$smoke_dir/BENCH_shard.json"
+grep -q '"schema":"arl-shard/v2"' "$smoke_dir/BENCH_shard.json"
 grep -q '"identical":true' "$smoke_dir/BENCH_shard.json"
+# `set -e` ignores the failure of a `!`-negated command, so each negated
+# grep below exits explicitly.
+! grep -q '"identical":false' "$smoke_dir/BENCH_shard.json" || exit 1
+grep -q '"skipped":2' "$smoke_dir/BENCH_shard.json"
 
 echo "==> memory-backend smoke gate (all backends, stall conservation)"
 # Tiny-scale sweep of every backend on both machines with the probe
@@ -114,7 +121,7 @@ ARL_SCALE=tiny ARL_JSON="$smoke_dir" \
     cargo run --quiet --release -p arl-bench --bin bench_backends
 test -s "$smoke_dir/BENCH_backends.json"
 grep -q '"schema":"arl-backends/v1"' "$smoke_dir/BENCH_backends.json"
-! grep -q '"conserved":false' "$smoke_dir/BENCH_backends.json"
+! grep -q '"conserved":false' "$smoke_dir/BENCH_backends.json" || exit 1
 
 echo "==> replay-speed regression gate (subset vs committed BENCH_speed.json)"
 # Re-time a fixed three-workload subset on both cores and fail if any
@@ -141,6 +148,6 @@ test -s "$smoke_dir/BENCH_speed.json"
 grep -q '"schema":"arl-speed/v3"' "$smoke_dir/BENCH_speed.json"
 grep -q '"reps":3' "$smoke_dir/BENCH_speed.json"
 grep -q '"identical":true' "$smoke_dir/BENCH_speed.json"
-! grep -q '"identical":false' "$smoke_dir/BENCH_speed.json"
+! grep -q '"identical":false' "$smoke_dir/BENCH_speed.json" || exit 1
 
 echo "CI OK"

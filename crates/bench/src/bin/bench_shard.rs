@@ -1,4 +1,4 @@
-//! Snapshot-sharded replay benchmark: serial vs chained-shard wall clock
+//! Sharded replay benchmark: serial vs chained-shard wall clock
 //! plus the kill-resume recovery measurement (`BENCH_shard.json`).
 
 fn main() {

@@ -240,8 +240,7 @@ const UNOBSERVED: Option<fn(&mut (), &TraceEntry)> = None;
 ///
 /// A pass builds the program and executes it once, feeding every retired
 /// instruction to `observe` on a fresh `P`. `capture` (see
-/// [`ExperimentOptions::capture`]) also records the trace, without
-/// snapshot records. A pass with
+/// [`ExperimentOptions::capture`]) also records the trace. A pass with
 /// neither a capture nor an observer only builds the program: under
 /// [`TraceMode::Live`] its cells execute it themselves. Every pass that
 /// executed contributes one record, `"capture"` when it captured and
@@ -254,12 +253,7 @@ fn workload_passes<P: Default, T: Send>(
     then: impl Fn(Pass, P) -> T + Sync,
 ) -> (Vec<T>, Vec<RunRecord>) {
     let executes = capture || observe.is_some();
-    let capture = capture.then_some(0);
-    let label = if capture.is_some() {
-        "capture"
-    } else {
-        "profile"
-    };
+    let label = if capture { "capture" } else { "profile" };
     let jobs = opts.pool().map(specs, |&spec| {
         let mut profile = P::default();
         let (pass, record) = timed_record(spec.name, label, |record| {
@@ -268,9 +262,7 @@ fn workload_passes<P: Default, T: Send>(
                 Some(observe) => Some(functional_pass(&program, spec.name, capture, |e| {
                     observe(&mut profile, e)
                 })),
-                None if capture.is_some() => {
-                    Some(functional_pass(&program, spec.name, capture, |_| {}))
-                }
+                None if capture => Some(functional_pass(&program, spec.name, capture, |_| {})),
                 None => None,
             };
             let trace = run.and_then(|(metrics, trace)| {

@@ -23,7 +23,6 @@ use arl_timing::BackendConfig;
 use arl_workloads::Scale;
 
 use crate::experiments::{ExperimentOptions, TraceMode};
-use crate::shard::DEFAULT_SNAPSHOT_INTERVAL;
 
 /// Every `ARL_*` knob the bench binaries honour, parsed.
 #[derive(Debug)]
@@ -37,9 +36,6 @@ pub(crate) struct Knobs {
     pub trace: TraceMode,
     /// `ARL_PROBE`: attach the cycle-level probe to every timing cell.
     pub probe: bool,
-    /// `ARL_SNAPSHOT_INTERVAL`: `bench_shard`'s capture-time snapshot
-    /// cadence in instructions (0 disables).
-    pub snapshot_interval: u64,
     /// `ARL_BACKEND`: the memory backend under every timing config.
     pub backend: BackendConfig,
     /// `ARL_JSON`: where [`crate::emit`] writes documents; `None` writes
@@ -80,9 +76,6 @@ impl Knobs {
             threads: threads_from_value(text("ARL_THREADS").as_deref()),
             trace: trace_from_value(text("ARL_TRACE").as_deref()),
             probe: flag("ARL_PROBE", text("ARL_PROBE").as_deref()),
-            snapshot_interval: snapshot_interval_from_value(
-                text("ARL_SNAPSHOT_INTERVAL").as_deref(),
-            ),
             backend: backend_from_value(text("ARL_BACKEND").as_deref()),
             json: path("ARL_JSON"),
             checkpoint: path("ARL_CHECKPOINT"),
@@ -92,12 +85,7 @@ impl Knobs {
             ),
             fault: text("ARL_FAULT"),
             max_jobs: max_jobs_from_value(text("ARL_MAX_JOBS").as_deref()),
-            chaos_points: knob_u64(
-                "ARL_CHAOS_POINTS",
-                text("ARL_CHAOS_POINTS").as_deref(),
-                20,
-                1,
-            ) as u32,
+            chaos_points: chaos_points_from_value(text("ARL_CHAOS_POINTS").as_deref()),
             chaos_child: path("ARL_CHAOS_CHILD"),
             chaos_dir: path("ARL_CHAOS_DIR"),
             speed_workloads: speed_workloads_from_value(text("ARL_SPEED_WORKLOADS").as_deref()),
@@ -207,10 +195,13 @@ fn trace_from_value(value: Option<&str>) -> TraceMode {
     })
 }
 
-/// `ARL_SNAPSHOT_INTERVAL`: instructions between capture-time snapshot
-/// records; 0 disables snapshots.
-fn snapshot_interval_from_value(value: Option<&str>) -> u64 {
-    knob_u64("ARL_SNAPSHOT_INTERVAL", value, DEFAULT_SNAPSHOT_INTERVAL, 0)
+/// `ARL_CHAOS_POINTS`: a positive `u32` point count (`0` clamps to 1);
+/// unset, unparsable or out of range means 20.
+fn chaos_points_from_value(value: Option<&str>) -> u32 {
+    let n = knob_parsed("ARL_CHAOS_POINTS", value, 20, "20", |v| {
+        v.parse::<u32>().ok()
+    });
+    clamp_min("ARL_CHAOS_POINTS", n, 1)
 }
 
 /// `ARL_BACKEND`: one of the [`BackendConfig::label`]s (any case); unset
@@ -353,17 +344,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_parser_handles_edge_cases() {
-        assert_eq!(
-            snapshot_interval_from_value(None),
-            DEFAULT_SNAPSHOT_INTERVAL
-        );
-        assert_eq!(snapshot_interval_from_value(Some("5000")), 5_000);
-        assert_eq!(snapshot_interval_from_value(Some("0")), 0, "0 disables");
-        assert_eq!(
-            snapshot_interval_from_value(Some("soon")),
-            DEFAULT_SNAPSHOT_INTERVAL
-        );
+    fn chaos_points_parser_rejects_values_past_u32() {
+        assert_eq!(chaos_points_from_value(None), 20);
+        assert_eq!(chaos_points_from_value(Some("2")), 2);
+        assert_eq!(chaos_points_from_value(Some("0")), 1, "zero clamps to 1");
+        assert_eq!(chaos_points_from_value(Some("4294967295")), u32::MAX);
+        // A value past u32::MAX must not wrap to 0 points: an empty
+        // campaign tests nothing and reports success.
+        assert_eq!(chaos_points_from_value(Some("4294967296")), 20);
+        assert_eq!(chaos_points_from_value(Some("many")), 20);
     }
 
     #[test]

@@ -80,10 +80,8 @@ use arl_trace::{Replayer, Trace};
 pub const INST_CAP: u64 = 2_000_000_000;
 
 /// Executes `program` functionally once, feeding every retired instruction
-/// to `observe`, and returns its end-of-run counters. With
-/// `capture = Some(interval)` the pass also records the trace, with a
-/// snapshot record every `interval` retired instructions (0 = none, the
-/// snapshot-free container) so it can be replayed in shard segments.
+/// to `observe`, and returns its end-of-run counters. With `capture` the
+/// pass also records the trace.
 ///
 /// # Panics
 ///
@@ -92,22 +90,19 @@ pub const INST_CAP: u64 = 2_000_000_000;
 pub(crate) fn functional_pass(
     program: &Program,
     name: &str,
-    capture: Option<u64>,
+    capture: bool,
     observe: impl FnMut(&TraceEntry),
 ) -> (Metrics, Option<Trace>) {
-    let (metrics, trace) = match capture {
-        Some(interval) => {
-            let trace = arl_trace::capture_snapshotted_with(program, INST_CAP, interval, observe)
-                .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-            (trace.metrics(), Some(trace))
-        }
-        None => {
-            let mut machine = Machine::new(program);
-            machine
-                .run_with(INST_CAP, observe)
-                .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-            (machine.metrics(), None)
-        }
+    let (metrics, trace) = if capture {
+        let trace = arl_trace::capture_with(program, INST_CAP, observe)
+            .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+        (trace.metrics(), Some(trace))
+    } else {
+        let mut machine = Machine::new(program);
+        machine
+            .run_with(INST_CAP, observe)
+            .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
+        (machine.metrics(), None)
     };
     assert!(
         metrics.exited,
@@ -122,7 +117,7 @@ pub(crate) fn functional_pass(
 ///
 /// Panics if the workload fails to execute or exceeds [`INST_CAP`].
 pub fn capture_trace(program: &Program, name: &str) -> Trace {
-    let (_, trace) = functional_pass(program, name, Some(0), |_| {});
+    let (_, trace) = functional_pass(program, name, true, |_| {});
     trace.expect("a capturing pass returns its trace")
 }
 
@@ -152,7 +147,7 @@ pub(crate) struct EvalReport {
 /// Panics if the program fails to execute.
 pub(crate) fn evaluate_program(program: &Program, name: &str, config: EvalConfig) -> EvalReport {
     let mut evaluator = Evaluator::new(config);
-    let (metrics, _) = functional_pass(program, name, None, |e| evaluator.observe(e));
+    let (metrics, _) = functional_pass(program, name, false, |e| evaluator.observe(e));
     EvalReport {
         stats: *evaluator.stats(),
         arpt_occupied: evaluator.arpt_occupied(),

@@ -1,11 +1,12 @@
-//! Snapshot-sharded trace replay (the `bench_shard` binary).
+//! Sharded trace replay (the `bench_shard` binary).
 //!
-//! A v2 `.arltrace` captured with snapshots has `S + 1` independent
-//! segments. This module groups those segments into `M` contiguous
-//! *shard jobs* and replays them as a chain: each job opens a
-//! [`Replayer::open_span`] over its segment group, resumes the timing
-//! model from the previous job's exported machine-state blob, and exports
-//! its own blob for the next. The final job's [`SimStats`] are the whole
+//! [`shard_plan`] splits a trace's events into `M` balanced, contiguous
+//! instruction ranges, replayed as a chain of *shard jobs*. Each job ends
+//! by handing the next two things: the machine-state blob its timing model
+//! exported, and its replayer's resume point ([`Replayer::snapshot`]:
+//! decode cursor, delta registers, replayed contexts). The next job opens
+//! a [`Replayer::open_span`] at that point and resumes the timing model
+//! from the blob, both in O(1). The final job's [`SimStats`] are the whole
 //! run's — **bit-identical** to an unsharded replay (the shard
 //! differential suite holds this to `==` on every workload).
 //!
@@ -13,15 +14,15 @@
 //! in-flight pipeline), so shard jobs of one (workload × config) cell are
 //! *chained*, not parallel: the payoff is not intra-cell parallelism but
 //! shard-granular fault tolerance. With `ARL_CHECKPOINT` set, every
-//! completed non-final shard appends its state blob to the ledger, and an
+//! completed non-final shard appends its hand-off to the ledger, and an
 //! interrupted cell resumes from the last recorded shard instead of cycle
 //! zero — [`replay_sharded_supervised`] is exactly-once over shard jobs.
+//! The in-process chain and the ledger resume run the same loop; they
+//! differ only in where the first hand-off comes from.
 //!
 //! Sharding buys resume only through that ledger, so only `bench_shard`
 //! shards; the experiment binaries always replay each cell serially.
-//! `bench_shard` replays its workload as [`SHARDS`] chained jobs. Its one
-//! knob, `ARL_SNAPSHOT_INTERVAL`, sets the capture-time snapshot cadence
-//! in instructions (default [`DEFAULT_SNAPSHOT_INTERVAL`]; 0 disables).
+//! `bench_shard` replays its workload as [`SHARDS`] chained jobs.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -29,31 +30,26 @@ use std::time::Instant;
 
 use arl_asm::Program;
 use arl_stats::Json;
-use arl_timing::{MachineConfig, NullProbe, Probe, Recorder, SegmentRun, SimStats, TimingSim};
-use arl_trace::{Replayer, Trace};
+use arl_timing::{MachineConfig, NullProbe, Probe, Recorder, SimStats, TimingSim};
+use arl_trace::{Replayer, SnapshotRecord, Trace};
 use arl_workloads::workload;
 
 use crate::knob::Knobs;
 use crate::runner::{end_main, scale_label, Checkpoint, RunIdentity};
-use crate::{functional_pass, timing_trace, ExperimentOptions};
+use crate::{capture_trace, timing_trace, ExperimentOptions};
 
 /// `BENCH_shard.json` schema identifier.
-pub(crate) const SHARD_SCHEMA: &str = "arl-shard/v1";
+pub(crate) const SHARD_SCHEMA: &str = "arl-shard/v2";
 
-/// Default `ARL_SNAPSHOT_INTERVAL`: one snapshot per million retired
-/// instructions — coarse enough to stay invisible in container size,
-/// fine enough that default-scale workloads shard into several segments.
-pub(crate) const DEFAULT_SNAPSHOT_INTERVAL: u64 = 1_000_000;
-
-/// Groups `segments` trace segments into at most `shards` contiguous,
-/// balanced shard jobs. Returns `(start, end)` *boundary* pairs in
-/// [`Replayer::open_span`] coordinates: job `i` replays boundaries
-/// `[start, end)`. The job count is `min(shards.max(1), segments)`; sizes
-/// differ by at most one segment, larger groups first.
-pub fn shard_plan(segments: u64, shards: usize) -> Vec<(u64, u64)> {
-    let jobs = (shards.max(1) as u64).min(segments.max(1));
-    let base = segments / jobs;
-    let extra = segments % jobs;
+/// Splits `events` trace events into at most `shards` contiguous,
+/// balanced shard jobs. Returns `(start, end)` event ranges: job `i`
+/// replays events `[start, end)`. The job count is
+/// `min(shards.max(1), events.max(1))`; sizes differ by at most one
+/// event, larger jobs first.
+pub fn shard_plan(events: u64, shards: usize) -> Vec<(u64, u64)> {
+    let jobs = (shards.max(1) as u64).min(events.max(1));
+    let base = events / jobs;
+    let extra = events % jobs;
     let mut plan = Vec::with_capacity(jobs as usize);
     let mut at = 0u64;
     for i in 0..jobs {
@@ -61,7 +57,7 @@ pub fn shard_plan(segments: u64, shards: usize) -> Vec<(u64, u64)> {
         plan.push((at, at + size));
         at += size;
     }
-    debug_assert_eq!(at, segments);
+    debug_assert_eq!(at, events);
     plan
 }
 
@@ -90,26 +86,11 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-/// Replays boundaries `[span.0, span.1)` as one shard job.
-#[allow(clippy::too_many_arguments)]
-fn replay_span<P: Probe>(
-    program: &Program,
-    trace: &Trace,
-    name: &str,
-    config: &MachineConfig,
-    span: (u64, u64),
-    resume: Option<&[u8]>,
-    final_shard: bool,
-    probe: P,
-) -> SegmentRun<P> {
-    let mut replayer = Replayer::open_span(trace, program, span.0, span.1).unwrap_or_else(|e| {
-        panic!(
-            "workload {name} shard span [{}, {}) rejected: {e}",
-            span.0, span.1
-        )
-    });
-    TimingSim::run_segment_probed(&mut replayer, config, resume, final_shard, probe)
-        .unwrap_or_else(|e| panic!("workload {name} shard replay failed: {e}"))
+/// What a finished non-final shard job hands the next: the machine-state
+/// blob its timing model exported and its replayer's resume point.
+struct Handoff {
+    state: Vec<u8>,
+    snapshot: SnapshotRecord,
 }
 
 /// The stitched result of a sharded replay.
@@ -120,8 +101,7 @@ pub struct ShardedReplay {
     /// Per-shard recorders merged in shard order, when probing was on —
     /// identical to a serial probed run's recorder.
     pub recorder: Option<Recorder>,
-    /// The boundary plan that was replayed (after clamping to the
-    /// available segments).
+    /// The event ranges that were replayed ([`shard_plan`]).
     pub plan: Vec<(u64, u64)>,
     /// Shard jobs replayed by *this* invocation.
     pub executed: usize,
@@ -145,101 +125,126 @@ pub fn replay_sharded(
     shards: usize,
     probe: bool,
 ) -> ShardedReplay {
+    let uncapped = "an uncapped shard chain runs its final job";
     if probe {
         let mut merged = Recorder::new();
-        let mut run = replay_chain(program, trace, name, config, shards, |r: Recorder| {
+        let mut run = replay_chain(program, trace, name, config, shards, None, None, |r| {
             merged.merge(&r)
-        });
+        })
+        .expect(uncapped);
         run.recorder = Some(merged);
         run
     } else {
-        replay_chain(program, trace, name, config, shards, |_: NullProbe| {})
+        replay_chain(
+            program,
+            trace,
+            name,
+            config,
+            shards,
+            None,
+            None,
+            |_: NullProbe| {},
+        )
+        .expect(uncapped)
     }
 }
 
-/// [`replay_sharded`] with a fresh `P` per shard job, each handed to
-/// `absorb` in shard order.
+/// The one shard chain behind [`replay_sharded`] and
+/// [`replay_sharded_supervised`]: replays the plan's jobs in order, each
+/// resuming from its predecessor's hand-off and handing its fresh `P` to
+/// `absorb`; every job but the final one ends with the hand-off for the
+/// next. With a `(ledger, scope)`, the chain starts from the hand-off
+/// of the last shard the ledger records ([`ledger_resume`]) and records
+/// each non-final shard's hand-off; `max_jobs` caps the jobs executed, and
+/// the chain returns `None` when the cap strikes before the final job.
+#[allow(clippy::too_many_arguments)]
 fn replay_chain<P: Probe + Default>(
     program: &Program,
     trace: &Trace,
     name: &str,
     config: &MachineConfig,
     shards: usize,
+    mut ledger: Option<(&mut Checkpoint, &str)>,
+    max_jobs: Option<usize>,
     mut absorb: impl FnMut(P),
-) -> ShardedReplay {
-    let plan = shard_plan(trace.snapshot_count() + 1, shards);
-    let mut state: Option<Vec<u8>> = None;
-    let mut stats: Option<SimStats> = None;
-    let mut walls = Vec::with_capacity(plan.len());
-    for (i, &span) in plan.iter().enumerate() {
-        let final_shard = i + 1 == plan.len();
+) -> Option<ShardedReplay> {
+    let plan = shard_plan(trace.event_count(), shards);
+    let jobs = plan.len();
+    let (first, mut handoff) = match &ledger {
+        Some((ckpt, scope)) => ledger_resume(ckpt, scope, &plan),
+        None => (0, None),
+    };
+    let mut walls = Vec::with_capacity(jobs - first);
+    let mut stats = None;
+    for (i, &span) in plan.iter().enumerate().skip(first) {
+        if max_jobs.is_some_and(|cap| walls.len() >= cap) {
+            return None; // interrupted; the ledger carries the resume point
+        }
         let start = Instant::now();
-        let run = replay_span(
-            program,
-            trace,
-            name,
+        let resume = handoff.as_ref().map(|h| &h.snapshot);
+        let mut replayer = Replayer::open_span(trace, program, resume, span.1)
+            .unwrap_or_else(|e| panic!("workload {name} shard {i} rejected: {e}"));
+        let state = handoff.as_ref().map(|h| h.state.as_slice());
+        let run = TimingSim::run_segment_probed(
+            &mut replayer,
             config,
-            span,
-            state.as_deref(),
-            final_shard,
+            state,
+            i + 1 == jobs,
             P::default(),
-        );
+        )
+        .unwrap_or_else(|e| panic!("workload {name} shard replay failed: {e}"));
         walls.push(start.elapsed().as_secs_f64());
         absorb(run.probe);
-        state = run.state;
+        handoff = run.state.map(|state| Handoff {
+            state,
+            snapshot: replayer.snapshot(),
+        });
+        if let (Some((ckpt, scope)), Some(next)) = (ledger.as_mut(), &handoff) {
+            let key = shard_key(scope, i, jobs);
+            let payload = Json::obj([
+                ("schema", Json::from(SHARD_SCHEMA)),
+                ("shard", Json::from(i)),
+                ("shards", Json::from(jobs)),
+                ("span", Json::Arr(vec![span.0.into(), span.1.into()])),
+                ("instructions", Json::from(run.stats.instructions)),
+                ("cycles", Json::from(run.stats.cycles)),
+                ("state", Json::from(to_hex(&next.state))),
+                ("snapshot", Json::from(to_hex(&next.snapshot.to_bytes()))),
+            ]);
+            ckpt.record(&key, &payload)
+                .unwrap_or_else(|e| panic!("failed to checkpoint {key}: {e}"));
+        }
         stats = Some(run.stats);
     }
-    let executed = plan.len();
-    ShardedReplay {
+    Some(ShardedReplay {
         stats: stats.unwrap_or_else(|| panic!("workload {name}: empty shard plan")),
         recorder: None,
         plan,
-        executed,
-        skipped: 0,
+        executed: walls.len(),
+        skipped: first,
         shard_walls: walls,
-    }
+    })
 }
 
 fn shard_key(scope: &str, shard: usize, shards: usize) -> String {
     format!("shard/{scope}/{shard}of{shards}")
 }
 
-/// [`replay_sharded`], supervised by a [`Checkpoint`] ledger: every
-/// completed non-final shard records its machine-state blob under
-/// `shard/<scope>/<i>of<M>`, and a later invocation with the same ledger
-/// and scope resumes after the last recorded shard instead of replaying
-/// from cycle zero — exactly-once over shard jobs.
-///
-/// `max_shard_jobs` caps the shard jobs *executed this invocation* (the
-/// kill-resume gates interrupt deterministically with it); when the cap
-/// strikes before the final shard, the function returns `None` and the
-/// ledger holds everything needed to resume. Supervised replays are
-/// always unprobed: a resumed run cannot reconstruct the recorders of
-/// shards it skipped, so offering a probe here would silently under-count.
+/// Where a supervised chain over `plan` resumes: the index of the first
+/// job still to run and the hand-off it starts from, taken from the
+/// *latest* non-final shard the ledger records under `scope` (`(0, None)`
+/// when there is none).
 ///
 /// # Panics
 ///
-/// Panics if the trace does not replay cleanly, if a ledger entry for
-/// this scope is corrupt or disagrees with the plan, or if the ledger
-/// cannot be appended to.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_sharded_supervised(
-    program: &Program,
-    trace: &Trace,
-    name: &str,
-    config: &MachineConfig,
-    shards: usize,
-    ledger: &mut Checkpoint,
+/// Panics, naming the ledger key and the field, when that entry is
+/// corrupt or disagrees with the plan: a bad hand-off must never replay.
+fn ledger_resume(
+    ledger: &Checkpoint,
     scope: &str,
-    max_shard_jobs: Option<usize>,
-) -> Option<ShardedReplay> {
-    let plan = shard_plan(trace.snapshot_count() + 1, shards);
+    plan: &[(u64, u64)],
+) -> (usize, Option<Handoff>) {
     let jobs = plan.len();
-
-    // Resume after the *latest* recorded non-final shard: its payload
-    // carries the exact machine state the next shard must start from.
-    let mut first = 0usize;
-    let mut state: Option<Vec<u8>> = None;
     for i in (0..jobs.saturating_sub(1)).rev() {
         let key = shard_key(scope, i, jobs);
         let Some(payload) = ledger.get(&key) else {
@@ -254,71 +259,77 @@ pub fn replay_sharded_supervised(
                  this plan has {jobs}"
             );
         }
-        let hex = doc
-            .get("state")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("shard ledger entry {key} has no state blob"));
-        state = Some(
-            from_hex(hex).unwrap_or_else(|| panic!("shard ledger entry {key} state is not hex")),
-        );
-        first = i + 1;
-        break;
-    }
-
-    let mut executed = 0usize;
-    let mut walls = Vec::new();
-    let mut stats: Option<SimStats> = None;
-    for (i, &span) in plan.iter().enumerate().skip(first) {
-        if let Some(cap) = max_shard_jobs {
-            if executed >= cap {
-                return None; // interrupted; the ledger carries the resume point
-            }
+        let hex = |field: &str| {
+            let text = doc
+                .get(field)
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| panic!("shard ledger entry {key} has no \"{field}\""));
+            from_hex(text)
+                .unwrap_or_else(|| panic!("shard ledger entry {key} \"{field}\" is not hex"))
+        };
+        let state = hex("state");
+        let raw = hex("snapshot");
+        let snapshot = <[u8; SnapshotRecord::LEN]>::try_from(raw.as_slice())
+            .map_err(|_| format!("{} bytes, not {}", raw.len(), SnapshotRecord::LEN))
+            .and_then(|bytes| SnapshotRecord::from_bytes(&bytes).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| panic!("shard ledger entry {key} \"snapshot\" is corrupt: {e}"));
+        let start = plan[i + 1].0;
+        if snapshot.inst_index != start {
+            panic!(
+                "shard ledger entry {key} \"snapshot\" resumes at event {}, \
+                 but shard {} starts at event {start}",
+                snapshot.inst_index,
+                i + 1
+            );
         }
-        let final_shard = i + 1 == jobs;
-        let start = Instant::now();
-        let run = replay_span(
-            program,
-            trace,
-            name,
-            config,
-            span,
-            state.as_deref(),
-            final_shard,
-            NullProbe,
-        );
-        walls.push(start.elapsed().as_secs_f64());
-        executed += 1;
-        if let Some(blob) = &run.state {
-            let key = shard_key(scope, i, jobs);
-            let payload = Json::obj([
-                ("schema", Json::from(SHARD_SCHEMA)),
-                ("shard", Json::from(i)),
-                ("shards", Json::from(jobs)),
-                ("span", Json::Arr(vec![span.0.into(), span.1.into()])),
-                ("instructions", Json::from(run.stats.instructions)),
-                ("cycles", Json::from(run.stats.cycles)),
-                ("state", Json::from(to_hex(blob))),
-            ]);
-            ledger
-                .record(&key, &payload)
-                .unwrap_or_else(|e| panic!("failed to checkpoint {key}: {e}"));
-        }
-        state = run.state;
-        stats = Some(run.stats);
+        return (i + 1, Some(Handoff { state, snapshot }));
     }
-    Some(ShardedReplay {
-        stats: stats.unwrap_or_else(|| {
-            panic!("workload {name}: every shard was already checkpointed but none was final")
-        }),
-        recorder: None,
-        plan,
-        executed,
-        skipped: first,
-        shard_walls: walls,
-    })
+    (0, None)
 }
 
-/// A finished shard benchmark: rendered text, the `arl-shard/v1`
+/// [`replay_sharded`], supervised by a [`Checkpoint`] ledger: every
+/// completed non-final shard records its hand-off — machine-state blob
+/// and replayer resume point — under `shard/<scope>/<i>of<M>`, and a later
+/// invocation with the same ledger and scope resumes after the last
+/// recorded shard instead of replaying from cycle zero — exactly-once over
+/// shard jobs.
+///
+/// `max_shard_jobs` caps the shard jobs *executed this invocation* (the
+/// kill-resume gates interrupt deterministically with it); when the cap
+/// strikes before the final shard, the function returns `None` and the
+/// ledger holds everything needed to resume. Supervised replays are
+/// always unprobed: a resumed run cannot reconstruct the recorders of
+/// shards it skipped, so offering a probe here would silently under-count.
+///
+/// # Panics
+///
+/// Panics if the trace does not replay cleanly, if a ledger entry for
+/// this scope is corrupt or disagrees with the plan (the message names
+/// the entry and the field), or if the ledger cannot be appended to.
+#[allow(clippy::too_many_arguments)]
+pub fn replay_sharded_supervised(
+    program: &Program,
+    trace: &Trace,
+    name: &str,
+    config: &MachineConfig,
+    shards: usize,
+    ledger: &mut Checkpoint,
+    scope: &str,
+    max_shard_jobs: Option<usize>,
+) -> Option<ShardedReplay> {
+    replay_chain(
+        program,
+        trace,
+        name,
+        config,
+        shards,
+        Some((ledger, scope)),
+        max_shard_jobs,
+        |_: NullProbe| {},
+    )
+}
+
+/// A finished shard benchmark: rendered text, the `arl-shard/v2`
 /// document, and whether stitched and serial results diverged.
 pub(crate) struct ShardBenchRun {
     /// The exact bytes the binary prints to stdout.
@@ -330,14 +341,13 @@ pub(crate) struct ShardBenchRun {
 }
 
 /// The ledger fingerprint for one shard benchmark: the workload, config,
-/// scale, snapshot cadence, shard-job count, and — because recorded
-/// shard-state blobs are only meaningful for the exact capture they were
-/// replayed from — the sealed checksum of the trace container.
+/// scale, shard-job count, and — because recorded hand-offs are only
+/// meaningful for the exact capture they were replayed from — the sealed
+/// checksum of the trace container.
 pub(crate) fn shard_identity(
     workload: &str,
     config_name: &str,
     scale: &str,
-    interval: u64,
     shards: usize,
     trace_checksum: u64,
 ) -> RunIdentity {
@@ -345,13 +355,11 @@ pub(crate) fn shard_identity(
         .field("workload", workload)
         .field("config", config_name)
         .field("scale", scale)
-        .field("snapshot_interval", interval)
         .field("shards", shards)
         .field("trace", format!("{trace_checksum:016x}"))
 }
 
-/// Runs the shard benchmark on one workload: captures a snapshotted
-/// trace, times a serial replay and an `shards`-way sharded replay,
+/// Runs the shard benchmark on one workload: captures its trace, times a serial replay and an `shards`-way sharded replay,
 /// asserts bit-identity, and — when a ledger path is given — additionally
 /// times an interrupt-then-resume cycle (`shards − 1` jobs, "crash",
 /// resume) to measure what shard-granular recovery saves over restarting.
@@ -365,7 +373,6 @@ pub(crate) fn shard_bench_with(
     opts: &ExperimentOptions,
     workload_name: &str,
     shards: usize,
-    interval: u64,
     ledger_path: Option<&Path>,
     force: bool,
 ) -> std::io::Result<ShardBenchRun> {
@@ -376,20 +383,13 @@ pub(crate) fn shard_bench_with(
 
     let program = spec.build(opts.scale);
     let capture_start = Instant::now();
-    let (_, trace) = functional_pass(&program, spec.name, Some(interval), |_| {});
-    let trace = trace.expect("a capturing pass returns its trace");
+    let trace = capture_trace(&program, spec.name);
     let capture_wall = capture_start.elapsed().as_secs_f64();
 
     let mut ledger = match ledger_path {
         Some(path) => {
-            let identity = shard_identity(
-                spec.name,
-                &config.name,
-                &scale,
-                interval,
-                shards,
-                trace.checksum(),
-            );
+            let identity =
+                shard_identity(spec.name, &config.name, &scale, shards, trace.checksum());
             Some(Checkpoint::open(path, &identity, force)?)
         }
         None => None,
@@ -407,14 +407,11 @@ pub(crate) fn shard_bench_with(
     // Optional kill-resume measurement against the ledger: run all but
     // the last shard job, "crash", then resume. The resumed invocation
     // replays exactly one job, so (serial_wall / resume_wall) is the
-    // recovery speedup sharding buys at this cadence.
+    // recovery speedup sharding buys at this shard count.
     let mut resume_pairs: Option<Vec<(String, Json)>> = None;
     let mut resume_identical = true;
     if let Some(ckpt) = ledger.as_mut() {
-        let scope = format!(
-            "{}/{}/{}/interval={}",
-            spec.name, config.name, scale, interval
-        );
+        let scope = format!("{}/{}/{}", spec.name, config.name, scale);
         let jobs = sharded.plan.len();
         let interrupted = replay_sharded_supervised(
             &program,
@@ -451,8 +448,6 @@ pub(crate) fn shard_bench_with(
         ("scale".to_string(), Json::from(scale.as_str())),
         ("workload".to_string(), Json::from(spec.name)),
         ("config".to_string(), Json::from(config.name.as_str())),
-        ("snapshot_interval".to_string(), Json::from(interval)),
-        ("snapshots".to_string(), Json::from(trace.snapshot_count())),
         ("shards".to_string(), Json::from(sharded.plan.len())),
         ("instructions".to_string(), Json::from(serial.instructions)),
         ("cycles".to_string(), Json::from(serial.cycles)),
@@ -481,12 +476,8 @@ pub(crate) fn shard_bench_with(
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "Shard bench: {} at scale {}, config {}, snapshot interval {} ({} snapshots)",
-        spec.name,
-        scale,
-        config.name,
-        interval,
-        trace.snapshot_count()
+        "Shard bench: {} at scale {}, config {}",
+        spec.name, scale, config.name
     );
     let _ = writeln!(
         text,
@@ -551,7 +542,6 @@ pub fn run_shard_main() {
         &knobs.options(),
         SHARD_WORKLOAD,
         SHARDS,
-        knobs.snapshot_interval,
         knobs.checkpoint.as_deref(),
         knobs.checkpoint_force,
     ) {

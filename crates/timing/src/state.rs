@@ -1,12 +1,12 @@
-//! Binary serialization of mid-run machine state for snapshot-sharded
-//! replay.
+//! Binary serialization of mid-run machine state for sharded replay.
 //!
-//! A shard job replays one `[snapshot_k, snapshot_k+1)` span of a trace.
+//! A shard job replays one contiguous range of a trace's events.
 //! Machine-model state is *configuration-dependent* (cache geometry, ROB
 //! size, predictor capacity), so it cannot live inside the
 //! configuration-independent `.arltrace` container; instead the timing
 //! core exports its complete state at the segment boundary as an opaque
-//! checksummed byte blob, and the next shard imports it and resumes
+//! checksummed byte blob, which the shard hands the next one beside its
+//! replayer's resume point, and the next shard imports it and resumes
 //! *inside* the boundary cycle (see `TimingSim::run_segment_probed`).
 //! DESIGN.md documents the layout and the bit-identity argument.
 //!

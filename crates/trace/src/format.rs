@@ -1,16 +1,14 @@
-//! The `.arltrace` container: header, delta+varint event stream, snapshot
-//! section, footer, trailing word-wise FNV-1a checksum.
+//! The `.arltrace` container: header, delta+varint event stream, footer,
+//! trailing word-wise FNV-1a checksum.
 //!
-//! # Layout (version 4)
+//! # Layout (version 5)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic "ARLT"
-//! 4       1     format version (4)
+//! 4       1     format version (5)
 //! 5       8     program entry pc, u64 LE
 //! 13      …     event stream (one record per retired instruction)
-//! …       64×S  snapshot records (S = snapshot count)
-//! …       16    snapshot trailer: interval u64, count u64
 //! len-33  8     event count, u64 LE
 //! len-25  8     resident pages at end of run, u64 LE
 //! len-17  8     values printed by the program, u64 LE
@@ -23,24 +21,28 @@
 //! with the FNV-1a 64 offset basis and prime; the final 0–7 bytes are
 //! folded in one at a time, `h = (h ^ byte) * PRIME`. Like bytewise
 //! FNV-1a it detects any single-byte corruption with certainty (the
-//! argument is in `codec.rs`), at one multiply per eight bytes. Version 2
-//! sealed the same layout with bytewise FNV-1a; version 3 was a retired
-//! compiled-model format, skipped so its files cannot be mistaken for
-//! version 4. Every other version, 1–3 included, is refused with an
-//! error naming it.
+//! argument is in `codec.rs`), at one multiply per eight bytes. Versions 2
+//! and 4 also stored snapshot records and a 16-byte snapshot trailer
+//! between the event stream and the footer (version 2 sealed them with
+//! bytewise FNV-1a), and version 3 was a retired compiled-model format.
+//! Every version but 5, 1–4 included, is refused with an error naming it.
 //!
-//! # Snapshot records
+//! # Resume points
 //!
-//! A snapshot is the complete decoder-side state of a [`Replayer`]
-//! (crate::Replayer) *about to deliver* event `inst_index`: the byte
-//! cursor into the event stream, the three delta-predictor registers, and
-//! the two replayed contexts (global history, link register). Each record
-//! is 64 bytes, individually checksummed so a single record can be
-//! validated in O(1) without hashing the container:
+//! A [`SnapshotRecord`] is the complete decoder-side state of a
+//! [`Replayer`](crate::Replayer) *about to deliver* event `inst_index`:
+//! the byte cursor into the event stream, the three delta-predictor
+//! registers, and the two replayed contexts (global history, link
+//! register). It is not stored in the container: a shard job takes it from
+//! the replayer that stopped there (`Replayer::snapshot`) and hands it to
+//! the next job beside the timing model's machine-state blob, which is
+//! configuration-dependent and so cannot live in the trace either (see
+//! DESIGN.md). Its 64-byte wire form, for the checkpoint ledger, carries
+//! its own checksum so a record can be validated in O(1):
 //!
 //! ```text
 //! offset  field
-//! 0       inst_index u64   — events encoded before this snapshot
+//! 0       inst_index u64   — events delivered before this point
 //! 8       body_pos u64     — byte offset into the event stream
 //! 16      prev_next_pc u64 — delta state
 //! 24      prev_addr u64    — delta state
@@ -49,14 +51,6 @@
 //! 48      ra u64           — replayed link register
 //! 56      FNV-1a 64 of bytes 0..56
 //! ```
-//!
-//! Snapshot `i` always sits at `inst_index == (i+1) × interval`, which is
-//! enforced structurally: a forged snapshot count, interval, or offset is
-//! refused in O(1), matching the footer guarantees. Machine-model state
-//! (ARPT, caches, in-flight pipeline) is deliberately *not* stored in the
-//! trace: one capture serves every timing configuration, so config-
-//! dependent state is exported/imported at run time by `arl-timing` and
-//! handed between shards (see DESIGN.md).
 //!
 //! # Event records
 //!
@@ -88,15 +82,13 @@ use crate::codec::{container_checksum, fnv1a64, read_varint, unzigzag, write_var
 /// `"ARLT"`.
 pub(crate) const MAGIC: [u8; 4] = *b"ARLT";
 /// The format version written and accepted; any other version is refused.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 pub(crate) const HEADER_LEN: usize = 13;
 pub(crate) const FOOTER_LEN: usize = 25;
 pub(crate) const CHECKSUM_LEN: usize = 8;
-/// Snapshot trailer: interval u64 + snapshot count u64.
-pub(crate) const SNAP_TRAILER_LEN: usize = 16;
-/// Smallest possible container (empty body, zero snapshots).
-pub(crate) const MIN_LEN: usize = HEADER_LEN + SNAP_TRAILER_LEN + FOOTER_LEN + CHECKSUM_LEN;
+/// Smallest possible container (empty body).
+pub(crate) const MIN_LEN: usize = HEADER_LEN + FOOTER_LEN + CHECKSUM_LEN;
 
 /// Smallest buffer [`Trace::read_from`] reads into. Untouched pages cost
 /// no memory, and a block this large is mapped directly by the allocator
@@ -163,12 +155,11 @@ impl DeltaState {
     }
 }
 
-/// One decoded snapshot record: the full replayer state at an event-stream
-/// boundary (see the module docs for the 64-byte wire layout).
+/// A replayer's resume point: its full state between two events (see the
+/// module docs for the 64-byte wire layout).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SnapshotRecord {
-    /// Events encoded before this snapshot (`(i+1) × interval` for
-    /// snapshot `i`).
+    /// Events delivered before this point.
     pub inst_index: u64,
     /// Byte offset into the event stream where decoding resumes.
     pub body_pos: u64,
@@ -178,9 +169,9 @@ pub struct SnapshotRecord {
     pub prev_addr: u64,
     /// Delta predictor: value register.
     pub prev_value: i64,
-    /// Replayed global branch history at the boundary.
+    /// Replayed global branch history at this point.
     pub ghr: u64,
-    /// Replayed link register at the boundary.
+    /// Replayed link register at this point.
     pub ra: u64,
 }
 
@@ -291,23 +282,11 @@ pub(crate) struct TraceWriter {
     buf: Vec<u8>,
     state: DeltaState,
     count: u64,
-    /// Snapshot every `interval` events (0 = never).
-    interval: u64,
-    /// Accumulated serialized snapshot records.
-    snapshots: Vec<u8>,
 }
 
 impl TraceWriter {
     /// Starts a trace for a program whose first retired pc is `entry_pc`.
     pub(crate) fn new(entry_pc: u64) -> TraceWriter {
-        TraceWriter::with_snapshots(entry_pc, 0)
-    }
-
-    /// Like [`TraceWriter::new`], additionally emitting a snapshot record
-    /// every `interval` events (0 disables snapshots). Snapshots are taken
-    /// by [`record`](TraceWriter::record), which sees the replayed
-    /// contexts; the raw [`push`](TraceWriter::push) path never snapshots.
-    pub(crate) fn with_snapshots(entry_pc: u64, interval: u64) -> TraceWriter {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
@@ -316,8 +295,6 @@ impl TraceWriter {
             buf,
             state: DeltaState::new(entry_pc),
             count: 0,
-            interval,
-            snapshots: Vec::new(),
         }
     }
 
@@ -368,33 +345,13 @@ impl TraceWriter {
     }
 
     /// Appends one retired instruction (convenience over
-    /// [`TraceEvent::from_entry`] + [`push`](TraceWriter::push)),
-    /// emitting a snapshot record first whenever the event index crosses
-    /// the configured interval. The entry's sampled contexts (`ghr`,
-    /// `ra`) *are* the replayer state about to deliver this event, so the
-    /// snapshot is exactly what a segment replayer must resume with.
+    /// [`TraceEvent::from_entry`] + [`push`](TraceWriter::push)).
     pub(crate) fn record(&mut self, e: &TraceEntry) {
-        if self.interval > 0 && self.count > 0 && self.count.is_multiple_of(self.interval) {
-            let record = SnapshotRecord {
-                inst_index: self.count,
-                body_pos: (self.buf.len() - HEADER_LEN) as u64,
-                prev_next_pc: self.state.prev_next_pc,
-                prev_addr: self.state.prev_addr,
-                prev_value: self.state.prev_value,
-                ghr: e.ghr,
-                ra: e.ra,
-            };
-            self.snapshots.extend_from_slice(&record.to_bytes());
-        }
         self.push(&TraceEvent::from_entry(e));
     }
 
-    /// Seals the trace: snapshot section, footer, checksum.
+    /// Seals the trace: footer, checksum.
     pub(crate) fn finish(mut self, metrics: &Metrics) -> Trace {
-        let snapshot_count = (self.snapshots.len() / SnapshotRecord::LEN) as u64;
-        self.buf.extend_from_slice(&self.snapshots);
-        self.buf.extend_from_slice(&self.interval.to_le_bytes());
-        self.buf.extend_from_slice(&snapshot_count.to_le_bytes());
         self.buf.extend_from_slice(&self.count.to_le_bytes());
         self.buf
             .extend_from_slice(&(metrics.resident_pages as u64).to_le_bytes());
@@ -437,25 +394,22 @@ impl Trace {
     /// Validates and adopts serialized trace bytes.
     ///
     /// Validation runs cheapest-first: length, magic/version, then the
-    /// O(1) structural invariants of the footer and the snapshot trailer —
-    /// the exited flag is a real boolean; the event count fits the body,
-    /// since every event costs at least one byte; the snapshot section
-    /// fits the container; a non-empty snapshot section implies a
-    /// positive interval whose last boundary lies strictly inside the
-    /// event stream — and only then the O(n) checksum. The order matters
-    /// for robustness *and* speed: a truncated container lands its footer
-    /// window on arbitrary event-stream bytes, which in practice always
-    /// trips a structural check, so rejecting a truncation at **any**
-    /// byte offset costs O(1) instead of a full re-hash — and a
-    /// checksum-re-sealed forgery of a footer or trailer field is refused
-    /// at adoption, before any decode loop can trust it.
+    /// O(1) structural invariants of the footer — the exited flag is a
+    /// real boolean, and the event count fits the body, since every event
+    /// costs at least one byte — and only then the O(n) checksum. The
+    /// order matters for robustness *and* speed: a truncated container
+    /// lands its footer window on arbitrary event-stream bytes, which in
+    /// practice usually trips a structural check, so most truncations are
+    /// rejected in O(1) instead of a full re-hash — and a checksum-re-sealed
+    /// forgery of a footer field is refused at adoption, before any decode
+    /// loop can trust it.
     ///
     /// # Errors
     ///
     /// [`SourceError::Corrupt`] when the container is too short, the
     /// magic is wrong, the version is not [`VERSION`] (the error names
-    /// it), a footer or snapshot-trailer field is structurally invalid,
-    /// or the checksum does not match.
+    /// it), a footer field is structurally invalid, or the checksum does
+    /// not match.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Trace, SourceError> {
         if bytes.len() < MIN_LEN {
             return Err(SourceError::Corrupt(format!(
@@ -480,32 +434,7 @@ impl Trace {
             )));
         }
         let count = read_u64_le(&bytes, footer);
-        let trailer = footer - SNAP_TRAILER_LEN;
-        let interval = read_u64_le(&bytes, trailer);
-        let snap_count = read_u64_le(&bytes, trailer + 8);
-        let snap_bytes = snap_count
-            .checked_mul(SnapshotRecord::LEN as u64)
-            .filter(|&b| b <= (trailer - HEADER_LEN) as u64)
-            .ok_or_else(|| {
-                SourceError::Corrupt(format!("snapshot count {snap_count} exceeds the container"))
-            })?;
-        if snap_count > 0 {
-            // Snapshot i sits at inst_index (i+1)×interval, and a snapshot
-            // is only emitted when a later event follows it, so the last
-            // boundary is strictly below the event count.
-            let last = snap_count.checked_mul(interval).ok_or_else(|| {
-                SourceError::Corrupt(format!(
-                    "snapshot interval {interval} × count {snap_count} overflows"
-                ))
-            })?;
-            if interval == 0 || last >= count {
-                return Err(SourceError::Corrupt(format!(
-                    "snapshot trailer inconsistent: interval {interval}, \
-                     count {snap_count}, events {count}"
-                )));
-            }
-        }
-        let body_bytes = (trailer - snap_bytes as usize - HEADER_LEN) as u64;
+        let body_bytes = (footer - HEADER_LEN) as u64;
         if count > body_bytes {
             return Err(SourceError::Corrupt(format!(
                 "event count {count} exceeds the {body_bytes}-byte body"
@@ -590,66 +519,9 @@ impl Trace {
         self.bytes[4]
     }
 
-    /// Byte offset of the snapshot trailer.
-    fn trailer(&self) -> usize {
-        self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN
-    }
-
-    /// Where the event stream ends (the snapshot section begins).
-    fn body_end(&self) -> usize {
-        self.trailer() - self.snapshot_count() as usize * SnapshotRecord::LEN
-    }
-
-    /// The snapshot interval the trace was captured with (0 = none).
-    pub(crate) fn snapshot_interval(&self) -> u64 {
-        read_u64_le(&self.bytes, self.trailer())
-    }
-
-    /// Number of snapshot records in the container.
-    pub fn snapshot_count(&self) -> u64 {
-        read_u64_le(&self.bytes, self.trailer() + 8)
-    }
-
-    /// Decodes and validates snapshot record `i` in O(1): the record's
-    /// own checksum, its expected boundary `(i+1) × interval`, and that
-    /// its byte cursor lies within the event stream.
-    ///
-    /// # Errors
-    ///
-    /// [`SourceError::Corrupt`] when `i` is out of range or the record
-    /// fails any of the O(1) checks.
-    pub fn snapshot(&self, i: u64) -> Result<SnapshotRecord, SourceError> {
-        let snap_count = self.snapshot_count();
-        if i >= snap_count {
-            return Err(SourceError::Corrupt(format!(
-                "snapshot {i} out of range ({snap_count} records)"
-            )));
-        }
-        let body_end = self.body_end();
-        let at = body_end + (i as usize) * SnapshotRecord::LEN;
-        let mut raw = [0u8; SnapshotRecord::LEN];
-        raw.copy_from_slice(&self.bytes[at..at + SnapshotRecord::LEN]);
-        let record = SnapshotRecord::from_bytes(&raw)?;
-        let expect = (i + 1).wrapping_mul(self.snapshot_interval());
-        if record.inst_index != expect {
-            return Err(SourceError::Corrupt(format!(
-                "snapshot {i} claims inst_index {}, expected {expect}",
-                record.inst_index
-            )));
-        }
-        let body_len = (body_end - HEADER_LEN) as u64;
-        if record.body_pos > body_len {
-            return Err(SourceError::Corrupt(format!(
-                "snapshot {i} cursor {} exceeds the {body_len}-byte body",
-                record.body_pos
-            )));
-        }
-        Ok(record)
-    }
-
-    /// The encoded event stream (between header and snapshots).
+    /// The encoded event stream (between header and footer).
     pub(crate) fn body(&self) -> &[u8] {
-        &self.bytes[HEADER_LEN..self.body_end()]
+        &self.bytes[HEADER_LEN..self.bytes.len() - CHECKSUM_LEN - FOOTER_LEN]
     }
 
     /// Decodes the full event sequence (codec tests and tools; simulation
@@ -712,8 +584,6 @@ mod tests {
         assert_eq!(t.as_bytes().len(), MIN_LEN + events.len());
         assert_eq!(t.events().unwrap(), events);
         assert_eq!(t.version(), VERSION);
-        assert_eq!(t.snapshot_count(), 0);
-        assert_eq!(t.snapshot_interval(), 0);
     }
 
     #[test]
@@ -783,35 +653,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn forged_snapshot_trailers_are_rejected_structurally() {
-        let events: Vec<TraceEvent> = (0..32).map(|i| ev(8 * i, 8 * (i + 1))).collect();
-        let t = Trace::from_events(0, &events, &Metrics::default());
-        let good = t.as_bytes().to_vec();
-        let trailer = good.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN;
-        let reseal = |mut bytes: Vec<u8>| {
-            let body_len = bytes.len() - CHECKSUM_LEN;
-            let checksum = container_checksum(&bytes[..body_len]);
-            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-            bytes
-        };
-        // A snapshot count far beyond the container, re-sealed so only the
-        // structural bound can catch it.
-        let mut forged = good.clone();
-        forged[trailer + 8..trailer + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(Trace::from_bytes(reseal(forged)).is_err());
-        // A non-zero count with a zero interval.
-        let mut forged = good.clone();
-        forged[trailer..trailer + 8].copy_from_slice(&0u64.to_le_bytes());
-        forged[trailer + 8..trailer + 16].copy_from_slice(&1u64.to_le_bytes());
-        assert!(Trace::from_bytes(reseal(forged)).is_err());
-        // A boundary at or past the event count.
-        let mut forged = good;
-        forged[trailer..trailer + 8].copy_from_slice(&32u64.to_le_bytes());
-        forged[trailer + 8..trailer + 16].copy_from_slice(&1u64.to_le_bytes());
-        assert!(Trace::from_bytes(reseal(forged)).is_err());
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! all of that wall-clock. This crate captures the stream once into a
 //! compact binary trace and replays it as many times as needed:
 //!
-//! * [`capture`] / [`capture_snapshotted_with`] execute a program
-//!   functionally once (the latter feeding profilers along the way and
-//!   embedding snapshot records) and return a [`Trace`];
-//! * [`Trace`] is the validated `.arltrace` container (format version 4)
+//! * [`capture`] / [`capture_with`] execute a program functionally once
+//!   (the latter feeding profilers along the way) and return a [`Trace`];
+//! * [`Trace`] is the validated `.arltrace` container (format version 5)
 //!   — delta+varint encoded events framed by a header and a footer, sealed
 //!   with [`container_checksum`], a word-wise FNV-1a that detects any
 //!   single-byte corruption with certainty (see [`format`](self) docs for
@@ -20,6 +19,9 @@
 //!   bit-identical `TraceEntry` stream from the trace plus the program
 //!   image — predictors (`arl-core`) and the cycle-level pipeline
 //!   (`arl-timing`) consume it exactly as they consume a live `Machine`.
+//!   [`Replayer::open_span`] replays one contiguous span of events,
+//!   resuming from the [`SnapshotRecord`] another replayer stopped at
+//!   ([`Replayer::snapshot`]) — the hand-off between chained shard jobs.
 //!
 //! ```
 //! use arl_sim::TraceSource;
@@ -47,4 +49,4 @@ mod replay;
 
 pub use codec::{container_checksum, fnv1a64};
 pub use format::{SnapshotRecord, Trace, TraceEvent, VERSION};
-pub use replay::{capture, capture_snapshotted_with, Replayer};
+pub use replay::{capture, capture_with, Replayer};

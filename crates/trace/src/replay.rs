@@ -5,7 +5,7 @@ use arl_isa::{Gpr, Inst};
 use arl_mem::{Layout, Region};
 use arl_sim::{ExecError, Machine, MemAccess, Metrics, SourceError, TraceEntry, TraceSource};
 
-use crate::format::{decode_event, DeltaState, Trace, TraceWriter};
+use crate::format::{decode_event, DeltaState, SnapshotRecord, Trace, TraceWriter};
 
 /// Captures a workload's full dynamic trace by executing it functionally
 /// once (bounded by `max_insts`).
@@ -14,27 +14,23 @@ use crate::format::{decode_event, DeltaState, Trace, TraceWriter};
 ///
 /// Propagates the first [`ExecError`] from execution.
 pub fn capture(program: &Program, max_insts: u64) -> Result<Trace, ExecError> {
-    capture_snapshotted_with(program, max_insts, 0, |_| {})
+    capture_with(program, max_insts, |_| {})
 }
 
-/// Like [`capture`], additionally embedding a snapshot record every
-/// `interval` retired instructions (0 disables snapshots), so the trace
-/// can later be replayed in independent segments via
-/// [`Replayer::open_span`], and passing every retired instruction to
+/// Like [`capture`], additionally passing every retired instruction to
 /// `visitor` — so profilers can ride along on the single functional
 /// execution instead of forcing a second one.
 ///
 /// # Errors
 ///
 /// Propagates the first [`ExecError`] from execution.
-pub fn capture_snapshotted_with<F: FnMut(&TraceEntry)>(
+pub fn capture_with<F: FnMut(&TraceEntry)>(
     program: &Program,
     max_insts: u64,
-    interval: u64,
     mut visitor: F,
 ) -> Result<Trace, ExecError> {
     let mut machine = Machine::new(program);
-    let mut writer = TraceWriter::with_snapshots(program.entry_pc(), interval);
+    let mut writer = TraceWriter::new(program.entry_pc());
     machine.run_with(max_insts, |e| {
         writer.record(e);
         visitor(e);
@@ -60,6 +56,8 @@ pub struct Replayer<'a> {
     pos: usize,
     state: DeltaState,
     remaining: u64,
+    /// Index of the event after this replayer's last.
+    end: u64,
     metrics: Metrics,
     ghr: u64,
     ra: u64,
@@ -74,29 +72,28 @@ impl<'a> Replayer<'a> {
     /// [`SourceError::Corrupt`] when the trace's entry pc does not match
     /// the program's (the trace belongs to a different program).
     pub fn new(trace: &'a Trace, program: &'a Program) -> Result<Replayer<'a>, SourceError> {
-        Replayer::open_span(trace, program, 0, trace.snapshot_count() + 1)
+        Replayer::open_span(trace, program, None, trace.event_count())
     }
 
-    /// Builds a replayer over one contiguous *segment* of `trace`.
+    /// Builds a replayer over the events `[start, end)` of `trace`, where
+    /// `start` is `resume`'s `inst_index`, or 0 without a resume point.
+    /// It resumes from the record's decode cursor, delta state and
+    /// replayed contexts, so replayers chained through
+    /// [`Replayer::snapshot`] deliver the full replay bit-identically (the
+    /// shard differential suite holds this to `==`).
     ///
-    /// A trace with `S` snapshots has `S + 1` segments separated by
-    /// boundaries `0..=S+1`: boundary 0 is the start of the trace,
-    /// boundary `b` in `1..=S` is snapshot `b - 1`, and boundary `S + 1`
-    /// is the end. The replayer delivers exactly the entries in
-    /// `[start, end)` boundaries, resuming mid-trace from the snapshot's
-    /// checkpointed decode cursor, delta state, and replayed contexts —
-    /// concatenating every segment's stream reproduces the full replay
-    /// bit-identically (the shard differential suite holds this to `==`).
+    /// A resume point may come from a checkpoint ledger, outside this
+    /// process, so it is checked in O(1) before anything decodes.
     ///
     /// # Errors
     ///
     /// [`SourceError::Corrupt`] when the trace does not belong to
-    /// `program`, the boundaries are out of range or inverted, or a
-    /// snapshot record fails its O(1) validation.
+    /// `program`, `start > end`, `end` exceeds the event count, or the
+    /// resume cursor lies past the event stream.
     pub fn open_span(
         trace: &'a Trace,
         program: &'a Program,
-        start: u64,
+        resume: Option<&SnapshotRecord>,
         end: u64,
     ) -> Result<Replayer<'a>, SourceError> {
         if trace.entry_pc() != program.entry_pc() {
@@ -109,55 +106,69 @@ impl<'a> Replayer<'a> {
         // Every event costs at least one body byte; a count beyond that is
         // a forged footer, however plausible the checksum looks.
         let count = trace.event_count();
-        if count > trace.body().len() as u64 {
+        let body = trace.body();
+        if count > body.len() as u64 {
             return Err(SourceError::Corrupt(format!(
                 "event count {count} exceeds the {}-byte body",
-                trace.body().len()
+                body.len()
             )));
         }
-        let boundaries = trace.snapshot_count() + 1;
-        if start >= end || end > boundaries {
+        let start = match resume {
+            Some(record) => *record,
+            None => SnapshotRecord {
+                inst_index: 0,
+                body_pos: 0,
+                prev_next_pc: trace.entry_pc(),
+                prev_addr: 0,
+                prev_value: 0,
+                ghr: 0,
+                ra: 0,
+            },
+        };
+        if start.inst_index > end || end > count {
             return Err(SourceError::Corrupt(format!(
-                "segment [{start}, {end}) invalid for {boundaries} boundaries"
+                "span [{}, {end}) invalid for {count} events",
+                start.inst_index
             )));
         }
-        let (pos, state, ghr, ra, start_idx) = if start == 0 {
-            (0, DeltaState::new(trace.entry_pc()), 0, 0, 0)
-        } else {
-            let s = trace.snapshot(start - 1)?;
-            (
-                s.body_pos as usize,
-                DeltaState {
-                    prev_next_pc: s.prev_next_pc,
-                    prev_addr: s.prev_addr,
-                    prev_value: s.prev_value,
-                },
-                s.ghr,
-                s.ra,
-                s.inst_index,
-            )
-        };
-        let end_idx = if end == boundaries {
-            count
-        } else {
-            trace.snapshot(end - 1)?.inst_index
-        };
-        if start_idx > end_idx {
+        if start.body_pos > body.len() as u64 {
             return Err(SourceError::Corrupt(format!(
-                "segment [{start}, {end}) spans inverted indices {start_idx}..{end_idx}"
+                "resume cursor {} exceeds the {}-byte body",
+                start.body_pos,
+                body.len()
             )));
         }
         Ok(Replayer {
             program,
             layout: *program.layout(),
-            body: trace.body(),
-            pos,
-            state,
-            remaining: end_idx - start_idx,
+            body,
+            pos: start.body_pos as usize,
+            state: DeltaState {
+                prev_next_pc: start.prev_next_pc,
+                prev_addr: start.prev_addr,
+                prev_value: start.prev_value,
+            },
+            remaining: end - start.inst_index,
+            end,
             metrics: trace.metrics(),
-            ghr,
-            ra,
+            ghr: start.ghr,
+            ra: start.ra,
         })
+    }
+
+    /// The resume point this replayer has reached: its state about to
+    /// deliver its next event. Once a span is drained, this is exactly
+    /// where the next span starts ([`Replayer::open_span`]).
+    pub fn snapshot(&self) -> SnapshotRecord {
+        SnapshotRecord {
+            inst_index: self.end - self.remaining,
+            body_pos: self.pos as u64,
+            prev_next_pc: self.state.prev_next_pc,
+            prev_addr: self.state.prev_addr,
+            prev_value: self.state.prev_value,
+            ghr: self.ghr,
+            ra: self.ra,
+        }
     }
 }
 
@@ -314,9 +325,9 @@ mod tests {
     fn segment_replay_concatenates_to_the_full_stream() {
         let spec = workload("compress").expect("compress workload");
         let program = spec.build(arl_workloads::Scale::tiny());
-        let trace = capture_snapshotted_with(&program, 50_000, 1_000, |_| {}).expect("capture");
-        assert!(trace.snapshot_count() >= 2, "workload too short to shard");
-        assert_eq!(trace.snapshot_interval(), 1_000);
+        let trace = capture(&program, 50_000).expect("capture");
+        let count = trace.event_count();
+        assert!(count > 2_000, "workload too short to shard");
 
         let mut full = Vec::new();
         let mut replayer = Replayer::new(&trace, &program).expect("replayer");
@@ -324,24 +335,66 @@ mod tests {
             full.push(e);
         }
 
-        let boundaries = trace.snapshot_count() + 1;
         let mut stitched = Vec::new();
-        for b in 0..boundaries {
-            let mut seg = Replayer::open_span(&trace, &program, b, b + 1).expect("segment");
+        let mut resume: Option<SnapshotRecord> = None;
+        let mut start = 0;
+        while start < count {
+            let end = (start + 1_000).min(count);
+            let mut seg =
+                Replayer::open_span(&trace, &program, resume.as_ref(), end).expect("segment");
             let mut n = 0u64;
             while let Some(e) = seg.next_entry().expect("segment replay") {
                 stitched.push(e);
                 n += 1;
             }
-            if b + 1 < boundaries {
-                assert_eq!(n, 1_000, "interior segment {b} has the interval length");
-            }
+            assert_eq!(n, end - start, "segment [{start}, {end}) has its length");
+            let point = seg.snapshot();
+            assert_eq!(point.inst_index, end);
+            resume = Some(point);
+            start = end;
         }
         assert_eq!(stitched, full);
 
-        // Boundary misuse is rejected, not mis-replayed.
-        assert!(Replayer::open_span(&trace, &program, 1, 1).is_err());
-        assert!(Replayer::open_span(&trace, &program, 0, boundaries + 1).is_err());
+        // Span misuse is rejected, not mis-replayed.
+        let past = resume.expect("at least one segment");
+        assert!(Replayer::open_span(&trace, &program, Some(&past), count - 1).is_err());
+        assert!(Replayer::open_span(&trace, &program, None, count + 1).is_err());
+    }
+
+    /// Builds a genuine resume point `at` events into `trace`.
+    fn resume_point(trace: &Trace, program: &Program, at: u64) -> SnapshotRecord {
+        let mut head = Replayer::open_span(trace, program, None, at).expect("head span");
+        while head.next_entry().expect("head replay").is_some() {}
+        head.snapshot()
+    }
+
+    #[test]
+    fn forged_resume_points_are_refused_as_corrupt() {
+        let (trace, program) = flag_bytes();
+        let count = trace.event_count();
+        let body_len = trace.body().len() as u64;
+        let genuine = resume_point(&trace, &program, count / 2);
+        assert!(Replayer::open_span(&trace, &program, Some(&genuine), count).is_ok());
+
+        let mut cursor_past_body = genuine;
+        cursor_past_body.body_pos = body_len + 1;
+        let mut index_past_end = genuine;
+        index_past_end.inst_index = count / 2 + 10;
+        let mut index_past_count = genuine;
+        index_past_count.inst_index = count + 1;
+        let cases = [
+            (cursor_past_body, count, "cursor past the body"),
+            (index_past_end, count / 2 + 9, "inst_index past the end"),
+            (index_past_count, count, "inst_index past the event count"),
+            (genuine, count + 1, "end past the event count"),
+        ];
+        for (record, end, what) in cases {
+            match Replayer::open_span(&trace, &program, Some(&record), end) {
+                Err(SourceError::Corrupt(_)) => {}
+                Err(other) => panic!("{what}: wrong error variant: {other}"),
+                Ok(_) => panic!("{what}: forged resume point was accepted"),
+            }
+        }
     }
 
     #[test]
@@ -349,7 +402,7 @@ mod tests {
         let spec = workload("go").expect("go workload");
         let program = spec.build(arl_workloads::Scale::tiny());
         let mut seen = 0u64;
-        let trace = capture_snapshotted_with(&program, 10_000, 0, |_| seen += 1).expect("capture");
+        let trace = capture_with(&program, 10_000, |_| seen += 1).expect("capture");
         assert_eq!(seen, trace.event_count());
         assert!(seen > 0);
     }
@@ -381,7 +434,6 @@ mod tests {
         bytes.push(crate::VERSION);
         bytes.extend_from_slice(&program.entry_pc().to_le_bytes());
         bytes.extend_from_slice(body);
-        bytes.extend_from_slice(&[0; 16]); // no snapshots
         bytes.extend_from_slice(&count.to_le_bytes());
         bytes.extend_from_slice(&[0; 17]); // pages, values, exited
         let checksum = crate::container_checksum(&bytes);

@@ -2,11 +2,13 @@
 //! merged output with exactly-once execution, and the full suite shows
 //! zero silent corruptions at tiny scale.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use arl::sim::functional_instructions_executed;
+use arl::stats::Json;
 use arl::timing::MachineConfig;
-use arl::trace::capture_snapshotted_with;
+use arl::trace::capture;
 use arl_bench::{
     campaign_identity, fault_campaign_with, replay_sharded, replay_sharded_supervised,
     stats_fingerprint, timing_trace, Checkpoint, ExperimentOptions, RunIdentity, FAULTS_SCHEMA,
@@ -123,8 +125,7 @@ fn sharded_kill_resume_is_exactly_once_and_bit_identical() {
     let program = workload("perl")
         .expect("perl workload")
         .build(Scale::tiny());
-    let trace = capture_snapshotted_with(&program, INST_CAP, 5_000, |_| {}).expect("capture perl");
-    assert!(trace.snapshot_count() >= 4, "need enough segments to shard");
+    let trace = capture(&program, INST_CAP).expect("capture perl");
     let config = MachineConfig::decoupled(3, 3);
 
     // References: serial and uninterrupted 4-way sharded replays agree.
@@ -156,7 +157,7 @@ fn sharded_kill_resume_is_exactly_once_and_bit_identical() {
     drop(ledger);
 
     // Resume from a freshly reopened ledger: the two completed shards
-    // are served from their recorded state blobs, only the lost tail
+    // are served from their recorded hand-offs, only the lost tail
     // re-runs, and the stitched result is bit-identical.
     let mut ledger = Checkpoint::open(&ckpt_path, &identity, false).unwrap();
     assert_eq!(ledger.len(), 2, "both completed shards must be recorded");
@@ -209,6 +210,79 @@ fn sharded_kill_resume_is_exactly_once_and_bit_identical() {
     assert_eq!(resumed_again.skipped, 3, "all non-final shards are served");
     assert_eq!(resumed_again.executed, 1);
     assert_eq!(resumed_again.stats, serial);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The resume point a ledger entry hands over is outside input: a
+/// missing, non-hex or checksum-failing `"snapshot"` must stop the resume
+/// with a message naming the entry and the field, before any shard replays.
+#[test]
+fn sharded_resume_refuses_a_bad_snapshot_naming_the_key() {
+    let _guard = serialize();
+    let dir = temp_dir("badsnap");
+    let program = workload("perl")
+        .expect("perl workload")
+        .build(Scale::tiny());
+    let trace = capture(&program, INST_CAP).expect("capture perl");
+    let config = MachineConfig::decoupled(3, 3);
+    let identity = RunIdentity::new("test-shard").field("workload", "perl");
+    let mut ledger = Checkpoint::open(&dir.join("shards.ckpt"), &identity, false).unwrap();
+    let supervised = |ledger: &mut Checkpoint, cap| {
+        replay_sharded_supervised(
+            &program,
+            &trace,
+            "perl",
+            &config,
+            4,
+            ledger,
+            "perl/tiny",
+            cap,
+        )
+    };
+    assert!(supervised(&mut ledger, Some(2)).is_none());
+
+    let key = "shard/perl/tiny/1of4";
+    let Json::Obj(genuine) = Json::parse(ledger.get(key).expect("shard 1 recorded")).unwrap()
+    else {
+        panic!("ledger payloads are objects");
+    };
+    let snapshot = genuine
+        .iter()
+        .find_map(|(k, v)| (k == "snapshot").then(|| v.as_str().unwrap().to_string()))
+        .expect("a non-final shard records its resume point");
+    // Flipping one hex digit keeps 64 well-formed bytes but breaks the
+    // record's own checksum.
+    let flipped = format!(
+        "{}{}",
+        if snapshot.starts_with('0') { '1' } else { '0' },
+        &snapshot[1..]
+    );
+    let cases = [
+        (None, "has no \"snapshot\""),
+        (Some("not hex"), "\"snapshot\" is not hex"),
+        (Some(flipped.as_str()), "\"snapshot\" is corrupt"),
+    ];
+    for (value, expected) in cases {
+        let forged: Vec<(String, Json)> = genuine
+            .iter()
+            .filter(|(k, _)| k != "snapshot")
+            .cloned()
+            .chain(value.map(|v| ("snapshot".to_string(), Json::from(v))))
+            .collect();
+        ledger.record(key, &Json::Obj(forged)).unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| supervised(&mut ledger, None)));
+        let panic = outcome.err().expect("a bad snapshot must stop the resume");
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains(key) && msg.contains(expected),
+            "{expected}: unexpected refusal {msg:?}"
+        );
+        assert!(
+            ledger.get("shard/perl/tiny/2of4").is_none(),
+            "{expected}: a shard replayed from the bad hand-off"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

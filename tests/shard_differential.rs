@@ -1,11 +1,12 @@
-//! Snapshot-sharded replay differential suite: stitching shard segments
-//! back together must be **bit-identical** to one unsharded serial replay
-//! — same entry stream, same `SimStats`, same `PredictionStats`, same
-//! probed stall breakdown, same rendered table bytes — for every suite
-//! workload and shard counts 2/3/7.
+//! Sharded replay differential suite: stitching shard spans back together
+//! must be **bit-identical** to one unsharded serial replay — same entry
+//! stream, same `SimStats`, same `PredictionStats`, same probed stall
+//! breakdown, same rendered table bytes — for every suite workload and
+//! shard counts 2/3/7.
 //!
-//! The shard runner chains segments through serialized machine-state
-//! blobs (`crates/timing/src/state.rs`); these tests are the proof that
+//! The shard runner chains spans through each replayer's resume point
+//! (`Replayer::snapshot`) and serialized machine-state blobs
+//! (`crates/timing/src/state.rs`); these tests are the proof that
 //! the mid-cycle cut and resume is unobservable, that a blob from a
 //! different core or machine or a truncated one is refused loudly, and —
 //! against `tests/fixtures/state_blobs.digests` — that the blob bytes
@@ -15,14 +16,9 @@ use arl::core::{Capacity, Context, EvalConfig, Evaluator, PredictorKind};
 use arl::sim::{EntrySliceSource, Machine, SourceError, TraceEntry, TraceSource};
 use arl::stats::TableBuilder;
 use arl::timing::{BackendConfig, MachineConfig, NullProbe, SimStats, TimingSim};
-use arl::trace::{capture_snapshotted_with, fnv1a64, Replayer, Trace};
+use arl::trace::{capture, fnv1a64, Replayer, SnapshotRecord, Trace};
 use arl::workloads::{workload, Scale};
 use arl_bench::{replay_sharded, shard_plan, stats_fingerprint, timing_trace_probed, INST_CAP};
-
-/// Snapshot cadence for the differential traces. Every suite workload
-/// retires at least ~71k instructions at `Scale::tiny()`, so this yields
-/// at least 7 interior snapshots — enough segments for a 7-way plan.
-const INTERVAL: u64 = 10_000;
 
 const SHARD_COUNTS: [usize; 3] = [2, 3, 7];
 
@@ -32,21 +28,34 @@ const SHARD_COUNTS: [usize; 3] = [2, 3, 7];
 /// in flight (the blob exports them as on the retry list).
 const PARKING_AXIS: [&str; 3] = ["tomcatv", "gcc", "m88ksim"];
 
-/// Builds the workload and captures its snapshotted trace once.
-fn snapshotted(name: &str) -> (arl::asm::Program, Trace) {
+/// Builds the workload and captures its trace once.
+fn captured(name: &str) -> (arl::asm::Program, Trace) {
     let spec = workload(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let program = spec.build(Scale::tiny());
-    let trace = capture_snapshotted_with(&program, INST_CAP, INTERVAL, |_| {}).expect("capture");
-    assert!(
-        trace.snapshot_count() >= 2,
-        "{name}: need at least 2 snapshots to shard meaningfully, got {}",
-        trace.snapshot_count()
-    );
+    let trace = capture(&program, INST_CAP).expect("capture");
     (program, trace)
 }
 
+/// Opens the replayer for one planned span, resuming where the previous
+/// span's replayer stopped.
+fn open_span<'a>(
+    name: &str,
+    program: &'a arl::asm::Program,
+    trace: &'a Trace,
+    resume: Option<&SnapshotRecord>,
+    (start, end): (u64, u64),
+) -> Replayer<'a> {
+    assert_eq!(
+        resume.map_or(0, |r| r.inst_index),
+        start,
+        "{name}: chain gap"
+    );
+    Replayer::open_span(trace, program, resume, end)
+        .unwrap_or_else(|e| panic!("{name}: span [{start},{end}) rejected: {e}"))
+}
+
 /// Drains a replayer into a vector.
-fn drain(mut replayer: Replayer<'_>, name: &str) -> Vec<TraceEntry> {
+fn drain(replayer: &mut Replayer<'_>, name: &str) -> Vec<TraceEntry> {
     let mut entries = Vec::new();
     while let Some(entry) = replayer
         .next_entry()
@@ -61,17 +70,17 @@ fn drain(mut replayer: Replayer<'_>, name: &str) -> Vec<TraceEntry> {
 /// back — must equal the single serial replay, for every shard count.
 fn assert_entries_stitch(name: &str, program: &arl::asm::Program, trace: &Trace) {
     let serial = drain(
-        Replayer::new(trace, program).unwrap_or_else(|e| panic!("{name}: {e}")),
+        &mut Replayer::new(trace, program).unwrap_or_else(|e| panic!("{name}: {e}")),
         name,
     );
     assert_eq!(serial.len() as u64, trace.event_count());
-    let boundaries = trace.snapshot_count() + 1;
     for shards in SHARD_COUNTS {
         let mut stitched = Vec::with_capacity(serial.len());
-        for (start, end) in shard_plan(boundaries, shards) {
-            let span = Replayer::open_span(trace, program, start, end)
-                .unwrap_or_else(|e| panic!("{name}: span [{start},{end}) rejected: {e}"));
-            stitched.extend(drain(span, name));
+        let mut resume = None;
+        for span in shard_plan(trace.event_count(), shards) {
+            let mut replayer = open_span(name, program, trace, resume.as_ref(), span);
+            stitched.extend(drain(&mut replayer, name));
+            resume = Some(replayer.snapshot());
         }
         assert_eq!(
             stitched, serial,
@@ -96,7 +105,7 @@ fn assert_timing_stitches(
         let run = replay_sharded(program, trace, name, config, shards, true);
         assert_eq!(
             run.plan.len(),
-            shards.min((trace.snapshot_count() + 1) as usize),
+            shards.min(trace.event_count() as usize),
             "{label}: unexpected shard plan size"
         );
         assert_eq!(
@@ -131,15 +140,15 @@ fn assert_prediction_stitches(name: &str, program: &arl::asm::Program, trace: &T
         .consume(&mut replayer)
         .unwrap_or_else(|e| panic!("{name}: serial evaluation failed: {e}"));
     let serial = *serial.stats();
-    let boundaries = trace.snapshot_count() + 1;
     for shards in SHARD_COUNTS {
         let mut evaluator = Evaluator::new(config.clone());
-        for (start, end) in shard_plan(boundaries, shards) {
-            let mut span = Replayer::open_span(trace, program, start, end)
-                .unwrap_or_else(|e| panic!("{name}: span [{start},{end}) rejected: {e}"));
+        let mut resume = None;
+        for span in shard_plan(trace.event_count(), shards) {
+            let mut replayer = open_span(name, program, trace, resume.as_ref(), span);
             evaluator
-                .consume(&mut span)
+                .consume(&mut replayer)
                 .unwrap_or_else(|e| panic!("{name}: segmented evaluation failed: {e}"));
+            resume = Some(replayer.snapshot());
         }
         assert_eq!(
             *evaluator.stats(),
@@ -150,7 +159,7 @@ fn assert_prediction_stitches(name: &str, program: &arl::asm::Program, trace: &T
 }
 
 fn differential(name: &str) {
-    let (program, trace) = snapshotted(name);
+    let (program, trace) = captured(name);
     assert_entries_stitch(name, &program, &trace);
     assert_timing_stitches(name, &program, &trace, &MachineConfig::decoupled(3, 3));
     if PARKING_AXIS.contains(&name) {
@@ -191,7 +200,7 @@ shard_differential! {
 #[test]
 fn stitched_equals_serial_per_backend() {
     let name = "compress";
-    let (program, trace) = snapshotted(name);
+    let (program, trace) = captured(name);
     for backend in BackendConfig::ALL {
         let config = MachineConfig::decoupled(3, 3).with_backend(backend);
         let label = format!("{name} on {}", config.name);
@@ -377,7 +386,7 @@ fn rendered_tables_match_byte_for_byte() {
     let mut serial_table = TableBuilder::new(&["Benchmark", "Cycles", "Fingerprint"]);
     let mut sharded_table = TableBuilder::new(&["Benchmark", "Cycles", "Fingerprint"]);
     for name in ["perl", "compress", "li"] {
-        let (program, trace) = snapshotted(name);
+        let (program, trace) = captured(name);
         let config = MachineConfig::decoupled(3, 3);
         let (serial_stats, _) = timing_trace_probed(&program, &trace, name, &config);
         let sharded = replay_sharded(&program, &trace, name, &config, 3, false);

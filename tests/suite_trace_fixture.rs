@@ -2,10 +2,9 @@
 //! checked-in trace byte-for-byte.
 //!
 //! `perl_tiny.arltrace` is the smallest suite workload (perl at
-//! `Scale::tiny()`, 71,251 dynamic instructions), captured with a
-//! snapshot every [`SNAPSHOT_INTERVAL`] instructions. Any drift in the
-//! functional simulator, the delta/varint codec, the snapshot records, or
-//! the container layout shows up here as a byte diff — and the pinned
+//! `Scale::tiny()`, 71,251 dynamic instructions). Any drift in the
+//! functional simulator, the delta/varint codec, or the container layout
+//! shows up here as a byte diff — and the pinned
 //! container checksum additionally locks the on-disk artifact itself against
 //! silent edits.
 //!
@@ -17,7 +16,7 @@
 //! ```
 
 use arl::sim::TraceSource;
-use arl::trace::{capture_snapshotted_with, Replayer, Trace, VERSION};
+use arl::trace::{capture, Replayer, Trace, VERSION};
 use arl::workloads::{workload, Scale};
 
 const FIXTURE: &str = concat!(
@@ -25,22 +24,18 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/perl_tiny.arltrace"
 );
 
-/// Snapshot cadence baked into the fixture: 71,251 events at 10,000
-/// yields 7 interior snapshot records.
-const SNAPSHOT_INTERVAL: u64 = 10_000;
-
 /// Container checksum (word-wise FNV-1a 64, `arl_trace::container_checksum`)
 /// of the full fixture minus its own trailing checksum — the value
 /// `Trace::checksum` reports. Pinned so simulator or codec drift cannot
 /// hide behind a regenerated file.
-const PINNED_CHECKSUM: u64 = 0x5840_2143_48c4_b1c5;
+const PINNED_CHECKSUM: u64 = 0xde9a_60ff_8396_a6de;
 
 const PINNED_EVENTS: u64 = 71_251;
 
 fn capture_fixture_workload() -> Trace {
     let spec = workload("perl").expect("perl workload");
     let program = spec.build(Scale::tiny());
-    capture_snapshotted_with(&program, 200_000_000, SNAPSHOT_INTERVAL, |_| {}).expect("capture")
+    capture(&program, 200_000_000).expect("capture")
 }
 
 #[test]
@@ -68,11 +63,6 @@ fn golden_trace_fixture_validates_and_replays() {
     assert_eq!(trace.version(), VERSION);
     assert_eq!(trace.checksum(), PINNED_CHECKSUM);
     assert_eq!(trace.event_count(), PINNED_EVENTS);
-    assert_eq!(
-        trace.snapshot_count(),
-        PINNED_EVENTS / SNAPSHOT_INTERVAL,
-        "fixture carries one snapshot per full interval"
-    );
     assert!(trace.metrics().exited);
 
     let spec = workload("perl").expect("perl workload");
@@ -99,10 +89,9 @@ fn regenerate_golden_trace_fixture() {
         .write_to(std::path::Path::new(FIXTURE))
         .expect("write fixture");
     eprintln!(
-        "wrote {FIXTURE}: {} bytes, {} events, {} snapshots, checksum {:#018x}",
+        "wrote {FIXTURE}: {} bytes, {} events, checksum {:#018x}",
         captured.as_bytes().len(),
         captured.event_count(),
-        captured.snapshot_count(),
         captured.checksum()
     );
 }

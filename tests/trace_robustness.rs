@@ -10,10 +10,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use arl::sim::{Metrics, SourceError};
+use arl::sim::{Metrics, SourceError, TraceSource};
 use arl::trace::{
-    capture_snapshotted_with, container_checksum, Replayer, SnapshotRecord, Trace, TraceEvent,
-    VERSION,
+    capture, container_checksum, Replayer, SnapshotRecord, Trace, TraceEvent, VERSION,
 };
 use arl::workloads::{workload, Scale};
 use proptest::prelude::*;
@@ -116,23 +115,7 @@ fn small_trace_single_byte_flips_are_rejected() {
 /// forgery tests that splice and re-seal specific windows.
 const CHECKSUM_LEN: usize = 8;
 const FOOTER_LEN: usize = 25;
-const SNAP_TRAILER_LEN: usize = 16;
 const HEADER_LEN: usize = 13;
-
-/// A small *snapshotted* capture (the first few thousand instructions of
-/// a real workload) for the exhaustive sweeps and the snapshot-forgery
-/// tests: 5,000 events at interval 250 embeds 19 snapshot records.
-const SNAP_EVENTS: u64 = 5_000;
-const SNAP_INTERVAL: u64 = 250;
-
-fn small_snapshotted() -> (arl::asm::Program, Trace) {
-    let program = workload("go").expect("go workload").build(Scale::tiny());
-    let trace =
-        capture_snapshotted_with(&program, SNAP_EVENTS, SNAP_INTERVAL, |_| {}).expect("capture");
-    assert_eq!(trace.event_count(), SNAP_EVENTS);
-    assert_eq!(trace.snapshot_count(), (SNAP_EVENTS - 1) / SNAP_INTERVAL);
-    (program, trace)
-}
 
 /// Recomputes the trailing container checksum after tampering — the
 /// strongest forgery a bit-flipping adversary with the format spec can
@@ -144,175 +127,59 @@ fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
-/// Byte offset of the snapshot trailer (interval, count) in a v4 trace.
-fn trailer_at(bytes: &[u8]) -> usize {
-    bytes.len() - CHECKSUM_LEN - FOOTER_LEN - SNAP_TRAILER_LEN
-}
-
-/// Byte offset of snapshot record `i` in a v4 trace.
-fn record_at(bytes: &[u8], i: usize) -> usize {
-    let count = u64::from_le_bytes(
-        bytes[trailer_at(bytes) + 8..trailer_at(bytes) + 16]
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    trailer_at(bytes) - (count - i) * SnapshotRecord::LEN
-}
-
-/// The snapshotted capture, truncated at every byte offset, must always
-/// be rejected — the snapshot section adds no resurrectable prefix.
-#[test]
-fn snapshotted_trace_truncation_at_every_offset_is_rejected() {
-    let (_, trace) = small_snapshotted();
-    let bytes = trace.as_bytes().to_vec();
-    assert!(Trace::from_bytes(bytes.clone()).is_ok());
-    for len in 0..bytes.len() {
-        expect_corrupt(
-            bytes[..len].to_vec(),
-            &format!("snapshotted trace truncated to {len} bytes"),
-        );
-    }
-}
-
-/// Single-byte flips anywhere in the snapshotted capture — event stream,
-/// snapshot records, trailer, footer, checksum — are all rejected. The
-/// tail window (last snapshot record onward) gets every mask.
-#[test]
-fn snapshotted_trace_single_byte_flips_are_rejected() {
-    let (_, trace) = small_snapshotted();
-    let count = trace.snapshot_count() as usize;
-    let bytes = trace.as_bytes().to_vec();
-    for at in 0..bytes.len() {
-        for mask in [0x01u8, 0x80, 0xFF] {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= mask;
-            expect_corrupt(corrupt, &format!("snapshotted byte {at} xor {mask:#04x}"));
-        }
-    }
-    let last_record = record_at(&bytes, count - 1);
-    for at in last_record..bytes.len() {
-        for mask in 1u8..=255 {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= mask;
-            expect_corrupt(corrupt, &format!("snapshot tail byte {at} xor {mask:#04x}"));
-        }
-    }
-}
-
-/// Forged snapshot-trailer fields *with the container checksum re-sealed*
-/// must be refused by the O(1) structural invariants at adoption — before
-/// any decode loop can trust them.
-#[test]
-fn resealed_trailer_forgeries_are_rejected_structurally() {
-    let (_, trace) = small_snapshotted();
-    let count = trace.snapshot_count();
-    let bytes = trace.as_bytes().to_vec();
-    let trailer = trailer_at(&bytes);
-    let forge = |interval: u64, count: u64| {
-        let mut forged = bytes.clone();
-        forged[trailer..trailer + 8].copy_from_slice(&interval.to_le_bytes());
-        forged[trailer + 8..trailer + 16].copy_from_slice(&count.to_le_bytes());
-        reseal(forged)
-    };
-    // Count inflated past the container: the multiplication guard fires.
-    expect_corrupt(forge(SNAP_INTERVAL, u64::MAX / 64), "absurd snapshot count");
-    expect_corrupt(forge(SNAP_INTERVAL, u64::MAX), "overflowing snapshot count");
-    // One extra record would place the last boundary at/after the event
-    // count — structurally impossible for a genuine capture.
-    expect_corrupt(forge(SNAP_INTERVAL, count + 1), "snapshot count + 1");
-    // A zero interval with records present is meaningless.
-    expect_corrupt(forge(0, count), "zero interval with records");
-    // An interval pushing the last boundary past the stream end.
-    expect_corrupt(forge(SNAP_EVENTS, count), "oversized interval");
-    // interval × count overflow must not wrap around the boundary check.
-    expect_corrupt(forge(u64::MAX / 2, 3), "interval × count overflow");
-}
-
-/// Undercounting the trailer by one (re-sealed) shifts which bytes are
-/// read as records; adoption cannot catch that in O(1), but every
-/// snapshot access then fails its own `(i+1) × interval` boundary check,
-/// so no span replay can start from a misaligned record.
-#[test]
-fn resealed_undercount_fails_every_snapshot_access() {
-    let (program, trace) = small_snapshotted();
-    let count = trace.snapshot_count();
-    let bytes = trace.as_bytes().to_vec();
-    let trailer = trailer_at(&bytes);
-    let mut forged = bytes;
-    forged[trailer + 8..trailer + 16].copy_from_slice(&(count - 1).to_le_bytes());
-    let adopted = Trace::from_bytes(reseal(forged)).expect("undercount passes O(1) adoption");
-    for i in 0..count - 1 {
-        assert!(
-            adopted.snapshot(i).is_err(),
-            "misaligned snapshot {i} must fail its boundary check"
-        );
-        assert!(
-            Replayer::open_span(&adopted, &program, i + 1, count).is_err(),
-            "no span may open from misaligned snapshot {i}"
-        );
-    }
-    // Boundary 0 needs no snapshot record: the full replay still works.
-    let mut full = Replayer::new(&adopted, &program).expect("full replay needs no snapshots");
-    let mut n = 0u64;
-    while arl::sim::TraceSource::next_entry(&mut full)
-        .expect("replay")
-        .is_some()
-    {
-        n += 1;
-    }
-    assert_eq!(n, SNAP_EVENTS);
-}
-
-/// Forging *record* fields with both checksums re-sealed (the record's
-/// own and the container's) still cannot smuggle a bad resume cursor or
-/// boundary past `Trace::snapshot` / `Replayer::open_span`.
+/// A resume point is handed over through the checkpoint ledger, so it is
+/// outside input. Forging its fields and re-sealing its own checksum — the
+/// strongest forgery of a ledger's `"snapshot"` — still cannot smuggle a
+/// bad cursor or span past `Replayer::open_span`, which refuses them in
+/// O(1), before anything decodes.
 #[test]
 fn resealed_record_forgeries_are_rejected_in_o1() {
-    let (program, trace) = small_snapshotted();
-    let genuine = trace.snapshot(3).expect("genuine record");
-    let body_len = {
-        let bytes = trace.as_bytes();
-        (record_at(bytes, 0) - HEADER_LEN) as u64
+    let program = workload("go").expect("go workload").build(Scale::tiny());
+    let trace = capture(&program, 5_000).expect("capture");
+    let count = trace.event_count();
+    let mut head = Replayer::open_span(&trace, &program, None, count / 2).expect("head span");
+    while head.next_entry().expect("head replay").is_some() {}
+    let genuine = head.snapshot();
+    let body_len = (trace.as_bytes().len() - HEADER_LEN - FOOTER_LEN - CHECKSUM_LEN) as u64;
+    let resealed = |record: &SnapshotRecord| {
+        SnapshotRecord::from_bytes(&record.to_bytes()).expect("a resealed record decodes")
     };
-    let splice = |record: &SnapshotRecord| {
-        let bytes = trace.as_bytes().to_vec();
-        let at = record_at(&bytes, 3);
-        let mut forged = bytes;
-        forged[at..at + SnapshotRecord::LEN].copy_from_slice(&record.to_bytes());
-        Trace::from_bytes(reseal(forged)).expect("record forgeries pass container checks")
+    let refused = |record: &SnapshotRecord, end: u64| {
+        matches!(
+            Replayer::open_span(&trace, &program, Some(&resealed(record)), end),
+            Err(SourceError::Corrupt(_))
+        )
     };
     // Cursor pointing past the event stream.
     let mut bad_cursor = genuine;
     bad_cursor.body_pos = body_len + 1;
-    let adopted = splice(&bad_cursor);
-    assert!(adopted.snapshot(3).is_err(), "oversized cursor must fail");
-    assert!(Replayer::open_span(&adopted, &program, 4, 6).is_err());
-    // Boundary not equal to (i+1) × interval.
+    assert!(refused(&bad_cursor, count), "oversized cursor must fail");
+    // A start past the span's end, or past the event count.
     let mut bad_boundary = genuine;
-    bad_boundary.inst_index += 1;
-    let adopted = splice(&bad_boundary);
-    assert!(adopted.snapshot(3).is_err(), "shifted boundary must fail");
-    assert!(Replayer::open_span(&adopted, &program, 4, 6).is_err());
-    // Splicing a *valid* record into the wrong slot fails the same check.
-    let neighbor = trace.snapshot(4).expect("neighbor record");
-    let adopted = splice(&neighbor);
-    assert!(
-        adopted.snapshot(3).is_err(),
-        "transplanted record must fail"
-    );
-    // Untampered slots stay readable — rejection is per-record, O(1).
-    assert_eq!(adopted.snapshot(4).expect("slot 4 intact"), neighbor);
+    bad_boundary.inst_index = count + 1;
+    assert!(refused(&bad_boundary, count), "start past the events");
+    assert!(refused(&genuine, count / 2 - 1), "start past the end");
+    assert!(refused(&genuine, count + 1), "end past the events");
+    // The genuine point, resealed, replays exactly the tail.
+    let mut tail =
+        Replayer::open_span(&trace, &program, Some(&resealed(&genuine)), count).expect("tail");
+    let mut n = 0u64;
+    while tail.next_entry().expect("tail replay").is_some() {
+        n += 1;
+    }
+    assert_eq!(n, count - count / 2);
 }
 
-/// Only version 4 decodes. The v4 fixture with its version byte
+/// Only version 5 decodes. The v5 fixture with its version byte
 /// rewritten to 1 (the pre-snapshot format), 2 (the bytewise-checksum
-/// format) or 3 (the retired compiled-model format), and its checksum
-/// re-sealed so only the version check can fire, is refused with an error
-/// naming that version.
+/// format), 3 (the retired compiled-model format) or 4 (the format with
+/// snapshot records inside the container), and its checksum re-sealed so
+/// only the version check can fire, is refused with an error naming that
+/// version.
 #[test]
 fn v1_v2_and_v3_containers_are_refused_naming_their_version() {
     assert!(Trace::from_bytes(FIXTURE.to_vec()).is_ok());
-    for version in [1u8, 2, 3] {
+    for version in [1u8, 2, 3, 4] {
         let mut forged = FIXTURE.to_vec();
         forged[4] = version;
         match Trace::from_bytes(reseal(forged)) {
