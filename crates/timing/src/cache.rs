@@ -1317,6 +1317,25 @@ mod tests {
     }
 
     #[test]
+    fn misses_leave_no_memory_event_behind() {
+        // The caches are lock-up free: a miss holds nothing that frees
+        // later, so without a fault plan no cycle is ever a memory event
+        // and the event core may skip any idle span.
+        let config = MachineConfig::decoupled(3, 3);
+        let mut m = MemSystem::new(&config);
+        for (k, route) in [Route::DataCache, Route::Lvc].into_iter().enumerate() {
+            let base = 0x2000_0000 + k as u64 * 0x10_0000;
+            m.new_cycle();
+            m.access(route, base); // a load's miss
+            m.new_cycle();
+            m.access(route, base + 0x1000); // a committing store's write miss
+            assert_eq!(m.next_event_after(m.now), None, "{route:?}");
+        }
+        assert_eq!(m.dcache_stats().misses, 2);
+        assert_eq!(m.lvc_stats().map(|s| s.misses), Some(2));
+    }
+
+    #[test]
     fn lvc_is_fast_and_separate() {
         let config = MachineConfig::decoupled(2, 2);
         let mut m = MemSystem::new(&config);
