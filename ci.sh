@@ -37,14 +37,17 @@ cargo build --release
 echo "==> cargo test (every workspace crate)"
 cargo test --workspace -q
 
-echo "==> cargo check benchmark/ (a separate package over arl-bench's API)"
+echo "==> cargo test benchmark/ (a separate package over arl-bench's API)"
 # `cargo test --workspace` never builds benchmark/, so an arl-bench API
-# change could break it unnoticed. Its lock file carries a stale entry
-# that every build rewrites; restore it whether or not the check passes.
+# change could break it unnoticed. Its tests are the benchmark's
+# tiny-scale golden checks (paper digests, replay inst+cycles per cell,
+# capture digests), so a timing-core change that drifts a golden fails
+# here too. Its lock file carries a stale entry that every build
+# rewrites; restore it whether or not the tests pass.
 lock_backup="$(mktemp)"
 cp benchmark/Cargo.lock "$lock_backup"
 bench_ok=0
-cargo check --offline --manifest-path benchmark/Cargo.toml && bench_ok=1
+cargo test --release --offline --manifest-path benchmark/Cargo.toml && bench_ok=1
 cp "$lock_backup" benchmark/Cargo.lock
 rm -f "$lock_backup"
 test "$bench_ok" = 1

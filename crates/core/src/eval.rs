@@ -2,7 +2,7 @@
 //! (the measurement behind Figures 4 and 5 and Table 3).
 
 use arl_mem::Region;
-use arl_sim::{SourceError, TraceEntry, TraceSource};
+use arl_sim::TraceEntry;
 
 use crate::arpt::{Arpt, Capacity, CounterScheme};
 use crate::context::Context;
@@ -209,19 +209,6 @@ impl Evaluator {
             }
             None => (false, Source::Default),
         }
-    }
-
-    /// Drains a [`TraceSource`] — live executor or trace replayer — feeding
-    /// every entry through [`Evaluator::observe`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SourceError`] from the source.
-    pub fn consume<S: TraceSource>(&mut self, source: &mut S) -> Result<(), SourceError> {
-        while let Some(entry) = source.next_entry()? {
-            self.observe(&entry);
-        }
-        Ok(())
     }
 
     /// Results so far.

@@ -1,8 +1,5 @@
 //! Set-associative caches and the two-level memory hierarchy.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use arl_sim::SourceError;
 
 use crate::config::{BackendConfig, CacheConfig, MachineConfig, PortModel};
@@ -105,13 +102,6 @@ impl Cache {
         false
     }
 
-    /// Probes without updating LRU or filling (for MSHR pre-checks, tests
-    /// and diagnostics).
-    pub(crate) fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|(t, _)| *t == tag)
-    }
-
     /// Accumulated statistics.
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
@@ -162,8 +152,6 @@ struct BandwidthState {
     buffer_used: bool,
     /// LineBuffered: the line held by the buffer (persistent).
     buffered_line: u64,
-    /// Conflicts observed (denied access starts).
-    conflicts: u64,
     /// Accesses that claimed bandwidth this cycle (all port models).
     claims_this_cycle: usize,
 }
@@ -178,7 +166,6 @@ impl BandwidthState {
             array_used: false,
             buffer_used: false,
             buffered_line: u64::MAX,
-            conflicts: 0,
             claims_this_cycle: 0,
         }
     }
@@ -223,7 +210,6 @@ impl BandwidthState {
         io.val(&mut self.array_used)?;
         io.val(&mut self.buffer_used)?;
         io.val(&mut self.buffered_line)?;
-        io.val(&mut self.conflicts)?;
         io.val(&mut self.claims_this_cycle)
     }
 
@@ -242,17 +228,6 @@ impl BandwidthState {
                 }
             }
         }
-    }
-}
-
-/// Pops every release cycle due at or before `now`.
-#[inline]
-fn release_due(heap: &mut BinaryHeap<Reverse<u64>>, now: u64) {
-    while let Some(&Reverse(release)) = heap.peek() {
-        if release > now {
-            break;
-        }
-        heap.pop();
     }
 }
 
@@ -479,8 +454,10 @@ fn route_index(route: Route) -> usize {
 }
 
 /// The data-side memory hierarchy: L1 data cache (+ optional LVC), a
-/// shared L2, and main memory, with per-cycle bandwidth accounting and
-/// bounded MSHRs for the first-level structures.
+/// shared L2, and main memory, with per-cycle bandwidth accounting for
+/// the first-level structures. Every cache is lock-up free (Table 4): a
+/// miss only costs latency, so no access is ever refused for lack of a
+/// miss-tracking slot.
 #[derive(Clone, Debug)]
 pub(crate) struct MemSystem {
     dcache: Cache,
@@ -488,12 +465,6 @@ pub(crate) struct MemSystem {
     backend: Backend,
     dcache_bw: BandwidthState,
     lvc_bw: Option<BandwidthState>,
-    mshr_cap: usize,
-    /// Release cycles of in-flight misses per route (min-heaps, so the
-    /// per-cycle release sweep and the next-event query are O(1) when
-    /// nothing is due).
-    dcache_mshrs: BinaryHeap<Reverse<u64>>,
-    lvc_mshrs: BinaryHeap<Reverse<u64>>,
     /// LVC-routed accesses served by the data cache because the machine
     /// has no LVC (dispatch steering on a conventional config).
     steer_fallbacks: u64,
@@ -518,9 +489,6 @@ impl MemSystem {
             backend: Backend::new(config),
             dcache_bw: BandwidthState::new(&dcache_cfg),
             lvc_bw: lvc_cfg.as_ref().map(BandwidthState::new),
-            mshr_cap: config.mshrs,
-            dcache_mshrs: BinaryHeap::new(),
-            lvc_mshrs: BinaryHeap::new(),
             steer_fallbacks: 0,
             port_faults: config
                 .faults
@@ -542,8 +510,7 @@ impl MemSystem {
         }
     }
 
-    /// Starts a new cycle: all per-cycle bandwidth becomes free and
-    /// completed misses release their MSHRs.
+    /// Starts a new cycle: all per-cycle bandwidth becomes free.
     pub(crate) fn new_cycle(&mut self) {
         self.now += 1;
         let now = self.now;
@@ -551,8 +518,6 @@ impl MemSystem {
         if let Some(bw) = &mut self.lvc_bw {
             bw.new_cycle();
         }
-        release_due(&mut self.dcache_mshrs, now);
-        release_due(&mut self.lvc_mshrs, now);
         if !self.port_faults.is_empty() {
             for fault in &self.port_faults {
                 let (start, len) = match fault.kind {
@@ -622,10 +587,10 @@ impl MemSystem {
     }
 
     /// The earliest cycle strictly after `now` at which this memory
-    /// system's observable availability can change on its own: an MSHR
-    /// release (miss return), or a fault window opening or closing. The
-    /// event-driven core may fast-forward a provably idle span up to (but
-    /// not past) this cycle; `None` means nothing is scheduled.
+    /// system's observable availability can change on its own: a fault
+    /// window opening or closing. The event-driven core may fast-forward a
+    /// provably idle span up to (but not past) this cycle; `None` means
+    /// nothing is scheduled.
     pub(crate) fn next_event_after(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut consider = |at: u64| {
@@ -633,13 +598,6 @@ impl MemSystem {
                 next = Some(next.map_or(at, |n| n.min(at)));
             }
         };
-        // `new_cycle` releases slots due `<= now`, so the heap minimum (if
-        // any) frees — and the miss data returns — during that cycle.
-        for heap in [&self.dcache_mshrs, &self.lvc_mshrs] {
-            if let Some(&Reverse(release)) = heap.peek() {
-                consider(release);
-            }
-        }
         for fault in &self.port_faults {
             let (start, len) = match fault.kind {
                 FaultKind::PortBlackout {
@@ -664,18 +622,15 @@ impl MemSystem {
     /// effects of `to - now` idle [`MemSystem::new_cycle`] calls in one
     /// step. Only valid across spans with no accesses and no fault-window
     /// boundaries (the event-driven core guarantees both): bandwidth state
-    /// is already idle, so only the clock and elapsed MSHR releases move.
+    /// is already idle, so only the clock moves.
     pub(crate) fn fast_forward(&mut self, to: u64) {
         debug_assert!(to >= self.now, "memory time never moves backwards");
         self.now = to;
-        release_due(&mut self.dcache_mshrs, to);
-        release_due(&mut self.lvc_mshrs, to);
     }
 
-    /// Whether an access to `addr` could start on `route` this cycle
-    /// (bandwidth only; MSHR availability is checked at access time, since
-    /// it only matters for misses). [`Route::Lvc`] on a machine without an
-    /// LVC is answered for the data cache, which serves such accesses.
+    /// Whether an access to `addr` could start on `route` this cycle.
+    /// [`Route::Lvc`] on a machine without an LVC is answered for the data
+    /// cache, which serves such accesses.
     pub(crate) fn port_available(&self, route: Route, addr: u64) -> bool {
         if !self.port_faults.is_empty() && self.blacked_out(self.effective_route(route)) {
             return false;
@@ -692,23 +647,7 @@ impl MemSystem {
         }
     }
 
-    /// Whether an access to `addr` could be *rejected for lack of an MSHR*
-    /// this cycle: it would miss and every MSHR is occupied. Read-only (no
-    /// LRU update, no bandwidth claim) — used by the stall-attribution
-    /// probe.
-    pub(crate) fn mshr_would_block(&self, route: Route, addr: u64) -> bool {
-        let (cache, mshrs) = match self.effective_route(route) {
-            Route::DataCache => (&self.dcache, &self.dcache_mshrs),
-            Route::Lvc => match self.lvc.as_ref() {
-                Some(lvc) => (lvc, &self.lvc_mshrs),
-                None => (&self.dcache, &self.dcache_mshrs),
-            },
-        };
-        !cache.probe(addr) && mshrs.len() >= self.mshr_cap
-    }
-
-    /// Attempts the access; returns its total latency, or `None` if it
-    /// would miss and no MSHR is free (the caller retries next cycle).
+    /// Performs the access and returns its total latency.
     ///
     /// [`Route::Lvc`] on a machine without an LVC falls back to the data
     /// cache (counted in [`Self::steer_fallbacks`]) — dispatch-stage
@@ -717,7 +656,7 @@ impl MemSystem {
     ///
     /// Callers must check [`Self::port_available`] first; debug builds
     /// assert it (the release hot loop skips the duplicate probe).
-    pub(crate) fn access(&mut self, route: Route, addr: u64) -> Option<u64> {
+    pub(crate) fn access(&mut self, route: Route, addr: u64) -> u64 {
         debug_assert!(
             self.port_available(route, addr),
             "no bandwidth on {route:?}"
@@ -729,27 +668,6 @@ impl MemSystem {
             }
             r => r,
         };
-        // MSHR pre-check: a miss needs a free slot.
-        let (cache, mshrs) = match route {
-            Route::DataCache => (&self.dcache, &self.dcache_mshrs),
-            Route::Lvc => match self.lvc.as_ref() {
-                Some(lvc) => (lvc, &self.lvc_mshrs),
-                None => (&self.dcache, &self.dcache_mshrs),
-            },
-        };
-        let will_hit = cache.probe(addr);
-        if !will_hit && mshrs.len() >= self.mshr_cap {
-            match route {
-                Route::DataCache => self.dcache_bw.conflicts += 1,
-                Route::Lvc => {
-                    if let Some(bw) = &mut self.lvc_bw {
-                        bw.conflicts += 1;
-                    }
-                }
-            }
-            return None;
-        }
-
         let (l1_hit, l1_latency) = match route {
             Route::DataCache => {
                 self.dcache_bw.claim(addr);
@@ -772,15 +690,9 @@ impl MemSystem {
             self.spike_extra(route)
         };
         if l1_hit {
-            return Some(l1_latency + spike);
+            return l1_latency + spike;
         }
-        let total = spike + l1_latency + self.backend.beyond_l1(route, addr);
-        let release = self.now + total;
-        match route {
-            Route::DataCache => self.dcache_mshrs.push(Reverse(release)),
-            Route::Lvc => self.lvc_mshrs.push(Reverse(release)),
-        }
-        Some(total)
+        spike + l1_latency + self.backend.beyond_l1(route, addr)
     }
 
     /// L1 data-cache statistics.
@@ -823,8 +735,7 @@ impl MemSystem {
     /// Walks the complete hierarchy state for sharded replay: the backend
     /// identity tag, clock, cache arrays, backend device state, bandwidth
     /// accounting (including the boundary cycle's claims — the cut is
-    /// mid-cycle), MSHR release heaps in a canonical sorted form, and
-    /// fault attribution. `port_faults`, latencies and MSHR capacity are
+    /// mid-cycle), and fault attribution. `port_faults` and latencies are
     /// configuration, rebuilt by [`MemSystem::new`]; import therefore
     /// needs a hierarchy freshly built from the *same* configuration. The
     /// state is per-backend because device state *is* timing state:
@@ -844,21 +755,9 @@ impl MemSystem {
         if let Some(bw) = &mut self.lvc_bw {
             bw.sync(io)?;
         }
-        for heap in [&mut self.dcache_mshrs, &mut self.lvc_mshrs] {
-            let mut releases = heap_sorted(heap);
-            io.list(&mut releases)?;
-            *heap = releases.into_iter().map(Reverse).collect();
-        }
         io.val(&mut self.steer_fallbacks)?;
         io.list(&mut self.faults_triggered)
     }
-}
-
-/// A min-heap's contents as an ascending vector (canonical MSHR form).
-fn heap_sorted(heap: &BinaryHeap<Reverse<u64>>) -> Vec<u64> {
-    let mut v: Vec<u64> = heap.iter().map(|&Reverse(at)| at).collect();
-    v.sort_unstable();
-    v
 }
 
 #[cfg(test)]
@@ -866,6 +765,15 @@ fn heap_sorted(heap: &BinaryHeap<Reverse<u64>>) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::state::{StateReader, StateWriter};
+
+    impl Cache {
+        /// Whether `addr`'s line is resident, without updating LRU or
+        /// filling.
+        fn probe(&self, addr: u64) -> bool {
+            let (set_idx, tag) = self.set_and_tag(addr);
+            self.sets[set_idx].iter().any(|(t, _)| *t == tag)
+        }
+    }
 
     fn small_cache(assoc: usize) -> Cache {
         Cache::new(CacheConfig {
@@ -915,10 +823,10 @@ mod tests {
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         // Cold: L1 miss + L2 miss → 2 + 12 + 50.
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(64));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 64);
         m.new_cycle();
         // Warm L1.
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 2);
         assert_eq!(m.dcache_stats().accesses(), 2);
     }
 
@@ -936,11 +844,7 @@ mod tests {
         m.new_cycle();
         m.access(Route::DataCache, a + 2 * stride); // evicts `a` from L1
         m.new_cycle();
-        assert_eq!(
-            m.access(Route::DataCache, a),
-            Some(2 + 12),
-            "L1 miss, L2 hit"
-        );
+        assert_eq!(m.access(Route::DataCache, a), 2 + 12, "L1 miss, L2 hit");
     }
 
     #[test]
@@ -971,13 +875,12 @@ mod tests {
         m.new_cycle();
         let sp = 0x7fff_e000u64;
         assert!(m.port_available(Route::Lvc, sp));
-        assert_eq!(m.access(Route::Lvc, sp), Some(2 + 12 + 50), "cold dcache");
+        assert_eq!(m.access(Route::Lvc, sp), 2 + 12 + 50, "cold dcache");
         m.new_cycle();
-        assert_eq!(m.access(Route::Lvc, sp), Some(2), "warm dcache hit");
+        assert_eq!(m.access(Route::Lvc, sp), 2, "warm dcache hit");
         assert_eq!(m.steer_fallbacks(), 2);
         assert_eq!(m.dcache_stats().accesses(), 2);
         assert!(m.lvc_stats().is_none());
-        assert!(!m.mshr_would_block(Route::Lvc, sp), "line is resident");
     }
 
     #[test]
@@ -1027,28 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn mshrs_bound_outstanding_misses() {
-        let mut config = MachineConfig::baseline_2_0();
-        config.mshrs = 1;
-        config.dcache.port_model = PortModel::TruePorts(4);
-        let mut m = MemSystem::new(&config);
-        m.new_cycle();
-        assert!(m.access(Route::DataCache, 0x2000_0000).is_some()); // miss
-        assert_eq!(
-            m.access(Route::DataCache, 0x3000_0000),
-            None,
-            "second miss has no MSHR"
-        );
-        // A hit is still fine.
-        assert_eq!(m.access(Route::DataCache, 0x2000_0010), Some(2));
-        // After the miss resolves (64 cycles), the MSHR frees.
-        for _ in 0..64 {
-            m.new_cycle();
-        }
-        assert!(m.access(Route::DataCache, 0x3000_0000).is_some());
-    }
-
-    #[test]
     fn port_blackout_denies_the_window_and_is_attributed() {
         let mut config = MachineConfig::baseline_2_0();
         config.faults.push(TimingFault {
@@ -1087,11 +968,11 @@ mod tests {
         });
         let mut m = MemSystem::new(&config);
         m.new_cycle(); // cycle 1: normal cold miss
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(64));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 64);
         m.new_cycle(); // cycle 2: spiked hit
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2 + 10));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 2 + 10);
         m.new_cycle(); // cycle 3: back to normal
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 2);
         assert_eq!(m.faults_triggered(), &[3]);
     }
 
@@ -1131,7 +1012,7 @@ mod tests {
         let mut m = MemSystem::new(&config);
         assert_eq!(m.backend.kind, BackendConfig::Baseline);
         m.new_cycle();
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2 + 12 + 50));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 2 + 12 + 50);
         assert!(m.stacked_stats().is_none());
     }
 
@@ -1141,10 +1022,10 @@ mod tests {
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         // 0x2000_0000 sits in an even 4 KB page: on-stack, half latency.
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2 + 12 + 25));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 2 + 12 + 25);
         m.new_cycle();
         // The next page is odd: off-chip.
-        assert_eq!(m.access(Route::DataCache, 0x2000_1000), Some(2 + 12 + 50));
+        assert_eq!(m.access(Route::DataCache, 0x2000_1000), 2 + 12 + 50);
         assert!(
             m.stacked_stats().is_none(),
             "flat split keeps no device state"
@@ -1157,10 +1038,7 @@ mod tests {
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         // Cold: miss everywhere, pay the stacked lookup plus off-chip.
-        assert_eq!(
-            m.access(Route::DataCache, 0x100_0000),
-            Some(2 + 12 + 25 + 50)
-        );
+        assert_eq!(m.access(Route::DataCache, 0x100_0000), 2 + 12 + 25 + 50);
         assert_eq!(m.stacked_stats(), Some(CacheStats { hits: 0, misses: 1 }));
         // L2 is 512 KB 4-way with 32 B lines (4096 sets): a 128 KB stride
         // stays in one set, so five lines evict the first from both L1
@@ -1173,7 +1051,7 @@ mod tests {
         m.new_cycle();
         assert_eq!(
             m.access(Route::DataCache, 0x100_0000),
-            Some(2 + 12 + 25),
+            2 + 12 + 25,
             "L1 and L2 evicted the line; the stacked cache still holds it"
         );
         assert_eq!(m.stacked_stats(), Some(CacheStats { hits: 1, misses: 5 }));
@@ -1185,14 +1063,11 @@ mod tests {
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         // Even page: the flat half of the stack, no cache involvement.
-        assert_eq!(m.access(Route::DataCache, 0x2000_0000), Some(2 + 12 + 25));
+        assert_eq!(m.access(Route::DataCache, 0x2000_0000), 2 + 12 + 25);
         assert_eq!(m.stacked_stats(), Some(CacheStats::default()));
         m.new_cycle();
         // Odd page: goes through the (cold) stacked-cache partition.
-        assert_eq!(
-            m.access(Route::DataCache, 0x2000_1000),
-            Some(2 + 12 + 25 + 50)
-        );
+        assert_eq!(m.access(Route::DataCache, 0x2000_1000), 2 + 12 + 25 + 50);
         assert_eq!(m.stacked_stats(), Some(CacheStats { hits: 0, misses: 1 }));
     }
 
@@ -1202,20 +1077,20 @@ mod tests {
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         // Row open on the LSQ stream.
-        assert_eq!(m.access(Route::DataCache, 0x1000), Some(2 + 12 + 50));
+        assert_eq!(m.access(Route::DataCache, 0x1000), 2 + 12 + 50);
         m.new_cycle();
         // Consecutive same-row misses ramp down: 24, 20, ...
-        assert_eq!(m.access(Route::DataCache, 0x1020), Some(2 + 12 + 24));
+        assert_eq!(m.access(Route::DataCache, 0x1020), 2 + 12 + 24);
         m.new_cycle();
-        assert_eq!(m.access(Route::DataCache, 0x1040), Some(2 + 12 + 20));
+        assert_eq!(m.access(Route::DataCache, 0x1040), 2 + 12 + 20);
         m.new_cycle();
         // The LVAQ stream has its own open row: this does not disturb the
         // LSQ run, and itself pays a fresh open (LVC hit latency is 1).
-        assert_eq!(m.access(Route::Lvc, 0x8_0000), Some(1 + 12 + 50));
+        assert_eq!(m.access(Route::Lvc, 0x8_0000), 1 + 12 + 50);
         m.new_cycle();
         assert_eq!(
             m.access(Route::DataCache, 0x1060),
-            Some(2 + 12 + 16),
+            2 + 12 + 16,
             "the LSQ run survived the interleaved LVAQ access"
         );
         let rows = m.stacked_stats().expect("burst keeps row stats");
@@ -1226,10 +1101,7 @@ mod tests {
             m.access(Route::DataCache, 0x1000 + i * 32);
             m.new_cycle();
         }
-        assert_eq!(
-            m.access(Route::DataCache, 0x1000 + 12 * 32),
-            Some(2 + 12 + 8)
-        );
+        assert_eq!(m.access(Route::DataCache, 0x1000 + 12 * 32), 2 + 12 + 8);
     }
 
     #[test]
@@ -1341,9 +1213,9 @@ mod tests {
         let mut m = MemSystem::new(&config);
         m.new_cycle();
         let sp = 0x7fff_e000u64;
-        assert_eq!(m.access(Route::Lvc, sp), Some(1 + 12 + 50));
+        assert_eq!(m.access(Route::Lvc, sp), 1 + 12 + 50);
         m.new_cycle();
-        assert_eq!(m.access(Route::Lvc, sp), Some(1));
+        assert_eq!(m.access(Route::Lvc, sp), 1);
         assert_eq!(m.lvc_stats().unwrap().accesses(), 2);
         assert_eq!(m.dcache_stats().accesses(), 0);
     }

@@ -262,14 +262,6 @@ pub struct MachineConfig {
     pub region_mispredict_penalty: u64,
     /// Recovery policy on a region misprediction.
     pub recovery: RecoveryMode,
-    /// Outstanding-miss capacity per first-level structure (lock-up-free
-    /// MSHRs); `usize::MAX` = unbounded, the paper's idealization.
-    pub mshrs: usize,
-    /// Store write-buffer entries: committed stores drain through cache
-    /// ports in the background instead of stalling commit, up to this
-    /// depth. `0` models write-through-at-commit (stores block commit on
-    /// port contention).
-    pub write_buffer: usize,
     /// Faults to inject during the run (empty for normal simulation; the
     /// fault campaign materializes seeded plans into this list).
     pub faults: Vec<TimingFault>,
@@ -299,8 +291,6 @@ impl MachineConfig {
             value_prediction: true,
             region_mispredict_penalty: 1,
             recovery: RecoveryMode::SelectiveReissue,
-            mshrs: usize::MAX,
-            write_buffer: 0,
             faults: Vec::new(),
             backend: BackendConfig::Baseline,
         }

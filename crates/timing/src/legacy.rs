@@ -45,7 +45,7 @@ pub fn run_probed<S: TraceSource, P: Probe>(
         sim.begin_cycle();
         let committed = sim.commit_stage();
         sim.memory_stage();
-        // Attribute the stall after the memory stage so port/MSHR denials
+        // Attribute the stall after the memory stage so port denials
         // reflect this cycle's actual bandwidth claims, but before issue
         // mutates the head's issued state.
         let stall = if P::ENABLED && committed == 0 {
@@ -87,7 +87,7 @@ pub fn run_probed<S: TraceSource, P: Probe>(
                 stall,
             });
         }
-        if exhausted && pending.is_none() && sim.rob.is_empty() && sim.write_buffer.is_empty() {
+        if exhausted && pending.is_none() && sim.rob.is_empty() {
             break;
         }
         debug_assert!(
@@ -176,8 +176,6 @@ struct LegacySim<P: Probe> {
     reg_producer: [Option<u64>; 64],
     // Per-cycle FU usage.
     fu_used: [usize; 4],
-    /// Committed stores awaiting their background cache write.
-    write_buffer: VecDeque<(Route, u64)>,
     /// Pending ARPT soft errors (removed once injected); port-layer faults
     /// live inside [`MemSystem`].
     arpt_faults: Vec<TimingFault>,
@@ -212,7 +210,6 @@ impl<P: Probe> LegacySim<P> {
             lvaq_count: 0,
             reg_producer: [None; 64],
             fu_used: [0; 4],
-            write_buffer: VecDeque::new(),
             arpt_faults: config
                 .faults
                 .iter()
@@ -509,17 +506,6 @@ impl<P: Probe> LegacySim<P> {
     // ---- memory stage -------------------------------------------------------
 
     fn memory_stage(&mut self) {
-        // Drain the write buffer: committed stores write the cache in the
-        // background as bandwidth allows.
-        while let Some(&(route, addr)) = self.write_buffer.front() {
-            if !self.mem.port_available(route, addr) {
-                break;
-            }
-            if self.mem.access(route, addr).is_none() {
-                break; // no MSHR for the write miss; retry next cycle
-            }
-            self.write_buffer.pop_front();
-        }
         // Walk the ROB oldest-first; handle verification, redirects, and
         // load access starts. (Stores access the cache at commit.) The
         // action list lives in a persistent scratch buffer: once warmed it
@@ -727,9 +713,7 @@ impl<P: Probe> LegacySim<P> {
         if !self.mem.port_available(route, addr) {
             return; // bandwidth contention — retry next cycle
         }
-        let Some(latency) = self.mem.access(route, addr) else {
-            return; // miss with no free MSHR — retry next cycle
-        };
+        let latency = self.mem.access(route, addr);
         let now = self.cycle;
         let s = self.slot_mut(seq);
         s.mem = MemPhase::Accessed;
@@ -788,19 +772,12 @@ impl<P: Probe> LegacySim<P> {
                 break;
             }
             if is_mem && !is_load {
-                // Stores write the cache at commit: into the write buffer
-                // when one is configured and has space, else directly
-                // through a port (stalling commit if none is free).
-                if self.write_buffer.len() < self.config.write_buffer {
-                    self.write_buffer.push_back((route, addr));
-                } else {
-                    if !self.mem.port_available(route, addr) {
-                        break;
-                    }
-                    if self.mem.access(route, addr).is_none() {
-                        break; // write miss with no MSHR
-                    }
+                // Stores write the cache at commit, through a port; commit
+                // stalls while none is free.
+                if !self.mem.port_available(route, addr) {
+                    break;
                 }
+                self.mem.access(route, addr);
             }
             // Release queue entries and renamer claims.
             if is_mem {
@@ -870,9 +847,8 @@ impl<P: Probe> LegacySim<P> {
                 } else if head.is_load {
                     self.load_block_cause(head)
                 } else if head.complete_at != NO_CYCLE && head.complete_at <= self.cycle {
-                    // Store is done but commit_stage broke on it: the write
-                    // buffer is full and the cache denied the write (port
-                    // or MSHR).
+                    // Store is done but commit_stage broke on it: no port
+                    // was free for its commit-time write.
                     StallCause::MemPort
                 } else {
                     // Store waiting for its data operand.
@@ -912,9 +888,7 @@ impl<P: Probe> LegacySim<P> {
             // Forwarding needs no port; the load completes next cycle.
             return StallCause::MemLatency;
         }
-        if !self.mem.port_available(head.route, head.addr)
-            || self.mem.mshr_would_block(head.route, head.addr)
-        {
+        if !self.mem.port_available(head.route, head.addr) {
             return StallCause::MemPort;
         }
         // The access starts this cycle; what remains is pure latency.

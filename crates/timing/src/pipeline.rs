@@ -19,10 +19,11 @@
 //! to the cycle before the next scheduled wake-up — the minimum over the
 //! [`crate::EventWheel`] (FU completions, address-generation finishes,
 //! memory returns, redirect re-issues) and [`MemSystem::next_event_after`]
-//! (MSHR releases, fault-window boundaries). The skipped span is replayed
-//! in bulk: per-cycle dispatch-stall counters are multiplied out and the
-//! probe receives one [`Probe::record_span`] with the (provably constant)
-//! cycle observation, so `useful + Σstalls == cycles` still holds exactly.
+//! (fault-window boundaries; the caches are lock-up free, so a miss leaves
+//! no memory-side event behind). The skipped span is replayed in bulk:
+//! per-cycle dispatch-stall counters are multiplied out and the probe
+//! receives one [`Probe::record_span`] with the (provably constant) cycle
+//! observation, so `useful + Σstalls == cycles` still holds exactly.
 //!
 //! Within a visited cycle, each stage examines only its candidates: due
 //! appointment-book entries plus an every-cycle retry list for work denied
@@ -39,7 +40,7 @@
 //! event).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 use arl_asm::Program;
 use arl_core::{static_hint, Arpt, StaticHint};
@@ -52,7 +53,7 @@ use crate::fault::{FaultKind, TimingFault};
 use crate::metrics::SimStats;
 use crate::probe::{CycleObs, NullProbe, Probe, StallCause};
 use crate::state::{
-    corrupt, route_from, route_tag, sync_arpt, sync_stats, MidCycle, Scalar, StateIo, StateReader,
+    corrupt, route_from, route_tag, sync_arpt, sync_stats, MidCycle, StateIo, StateReader,
     StateWriter, CORE_EVENT, STATE_MAGIC, STATE_VERSION,
 };
 use crate::valuepred::StridePredictor;
@@ -218,7 +219,7 @@ struct Slot {
     park_next: u64,
     /// For loads: the [`TimingSim::reroute_epoch`] at which the load last
     /// passed its ordering checks; 0 = never. While it is current, a
-    /// port or MSHR retry skips straight to the port check.
+    /// port retry skips straight to the port check.
     order_epoch: u64,
     latency: u64,
     // Issue wake-up support: the slot enters the issue appointment book at
@@ -523,7 +524,7 @@ enum LoadBlock {
     AddrUnknown,
     /// An older store in the load's block chain (this seq) has no data yet.
     DataPending(u64),
-    /// Ordering passed, but no port or MSHR is free this cycle.
+    /// Ordering passed, but no port is free this cycle.
     Bandwidth,
 }
 
@@ -623,9 +624,6 @@ pub struct TimingSim<P: Probe = NullProbe> {
     issue_retry: Vec<u64>,
     /// The running stage pass's candidates (issue, then memory).
     cands: Cands,
-    /// In-flight stores per queue, in program order (for ordering checks).
-    lsq_stores: VecDeque<u64>,
-    lvaq_stores: VecDeque<u64>,
     /// Store index, half one: DataCache-routed in-flight stores whose
     /// address generation has not finished, sorted by sequence. The
     /// conservative-LSQ check ("every older store's address is known")
@@ -635,8 +633,10 @@ pub struct TimingSim<P: Probe = NullProbe> {
     /// `(block, route)` key, chained older-ward through
     /// [`Rob::store_next`]. A load's match/forwarding scan touches only
     /// the stores that share its block instead of every older store.
-    /// Rebuilt (not serialized) on state import; [`Self::load_block_cause`]
-    /// keeps the original full scan as the probe-side living spec.
+    /// Rebuilt (not serialized) on state import. Both halves together
+    /// answer [`Self::load_order`]; the reference core keeps the original
+    /// full scan over per-queue store lists, so the differential suite
+    /// checks this index against it.
     store_blocks: HashMap<u64, u64, BlockHashBuilder>,
     lsq_count: usize,
     lvaq_count: usize,
@@ -644,8 +644,6 @@ pub struct TimingSim<P: Probe = NullProbe> {
     reg_producer: [u64; 64],
     // Per-cycle FU usage.
     fu_used: [usize; 4],
-    /// Committed stores awaiting their background cache write.
-    write_buffer: VecDeque<(Route, u64)>,
     /// Pending ARPT soft errors (removed once injected); port-layer faults
     /// live inside [`MemSystem`]. While any are pending the event core
     /// falls back to cycle ticking, because injection triggers on ARPT
@@ -658,7 +656,7 @@ pub struct TimingSim<P: Probe = NullProbe> {
     /// wake-ups (address generation done, redirect penalty served, store
     /// data arrival). Live only while `rob.mem_q[seq]` matches.
     mem_book: Book,
-    /// Memory slots re-examined every cycle: loads denied a port or MSHR,
+    /// Memory slots re-examined every cycle: loads denied a port,
     /// slots whose redirect target queue is full, and loads woken from
     /// [`Self::addr_parked`].
     mem_retry: Vec<u64>,
@@ -731,15 +729,12 @@ impl<P: Probe> TimingSim<P> {
             issue_book: Book::new(),
             issue_retry: Vec::new(),
             cands: Cands::new(config.rob_size),
-            lsq_stores: VecDeque::new(),
-            lvaq_stores: VecDeque::new(),
             dc_unknown: Vec::new(),
             store_blocks: HashMap::with_hasher(BlockHashBuilder),
             lsq_count: 0,
             lvaq_count: 0,
             reg_producer: [NO_SEQ; 64],
             fu_used: [0; 4],
-            write_buffer: VecDeque::new(),
             arpt_faults: config
                 .faults
                 .iter()
@@ -820,10 +815,10 @@ impl<P: Probe> TimingSim<P> {
                     sim.begin_cycle();
                     let committed = sim.commit_stage();
                     let mem_active = sim.memory_stage();
-                    // Attribute the stall after the memory stage so
-                    // port/MSHR denials reflect this cycle's actual
-                    // bandwidth claims, but before issue mutates the
-                    // head's issued state.
+                    // Attribute the stall after the memory stage so port
+                    // denials reflect this cycle's actual bandwidth
+                    // claims, but before issue mutates the head's issued
+                    // state.
                     let stall = if P::ENABLED && committed == 0 {
                         Some(sim.stall_cause())
                     } else {
@@ -869,8 +864,8 @@ impl<P: Probe> TimingSim<P> {
                 // very cycle with the next span's entries.
                 debug_assert!(pending.is_none(), "a dry source cannot leave an entry");
                 // Export is the segment's last act: the walk normalises what
-                // it stores (a parked load becomes a retry, MSHR heaps are
-                // rebuilt), so nothing may run the machine afterwards.
+                // it stores (a parked load becomes a retry), so nothing may
+                // run the machine afterwards.
                 let mut stats = sim.stats_view();
                 stats.peak_rss_bytes = source.metrics().peak_rss_bytes;
                 let mut w = StateWriter::new();
@@ -900,7 +895,7 @@ impl<P: Probe> TimingSim<P> {
             } else {
                 None
             };
-            if exhausted && pending.is_none() && sim.rob.len == 0 && sim.write_buffer.is_empty() {
+            if exhausted && pending.is_none() && sim.rob.len == 0 {
                 break;
             }
             // Event core: this cycle changed nothing (and the replays of
@@ -971,10 +966,10 @@ impl<P: Probe> TimingSim<P> {
     /// Walks the complete machine state at a mid-cycle segment boundary,
     /// in blob order (see `crate::state` for the framing): everything a
     /// resumed [`TimingSim::run_segment_probed`] loop can observe — the
-    /// ROB (every slot record), renamer, ordering queues, write buffer,
-    /// predictors, memory system, event wheel, the appointment-book
-    /// bookings (via each slot's `issue_q`/`mem_q` key), and the
-    /// [`MidCycle`] locals of the cut cycle itself.
+    /// ROB (every slot record), renamer, queue occupancy, predictors,
+    /// memory system, event wheel, the appointment-book bookings (via each
+    /// slot's `issue_q`/`mem_q` key), and the [`MidCycle`] locals of the
+    /// cut cycle itself.
     ///
     /// Returns the pending ARPT fault ids and the wheel's wake-ups, which
     /// only import resolves (against the fault plan and the clock).
@@ -999,17 +994,6 @@ impl<P: Probe> TimingSim<P> {
         io.vals(&mut self.fu_used)?;
         io.val(&mut self.lsq_count)?;
         io.val(&mut self.lvaq_count)?;
-        for stores in [&mut self.lsq_stores, &mut self.lvaq_stores] {
-            let n = io.count(stores.len(), u64::BYTES)?;
-            stores.resize(n, NO_SEQ);
-            io.vals(stores.make_contiguous())?;
-        }
-        let n = io.count(self.write_buffer.len(), u8::BYTES + u64::BYTES)?;
-        self.write_buffer.resize(n, (Route::DataCache, 0));
-        for (route, addr) in &mut self.write_buffer {
-            io.tag(route, route_tag, route_from)?;
-            io.val(addr)?;
-        }
         let mut fault_ids: Vec<u32> = self.arpt_faults.iter().map(|f| f.id).collect();
         io.list(&mut fault_ids)?;
         io.same(self.vpred.is_some(), "value-predictor presence mismatch")?;
@@ -1435,16 +1419,8 @@ impl<P: Probe> TimingSim<P> {
                 Route::Lvc => {
                     self.lvaq_count += 1;
                     self.stats.lvaq_refs += 1;
-                    if !is_load {
-                        self.lvaq_stores.push_back(seq);
-                    }
                 }
-                Route::DataCache => {
-                    self.lsq_count += 1;
-                    if !is_load {
-                        self.lsq_stores.push_back(seq);
-                    }
-                }
+                Route::DataCache => self.lsq_count += 1,
             }
             self.stats.mem_refs += 1;
         }
@@ -1690,26 +1666,14 @@ impl<P: Probe> TimingSim<P> {
     /// Runs the memory stage; returns whether it changed any machine state
     /// (the event core may only fast-forward cycles where it did not).
     fn memory_stage(&mut self) -> bool {
-        let mut active = false;
-        // Drain the write buffer: committed stores write the cache in the
-        // background as bandwidth allows.
-        while let Some(&(route, addr)) = self.write_buffer.front() {
-            if !self.mem.port_available(route, addr) {
-                break;
-            }
-            if self.mem.access(route, addr).is_none() {
-                break; // no MSHR for the write miss; retry next cycle
-            }
-            self.write_buffer.pop_front();
-            active = true;
-        }
         let cycle = self.cycle;
         if self.mem_retry.is_empty() && !self.mem_book.has_due(cycle) {
-            return active; // no appointment due this cycle
+            return false; // no appointment due this cycle
         }
+        let mut active = false;
         // Gather this cycle's work: due appointments (address generation
         // done, redirect penalty served, store data arrived) plus the
-        // every-cycle retry list (port/MSHR blocked). Stale book copies
+        // every-cycle retry list (port blocked). Stale book copies
         // drop out; the survivors are processed oldest-first, exactly the
         // program-order walk the legacy core does. (Stores access the
         // cache at commit.)
@@ -1783,7 +1747,7 @@ impl<P: Probe> TimingSim<P> {
                         self.rob.slot[i].mem_q = QUEUE_NONE; // access in flight
                     }
                     Err(LoadBlock::Bandwidth) => {
-                        // Port or MSHR denied: retry every cycle.
+                        // Port denied: retry every cycle.
                         self.rob.slot[i].mem_q = QUEUE_RETRY;
                         self.mem_retry.push(seq);
                     }
@@ -1894,16 +1858,6 @@ impl<P: Probe> TimingSim<P> {
                 Route::DataCache => self.lsq_count += 1,
             }
             if !is_load {
-                // Move the store between the ordering queues.
-                let (from, to) = match route {
-                    Route::Lvc => (&mut self.lvaq_stores, &mut self.lsq_stores),
-                    Route::DataCache => (&mut self.lsq_stores, &mut self.lvaq_stores),
-                };
-                if let Some(pos) = from.iter().position(|&s| s == seq) {
-                    from.remove(pos);
-                }
-                let insert_at = to.iter().position(|&s| s > seq).unwrap_or(to.len());
-                to.insert(insert_at, seq);
                 // Re-key the store index under the corrected route. Its
                 // address generation is done (verification follows agen),
                 // so the DataCache unknown-address list is not involved in
@@ -1965,10 +1919,7 @@ impl<P: Probe> TimingSim<P> {
         if !self.mem.port_available(route, addr) {
             return Err(LoadBlock::Bandwidth); // bandwidth contention — retry next cycle
         }
-        let Some(latency) = self.mem.access(route, addr) else {
-            return Err(LoadBlock::Bandwidth); // miss with no free MSHR — retry next cycle
-        };
-        let done_at = self.cycle + latency;
+        let done_at = self.cycle + self.mem.access(route, addr);
         self.rob.slot[i].mem = MemPhase::Accessed;
         self.rob.slot[i].complete_at = done_at;
         self.note_complete(seq);
@@ -1982,13 +1933,35 @@ impl<P: Probe> TimingSim<P> {
     /// (`Ok(true)`), or passes with the cache access still to start
     /// (`Ok(false)`).
     fn check_load_order(&mut self, seq: u64, i: usize) -> Result<bool, LoadBlock> {
+        let forward = self.load_order(seq, i)?;
+        if forward {
+            // Store-to-load forwarding: 1 cycle, no cache port.
+            match self.rob.slot[i].route {
+                Route::Lvc => self.stats.lvaq_forwards += 1,
+                Route::DataCache => self.stats.lsq_forwards += 1,
+            }
+            let done_at = self.cycle + 1;
+            self.rob.slot[i].mem = MemPhase::Accessed;
+            self.rob.slot[i].complete_at = done_at;
+            self.note_complete(seq);
+            self.fire_wakes(i, done_at);
+            self.sched(done_at);
+        }
+        Ok(forward)
+    }
+
+    /// Where load `seq` (physical index `i`) stands against the older
+    /// stores in its queue, read-only: blocked (with the cause), clear
+    /// with a forwarding match (`Ok(true)`), or clear with the cache
+    /// access still to start (`Ok(false)`). [`Self::check_load_order`]
+    /// acts on the answer and [`Self::load_block_cause`] reports it.
+    fn load_order(&self, seq: u64, i: usize) -> Result<bool, LoadBlock> {
         let route = self.rob.slot[i].route;
         let addr = self.rob.slot[i].addr;
         // Ordering against older stores in the same queue, answered by the
-        // store index instead of a walk over the whole ordering queue
-        // ([`Self::load_block_cause`] keeps the original scan as the
-        // probe-side living spec; the property suite pins the equivalence
-        // against a brute-force model). Two probes:
+        // store index instead of a walk over the whole ordering queue (the
+        // reference core keeps that walk; the differential and property
+        // suites pin the two against each other). Two probes:
         //
         // 1. Conservative LSQ: every older DataCache store's address must
         //    be known — i.e. no older entry in the sorted unknown-agen
@@ -2024,19 +1997,6 @@ impl<P: Probe> TimingSim<P> {
                 forward_ready = true;
             }
             st_seq = self.rob.slot[j].store_next;
-        }
-        if forward_ready {
-            // Store-to-load forwarding: 1 cycle, no cache port.
-            match route {
-                Route::Lvc => self.stats.lvaq_forwards += 1,
-                Route::DataCache => self.stats.lsq_forwards += 1,
-            }
-            let done_at = self.cycle + 1;
-            self.rob.slot[i].mem = MemPhase::Accessed;
-            self.rob.slot[i].complete_at = done_at;
-            self.note_complete(seq);
-            self.fire_wakes(i, done_at);
-            self.sched(done_at);
         }
         Ok(forward_ready)
     }
@@ -2149,35 +2109,18 @@ impl<P: Probe> TimingSim<P> {
             let seq = self.rob.head_seq;
             let recovered = self.rob.has(i, F_RECOVERED);
             if is_mem && !is_load {
-                // Stores write the cache at commit: into the write buffer
-                // when one is configured and has space, else directly
-                // through a port (stalling commit if none is free).
-                if self.write_buffer.len() < self.config.write_buffer {
-                    self.write_buffer.push_back((route, addr));
-                } else {
-                    if !self.mem.port_available(route, addr) {
-                        break;
-                    }
-                    if self.mem.access(route, addr).is_none() {
-                        break; // write miss with no MSHR
-                    }
+                // Stores write the cache at commit, through a port; commit
+                // stalls while none is free.
+                if !self.mem.port_available(route, addr) {
+                    break;
                 }
+                self.mem.access(route, addr);
             }
             // Release queue entries and renamer claims.
             if is_mem {
                 match route {
-                    Route::Lvc => {
-                        self.lvaq_count -= 1;
-                        if !is_load && self.lvaq_stores.front() == Some(&seq) {
-                            self.lvaq_stores.pop_front();
-                        }
-                    }
-                    Route::DataCache => {
-                        self.lsq_count -= 1;
-                        if !is_load && self.lsq_stores.front() == Some(&seq) {
-                            self.lsq_stores.pop_front();
-                        }
-                    }
+                    Route::Lvc => self.lvaq_count -= 1,
+                    Route::DataCache => self.lsq_count -= 1,
                 }
                 if !is_load {
                     // Retire from the store index (a committing store's
@@ -2211,8 +2154,8 @@ impl<P: Probe> TimingSim<P> {
     /// reflect this cycle's claims) and before [`Self::issue_stage`];
     /// purely observational.
     ///
-    /// Every branch below compares a per-slot threshold (or port/MSHR
-    /// state) against the current cycle, and all such flip points are
+    /// Every branch below compares a per-slot threshold (or port state)
+    /// against the current cycle, and all such flip points are
     /// scheduled events — which is why the cause is constant across a
     /// fast-forwarded span and can be bulk-replayed.
     fn stall_cause(&self) -> StallCause {
@@ -2247,9 +2190,8 @@ impl<P: Probe> TimingSim<P> {
                 } else if self.rob.slot[i].complete_at != NO_CYCLE
                     && self.rob.slot[i].complete_at <= self.cycle
                 {
-                    // Store is done but commit_stage broke on it: the write
-                    // buffer is full and the cache denied the write (port
-                    // or MSHR).
+                    // Store is done but commit_stage broke on it: no port
+                    // was free for its commit-time write.
                     StallCause::MemPort
                 } else {
                     // Store waiting for its data operand.
@@ -2259,47 +2201,25 @@ impl<P: Probe> TimingSim<P> {
         }
     }
 
-    /// Why a Ready head load has not started its access: mirrors the
-    /// checks of [`Self::try_start_load`] read-only, in the same order.
-    /// `i` is the head's physical index.
+    /// Why a Ready head load has not started its access: the checks of
+    /// [`Self::try_start_load`], read-only and in the same order. `i` is
+    /// the head's physical index.
     fn load_block_cause(&self, i: usize) -> StallCause {
-        let seq = self.rob.head_seq;
-        let addr = self.rob.slot[i].addr;
-        let route = self.rob.slot[i].route;
-        let block = addr & !7;
-        let stores = match route {
-            Route::Lvc => &self.lvaq_stores,
-            Route::DataCache => &self.lsq_stores,
-        };
-        let mut forwards = false;
-        for &st_seq in stores.iter() {
-            if st_seq >= seq {
-                break;
-            }
-            let j = self.rob.idx(st_seq);
-            let agen = self.rob.slot[j].agen_done_at;
-            let complete = self.rob.slot[j].complete_at;
-            let addr_known = agen != NO_CYCLE && agen <= self.cycle;
-            let data_ready = complete != NO_CYCLE && complete <= self.cycle;
-            if route == Route::DataCache && !addr_known {
-                return StallCause::StoreOrdering;
-            }
-            if self.rob.slot[j].addr & !7 == block {
-                if !data_ready {
-                    return StallCause::StoreOrdering;
-                }
-                forwards = true;
-            }
-        }
-        if forwards {
+        match self.load_order(self.rob.head_seq, i) {
+            Err(_) => StallCause::StoreOrdering,
             // Forwarding needs no port; the load completes next cycle.
-            return StallCause::MemLatency;
+            Ok(true) => StallCause::MemLatency,
+            Ok(false) => {
+                let slot = &self.rob.slot[i];
+                if self.mem.port_available(slot.route, slot.addr) {
+                    // The access starts this cycle; what remains is pure
+                    // latency.
+                    StallCause::MemLatency
+                } else {
+                    StallCause::MemPort
+                }
+            }
         }
-        if !self.mem.port_available(route, addr) || self.mem.mshr_would_block(route, addr) {
-            return StallCause::MemPort;
-        }
-        // The access starts this cycle; what remains is pure latency.
-        StallCause::MemLatency
     }
 }
 

@@ -52,8 +52,9 @@ pub enum StallCause {
     /// The head's memory access is in flight (or about to start) — pure
     /// cache/memory latency, no structural denial.
     MemLatency,
-    /// The head is denied a first-level port, bank, line buffer, or MSHR,
-    /// or a committed store cannot drain for the same reason.
+    /// The head is denied a first-level port, bank, or line buffer: a
+    /// ready load cannot start its access, or a done store cannot make its
+    /// commit-time write.
     MemPort,
     /// The head is a store waiting for its data operand (or a load waiting
     /// behind a matching older store).

@@ -34,8 +34,11 @@ pub(crate) const STATE_MAGIC: [u8; 4] = *b"ARLS";
 /// Blob format version. v2 added the memory-backend identity tag and
 /// per-backend device state to the `MemSystem` section; v3 replaced the
 /// event core's per-slot `pc`/`ghr`/`ra` fields with the single folded
-/// ARPT key dispatch now computes.
-pub(crate) const STATE_VERSION: u8 = 3;
+/// ARPT key dispatch now computes; v4 dropped the state of mechanisms the
+/// lock-up-free, write-through-at-commit model does not have (MSHR release
+/// lists, the write-buffer count, the bandwidth conflict counters, and the
+/// per-queue store lists the store index replaces).
+pub(crate) const STATE_VERSION: u8 = 4;
 /// Core tag for state captured by the event-driven core, the only core
 /// that exports state. Import refuses any other tag, such as the 1 that
 /// legacy-core checkpoints carried.

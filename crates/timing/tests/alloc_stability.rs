@@ -60,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A mixed ALU/load/store loop body — enough memory traffic to keep the
-/// store index, LSQ/LVAQ queues, and write buffer all occupied.
+/// store index and the LSQ/LVAQ occupied.
 fn looped_program(iters: i64) -> Program {
     let mut pb = ProgramBuilder::new();
     let g = pb.global_zeroed("arr", 64 * 8);

@@ -327,39 +327,6 @@ fn line_buffer_helps_a_single_ported_cache() {
     );
 }
 
-#[test]
-fn write_buffer_relieves_commit_port_pressure() {
-    let p = stack_churn_program(400);
-    let without = TimingSim::run_program(&p, &MachineConfig::conventional(1, 2));
-    let mut with = MachineConfig::conventional(1, 2);
-    with.write_buffer = 8;
-    with.name = "(1+wb8)".into();
-    let buffered = TimingSim::run_program(&p, &with);
-    assert!(
-        buffered.cycles <= without.cycles,
-        "a write buffer never hurts: {} vs {}",
-        buffered.cycles,
-        without.cycles
-    );
-    assert_eq!(buffered.instructions, without.instructions);
-}
-
-#[test]
-fn bounded_mshrs_never_help() {
-    let p = load_burst_program(300, 12);
-    let unbounded = TimingSim::run_program(&p, &MachineConfig::conventional(4, 2));
-    let mut tight = MachineConfig::conventional(4, 2);
-    tight.mshrs = 1;
-    tight.name = "(4)mshr1".into();
-    let bounded = TimingSim::run_program(&p, &tight);
-    assert!(
-        bounded.cycles >= unbounded.cycles,
-        "fewer MSHRs cannot speed things up: {} vs {}",
-        bounded.cycles,
-        unbounded.cycles
-    );
-}
-
 /// A pointer that alternates between a stack local and a global every
 /// iteration, dereferenced through a scratch register so the static rules
 /// cannot classify it (rule 4 → ARPT steering on decoupled machines).

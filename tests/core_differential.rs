@@ -200,23 +200,3 @@ fn squash_recovery_stays_bit_identical() {
     config.region_mispredict_penalty = 4;
     assert_cores_agree(&entries, &config, "perl squash on (2+3)");
 }
-
-#[test]
-fn bounded_mshrs_and_write_buffer_stay_bit_identical() {
-    // Bounded MSHRs make port/MSHR denial windows (and their release
-    // events) load-bearing; a write buffer adds background store drain.
-    let entries = entries_for("tomcatv");
-    for base in [
-        MachineConfig::baseline_2_0(),
-        MachineConfig::decoupled(3, 3),
-    ] {
-        let mut config = base;
-        config.mshrs = 2;
-        config.write_buffer = 4;
-        assert_cores_agree(
-            &entries,
-            &config,
-            &format!("tomcatv mshr2+wb4 on {}", config.name),
-        );
-    }
-}

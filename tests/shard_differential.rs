@@ -136,18 +136,24 @@ fn assert_prediction_stitches(name: &str, program: &arl::asm::Program, trace: &T
     let mut serial = Evaluator::new(config.clone());
     let mut replayer = Replayer::new(trace, program)
         .unwrap_or_else(|e| panic!("{name}: serial replay rejected: {e}"));
-    serial
-        .consume(&mut replayer)
-        .unwrap_or_else(|e| panic!("{name}: serial evaluation failed: {e}"));
+    while let Some(entry) = replayer
+        .next_entry()
+        .unwrap_or_else(|e| panic!("{name}: serial evaluation failed: {e}"))
+    {
+        serial.observe(&entry);
+    }
     let serial = *serial.stats();
     for shards in SHARD_COUNTS {
         let mut evaluator = Evaluator::new(config.clone());
         let mut resume = None;
         for span in shard_plan(trace.event_count(), shards) {
             let mut replayer = open_span(name, program, trace, resume.as_ref(), span);
-            evaluator
-                .consume(&mut replayer)
-                .unwrap_or_else(|e| panic!("{name}: segmented evaluation failed: {e}"));
+            while let Some(entry) = replayer
+                .next_entry()
+                .unwrap_or_else(|e| panic!("{name}: segmented evaluation failed: {e}"))
+            {
+                evaluator.observe(&entry);
+            }
             resume = Some(replayer.snapshot());
         }
         assert_eq!(
@@ -278,6 +284,15 @@ fn foreign_resume_blobs_are_refused_loudly() {
     foreign[5] = 1;
     let msg = refusal(&entries, &config, &reseal(&foreign));
     assert!(msg.contains("different core"), "{msg}");
+
+    // Byte 4 is the version. A v3 blob laid out MSHR lists, a write-buffer
+    // count and per-queue store lists where v4 has none, so it must be
+    // refused before any field is read.
+    assert_eq!(blob[4], 4, "the event core writes blob version 4");
+    let mut stale = blob[..blob.len() - 8].to_vec();
+    stale[4] = 3;
+    let msg = refusal(&entries, &config, &reseal(&stale));
+    assert!(msg.contains("unsupported version"), "{msg}");
 
     let msg = refusal(&entries, &MachineConfig::baseline_2_0(), &blob);
     assert!(msg.contains("configuration mismatch"), "{msg}");

@@ -88,7 +88,9 @@ fn replayed_predictor_stats_are_bit_identical_for_every_workload() {
 
         let mut replayed = Evaluator::new(config.clone());
         let mut replayer = Replayer::new(&trace, &program).expect("replayer");
-        replayed.consume(&mut replayer).expect("replay");
+        while let Some(entry) = replayer.next_entry().expect("replay") {
+            replayed.observe(&entry);
+        }
 
         assert_eq!(
             live.stats(),
